@@ -1,9 +1,9 @@
 """Fixed-point interval arithmetic on plain integers.
 
 An interval (lo, hi) at scale B encloses the real x when lo <= x*2^B <= hi.
-Only the operations needed for radical towers are provided: integer square
-roots, rational scaling, sums, and division by a positive interval. All
-rounding is outward, so every enclosure is rigorous.
+Only the operations needed to embed tower elements are provided: integer
+square roots, rational scaling and sums. All rounding is outward, so every
+enclosure is rigorous.
 """
 
 from __future__ import annotations
@@ -34,31 +34,10 @@ def iv_scale(a: Iv, c: Fraction) -> Iv:
     return (_floor_div(a[1] * n, d), _ceil_div(a[0] * n, d))
 
 
-def iv_div(num: Iv, den: Iv, bits: int) -> Iv:
-    """Divide by an interval with den[0] > 0."""
-    if den[0] <= 0:
-        raise ZeroDivisionError("divisor interval must be strictly positive")
-    lo = _floor_div(num[0] << bits, den[0] if num[0] < 0 else den[1])
-    hi = _ceil_div(num[1] << bits, den[1] if num[1] < 0 else den[0])
-    return (lo, hi)
-
-
 def iv_sqrt_int(n: int, bits: int) -> Iv:
     """Enclosure of sqrt(n) for an integer n >= 0."""
     r = isqrt(n << (2 * bits))
     return (r, r if r * r == n << (2 * bits) else r + 1)
-
-
-def iv_sqrt(a: Iv, bits: int) -> Iv:
-    """Enclosure of sqrt(x) for an enclosure with a[0] >= 0."""
-    if a[0] < 0:
-        raise ValueError("square root of an interval containing negatives")
-    lo = isqrt(a[0] << bits)
-    hi_sq = a[1] << bits
-    hi = isqrt(hi_sq)
-    if hi * hi < hi_sq:
-        hi += 1
-    return (lo, hi)
 
 
 def iv_endpoints(a: Iv, bits: int) -> tuple[Fraction, Fraction]:

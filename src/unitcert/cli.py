@@ -36,14 +36,13 @@ EXIT_ORACLE = 4
 @dataclass
 class RunConfig:
     prime_bound: int = 100_000
-    precision_bits: int = 256
     place_mode: str = "first"
     json: bool = False
     force: bool = False
     cache_path: str | None = None
 
     def __post_init__(self):
-        if self.prime_bound <= 0 or self.precision_bits <= 0:
+        if self.prime_bound <= 0:
             raise ValueError("bounds must be positive")
         if self.place_mode not in ("first", "all"):
             raise ValueError("place mode must be 'first' or 'all'")
@@ -56,7 +55,6 @@ def _dump(obj) -> str:
 def _config(args) -> RunConfig:
     return RunConfig(
         prime_bound=args.prime_bound,
-        precision_bits=args.precision_bits,
         place_mode=args.places,
         json=args.json,
         force=getattr(args, "force", False),
@@ -102,7 +100,6 @@ def cmd_delta(args) -> int:
     cert = delta(
         args.p, args.q, args.s,
         prime_bound=config.prime_bound,
-        precision_bits=config.precision_bits,
         force=config.force,
         cache=cache,
     )
@@ -112,7 +109,6 @@ def cmd_delta(args) -> int:
         decisions = survey_places(
             args.p, args.q, args.s,
             prime_bound=config.prime_bound,
-            precision_bits=config.precision_bits,
             cache=cache,
         )
         extra = [
@@ -148,7 +144,6 @@ def cmd_fsu(args) -> int:
     cert = delta(
         args.p, args.q, args.s,
         prime_bound=config.prime_bound,
-        precision_bits=config.precision_bits,
         force=config.force,
         cache=cache,
     )
@@ -211,7 +206,7 @@ def cmd_sqrt(args) -> int:
     config = _config(args)
     field = _parse_field(args.field)
     element = _parse_element(field, args.element)
-    root = sqrt_exact(element, precision_bits=config.precision_bits)
+    root = sqrt_exact(element)
     if config.json:
         sys.stdout.write(_dump({
             "element": element.to_text(),
@@ -248,11 +243,7 @@ def cmd_separate(args) -> int:
 def cmd_verify_paper(args) -> int:
     config = _config(args)
     cache = _open_cache(config)
-    items = golden.run_checks(
-        precision_bits=config.precision_bits,
-        prime_bound=config.prime_bound,
-        cache=cache,
-    )
+    items = golden.run_checks(prime_bound=config.prime_bound, cache=cache)
     _close_cache(config, cache)
     failed = [item for item in items if not item.ok]
     if config.json:
@@ -282,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime-bound", type=int, default=100_000,
                         help="upper bound for auxiliary split primes")
-    common.add_argument("--precision-bits", type=int, default=256,
-                        help="starting precision for real enclosures")
     common.add_argument("--places", choices=("first", "all"), default="first",
                         help="evaluate only the first valid place or survey all")
     common.add_argument("--json", action="store_true", help="emit JSON")
@@ -340,6 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # exact FSU coordinates of large triples run to thousands of digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

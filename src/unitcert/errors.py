@@ -16,8 +16,8 @@ class SearchExhausted(UnitCertError):
 
 
 class PrecisionExhausted(UnitCertError):
-    """The square-root precision cap was reached; indicates a logic error rather
-    than an honest input, since every candidate is resolved well below the cap."""
+    """A real embedding's interval enclosure did not separate the value from 0
+    within embed_real's precision cap; exact square roots never raise it."""
 
 
 class NotASquareInBiquad(UnitCertError):

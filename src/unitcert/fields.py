@@ -2,15 +2,16 @@
 
 Covers the biquadratic fields Q(sqrt a, sqrt b) and the octic field
 Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, real embeddings at arbitrary
-precision, exact algebraic square roots with mandatory verification, the
-normalized generator product Theta, and the biquadratic unit-index square test.
+precision, exact square roots by relative-norm descent through the tower of
+index-2 subfields, the normalized generator product Theta, and the biquadratic
+unit-index square test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from . import _interval as iv
 from .errors import NotASquareInBiquad, PrecisionExhausted
@@ -18,20 +19,6 @@ from .pell import QuadUnit, fundamental_pell, is_squarefree
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 16384
-# Coordinates of integral elements in these towers have dyadic denominators
-# dividing 4; the bound limits completeness only, never soundness.
-MAX_COORD_DENOMINATOR = 4
-
-
-def _square_decompose(m: int) -> tuple[int, int]:
-    """Write m = g^2 * r with r squarefree; returns (g, r)."""
-    g, r, k = 1, m, 2
-    while k * k <= r:
-        while r % (k * k) == 0:
-            r //= k * k
-            g *= k
-        k += 1
-    return g, r
 
 
 class Tower:
@@ -44,28 +31,21 @@ class Tower:
         for g in gens:
             if g <= 1 or not is_squarefree(g):
                 raise ValueError(f"generator {g} must be a squarefree integer > 1")
-        k = len(gens)
-        radicands = []
-        for mask in range(1 << k):
-            m = 1
-            for j in range(k):
-                if mask >> j & 1:
-                    m *= gens[j]
-            radicands.append(_square_decompose(m)[1])
+        # r * g / gcd(r, g)^2 is the squarefree part of r * g for squarefree r, g
+        radicands = [1]
+        for g in gens:
+            radicands += [r * g // gcd(r, g) ** 2 for r in radicands]
         if len(set(radicands)) != len(radicands):
             raise ValueError(f"generators {gens} are not independent modulo squares")
         self.generators = gens
         self.radicands = tuple(radicands)
-        self.degree = 1 << k
+        self.degree = 1 << len(gens)
         self._index = {m: i for i, m in enumerate(radicands)}
-        table = []
-        for mi in radicands:
-            row = []
-            for mj in radicands:
-                g, r = _square_decompose(mi * mj)
-                row.append((g, self._index[r]))
-            table.append(tuple(row))
-        self._table = tuple(table)
+        # sqrt(m_i) * sqrt(m_j) = sqrt(m_i * m_j / m_(i xor j)) * sqrt(m_(i xor j))
+        self._table = tuple(
+            tuple((isqrt(mi * mj // radicands[i ^ j]), i ^ j) for j, mj in enumerate(radicands))
+            for i, mi in enumerate(radicands)
+        )
         self.tokens = tuple("1" if m == 1 else f"r{m}" for m in radicands)
 
     def __eq__(self, other) -> bool:
@@ -190,18 +170,7 @@ class TowerElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.tower.degree
-        table = self.tower._table
-        out = [Fraction(0)] * n
-        for i, ci in enumerate(self.coords):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(o.coords):
-                if cj == 0:
-                    continue
-                g, k = table[i][j]
-                out[k] += ci * cj * g
-        return TowerElement(self.tower, tuple(out))
+        return TowerElement(self.tower, tuple(_mul(self.coords, o.coords, self.tower._table)))
 
     __rmul__ = __mul__
 
@@ -259,20 +228,6 @@ def octic_mul(a: TowerElement, b: TowerElement) -> TowerElement:
 # -- real embeddings ------------------------------------------------------
 
 
-def _radical_ivs(tower: Tower, bits: int) -> list[iv.Iv]:
-    return [iv.iv_sqrt_int(m, bits) for m in tower.radicands]
-
-
-def _embed_iv(x: TowerElement, signs: tuple[int, ...], rads: list[iv.Iv], bits: int) -> iv.Iv:
-    total = (0, 0)
-    for i, c in enumerate(x.coords):
-        if c == 0:
-            continue
-        sg = x.tower.basis_sign(i, signs)
-        total = iv.iv_add(total, iv.iv_scale(rads[i], c if sg > 0 else -c))
-    return total
-
-
 def embed_real(
     x: TowerElement,
     signs: tuple[int, ...] | None = None,
@@ -298,8 +253,11 @@ def embed_real(
     signs = tuple(signs)
     bits = precision_bits
     while True:
-        rads = _radical_ivs(tower, bits)
-        enc = _embed_iv(x, signs, rads, bits)
+        enc = (0, 0)
+        for i, c in enumerate(x.coords):
+            if c:
+                rad = iv.iv_sqrt_int(tower.radicands[i], bits)
+                enc = iv.iv_add(enc, iv.iv_scale(rad, c * tower.basis_sign(i, signs)))
         lo, hi = iv.iv_endpoints(enc, bits)
         mid = iv.iv_mid(enc, bits)
         # nonzero element, injective embedding: the loop must terminate
@@ -311,132 +269,131 @@ def embed_real(
 
 
 # -- exact square roots ---------------------------------------------------
+#
+# The helpers below work on coordinate lists. The first half of a tower's
+# basis spans the subtower over all generators but the last, and the basis
+# table maps that half into itself; so a list of length 2^l is an element of
+# the subtower over the first l generators, multiplied with the full table.
+# Writing it as x + y*sqrt(b), with b the l-th generator and x, y in the next
+# subtower down, every step below recurses on halves.
 
-_AMBIGUOUS = object()
+
+def _mul(a: list, b: list, table) -> list:
+    out = [Fraction(0)] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            row = table[i]
+            for j, bj in enumerate(b):
+                if bj:
+                    g, k = row[j]
+                    out[k] += ai * bj * g
+    return out
 
 
-def _simplest_in(lo: Fraction, hi: Fraction, depth: int = 0) -> Fraction | None:
-    """Smallest-denominator rational in [lo, hi] by the continued-fraction walk.
+def _split(z: list, table) -> tuple[list, list]:
+    """(x, y) with z = x + y*sqrt(b); basis element half+i is
+    sqrt(m_i)*sqrt(b) divided by the integer table[i][half][0]."""
+    half = len(z) // 2
+    return z[:half], [c / table[i][half][0] for i, c in enumerate(z[half:])]
 
-    The depth cut aborts once the denominator provably exceeds the coordinate
-    bound (continuants grow at least like Fibonacci numbers).
+
+def _join(x: list, y: list, table) -> list:
+    half = len(x)
+    return x + [c * table[i][half][0] for i, c in enumerate(y)]
+
+
+def _rel_norm(x: list, y: list, tower: Tower) -> list:
+    """x^2 - b*y^2, the norm of x + y*sqrt(b) down to the subtower."""
+    b = tower.radicands[len(x)]
+    table = tower._table
+    return [p - b * q for p, q in zip(_mul(x, x, table), _mul(y, y, table))]
+
+
+def _norm_multiplier(z: list, tower: Tower) -> tuple[list, Fraction]:
+    """(w, d) with z*w = d rational: w multiplies z by its conjugate
+    x - y*sqrt(b), then the relative norm by its own, down to the base."""
+    if len(z) == 1:
+        return [Fraction(1)], z[0]
+    table = tower._table
+    x, y = _split(z, table)
+    w, d = _norm_multiplier(_rel_norm(x, y, tower), tower)
+    return _join(_mul(x, w, table), [-c for c in _mul(y, w, table)], table), d
+
+
+def _sign(z: list, tower: Tower) -> int:
+    """Sign of a nonzero z at the distinguished embedding, exactly: x + y*sqrt(b)
+    has the sign of x when x and y agree in sign, and otherwise the sign of x
+    when x^2 - b*y^2 > 0, that of y when it is < 0."""
+    if len(z) == 1:
+        return 1 if z[0] > 0 else -1
+    x, y = _split(z, tower._table)
+    sx = _sign(x, tower) if any(x) else 0
+    sy = _sign(y, tower) if any(y) else 0
+    if sx * sy >= 0:
+        return sx or sy
+    return sx * _sign(_rel_norm(x, y, tower), tower)
+
+
+def _sqrt(z: list, tower: Tower) -> list | None:
+    """A square root of a nonzero z, or None when z is not a square.
+
+    With z = x + y*sqrt(b) = (u + v*sqrt(b))^2: if y = 0 then u = 0 or v = 0;
+    otherwise n = u^2 - b*v^2 is a root of the norm x^2 - b*y^2, up to sign,
+    and one of (x + n)/2, (x - n)/2 is u^2, the other b*v^2. Any root u of
+    either, with v = y/(2u), then gives a root, since x^2 - n^2 = b*y^2.
     """
-    if depth > 5:
+    if len(z) == 1:
+        a = z[0]
+        if a < 0:
+            return None
+        num, den = isqrt(a.numerator), isqrt(a.denominator)
+        if num * num != a.numerator or den * den != a.denominator:
+            return None
+        return [Fraction(num, den)]
+    table = tower._table
+    x, y = _split(z, table)
+    zero = [Fraction(0)] * len(x)
+    if not any(y):
+        u = _sqrt(x, tower)
+        if u is not None:
+            return u + zero
+        b = tower.radicands[len(x)]
+        v = _sqrt([c / b for c in x], tower)
+        return None if v is None else _join(zero, v, table)
+    n = _sqrt(_rel_norm(x, y, tower), tower)
+    if n is None:
         return None
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        r = _simplest_in(-hi, -lo, depth)
-        return None if r is None else -r
-    ceil_lo = -((-lo.numerator) // lo.denominator)
-    if ceil_lo <= hi:
-        return Fraction(ceil_lo)
-    fl = lo.numerator // lo.denominator
-    inner = _simplest_in(1 / (hi - fl), 1 / (lo - fl), depth + 1)
-    if inner is None or inner == 0:
-        return None
-    return fl + 1 / inner
+    for sg in (1, -1):
+        u = _sqrt([(a + sg * c) / 2 for a, c in zip(x, n)], tower)
+        if u is not None:
+            w, d = _norm_multiplier(u, tower)
+            return _join(u, [c / (2 * d) for c in _mul(y, w, table)], table)
+    return None
 
 
-def _rational_in(c_iv: iv.Iv, bits: int, max_den: int):
-    """The unique rational with denominator <= max_den inside the enclosure.
+def sqrt_exact(alpha: TowerElement) -> TowerElement | None:
+    """Exact square root in the element's own tower, normalized positive at the
+    distinguished embedding, or None when alpha is not a square.
 
-    Returns the rational, None when no such rational exists, or the ambiguity
-    sentinel when the enclosure is too wide to isolate a single candidate
-    (distinct rationals with denominator <= m differ by at least 1/m^2).
-    """
-    lo, hi = iv.iv_endpoints(c_iv, bits)
-    if hi - lo >= Fraction(1, max_den * max_den):
-        return _AMBIGUOUS
-    cand = _simplest_in(lo, hi)
-    if cand is None or cand.denominator > max_den:
-        return None
-    return cand
-
-
-def sqrt_exact(
-    alpha: TowerElement,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
-) -> TowerElement | None:
-    """Exact square root in the element's own tower, or None.
-
-    Method: enclose every real conjugate of alpha; any negative conjugate rules
-    out a root. Otherwise, for each assignment of signs to the conjugates of
-    the root (the distinguished embedding fixed positive), recover candidate
-    coordinates by the inverse embedding transform, reconstruct them as
-    rationals with bounded denominator, and accept only on exact verification
-    by squaring. Failure of every assignment at a resolving precision proves
-    there is no root with admissible denominators; unresolved assignments
-    trigger a precision doubling up to the cap.
+    Method: relative-norm descent through the index-2 subtowers down to exact
+    integer square roots of rational numerators and denominators; the sign is
+    decided by the same recursion, and the root is verified by exact squaring.
     """
     if alpha.is_zero():
         raise ValueError("square root of the zero element")
     tower = alpha.tower
-    n = tower.degree
-    embs = tower.embeddings()
-    bits = precision_bits
-    while bits <= max_bits:
-        rads = _radical_ivs(tower, bits)
-        targets = []
-        resolved = True
-        for sg in embs:
-            enc = _embed_iv(alpha, sg, rads, bits)
-            if enc[1] < 0:
-                return None  # negative at a real embedding: no root anywhere
-            if enc[0] <= 0:
-                resolved = False
-                break
-            targets.append(enc)
-        if not resolved:
-            bits *= 2
-            continue
-        roots = [iv.iv_sqrt(t, bits) for t in targets]
-        denoms = [(n * rads[i][0], n * rads[i][1]) for i in range(n)]
-        base_signs = [[tower.basis_sign(i, sg) for sg in embs] for i in range(n)]
-        saw_ambiguous = False
-        for pattern in range(1 << (n - 1)):
-            coords = []
-            dead = False
-            for i in range(n):
-                lo = hi = 0
-                row = base_signs[i]
-                for k in range(n):
-                    sg = row[k]
-                    if k and pattern >> (k - 1) & 1:
-                        sg = -sg
-                    rk = roots[k]
-                    if sg > 0:
-                        lo += rk[0]
-                        hi += rk[1]
-                    else:
-                        lo -= rk[1]
-                        hi -= rk[0]
-                c = _rational_in(iv.iv_div((lo, hi), denoms[i], bits), bits, MAX_COORD_DENOMINATOR)
-                if c is _AMBIGUOUS:
-                    saw_ambiguous = True
-                    dead = True
-                    break
-                if c is None:
-                    dead = True
-                    break
-                coords.append(c)
-            if dead:
-                continue
-            candidate = tower.element(coords)
-            if candidate * candidate == alpha:
-                return candidate
-        if not saw_ambiguous:
-            return None
-        bits *= 2
-    raise PrecisionExhausted(
-        f"no decision below {max_bits} bits for a degree-{n} square root"
-    )
+    coords = _sqrt(list(alpha.coords), tower)
+    if coords is None:
+        return None
+    if _sign(coords, tower) < 0:
+        coords = [-c for c in coords]
+    root = TowerElement(tower, tuple(coords))
+    if root * root != alpha:
+        raise ArithmeticError("the descent root does not square back")
+    return root
 
 
-def sqrt_preferring_subfield(
-    alpha: TowerElement, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> TowerElement | None:
+def sqrt_preferring_subfield(alpha: TowerElement) -> TowerElement | None:
     """Exact square root, first attempted in the subtower spanned by the
     radicals actually present in alpha (at most biquadratic), then in the
     full tower; the result is lifted back to alpha's tower."""
@@ -457,41 +414,37 @@ def sqrt_preferring_subfield(
         sub = Tower(tuple(tower.radicands[m] for m in sorted(basis.values())))
         by_radicand = dict(zip(tower.radicands, alpha.coords))
         proj = sub.element([by_radicand.get(m, 0) for m in sub.radicands])
-        root = sqrt_exact(proj, precision_bits)
+        root = sqrt_exact(proj)
         if root is not None:
             return tower.lift(root)
-    return sqrt_exact(alpha, precision_bits)
+    return sqrt_exact(alpha)
 
 
-def sqrt_biquad(alpha: TowerElement, precision_bits: int = DEFAULT_PRECISION_BITS) -> TowerElement | None:
+def sqrt_biquad(alpha: TowerElement) -> TowerElement | None:
     """Square root in a biquadratic field, normalized positive at the
     distinguished embedding; None when there is no root."""
     if alpha.tower.degree != 4:
         raise ValueError("sqrt_biquad expects an element of a biquadratic field")
-    return sqrt_exact(alpha, precision_bits)
+    return sqrt_exact(alpha)
 
 
-def sqrt_octic(alpha: TowerElement, precision_bits: int = DEFAULT_PRECISION_BITS) -> TowerElement | None:
+def sqrt_octic(alpha: TowerElement) -> TowerElement | None:
     """Square root in the octic field, normalized positive at the distinguished
     embedding; None when there is no root."""
     if alpha.tower.degree != 8:
         raise ValueError("sqrt_octic expects an element of the octic field")
-    return sqrt_exact(alpha, precision_bits)
+    return sqrt_exact(alpha)
 
 
 # -- Theta and the biquadratic unit index ---------------------------------
 
 
-def _unit_product_root(
-    d: int,
-    precision_bits: int,
-    cache: dict[int, QuadUnit] | None,
-) -> TowerElement:
+def _unit_product_root(d: int, cache: dict[int, QuadUnit] | None) -> TowerElement:
     """The positive square root of eps_d * eps_2d inside Q(sqrt2, sqrt d)."""
     field = BiquadField(2, d)
     e_d = field.from_quad_unit(fundamental_pell(d, cache))
     e_2d = field.from_quad_unit(fundamental_pell(2 * d, cache))
-    root = sqrt_biquad(e_d * e_2d, precision_bits)
+    root = sqrt_biquad(e_d * e_2d)
     if root is None:
         raise NotASquareInBiquad(
             f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})"
@@ -503,13 +456,12 @@ def theta_factors(
     p: int,
     q: int,
     s: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     cache: dict[int, QuadUnit] | None = None,
 ) -> tuple[TowerElement, TowerElement]:
     """The two normalized biquadratic roots whose product is Theta."""
     return (
-        _unit_product_root(p * q, precision_bits, cache),
-        _unit_product_root(p * s, precision_bits, cache),
+        _unit_product_root(p * q, cache),
+        _unit_product_root(p * s, cache),
     )
 
 
@@ -517,12 +469,11 @@ def theta(
     p: int,
     q: int,
     s: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     cache: dict[int, QuadUnit] | None = None,
 ) -> TowerElement:
     """The normalized product Theta = sqrt(eps_pq eps_2pq) * sqrt(eps_ps eps_2ps)
     as an exact octic element, positive at the distinguished embedding."""
-    f1, f2 = theta_factors(p, q, s, precision_bits, cache)
+    f1, f2 = theta_factors(p, q, s, cache)
     octic = OcticField(p, q, s)
     return octic.lift(f1) * octic.lift(f2)
 
@@ -535,20 +486,18 @@ _INDEX_EXPONENTS = (
 def biquad_unit_index(
     a: int,
     b: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     cache: dict[int, QuadUnit] | None = None,
 ) -> tuple[int, tuple[int, int, int] | None]:
     """Index of the subgroup generated by quadratic-subfield units inside the
     unit group of Q(sqrt a, sqrt b): either 1, or 2 with the exponent vector
     (e1, e2, e3) such that eps_a^e1 * eps_b^e2 * eps_ab^e3 is a square."""
     field = BiquadField(a, b)
-    ab = _square_decompose(a * b)[1]
-    units = [field.from_quad_unit(fundamental_pell(d, cache)) for d in (a, b, ab)]
+    units = [field.from_quad_unit(fundamental_pell(d, cache)) for d in field.radicands[1:]]
     for exps in _INDEX_EXPONENTS:
         candidate = field.one()
         for u, e in zip(units, exps):
             if e:
                 candidate = candidate * u
-        if sqrt_biquad(candidate, precision_bits) is not None:
+        if sqrt_biquad(candidate) is not None:
             return 2, exps
     return 1, None

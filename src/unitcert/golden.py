@@ -102,7 +102,6 @@ def _unit_str(u: QuadUnit) -> str:
 
 
 def run_checks(
-    precision_bits: int = 256,
     prime_bound: int = 100_000,
     cache: dict[int, QuadUnit] | None = None,
 ) -> list[CheckItem]:
@@ -126,11 +125,10 @@ def run_checks(
                 actual = f"error: {exc}"
             add(f"{ex.label}.unit_{d}", f"({x}, {y}, {norm:+d})", actual)
         try:
-            f_pq, f_ps = theta_factors(p, q, s, precision_bits, cache)
+            f_pq, f_ps = theta_factors(p, q, s, cache)
             add(f"{ex.label}.root_{p * q}", ROOTS[p * q], tuple(int(c) for c in f_pq.coords))
             add(f"{ex.label}.root_{p * s}", ROOTS[p * s], tuple(int(c) for c in f_ps.coords))
-            cert = delta(p, q, s, prime_bound=prime_bound, precision_bits=precision_bits,
-                         with_fsu=False, cache=cache)
+            cert = delta(p, q, s, prime_bound=prime_bound, with_fsu=False, cache=cache)
         except Exception as exc:
             add(f"{ex.label}.delta", ex.delta, f"error: {exc}")
             continue
@@ -156,8 +154,7 @@ def run_checks(
     add("noncollapse.datum_1", (7, 3, 3, -1, -1, 1), classical_datum(*t1).as_tuple())
     add("noncollapse.datum_2", (7, 3, 3, -1, -1, 1), classical_datum(*t2).as_tuple())
     try:
-        ok, report = noncollapse_check(t1, t2, prime_bound=prime_bound,
-                                       precision_bits=precision_bits, cache=cache)
+        ok, report = noncollapse_check(t1, t2, prime_bound=prime_bound, cache=cache)
         add("noncollapse.delta_pair", (0, 1),
             (report["triple1"]["delta"], report["triple2"]["delta"]))
         add("noncollapse.check", True, ok)

@@ -22,10 +22,10 @@ from .errors import (
     SearchExhausted,
 )
 from .fields import (
-    DEFAULT_PRECISION_BITS,
     OcticField,
     TowerElement,
     sqrt_octic,
+    sqrt_preferring_subfield,
     theta,
 )
 from .pell import QuadUnit, fundamental_pell
@@ -311,13 +311,12 @@ def survey_places(
     s: int,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     prime_count: int = DEFAULT_PRIME_COUNT,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     cache: dict[int, QuadUnit] | None = None,
     theta_elem: TowerElement | None = None,
 ) -> list[PlaceDecision]:
     """Evaluate every place above the first split primes; delta at valid ones."""
     if theta_elem is None:
-        theta_elem = theta(p, q, s, precision_bits, cache)
+        theta_elem = theta(p, q, s, cache)
     eps_pq = fundamental_pell(p * q, cache)
     out = []
     seen = 0
@@ -352,7 +351,6 @@ def _fsu_generators(
     theta_elem: TowerElement,
     mu: str,
     xi: TowerElement | None,
-    precision_bits: int,
     cache: dict[int, QuadUnit] | None,
 ) -> list[Generator]:
     p, q, s = octic.p, octic.q, octic.s
@@ -365,13 +363,7 @@ def _fsu_generators(
     e_2pq = emb(fundamental_pell(2 * p * q, cache))
 
     def rooted(name: str, product: TowerElement, mu_tag: str | None = None) -> Generator:
-        from .errors import PrecisionExhausted
-        from .fields import sqrt_preferring_subfield
-
-        try:
-            root = sqrt_preferring_subfield(product, precision_bits)
-        except PrecisionExhausted:
-            return Generator(name, None, False, mu_tag, "precision cap reached; emitted symbolically")
+        root = sqrt_preferring_subfield(product)
         if root is None:
             return Generator(
                 name, None, False, mu_tag,
@@ -402,7 +394,6 @@ def delta(
     s: int,
     prime_bound: int = DEFAULT_PRIME_BOUND,
     prime_count: int = DEFAULT_PRIME_COUNT,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     force: bool = False,
     oracle: bool | None = None,
     with_fsu: bool = True,
@@ -429,7 +420,7 @@ def delta(
         oracle_on = True
 
     datum = classical_datum(p, q, s)
-    theta_elem = theta(p, q, s, precision_bits, cache)
+    theta_elem = theta(p, q, s, cache)
     eps_pq = fundamental_pell(p * q, cache)
 
     chosen = None
@@ -468,19 +459,17 @@ def delta(
         e_pq_elem = octic.from_quad_unit(eps_pq)
         square_candidate = theta_elem if bit == 0 else e_pq_elem * theta_elem
         other_candidate = e_pq_elem * theta_elem if bit == 0 else theta_elem
-        xi = sqrt_octic(square_candidate, precision_bits)
+        xi = sqrt_octic(square_candidate)
         if xi is None:
             raise OracleDisagreement(
                 f"residue criterion gives delta = {bit} but mu*Theta has no exact root"
             )
-        if sqrt_octic(other_candidate, precision_bits) is not None:
+        if sqrt_octic(other_candidate) is not None:
             raise OracleDisagreement("both squareclass candidates have exact roots")
 
     fsu_list = None
     if with_fsu:
-        fsu_list = _fsu_generators(
-            theta_elem.tower, theta_elem, mu, xi, precision_bits, cache
-        )
+        fsu_list = _fsu_generators(theta_elem.tower, theta_elem, mu, xi, cache)
 
     return Certificate(
         p=p, q=q, s=s,
@@ -509,7 +498,6 @@ def decide_mu_hilbert(
     q: int,
     s: int,
     place: SplitPlace,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     cache: dict[int, QuadUnit] | None = None,
 ) -> tuple[str, tuple[int, int], int]:
     """Alternate decision path through Hilbert symbols at one place.
@@ -526,7 +514,7 @@ def decide_mu_hilbert(
     r_eps = residue_at(eps_pq, place)
     if jacobi(r_eps, t) != -1:
         raise InvalidPlace(f"eps_pq is a square at the place above {t}")
-    theta_elem = theta(p, q, s, precision_bits, cache)
+    theta_elem = theta(p, q, s, cache)
     r_theta = residue_at(theta_elem, place)
     if r_theta == 0:
         raise NonUnitResidue("Theta has zero residue at the place")

@@ -187,3 +187,79 @@ def hilbert_oracle_neg1_neg1_at_2() -> int:
                 if (z * z + x * x + y * y) % 8 == 0:
                     return 1
     return -1
+
+
+# -- tower oracles ----------------------------------------------------------
+
+
+def square_decompose(m: int) -> tuple[int, int]:
+    """m = g^2 * r with r squarefree, by trial division; returns (g, r)."""
+    g, r, k = 1, m, 2
+    while k * k <= r:
+        while r % (k * k) == 0:
+            r //= k * k
+            g *= k
+        k += 1
+    return g, r
+
+
+def tower_by_trial_division(generators) -> tuple[tuple[int, ...], tuple]:
+    """Radicands (squarefree parts of the subset products, subset-binary order)
+    and the table sqrt(m_i)*sqrt(m_j) = g*sqrt(m_k) as entries (g, k)."""
+    radicands = []
+    for mask in range(1 << len(generators)):
+        m = 1
+        for j, g in enumerate(generators):
+            if mask >> j & 1:
+                m *= g
+        radicands.append(square_decompose(m)[1])
+    index = {m: i for i, m in enumerate(radicands)}
+    table = []
+    for mi in radicands:
+        row = []
+        for mj in radicands:
+            g, r = square_decompose(mi * mj)
+            row.append((g, index[r]))
+        table.append(tuple(row))
+    return tuple(radicands), tuple(table)
+
+
+def nonsquare_witness(generators, coords, t_max: int = 5000):
+    """A place of Q(sqrt g_1, ..., sqrt g_k) at which the element with these
+    coordinates (over the subset-product basis) reduces to a nonzero
+    non-residue, as (t, roots of the g_j mod t); None when no t <= t_max
+    gives one.
+
+    For a prime t at which every g_j is a nonzero square, sending sqrt(g_j)
+    to a scanned root r_j sends the basis radical sqrt(m) of a subset, with
+    product of the g_j equal to g^2 * m, to (product of the r_j) / g; that is a
+    ring map to F_t. A square maps to a square, so a non-residue image proves
+    the element is not a square.
+    """
+    subsets = []
+    for mask in range(1 << len(generators)):
+        prod = 1
+        for j, g in enumerate(generators):
+            if mask >> j & 1:
+                prod *= g
+        subsets.append((mask, square_decompose(prod)[0]))
+    for t in range(3, t_max + 1, 2):
+        if not trial_division_is_prime(t) or any(g % t == 0 for g in generators):
+            continue
+        if any(Fraction(c).denominator % t == 0 for c in coords):
+            continue
+        squares = {x * x % t for x in range(1, t)}
+        roots = [next((x for x in range(1, t) if x * x % t == g % t), None) for g in generators]
+        if None in roots:
+            continue
+        value = 0
+        for (mask, g), c in zip(subsets, coords):
+            c = Fraction(c)
+            image = pow(g, -1, t)
+            for j, r in enumerate(roots):
+                if mask >> j & 1:
+                    image = image * r % t
+            value += c.numerator * pow(c.denominator, -1, t) * image
+        if value % t and value % t not in squares:
+            return t, tuple(roots)
+    return None

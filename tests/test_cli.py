@@ -99,6 +99,23 @@ def test_sqrt_biquad_and_octic():
     assert doc["is_square"] and doc["root"].startswith("3/4")
 
 
+def test_sqrt_roots_with_denominators_5_and_7():
+    r = run_cli("sqrt", "biquad:2,21", "1/25,0,0,0")
+    assert r.stdout.strip() == "1/5 + 0*r2 + 0*r21 + 0*r42"
+    r = run_cli("sqrt", "octic:7,19,3", "--", "1/49,0,0,0,0,0,0,0")
+    assert r.stdout.strip().startswith("1/7 + 0*r2 + ")
+
+
+def test_delta_json_at_size_1e4():
+    # exact FSU coordinates here run past the default int-to-str digit limit
+    r = run_cli("delta", "10007", "10067", "10091", "--json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["delta"] == 0 and doc["place"]["t"] == "17"
+    assert [g["exact"] for g in doc["fsu"]] == [True] * 7
+    assert max(len(g["element"]) for g in doc["fsu"]) > 4300
+
+
 def test_separate_singleton_file(tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({

@@ -2,15 +2,18 @@ import math
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from unitcert import (
     BiquadField,
+    HypothesisViolation,
     OcticField,
     Tower,
     biquad_unit_index,
     embed_real,
     fundamental_pell,
+    hypothesis_branch,
     octic_mul,
     sqrt_biquad,
     sqrt_exact,
@@ -237,8 +240,8 @@ def test_unit_product_root_failure_raises():
 
 
 def test_unit_product_root_can_exist_off_pattern():
-    # off-pattern triples may still have square factors, with half-integer
-    # coordinates exercising the denominator bound
+    # off-pattern triples may still have square factors, here with
+    # half-integer coordinates
     f1, _ = theta_factors(3, 5, 7)
     assert f1.to_text() == "3 + 5/2*r2 + 1*r15 + 1/2*r30"
     B = BiquadField(2, 15)
@@ -266,8 +269,103 @@ def test_lift_between_towers():
 
 
 def test_sqrt_exact_on_plain_quadratic_grid():
-    # values with denominator 4 are within the reconstruction bound
     B = BiquadField(2, 21)
     target = B.element([Fraction(9, 16), 0, 0, 0])
     root = sqrt_exact(target)
     assert root == B.element([Fraction(3, 4), 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "field, square, root",
+    [
+        (BiquadField(2, 21), [Fraction(1, 25), 0, 0, 0], [Fraction(1, 5), 0, 0, 0]),
+        (OcticField(7, 19, 3), [Fraction(1, 49)] + [0] * 7, [Fraction(1, 7)] + [0] * 7),
+        (BiquadField(2, 21), [Fraction(2, 25), 0, 0, 0], [0, Fraction(1, 5), 0, 0]),
+        (OcticField(7, 19, 3), [Fraction(21, 49)] + [0] * 7, [0] * 4 + [Fraction(1, 7)] + [0] * 3),
+    ],
+)
+def test_sqrt_exact_roots_with_denominators_5_and_7(field, square, root):
+    assert sqrt_exact(field.element(square)) == field.element(root)
+
+
+TOWERS = [Tower((5,)), BiquadField(2, 21), OcticField(7, 19, 3)]
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=lambda t: f"deg{t.degree}")
+def test_sqrt_exact_by_property(tower):
+    rng = random.Random(23 + tower.degree)
+    for _ in range(30):
+        g = _random_element(tower, rng, den=(1, 2, 3, 5, 7, 9))
+        if rng.random() < 0.3:  # some coordinates zero, so y = 0 branches run
+            g = tower.element([c if rng.random() < 0.5 else 0 for c in g.coords])
+        if g.is_zero():
+            continue
+        root = sqrt_exact(g * g)
+        assert root in (g, -g)
+        assert embed_real(root) > 0
+        assert sqrt_exact(-(g * g)) is None
+
+
+def test_sqrt_exact_sign_of_tiny_values():
+    # x - y*sqrt(d) for a Pell unit is about 1/(2x): the sign at the
+    # distinguished embedding comes out of cancellation at every level
+    unit = fundamental_pell(1031 * 1019)
+    d2 = Tower((unit.d,))
+    small = d2.element([unit.x, -unit.y])
+    assert sqrt_exact(small * small) == small
+    O = OcticField(1031, 1019, 1171)
+    conj = O.element([unit.x, 0, -unit.y, 0, 0, 0, 0, 0])
+    for h in (O.element([0, 1, 0, 0, 0, 0, 0, 0]), O.element([-1, 1, 0, 0, 0, 0, 0, 0]),
+              O.element([Fraction(1, 5), 0, 0, 0, 0, 0, 0, -Fraction(1, 7)])):
+        g = conj * h
+        root = sqrt_exact(g * g)
+        assert root in (g, -g)
+        assert embed_real(root, precision_bits=64) > 0
+        assert (root == g) == (embed_real(g, precision_bits=64) > 0)
+
+
+def test_tower_table_matches_trial_division():
+    rng = random.Random(29)
+    pool = oracles.squarefree_numbers(500)
+    checked = 0
+    while checked < 20:
+        gens = tuple(rng.sample(pool, rng.randrange(1, 4)))
+        radicands, table = oracles.tower_by_trial_division(gens)
+        if len(set(radicands)) != len(radicands):
+            with pytest.raises(ValueError):
+                Tower(gens)
+            continue
+        tower = Tower(gens)
+        assert tower.radicands == radicands
+        assert tower._table == table
+        checked += 1
+
+
+def _in_pattern_triples(limit):
+    out = []
+    for p in range(7, limit, 8):
+        for q in range(3, limit, 8):
+            for s in range(q + 8, limit, 8):
+                if p in (q, s) or not all(map(oracles.trial_division_is_prime, (p, q, s))):
+                    continue
+                try:
+                    hypothesis_branch(p, q, s)
+                except HypothesisViolation:
+                    continue
+                out.append((p, q, s))
+    return out
+
+
+def test_oracle_nonsquare_answers_have_local_witnesses():
+    # exactly one of Theta and eps_pq*Theta is a square; the other must reduce
+    # to a non-residue at some place, found by a scan sharing no library code
+    triples = _in_pattern_triples(130)
+    assert len(triples) == 53
+    for triple in triples:
+        th = theta(*triple)
+        octic = th.tower
+        e_pq = octic.from_quad_unit(fundamental_pell(triple[0] * triple[1]))
+        roots = [sqrt_exact(c) for c in (th, e_pq * th)]
+        assert [r is None for r in roots].count(True) == 1
+        non_square = th if roots[0] is None else e_pq * th
+        assert oracles.nonsquare_witness(octic.generators, non_square.coords) is not None

@@ -267,3 +267,11 @@ def test_certificate_json_shape():
     assert doc["delta"] == 0 and doc["mu"] == "1"
     assert len(doc["fsu"]) == 7
     assert doc["fsu"][6]["name"] == "xi" and doc["fsu"][6]["mu"] == "1"
+
+
+def test_delta_decides_at_size_1e4():
+    # Pell units of about 19k bits; the interval reconstruction of square
+    # roots gave up here at its precision cap
+    cert = delta(10007, 10067, 10091, oracle=True)
+    assert (cert.delta, cert.place.t, cert.oracle_checked) == (0, 17, True)
+    assert all(g.exact for g in cert.fsu)
