@@ -62,12 +62,14 @@ def _config(args) -> RunConfig:
     )
 
 
-def _open_cache(config: RunConfig):
-    return load_cache(config.cache_path) if config.cache_path else None
+def _open_cache(config: RunConfig) -> dict:
+    """The Pell units of one command: loaded from --cache, else an empty dict,
+    so that each unit is computed once per command either way."""
+    return load_cache(config.cache_path) if config.cache_path else {}
 
 
 def _close_cache(config: RunConfig, cache) -> None:
-    if config.cache_path and cache is not None:
+    if config.cache_path:
         save_cache(config.cache_path, cache)
 
 

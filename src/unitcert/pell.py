@@ -1,4 +1,11 @@
-"""Fundamental Pell units of Z[sqrt(d)] by the continued fraction of sqrt(d)."""
+"""Fundamental Pell units of Z[sqrt(d)] by the continued fraction of sqrt(d).
+
+The walk over the complete quotients stops halfway through the palindromic
+period, and a balanced product tree of the partial quotients gives the
+convergents that close the unit exactly (Jacobson and Williams, Solving the
+Pell Equation, 2009). Nothing is memoized across calls; callers that need a
+unit twice pass one cache dict per call.
+"""
 
 from __future__ import annotations
 
@@ -7,20 +14,21 @@ from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
 
-from .arith import is_prime
-
 
 def is_squarefree(n: int) -> bool:
+    """Trial division to the cube root: the cofactor left has no prime factor
+    below k and is below k^3, so it has at most two prime factors and is
+    squarefree unless it is the square of a prime."""
     if n < 1:
         return False
     k = 2
-    while k * k <= n:
+    while k * k * k <= n:
         if n % (k * k) == 0:
             return False
         while n % k == 0:
             n //= k
         k += 1
-    return True
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 @dataclass(frozen=True)
@@ -53,23 +61,54 @@ def fundamental_pell(d: int, cache: dict[int, QuadUnit] | None = None) -> QuadUn
         raise ValueError(f"d must be a squarefree integer > 1, got {d}")
     if cache is not None and d in cache:
         return cache[d]
+    unit = QuadUnit(d, *_half_period(d))
+    if cache is not None:
+        cache[d] = unit
+    return unit
+
+
+def _half_period(d: int) -> tuple[int, int, int]:
+    """(x, y, norm) of the fundamental unit, from the first half of the period.
+
+    With (P_i, Q_i) the complete quotients (sqrt(d) + P_i) / Q_i and h_i/k_i
+    the convergents, the first m with Q_m == Q_(m+1) gives an odd period and
+    eps = (h_(m-1) + k_(m-1) sqrt d)(h_m + k_m sqrt d) / Q_m of norm -1; the
+    first m >= 1 with P_m == P_(m+1) gives an even period and
+    eps = (h_(m-1) + k_(m-1) sqrt d)^2 / Q_m of norm +1.
+    """
     a0 = isqrt(d)
-    P, Q, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    period = 0
+    P, Q = 0, 1
+    quotients = []
     while True:
-        period += 1
-        P = a * Q - P
-        Q = (d - P * P) // Q
         a = (a0 + P) // Q
-        if Q == 1:
-            unit = QuadUnit(d, h, k, -1 if period % 2 else 1)
-            if cache is not None:
-                cache[d] = unit
-            return unit
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
+        P_next = a * Q - P
+        Q_next = (d - P_next * P_next) // Q
+        if Q_next == Q:
+            quotients.append(a)
+            h, h_prev, k, k_prev = _convergents(quotients)
+            return (h_prev * h + d * k_prev * k) // Q, (h_prev * k + h * k_prev) // Q, -1
+        if P_next == P and quotients:
+            h, _, k, _ = _convergents(quotients)
+            return (h * h + d * k * k) // Q, 2 * h * k // Q, 1
+        quotients.append(a)
+        P, Q = P_next, Q_next
+
+
+def _convergents(quotients: list[int]) -> tuple[int, int, int, int]:
+    """The product of the matrices [[a, 1], [1, 0]] over the partial quotients
+    a_0 ... a_n, row-major: (h_n, h_(n-1), k_n, k_(n-1)). A balanced product
+    tree, so that big multiplications pair numbers of equal size; runs of up
+    to 16 quotients, whose products are still small, are multiplied out one
+    quotient at a time, which costs less than recursing down to single ones."""
+    if len(quotients) <= 16:
+        h, h_prev, k, k_prev = 1, 0, 0, 1
+        for a in quotients:
+            h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        return h, h_prev, k, k_prev
+    mid = len(quotients) // 2
+    a, b, c, d = _convergents(quotients[:mid])
+    e, f, g, h = _convergents(quotients[mid:])
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def load_cache(path: str | Path) -> dict[int, QuadUnit]:
@@ -104,12 +143,3 @@ def save_cache(path: str | Path, cache: dict[int, QuadUnit]) -> None:
     tmp = p.with_suffix(p.suffix + ".tmp")
     tmp.write_text(json.dumps(obj, indent=2) + "\n")
     tmp.replace(p)
-
-
-def pell_for_triple(p: int, q: int, s: int, cache: dict[int, QuadUnit] | None = None) -> dict[int, QuadUnit]:
-    """All quadratic units entering the rank-7 unit system of Q(sqrt2, sqrt pq, sqrt ps)."""
-    for n in (p, q, s):
-        if not is_prime(n) or n == 2:
-            raise ValueError(f"{n} is not an odd prime")
-    ds = (2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)
-    return {d: fundamental_pell(d, cache) for d in ds}

@@ -315,6 +315,8 @@ def survey_places(
     theta_elem: TowerElement | None = None,
 ) -> list[PlaceDecision]:
     """Evaluate every place above the first split primes; delta at valid ones."""
+    if cache is None:
+        cache = {}  # each Pell unit once per call
     if theta_elem is None:
         theta_elem = theta(p, q, s, cache)
     eps_pq = fundamental_pell(p * q, cache)
@@ -420,6 +422,8 @@ def delta(
         oracle_on = True
 
     datum = classical_datum(p, q, s)
+    if cache is None:
+        cache = {}  # each of the seven Pell units once per call
     theta_elem = theta(p, q, s, cache)
     eps_pq = fundamental_pell(p * q, cache)
 
@@ -510,6 +514,8 @@ def decide_mu_hilbert(
     Theta is a unit and only the uniformizer component can be nontrivial.
     """
     t, u = local_basis(place.t)
+    if cache is None:
+        cache = {}  # each Pell unit once per call
     eps_pq = fundamental_pell(p * q, cache)
     r_eps = residue_at(eps_pq, place)
     if jacobi(r_eps, t) != -1:

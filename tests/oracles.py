@@ -109,19 +109,40 @@ def assert_fundamental(d: int, x: int, y: int, norm: int, scan_cap: int = 10 ** 
         assert not is_proper_power_unit(d, x, y), f"d={d}: unit is a proper power"
 
 
+def trial_division_is_squarefree(n: int) -> bool:
+    """No square k^2 > 1 with k^2 <= n divides n; False for n < 1."""
+    if n < 1:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
 def squarefree_numbers(limit: int) -> list[int]:
-    out = []
-    for n in range(2, limit + 1):
-        k = 2
-        ok = True
-        while k * k <= n:
-            if n % (k * k) == 0:
-                ok = False
-                break
-            k += 1
-        if ok:
-            out.append(n)
-    return out
+    return [n for n in range(2, limit + 1) if trial_division_is_squarefree(n)]
+
+
+def pell_by_convergents(d: int) -> tuple[int, int, int]:
+    """(x, y, norm) of the fundamental unit of Z[sqrt d], by walking the whole
+    period of the continued fraction of sqrt(d) and carrying the convergents
+    one partial quotient at a time; the period ends at the first Q == 1."""
+    a0 = isqrt(d)
+    P, Q, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    period = 0
+    while True:
+        period += 1
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        a = (a0 + P) // Q
+        if Q == 1:
+            return h, k, -1 if period % 2 else 1
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
 
 
 # -- Hilbert symbol oracles -------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from unitcert import cli, pell
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -181,3 +183,16 @@ def test_cache_env_var_roundtrip(tmp_path):
     path.write_text(json.dumps({"133": {"x": "9", "y": "1", "norm": "1"}}))
     r = run_cli("pell", "133", env=env)
     assert "2588599" in r.stdout
+
+
+def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch, capsys):
+    monkeypatch.delenv("UNITCERT_CACHE", raising=False)
+    walked = []
+    walk = pell._half_period
+    monkeypatch.setattr(pell, "_half_period", lambda d: walked.append(d) or walk(d))
+    # keep this process's int-to-str digit limit; main() would lift it
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda limit: None, raising=False)
+    assert cli.main(["delta", "7", "11", "43", "--places", "all", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_places"]
+    p, q, s = 7, 11, 43
+    assert sorted(walked) == sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})

@@ -84,6 +84,8 @@ def test_tower_validation():
     with pytest.raises(ValueError):
         Tower((4, 3))  # not squarefree
     with pytest.raises(ValueError):
+        Tower((3, 30011 ** 2))  # a square with no prime factor below its cube root
+    with pytest.raises(ValueError):
         OcticField(2, 3, 5)
     with pytest.raises(ValueError):
         OcticField(7, 7, 3)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -31,8 +32,22 @@ def test_smallest_negative_norm_case():
     assert (u.x, u.y, u.norm) == (1, 1, -1)
 
 
+# the seed-0 size ladder of the benchmark, at p, q, s near 1e3, 3e3, 1e4, 3e4
+LADDER_TRIPLES = ((1031, 1019, 1171), (3023, 3011, 3019), (10007, 10067, 10091), (30047, 30011, 30139))
+
+
+def _primes_above(n, count):
+    out = []
+    while len(out) < count:
+        n += 1
+        if oracles.trial_division_is_prime(n):
+            out.append(n)
+    return out
+
+
 def test_rejects_bad_d():
-    for d in (1, 0, -5, 12, 50):
+    # 30011^2 and 2*30011^2 have no prime factor below their cube root
+    for d in (1, 0, -5, 12, 50, 30011 ** 2, 2 * 30011 ** 2):
         with pytest.raises(ValueError):
             fundamental_pell(d)
 
@@ -40,6 +55,28 @@ def test_rejects_bad_d():
 def test_is_squarefree():
     assert is_squarefree(1) and is_squarefree(2) and is_squarefree(105)
     assert not is_squarefree(12) and not is_squarefree(49) and not is_squarefree(0)
+
+
+def test_is_squarefree_matches_trial_division_below_1e5():
+    for n in range(-5, 10 ** 5):
+        assert is_squarefree(n) == oracles.trial_division_is_squarefree(n), n
+
+
+def test_is_squarefree_at_the_cube_root_boundary():
+    # forms whose smallest prime factors sit just above n^(1/3), where trial
+    # division stops and the cofactor alone must decide
+    cases = [30011 ** 2, 2 * 30011 ** 2, 30011 * 30013, 30011 ** 2 * 30013]
+    for base in (100, 1000, 30000):
+        p, q = _primes_above(base, 2)
+        cases += [p * p, 2 * p * p, p * q, p * p * q, p * q * q, p * p * p]
+        r = _primes_above(round((p * p) ** (1 / 3)), 1)[0]
+        # r is the first prime above (p^2)^(1/3): trial division removes r
+        # and stops with the cofactor p^2 or p*q left to decide
+        cases += [r * p * p, r * p * q]
+    for n in cases:
+        assert is_squarefree(n) == oracles.trial_division_is_squarefree(n), n
+    assert not is_squarefree(30011 ** 2)
+    assert is_squarefree(30011 * 30013)
 
 
 def test_quadunit_validates():
@@ -53,6 +90,39 @@ def test_minimality_all_squarefree_d_to_150():
     for d in oracles.squarefree_numbers(150):
         u = fundamental_pell(d)
         oracles.assert_fundamental(d, u.x, u.y, u.norm)
+
+
+def test_half_period_matches_full_period_below_5000():
+    norms = set()
+    for d in oracles.squarefree_numbers(4999):
+        u = fundamental_pell(d)
+        assert (u.x, u.y, u.norm) == oracles.pell_by_convergents(d), d
+        norms.add(u.norm)
+    assert norms == {1, -1}  # both period parities
+
+
+def test_half_period_matches_full_period_at_random_d_below_1e8():
+    rng = random.Random(20091)
+    checked = 0
+    while checked < 200:
+        d = rng.randrange(2, 10 ** 8)
+        if not oracles.trial_division_is_squarefree(d):
+            continue
+        u = fundamental_pell(d)
+        assert (u.x, u.y, u.norm) == oracles.pell_by_convergents(d), d
+        checked += 1
+
+
+def test_half_period_matches_full_period_on_the_ladder_radicands():
+    ds = {
+        m
+        for p, q, s in LADDER_TRIPLES
+        for m in (2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)
+    }
+    assert len(ds) == 25
+    for d in ds:
+        u = fundamental_pell(d)
+        assert (u.x, u.y, u.norm) == oracles.pell_by_convergents(d), d
 
 
 def test_negative_norm_units_found():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from unitcert import pell
 from unitcert import (
     OcticField,
     SplitPlace,
@@ -275,3 +276,33 @@ def test_delta_decides_at_size_1e4():
     cert = delta(10007, 10067, 10091, oracle=True)
     assert (cert.delta, cert.place.t, cert.oracle_checked) == (0, 17, True)
     assert all(g.exact for g in cert.fsu)
+
+
+def _count_pell_walks(monkeypatch) -> list[int]:
+    walked = []
+    walk = pell._half_period
+    monkeypatch.setattr(pell, "_half_period", lambda d: walked.append(d) or walk(d))
+    return walked
+
+
+def test_delta_walks_each_pell_continued_fraction_once_per_call(monkeypatch):
+    p, q, s = 1031, 1019, 1171
+    walked = _count_pell_walks(monkeypatch)
+    seven = sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})
+    delta(p, q, s, oracle=True)
+    assert sorted(walked) == seven
+    # the dedup is per call, not a process-wide memo
+    delta(p, q, s, oracle=True)
+    assert sorted(walked) == sorted(seven * 2)
+
+
+def test_survey_and_hilbert_walk_each_pell_continued_fraction_once(monkeypatch):
+    p, q, s = 7, 11, 43
+    place = delta(p, q, s, with_fsu=False).place
+    walked = _count_pell_walks(monkeypatch)
+    theta_units = sorted({p * q, 2 * p * q, p * s, 2 * p * s})
+    survey_places(p, q, s)
+    assert sorted(walked) == theta_units
+    walked.clear()
+    decide_mu_hilbert(p, q, s, place)
+    assert sorted(walked) == theta_units
