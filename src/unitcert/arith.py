@@ -1,9 +1,12 @@
-"""Arbitrary-precision modular arithmetic: primality, Jacobi symbols, square
-roots mod p, local squareclass bases, and quadratic Hilbert symbols."""
+"""Arbitrary-precision modular arithmetic: primality, a segmented prime sieve,
+Jacobi symbols, square roots mod p, local squareclass bases, and quadratic
+Hilbert symbols."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from typing import Iterator
 
 # Witnesses proven deterministic for n < 3.3 * 10^24 (covers all 64-bit inputs).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -44,6 +47,46 @@ def is_prime(n: int) -> bool:
     return all(_miller_rabin(n, b) for b in bases)
 
 
+# The sieve's first segment; each later one doubles the sieved range, so a scan
+# that stops after a few primes (delta's usually does) sieves only this one.
+_FIRST_SEGMENT = 4096
+
+
+def _strike(flags: bytearray, i: int, step: int) -> None:
+    flags[i::step] = bytes(len(range(i, len(flags), step)))
+
+
+def odd_primes(bound: int) -> Iterator[int]:
+    """The odd primes up to bound, ascending, lazily.
+
+    A sieve of Eratosthenes over odd numbers in doubling segments [3, 4096],
+    [4097, 8192], [8193, 16384], ...: a segment is sieved by the primes of the
+    segments before it, and the first one also by its own primes as they are
+    reached. A caller that stops early has sieved at most twice as far as it
+    went.
+    """
+    base: list[int] = []  # primes found so far whose square is <= bound
+    lo, top = 3, _FIRST_SEGMENT
+    while lo <= bound:
+        hi = min(top, bound)
+        flags = bytearray([1]) * ((hi - lo) // 2 + 1)  # flags[i] stands for lo + 2i
+        for p in base:
+            if p * p > hi:
+                break
+            first = max(p * p, -(-lo // p) * p)
+            if first % 2 == 0:
+                first += p
+            _strike(flags, (first - lo) // 2, p)
+        # the bytearray iterator reads flags as they are, so a prime of this
+        # segment strikes its own multiples before they are reached
+        for n in compress(range(lo, hi + 1, 2), flags):
+            if n * n <= bound:
+                base.append(n)
+                _strike(flags, (n * n - lo) // 2, n)
+            yield n
+        lo, top = top + 1, 2 * top
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1; the Legendre symbol when n is prime."""
     if n < 1 or n % 2 == 0:
@@ -74,6 +117,13 @@ def sqrt_mod(a: int, t: int) -> int | None:
     t | a, and None when a is a nonresidue.
     """
     _check_odd_prime(t)
+    return _sqrt_mod_prime(a, t)
+
+
+def _sqrt_mod_prime(a: int, t: int) -> int | None:
+    """sqrt_mod for a t known to be an odd prime, such as a sieved one; t is
+    not proven prime here. For an odd composite t it still ends, with a
+    meaningless number or a ValueError."""
     a %= t
     if a == 0:
         return 0
@@ -90,6 +140,8 @@ def sqrt_mod(a: int, t: int) -> int | None:
         z = 2
         while jacobi(z, t) != -1:
             z += 1
+            if z == t:
+                raise ValueError(f"{t} has no quadratic nonresidue: not a prime")
         c = pow(z, q, t)
         r = pow(a, (q + 1) // 2, t)
         w = pow(a, q, t)
@@ -99,6 +151,8 @@ def sqrt_mod(a: int, t: int) -> int | None:
             while x != 1:
                 x = x * x % t
                 i += 1
+                if i == m:
+                    raise ValueError(f"{t} is not a prime: Tonelli-Shanks fails")
             b = pow(c, 1 << (m - i - 1), t)
             r = r * b % t
             c = b * b % t

@@ -8,8 +8,9 @@ finite candidate families by finitely many local bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .arith import hilbert_symbol, local_basis
+from .arith import hilbert_symbol, jacobi, local_basis
 from .errors import (
     DenominatorNotInvertible,
     Inseparable,
@@ -18,7 +19,14 @@ from .errors import (
     SearchExhausted,
 )
 from .fields import TowerElement, sqrt_exact
-from .residual import SplitPlace, enumerate_places, iter_split_primes, residue_at
+from .residual import (
+    SplitPlace,
+    enumerate_places,
+    iter_split_primes,
+    reduce_mod,
+    residue_at,
+    residue_from,
+)
 
 DEFAULT_FUNCTIONAL_BOUND = 100_000
 DEFAULT_FUNCTIONAL_PRIMES = 64
@@ -29,8 +37,10 @@ class TestFunctional:
     """F2-valued functional x -> bit of the Hilbert symbol (x, b) at a place.
 
     The basis element b is either the smallest local nonresidue ("u") or the
-    uniformizer t itself ("t"); on unit residues only the latter can be
-    nontrivial, where it reduces to the Legendre bit.
+    uniformizer t itself ("t"). On a t-adic unit r, (r, t)_t is the Legendre
+    symbol (r/t) and (r, u)_t = 1, so a "u" functional is 0 on every unit
+    residue: the searches below stream only "t" functionals, and `test_vector`
+    alone still evaluates "u".
     """
 
     place: SplitPlace
@@ -75,18 +85,26 @@ def _field_of(elements: list[TowerElement]):
     return tower
 
 
-def _iter_functionals(tower, bound: int, max_primes: int):
-    """Deterministic functional stream: ascending split primes, lexicographic
-    places, basis element u before t."""
-    seen = 0
-    for t in iter_split_primes(tower.p, tower.q, tower.s, bound):
-        seen += 1
-        if seen > max_primes:
-            return
-        _, u = local_basis(t)
-        for place in enumerate_places(t, tower.p, tower.q, tower.s):
-            yield TestFunctional(place, "u", u)
-            yield TestFunctional(place, "t", t)
+def _iter_functionals(tower, elements: list[TowerElement], bound: int, max_primes: int):
+    """Deterministic functional stream: ascending split primes, places in
+    `enumerate_places` order, one "t" functional per place, each with its bits
+    on `elements`. A place where one of them has a zero or non-invertible
+    residue is left out.
+
+    The elements are reduced once per prime and their residues read off at
+    the eight places; a bit is the Legendre symbol of the residue, which is
+    the functional's Hilbert symbol on a unit.
+    """
+    p, q, s = tower.p, tower.q, tower.s
+    for t in islice(iter_split_primes(p, q, s, bound), max_primes):
+        try:
+            reduced = [reduce_mod(x, t) for x in elements]
+        except DenominatorNotInvertible:
+            continue
+        for place in enumerate_places(t, p, q, s):
+            residues = [residue_from(v, place) for v in reduced]
+            if 0 not in residues:
+                yield TestFunctional(place, "t", t), [0 if jacobi(r, t) == 1 else 1 for r in residues]
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -155,12 +173,8 @@ def certify_affine(
     base_bits: list[int] = []
     row_masks: list[int] = []
     detected = [False] * r
-    for functional in _iter_functionals(tower, bound, max_primes):
-        try:
-            col = [functional.evaluate(g) for g in generators]
-            base = functional.evaluate(u0)
-        except NonUnitResidue:
-            continue
+    for functional, bits in _iter_functionals(tower, [*generators, u0], bound, max_primes):
+        col, base = bits[:-1], bits[-1]
         for j, bit in enumerate(col):
             if bit:
                 detected[j] = True
@@ -211,7 +225,7 @@ def separate_candidates(
     bound: int = DEFAULT_FUNCTIONAL_BOUND,
     max_primes: int = DEFAULT_FUNCTIONAL_PRIMES,
 ) -> SeparationCertificate:
-    """Separate a finite family of squareclasses by local Hilbert bits.
+    """Separate a finite family of squareclasses by local Legendre bits.
 
     Greedy over the deterministic functional stream, keeping a functional when
     it raises the rank of the value matrix on the difference classes from the
@@ -229,12 +243,8 @@ def separate_candidates(
     chosen: list[TestFunctional] = []
     rows: list[tuple[int, ...]] = [() for _ in candidates]
     row_masks: list[int] = []
-    for functional in _iter_functionals(tower, bound, max_primes):
-        try:
-            col = [functional.evaluate(d) for d in diffs]
-            bits = [functional.evaluate(c) for c in candidates]
-        except NonUnitResidue:
-            continue
+    for functional, values in _iter_functionals(tower, [*diffs, *candidates], bound, max_primes):
+        col, bits = values[:len(diffs)], values[len(diffs):]
         mask = sum(bit << j for j, bit in enumerate(col))
         if mask == 0 or _gf2_rank(row_masks + [mask]) <= len(row_masks):
             continue

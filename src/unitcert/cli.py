@@ -112,6 +112,7 @@ def cmd_delta(args) -> int:
             args.p, args.q, args.s,
             prime_bound=config.prime_bound,
             cache=cache,
+            theta_elem=cert.theta,
         )
         extra = [
             {

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
-from .arith import hilbert_symbol, is_prime, jacobi, local_basis, sqrt_mod
+from .arith import _sqrt_mod_prime, hilbert_symbol, is_prime, jacobi, local_basis, odd_primes
 from .errors import (
     DenominatorNotInvertible,
     HypothesisViolation,
@@ -127,13 +128,15 @@ class SplitPlace:
 
 
 def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) -> Iterator[int]:
-    """Odd primes t below bound, coprime to 2pqs, split in Q(sqrt2, sqrt pq, sqrt ps)."""
+    """Odd primes t <= bound that split completely in Q(sqrt2, sqrt pq, sqrt ps),
+    ascending: t = +-1 (mod 8), so that 2 is a square mod t, and
+    (pq/t) = (ps/t) = 1, which also leaves out the t dividing pqs. The primes
+    come from the sieve of `arith.odd_primes`; no t is tested for primality.
+    """
     _check_triple(p, q, s)
     pq, ps = p * q, p * s
-    for t in range(3, bound + 1, 2):
-        if not is_prime(t) or (2 * p * q * s) % t == 0:
-            continue
-        if jacobi(2, t) == 1 and jacobi(pq, t) == 1 and jacobi(ps, t) == 1:
+    for t in odd_primes(bound):
+        if t % 8 in (1, 7) and jacobi(pq, t) == 1 and jacobi(ps, t) == 1:
             yield t
 
 
@@ -154,10 +157,13 @@ _SIGN_TRIPLES = tuple(
 
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
     """The eight places above a split prime t, ordered lexicographically by the
-    sign choices on the canonical roots, all-canonical first."""
-    c2 = sqrt_mod(2, t)
-    cpq = sqrt_mod(p * q, t)
-    cps = sqrt_mod(p * s, t)
+    sign choices on the canonical roots, all-canonical first.
+
+    t is taken to be an odd prime, as `iter_split_primes` yields them, and is
+    not proven prime again; every root is checked by `SplitPlace`."""
+    c2 = _sqrt_mod_prime(2, t)
+    cpq = _sqrt_mod_prime(p * q, t)
+    cps = _sqrt_mod_prime(p * s, t)
     if not c2 or not cpq or not cps:
         raise ValueError(f"{t} does not split in the octic field for ({p}, {q}, {s})")
     places = []
@@ -174,31 +180,47 @@ def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
     return places
 
 
+def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero coordinates of a unit, tower element or rational mod t, as
+    (radicand, residue) pairs.
+
+    An element is reduced once per prime: its residue at each of the places
+    above t is then the sum of residue * place.residues[radicand], read off by
+    `residue_from`. Raises DenominatorNotInvertible when t divides the
+    denominator of a nonzero coordinate.
+    """
+    if isinstance(x, QuadUnit):
+        return ((1, x.x % t), (x.d, x.y % t))
+    if isinstance(x, TowerElement):
+        pairs = zip(x.tower.radicands, x.coords)
+    elif isinstance(x, (int, Fraction)):
+        pairs = ((1, Fraction(x)),)
+    else:
+        raise TypeError(f"cannot reduce {type(x).__name__} at a place")
+    out = []
+    for m, c in pairs:
+        if c == 0:
+            continue
+        if c.denominator % t == 0:
+            raise DenominatorNotInvertible(f"denominator {c.denominator} not invertible mod {t}")
+        out.append((m, c.numerator * pow(c.denominator, -1, t) % t))
+    return tuple(out)
+
+
+def residue_from(reduced: tuple[tuple[int, int], ...], place: SplitPlace) -> int:
+    """Residue at a place of an element reduced mod place.t by `reduce_mod`."""
+    residues = place.residues
+    total = 0
+    for m, c in reduced:
+        if m not in residues:
+            raise ValueError(f"sqrt({m}) has no residue at this place")
+        total += c * residues[m]
+    return total % place.t
+
+
 def residue_at(x, place: SplitPlace) -> int:
     """Residue of a unit, biquadratic, or octic element at a split place."""
-    t = place.t
-    if isinstance(x, QuadUnit):
-        if x.d not in place.residues:
-            raise ValueError(f"sqrt({x.d}) has no residue at this place")
-        return (x.x + x.y * place.residues[x.d]) % t
-    if isinstance(x, TowerElement):
-        total = 0
-        for m, c in zip(x.tower.radicands, x.coords):
-            if c == 0:
-                continue
-            if m not in place.residues:
-                raise ValueError(f"sqrt({m}) has no residue at this place")
-            if c.denominator % t == 0:
-                raise DenominatorNotInvertible(f"denominator {c.denominator} not invertible mod {t}")
-            val = c.numerator * pow(c.denominator, -1, t) % t
-            total += val * place.residues[m]
-        return total % t
-    if isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        if f.denominator % t == 0:
-            raise DenominatorNotInvertible(f"denominator {f.denominator} not invertible mod {t}")
-        return f.numerator * pow(f.denominator, -1, t) % t
-    raise TypeError(f"cannot reduce {type(x).__name__} at a place")
+    return residue_from(reduce_mod(x, place.t), place)
 
 
 # -- certificates ----------------------------------------------------------
@@ -247,6 +269,8 @@ class Certificate:
     mu: str
     fsu: list[Generator] | None
     oracle_checked: bool
+    # the Theta of the decision, kept for a survey of the same triple; not in the JSON
+    theta: TowerElement | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.legendre_eps != -1:
@@ -305,6 +329,46 @@ class PlaceDecision:
     delta: int | None = None
 
 
+def _scan_places(
+    p: int,
+    q: int,
+    s: int,
+    theta_elem: TowerElement,
+    eps_pq: QuadUnit,
+    prime_bound: int,
+    prime_count: int,
+) -> Iterator[PlaceDecision]:
+    """Decisions at the places above the first prime_count split primes, in
+    ascending (t, signs) order, so the first valid one is the paper's place.
+
+    Theta is reduced once per prime, at the first valid place above it; a
+    denominator of Theta that t divides, or a zero Theta residue, ends the
+    places above t and the scan moves on to the next t. The unit eps_pq has
+    integer coordinates and no inverse to share, so `residue_at` takes its
+    residue at each place.
+    """
+    for t in islice(iter_split_primes(p, q, s, prime_bound), prime_count):
+        theta_mod = None
+        for place in enumerate_places(t, p, q, s):
+            r_eps = residue_at(eps_pq, place)
+            leg_eps = jacobi(r_eps, t)
+            if leg_eps != -1:
+                yield PlaceDecision(place, r_eps, leg_eps, valid=False)
+                continue
+            if theta_mod is None:
+                try:
+                    theta_mod = reduce_mod(theta_elem, t)
+                except DenominatorNotInvertible:
+                    break
+            r_theta = residue_from(theta_mod, place)
+            if r_theta == 0:
+                break  # cannot happen for a unit; defend against bad inputs
+            leg_theta = jacobi(r_theta, t)
+            yield PlaceDecision(
+                place, r_eps, leg_eps, True, r_theta, leg_theta, 0 if leg_theta == 1 else 1
+            )
+
+
 def survey_places(
     p: int,
     q: int,
@@ -314,38 +378,16 @@ def survey_places(
     cache: dict[int, QuadUnit] | None = None,
     theta_elem: TowerElement | None = None,
 ) -> list[PlaceDecision]:
-    """Evaluate every place above the first split primes; delta at valid ones."""
+    """Every place above the first split primes, by the scan `delta` makes:
+    the residue of eps_pq everywhere, and Theta's residue and delta at the
+    valid places. A Theta built by the caller (`Certificate.theta`) is used
+    as given."""
     if cache is None:
         cache = {}  # each Pell unit once per call
     if theta_elem is None:
         theta_elem = theta(p, q, s, cache)
     eps_pq = fundamental_pell(p * q, cache)
-    out = []
-    seen = 0
-    for t in iter_split_primes(p, q, s, prime_bound):
-        seen += 1
-        if seen > prime_count:
-            break
-        for place in enumerate_places(t, p, q, s):
-            r_eps = residue_at(eps_pq, place)
-            leg_eps = jacobi(r_eps, t)
-            if leg_eps != -1:
-                out.append(PlaceDecision(place, r_eps, leg_eps, valid=False))
-                continue
-            try:
-                r_theta = residue_at(theta_elem, place)
-            except DenominatorNotInvertible:
-                break
-            if r_theta == 0:
-                break
-            leg_theta = jacobi(r_theta, t)
-            out.append(
-                PlaceDecision(
-                    place, r_eps, leg_eps, True, r_theta, leg_theta,
-                    0 if leg_theta == 1 else 1,
-                )
-            )
-    return out
+    return list(_scan_places(p, q, s, theta_elem, eps_pq, prime_bound, prime_count))
 
 
 def _fsu_generators(
@@ -405,7 +447,8 @@ def delta(
 
     Iterates (split prime, place) pairs in deterministic order, selects the
     first place where eps_pq has nonsquare residue, and reads delta off the
-    Legendre symbol of the Theta residue. With `force` the congruence check is
+    Legendre symbol of the Theta residue; `survey_places` makes the same scan
+    through all the places. With `force` the congruence check is
     downgraded to a certificate flag and the exact square-root cross-check is
     switched on. The cross-check recomputes the decision globally: exactly one
     of Theta and eps_pq*Theta must have an exact root.
@@ -427,35 +470,15 @@ def delta(
     theta_elem = theta(p, q, s, cache)
     eps_pq = fundamental_pell(p * q, cache)
 
-    chosen = None
-    seen = 0
-    for t in iter_split_primes(p, q, s, prime_bound):
-        seen += 1
-        if seen > prime_count:
-            break
-        for place in enumerate_places(t, p, q, s):
-            r_eps = residue_at(eps_pq, place)
-            if jacobi(r_eps, t) != -1:
-                continue
-            try:
-                r_theta = residue_at(theta_elem, place)
-            except DenominatorNotInvertible:
-                break  # pick another t
-            if r_theta == 0:
-                break  # cannot happen for a unit; defend against bad inputs
-            chosen = (place, r_eps, r_theta)
-            break
-        if chosen:
-            break
-    if not chosen:
+    chosen = next(
+        (d for d in _scan_places(p, q, s, theta_elem, eps_pq, prime_bound, prime_count) if d.valid),
+        None,
+    )
+    if chosen is None:
         raise SearchExhausted(
             f"no valid place below t = {prime_bound} (first {prime_count} split primes)"
         )
-
-    place, r_eps, r_theta = chosen
-    leg_theta = jacobi(r_theta, place.t)
-    bit = 0 if leg_theta == 1 else 1
-    mu = "1" if bit == 0 else "eps_pq"
+    place, bit, mu = chosen.place, chosen.delta, "1" if chosen.delta == 0 else "eps_pq"
 
     xi = None
     if oracle_on:
@@ -481,14 +504,15 @@ def delta(
         eps_convention=EPS_CONVENTION,
         hypotheses_verified=hypotheses_verified,
         place=place,
-        theta_residue=r_theta,
-        eps_pq_residue=r_eps,
-        legendre_theta=leg_theta,
+        theta_residue=chosen.theta_residue,
+        eps_pq_residue=chosen.eps_residue,
+        legendre_theta=chosen.legendre_theta,
         legendre_eps=-1,
         delta=bit,
         mu=mu,
         fsu=fsu_list,
         oracle_checked=oracle_on,
+        theta=theta_elem,
     )
 
 

@@ -8,6 +8,8 @@ against logic that shares none of its code paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice, product
 from math import isqrt
 
 
@@ -284,3 +286,214 @@ def nonsquare_witness(generators, coords, t_max: int = 5000):
         if value % t and value % t not in squares:
             return t, tuple(roots)
     return None
+
+
+# -- primes, split primes and the in-pattern corpus -----------------------
+
+
+@lru_cache(maxsize=None)
+def _odd_primes_below(limit: int) -> tuple[int, ...]:
+    return tuple(n for n in range(3, limit, 2) if trial_division_is_prime(n))
+
+
+def odd_primes_by_trial_division(bound: int) -> list[int]:
+    """The odd primes up to bound, by trial division."""
+    return [n for n in _odd_primes_below(max(bound, 100_000) + 1) if n <= bound]
+
+
+def euler_legendre(a: int, t: int) -> int:
+    """Legendre symbol (a/t) for an odd prime t by Euler's criterion."""
+    r = pow(a, (t - 1) // 2, t)
+    return 0 if r == 0 else 1 if r == 1 else -1
+
+
+def split_primes_by_legendre(p: int, q: int, s: int, bound: int):
+    """Odd primes t <= bound with (2/t) = (pq/t) = (ps/t) = 1, ascending, lazily."""
+    return (
+        t for t in odd_primes_by_trial_division(bound)
+        if all(euler_legendre(a, t) == 1 for a in (2, p * q, p * s))
+    )
+
+
+def in_pattern_triples(limit: int) -> list[tuple[int, int, int]]:
+    """Triples of distinct primes below limit with q < s, p = 7 and
+    q = s = 3 (mod 8), and ((q/p), (s/p), (q/s)) = (1, 1, 1) or (-1, -1, 1),
+    in lexicographic order."""
+    primes = odd_primes_by_trial_division(limit - 1)
+    ps = [n for n in primes if n % 8 == 7]
+    qs = [n for n in primes if n % 8 == 3]
+    return [
+        (p, q, s)
+        for p in ps
+        for i, q in enumerate(qs)
+        for s in qs[i + 1:]
+        if (euler_legendre(q, p), euler_legendre(s, p), euler_legendre(q, s))
+        in ((1, 1, 1), (-1, -1, 1))
+    ]
+
+
+# -- the per-place scan -----------------------------------------------------
+#
+# The place scan as the library made it before it reduced each element once
+# per prime: split primes by three Legendre symbols, every residue computed
+# afresh at its place, every functional bit a Hilbert symbol, and the "u"
+# functional of each place before its "t" functional. The library's scans
+# must give the same decisions, certificates and errors.
+
+
+def places_by_sqrt_mod(t: int, p: int, q: int, s: int) -> list:
+    """The eight places above t from the canonical roots, signs in
+    lexicographic order with +1 first."""
+    from unitcert import SplitPlace, sqrt_mod
+
+    roots = [sqrt_mod(a, t) for a in (2, p * q, p * s)]
+    return [
+        SplitPlace(t, p, q, s, *(r if sg > 0 else t - r for r, sg in zip(roots, signs)),
+                   signs=signs)
+        for signs in product((1, -1), repeat=3)
+    ]
+
+
+def residue_by_place(x, place) -> int | None:
+    """Residue of a Pell unit or tower element at one place, every
+    coordinate's denominator inverted at that place; None when t divides one."""
+    t = place.t
+    if hasattr(x, "d"):
+        return (x.x + x.y * place.residues[x.d]) % t
+    total = 0
+    for m, c in zip(x.tower.radicands, x.coords):
+        if c:
+            if c.denominator % t == 0:
+                return None
+            total += c.numerator * pow(c.denominator, -1, t) * place.residues[m]
+    return total % t
+
+
+def survey_by_places(p, q, s, theta_elem, eps_pq, bound=100_000, count=50) -> list[tuple]:
+    """Rows (t, signs, valid, eps_pq residue and its Legendre symbol, Theta
+    residue and its Legendre symbol, delta) of the place survey. A Theta
+    residue that is zero or not defined at a valid place ends the places
+    above its t."""
+    rows = []
+    for t in islice(split_primes_by_legendre(p, q, s, bound), count):
+        for place in places_by_sqrt_mod(t, p, q, s):
+            r_eps = residue_by_place(eps_pq, place)
+            leg_eps = euler_legendre(r_eps, t)
+            if leg_eps != -1:
+                rows.append((t, place.signs, False, r_eps, leg_eps, None, None, None))
+                continue
+            r_theta = residue_by_place(theta_elem, place)
+            if not r_theta:
+                break
+            leg = euler_legendre(r_theta, t)
+            rows.append((t, place.signs, True, r_eps, leg_eps, r_theta, leg, 0 if leg == 1 else 1))
+    return rows
+
+
+def _functionals_u_before_t(tower, bound: int, max_primes: int):
+    p, q, s = tower.p, tower.q, tower.s
+    for t in islice(split_primes_by_legendre(p, q, s, bound), max_primes):
+        u = smallest_nonresidue_scan(t)
+        for place in places_by_sqrt_mod(t, p, q, s):
+            yield place, "u", u
+            yield place, "t", t
+
+
+def _hilbert_bits(place, value: int, elements) -> list[int] | None:
+    from unitcert import hilbert_symbol
+
+    bits = []
+    for x in elements:
+        r = residue_by_place(x, place)
+        if not r:
+            return None
+        bits.append(0 if hilbert_symbol(r, value, place.t) == 1 else 1)
+    return bits
+
+
+def _functional_json(place, basis: str, value: int) -> dict:
+    return {"t": str(place.t), "signs": list(place.signs), "basis": basis, "value": str(value)}
+
+
+def _rank(rows: list[int]) -> int:
+    """F2 rank of rows given as bit masks."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r and (r & -r) in basis:
+            r ^= basis[r & -r]
+        if r:
+            basis[r & -r] = r
+    return len(basis)
+
+
+def certify_affine_by_places(u0, generators, bound=100_000, max_primes=64):
+    """(functionals as JSON, matrix, base bits) of the affine search; raises
+    RankDeficient or SearchExhausted with the library's messages."""
+    from unitcert.errors import RankDeficient, SearchExhausted
+
+    r = len(generators)
+    chosen, matrix, base_bits, masks = [], [], [], []
+    detected = [False] * r
+    if r == 0:
+        return chosen, matrix, base_bits
+    for place, basis, value in _functionals_u_before_t(u0.tower, bound, max_primes):
+        bits = _hilbert_bits(place, value, [*generators, u0])
+        if bits is None:
+            continue
+        col, base = bits[:-1], bits[-1]
+        detected = [d or bool(b) for d, b in zip(detected, col)]
+        mask = sum(b << j for j, b in enumerate(col))
+        if mask == 0 or _rank(masks + [mask]) <= len(masks):
+            continue
+        chosen.append(_functional_json(place, basis, value))
+        matrix.append(col)
+        base_bits.append(base)
+        masks.append(mask)
+        if len(chosen) == r:
+            return chosen, matrix, base_bits
+    for j, hit in enumerate(detected):
+        if not hit:
+            raise RankDeficient(
+                f"generator {j} was not detected by any functional below {bound}; "
+                "dependence suspected"
+            )
+    raise SearchExhausted(f"rank {len(chosen)} of {r} reached with split primes below {bound}")
+
+
+def separate_by_places(candidates, bound=100_000, max_primes=64) -> dict:
+    """The separation certificate as JSON; raises Inseparable or
+    SearchExhausted as the library does."""
+    from unitcert import sqrt_exact
+    from unitcert.errors import Inseparable, SearchExhausted
+
+    texts = [c.to_text() for c in candidates]
+    if len(candidates) == 1:
+        return {"candidates": texts, "functionals": [], "table": [[]]}
+    diffs = [c * candidates[0] for c in candidates[1:]]
+    chosen, masks = [], []
+    rows = [[] for _ in candidates]
+    for place, basis, value in _functionals_u_before_t(candidates[0].tower, bound, max_primes):
+        values = _hilbert_bits(place, value, [*diffs, *candidates])
+        if values is None:
+            continue
+        col, bits = values[:len(diffs)], values[len(diffs):]
+        mask = sum(b << j for j, b in enumerate(col))
+        if mask == 0 or _rank(masks + [mask]) <= len(masks):
+            continue
+        chosen.append(_functional_json(place, basis, value))
+        masks.append(mask)
+        rows = [row + [b] for row, b in zip(rows, bits)]
+        if len({tuple(row) for row in rows}) == len(rows):
+            return {"candidates": texts, "functionals": chosen, "table": rows}
+    collisions = [
+        (i, j)
+        for i in range(len(candidates))
+        for j in range(i + 1, len(candidates))
+        if rows[i] == rows[j]
+    ]
+    for i, j in collisions:
+        if sqrt_exact(candidates[i] * candidates[j]) is not None:
+            raise Inseparable(i, j)
+    raise SearchExhausted(
+        f"rows still collide after scanning split primes below {bound}: {collisions}"
+    )

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass line with
 its runtime and asserting the stated budget."""
 
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 from unitcert import (
@@ -27,6 +29,8 @@ from unitcert import (
     theta,
     theta_factors,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 UNITS = {
     133: (2588599, 224460, 1), 266: (685, 42, 1), 21: (55, 12, 1), 42: (13, 2, 1),
@@ -239,6 +243,7 @@ def test_criterion_8_deterministic_json():
             subprocess.run(
                 [sys.executable, "-m", "unitcert", "verify-paper", "--json"],
                 capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
             )
             for _ in range(2)
         ]

@@ -1,11 +1,23 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from unitcert import cli, pell
+import pytest
+
+from unitcert import cli, pell, residual
+
+DATA = Path(__file__).resolve().parent / "data"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "unitcert", *args],
         capture_output=True, text=True, env=env,
@@ -171,8 +183,6 @@ def test_verify_paper_catches_nonminimal_cache_entry(tmp_path):
 
 
 def test_cache_env_var_roundtrip(tmp_path):
-    import os
-
     path = tmp_path / "cache.json"
     env = dict(os.environ, UNITCERT_CACHE=str(path))
     r = run_cli("pell", "133", env=env)
@@ -185,14 +195,53 @@ def test_cache_env_var_roundtrip(tmp_path):
     assert "2588599" in r.stdout
 
 
-def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch, capsys):
+def _main_in_process(monkeypatch, argv) -> tuple[int, str]:
     monkeypatch.delenv("UNITCERT_CACHE", raising=False)
+    # keep this process's int-to-str digit limit; main() would lift it
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda limit: None, raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch):
     walked = []
     walk = pell._half_period
     monkeypatch.setattr(pell, "_half_period", lambda d: walked.append(d) or walk(d))
-    # keep this process's int-to-str digit limit; main() would lift it
-    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda limit: None, raising=False)
-    assert cli.main(["delta", "7", "11", "43", "--places", "all", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["all_places"]
+    code, out = _main_in_process(monkeypatch, ["delta", "7", "11", "43", "--places", "all", "--json"])
+    assert code == 0 and json.loads(out)["all_places"]
     p, q, s = 7, 11, 43
     assert sorted(walked) == sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})
+
+
+def test_delta_places_all_builds_theta_once(monkeypatch):
+    built = []
+    build = residual.theta
+    monkeypatch.setattr(residual, "theta", lambda *args: built.append(args[:3]) or build(*args))
+    code, out = _main_in_process(monkeypatch, ["delta", "7", "11", "43", "--places", "all", "--json"])
+    assert code == 0 and json.loads(out)["all_places"]
+    assert built == [(7, 11, 43)]
+
+
+# sha256 of the standard output of four commands. Answers and certificates are
+# fixed byte for byte, so a new hash here is a change of output, not of speed.
+PINNED_STDOUT = {
+    ("delta", "7", "11", "43", "--places", "all", "--json"):
+        "09d2aa46ad91b730f04828be297925584bbbfd27c9aa160c96a9f73afbc2842c",
+    ("delta", "1031", "1019", "1171", "--places", "all", "--json"):
+        "655c8a124d759d29c7a91b0a0967e8c35b3acd2e1afe445219f9751290ed264b",
+    ("verify-paper", "--json"):
+        "7e64b9419f3839f78ee9afa5c5fb9cb81a3de5ec70a68725d45d0cdab79d5e38",
+    ("separate", str(DATA / "separate_7_19_3.json"), "--json"):
+        "52ced9261b5e13a80f0052a42f939e8fee848bb12d86ebab697269f679dbd62b",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(PINNED_STDOUT), ids=["delta-7-11-43", "delta-1031", "verify-paper", "separate"]
+)
+def test_stdout_matches_pinned_sha256(monkeypatch, argv):
+    code, out = _main_in_process(monkeypatch, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]

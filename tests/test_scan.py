@@ -1,0 +1,246 @@
+"""The prime sieve, the split-prime scan and the one-pass place scans.
+
+The place scans reduce each element once per split prime and read its
+residues at the eight places off that reduction. They are checked against
+trial division, Euler's criterion and the per-place scan they replaced,
+which `oracles.py` keeps (residues afresh at every place, Hilbert symbols,
+"u" functionals before "t").
+"""
+
+import sys
+from collections import Counter
+from fractions import Fraction
+from itertools import islice
+
+import oracles
+import pytest
+
+import unitcert
+from unitcert import (
+    OcticField,
+    QuadUnit,
+    TowerElement,
+    certify_affine,
+    enumerate_places,
+    fsu,
+    fundamental_pell,
+    iter_split_primes,
+    separate_candidates,
+    survey_places,
+    theta,
+)
+from unitcert.arith import odd_primes
+from unitcert.errors import Inseparable, RankDeficient, SearchExhausted
+
+CORPUS = oracles.in_pattern_triples(400)
+
+
+def test_corpus_rule_gives_986_triples():
+    assert len(CORPUS) == 986
+
+
+def test_odd_primes_match_trial_division_below_1e5():
+    assert list(odd_primes(10 ** 5 - 1)) == oracles.odd_primes_by_trial_division(10 ** 5 - 1)
+
+
+@pytest.mark.parametrize("bound", [-1, 0, 1, 2, 3, 4, 5, 9, 25, 4095, 4096, 4097, 8192, 8193, 12289])
+def test_odd_primes_at_segment_edges(bound):
+    assert list(odd_primes(bound)) == oracles.odd_primes_by_trial_division(bound)
+
+
+def test_odd_primes_stopped_early_is_a_prefix():
+    primes = oracles.odd_primes_by_trial_division(10 ** 5)
+    for n in (1, 30, 564, 565, 1027, 1028):  # 564 odd primes below 4096
+        assert list(islice(odd_primes(10 ** 5), n)) == primes[:n]
+
+
+@pytest.mark.parametrize("t", [9, 25, 49, 81, 121, 169])
+def test_enumerate_places_ends_on_a_square_t(t):
+    # t is not proven prime there; Tonelli-Shanks finds no nonresidue mod a
+    # prime square and says so instead of searching forever
+    with pytest.raises(ValueError):
+        enumerate_places(t, 7, 19, 3)
+
+
+def test_iter_split_primes_matches_legendre_oracle():
+    for triple in CORPUS[::30]:
+        assert list(iter_split_primes(*triple, 20_000)) == list(
+            oracles.split_primes_by_legendre(*triple, 20_000)
+        ), triple
+
+
+@pytest.fixture(scope="module")
+def every_9th_triple():
+    """(triple, Theta, eps_pq, [-1, g1..g7]) for every 9th corpus triple."""
+    out = []
+    for triple in CORPUS[::9]:
+        th = theta(*triple)
+        octic = th.tower
+        eps = fundamental_pell(triple[0] * triple[1])
+        gens = [octic.from_rational(-1)] + [g.element for g in fsu(*triple)]
+        out.append((triple, th, eps, gens))
+    return out
+
+
+def _rows(decisions):
+    return [
+        (d.place.t, d.place.signs, d.valid, d.eps_residue, d.legendre_eps,
+         d.theta_residue, d.legendre_theta, d.delta)
+        for d in decisions
+    ]
+
+
+def _affine(cert):
+    return [f.to_json_dict() for f in cert.functionals], cert.matrix, cert.base_bits
+
+
+def test_survey_matches_the_per_place_scan(every_9th_triple):
+    for triple, th, eps, _ in every_9th_triple:
+        assert _rows(survey_places(*triple, theta_elem=th)) == oracles.survey_by_places(
+            *triple, th, eps
+        ), triple
+
+
+def test_certify_affine_matches_the_per_place_scan(every_9th_triple):
+    for triple, th, _, gens in every_9th_triple:
+        one = th.tower.one()
+        assert _affine(certify_affine(one, gens)) == oracles.certify_affine_by_places(
+            one, gens
+        ), triple
+
+
+def test_separate_candidates_matches_the_per_place_scan(every_9th_triple):
+    for triple, th, eps, _ in every_9th_triple:
+        family = [th, th.tower.from_quad_unit(eps) * th]
+        assert separate_candidates(family).to_json_dict() == oracles.separate_by_places(
+            family
+        ), triple
+
+
+@pytest.fixture(scope="module")
+def ex1():
+    octic = OcticField(7, 19, 3)  # split primes 41, 89, 167, ...
+    units = {d: octic.from_quad_unit(fundamental_pell(d)) for d in (2, 133, 21)}
+    return octic, theta(7, 19, 3), units
+
+
+def test_denominator_at_a_split_prime_skips_the_same_places(ex1):
+    octic, th, units = ex1
+    at_41 = Fraction(1, 41)
+    one_coord = octic.element([0, 0, 0, 0, 0, 0, Fraction(3, 89), 0])
+    thetas = [th * at_41, th + one_coord, th * Fraction(1, 41 * 89)]
+    for t_elem in thetas:
+        assert _rows(survey_places(7, 19, 3, theta_elem=t_elem)) == oracles.survey_by_places(
+            7, 19, 3, t_elem, fundamental_pell(133)
+        )
+    gens = [units[2], units[133] * at_41, units[21] + one_coord]
+    for u0 in (octic.one(), th * Fraction(1, 89)):
+        assert _affine(certify_affine(u0, gens)) == oracles.certify_affine_by_places(u0, gens)
+    family = [th, units[133] * th * at_41, units[2] * th + one_coord]
+    assert separate_candidates(family).to_json_dict() == oracles.separate_by_places(family)
+
+
+def test_zero_residue_skips_the_same_places(ex1):
+    octic, th, units = ex1
+    # sqrt2 - 17 is 0 at the four places above 41 that send sqrt2 to 17
+    zero_at_41 = octic.element([-17, 1, 0, 0, 0, 0, 0, 0])
+    gens = [units[2], units[133], zero_at_41]
+    assert _affine(certify_affine(th, gens)) == oracles.certify_affine_by_places(th, gens)
+    family = [th, zero_at_41, units[133] * th]
+    assert separate_candidates(family).to_json_dict() == oracles.separate_by_places(family)
+    t_elem = th * zero_at_41
+    assert _rows(survey_places(7, 19, 3, theta_elem=t_elem)) == oracles.survey_by_places(
+        7, 19, 3, t_elem, fundamental_pell(133)
+    )
+
+
+def _same_error(run, reference):
+    with pytest.raises(Exception) as got:
+        run()
+    with pytest.raises(Exception) as want:
+        reference()
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    return got.value
+
+
+def test_failures_match_the_per_place_scan(ex1):
+    octic, th, units = ex1
+    one, u133 = octic.one(), units[133]
+    err = _same_error(
+        lambda: certify_affine(th, [one], max_primes=4),
+        lambda: oracles.certify_affine_by_places(th, [one], max_primes=4),
+    )
+    assert isinstance(err, RankDeficient)
+    pair = [u133, u133 * 4]
+    err = _same_error(
+        lambda: certify_affine(th, pair, max_primes=4),
+        lambda: oracles.certify_affine_by_places(th, pair, max_primes=4),
+    )
+    assert isinstance(err, SearchExhausted)
+    same = [u133, u133 * 9]
+    err = _same_error(
+        lambda: separate_candidates(same, max_primes=4),
+        lambda: oracles.separate_by_places(same, max_primes=4),
+    )
+    assert isinstance(err, Inseparable)
+    apart = [one, u133, units[2]]
+    err = _same_error(
+        lambda: separate_candidates(apart, bound=40),
+        lambda: oracles.separate_by_places(apart, bound=40),
+    )
+    assert isinstance(err, SearchExhausted)
+
+
+def _count_calls(monkeypatch, fn, record):
+    """Replace every binding of fn in the loaded unitcert modules by a wrapper
+    that records its arguments."""
+
+    def wrapper(*args):
+        record.append(args)
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "unitcert" or name.startswith("unitcert."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+
+
+def test_survey_proves_only_the_triple_prime_and_reduces_theta_once_per_prime(monkeypatch):
+    primes, reductions = [], []
+    _count_calls(monkeypatch, unitcert.arith.is_prime, primes)
+    _count_calls(monkeypatch, unitcert.residual.reduce_mod, reductions)
+    decisions = survey_places(7, 11, 43)
+    assert primes and {n for (n,) in primes} == {7, 11, 43}
+    per_prime = Counter(t for x, t in reductions if isinstance(x, TowerElement))
+    valid_ts = {d.place.t for d in decisions if d.valid}
+    assert per_prime == Counter(valid_ts)
+    # eps_pq has integer coordinates: residue_at takes it at each place
+    assert sum(isinstance(x, QuadUnit) for x, _ in reductions) == len(decisions)
+
+
+def test_certify_reduces_each_element_once_per_prime_and_streams_only_t(monkeypatch):
+    triple = (7, 11, 43)
+    octic = OcticField(*triple)
+    gens = [octic.from_rational(-1)] + [g.element for g in fsu(*triple)]
+    reductions, hilbert, evaluated, streamed = [], [], [], []
+    _count_calls(monkeypatch, unitcert.residual.reduce_mod, reductions)
+    _count_calls(monkeypatch, unitcert.arith.hilbert_symbol, hilbert)
+    monkeypatch.setattr(unitcert.certify.TestFunctional, "evaluate", lambda self, x: evaluated.append(x))
+    stream = unitcert.certify._iter_functionals
+
+    def recorded(*args):
+        for functional, bits in stream(*args):
+            streamed.append(functional)
+            yield functional, bits
+
+    monkeypatch.setattr(unitcert.certify, "_iter_functionals", recorded)
+    cert = certify_affine(octic.one(), gens)
+    assert len(cert.functionals) == 8
+    assert streamed and {f.basis for f in streamed} == {"t"}
+    assert not hilbert and not evaluated
+    by_element = Counter((id(x), t) for x, t in reductions)
+    assert set(by_element.values()) == {1}
+    ts = {f.place.t for f in streamed}
+    assert {t for _, t in by_element} == ts
+    assert len(by_element) == len(ts) * (len(gens) + 1)
