@@ -32,7 +32,6 @@ from .fields import (
     TowerElement,
     biquad_unit_index,
     embed_real,
-    octic_mul,
     sqrt_biquad,
     sqrt_exact,
     sqrt_octic,
@@ -72,7 +71,7 @@ __all__ = [
     "decide_mu_hilbert", "delta", "embed_real", "enumerate_places",
     "find_split_primes", "fsu", "fundamental_pell", "hilbert_symbol",
     "hypothesis_branch", "is_prime", "is_squarefree", "iter_split_primes",
-    "jacobi", "load_cache", "local_basis", "noncollapse_check", "octic_mul",
+    "jacobi", "load_cache", "local_basis", "noncollapse_check",
     "residue_at", "save_cache", "separate_candidates", "sqrt_biquad",
     "sqrt_exact", "sqrt_mod", "sqrt_octic", "survey_places", "test_vector",
     "theta", "theta_factors",

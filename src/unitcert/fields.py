@@ -5,15 +5,21 @@ Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, real embeddings at arbitrary
 precision, exact square roots by relative-norm descent through the tower of
 index-2 subfields, the normalized generator product Theta, and the biquadratic
 unit-index square test.
+
+Elements keep `Fraction` coordinates, but products and square roots run on
+integer coordinate lists: each operand's denominators are cleared once (an
+lcm), the integer kernel `_mul` multiplies through the basis table, and each
+output `Fraction` is built once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import _interval as iv
+from .arith import is_prime
 from .errors import NotASquareInBiquad, PrecisionExhausted
 from .pell import QuadUnit, fundamental_pell, is_squarefree
 
@@ -170,7 +176,11 @@ class TowerElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TowerElement(self.tower, tuple(_mul(self.coords, o.coords, self.tower._table)))
+        a, da = _integral(self.coords)
+        b, db = (a, da) if o is self else _integral(o.coords)
+        den = da * db
+        prod = _mul(a, b, self.tower._table)
+        return TowerElement(self.tower, tuple(Fraction(c, den) for c in prod))
 
     __rmul__ = __mul__
 
@@ -205,24 +215,19 @@ class BiquadField(Tower):
         self.a, self.b = a, b
 
 
+def _check_triple(p: int, q: int, s: int) -> None:
+    if len({p, q, s}) != 3 or any(n == 2 or not is_prime(n) for n in (p, q, s)):
+        raise ValueError(f"({p}, {q}, {s}) must be distinct odd primes")
+
+
 class OcticField(Tower):
     """The degree-8 field Q(sqrt2, sqrt pq, sqrt ps) for distinct odd primes."""
 
     def __init__(self, p: int, q: int, s: int):
-        from .arith import is_prime
-
-        if len({p, q, s}) != 3 or any(n == 2 or not is_prime(n) for n in (p, q, s)):
-            raise ValueError(f"({p}, {q}, {s}) must be distinct odd primes")
+        _check_triple(p, q, s)
         super().__init__((2, p * q, p * s))
         self.p, self.q, self.s = p, q, s
         self.tokens = ("1", "r2", "rpq", "r2pq", "rps", "r2ps", "rqs", "r2qs")
-
-
-def octic_mul(a: TowerElement, b: TowerElement) -> TowerElement:
-    """Exact product of two octic elements (same field required)."""
-    if a.tower != b.tower:
-        raise ValueError("elements live in different fields")
-    return a * b
 
 
 # -- real embeddings ------------------------------------------------------
@@ -268,106 +273,160 @@ def embed_real(
             raise PrecisionExhausted("embedding enclosure did not converge")
 
 
-# -- exact square roots ---------------------------------------------------
+# -- integer kernel and exact square roots --------------------------------
 #
-# The helpers below work on coordinate lists. The first half of a tower's
-# basis spans the subtower over all generators but the last, and the basis
-# table maps that half into itself; so a list of length 2^l is an element of
-# the subtower over the first l generators, multiplied with the full table.
-# Writing it as x + y*sqrt(b), with b the l-th generator and x, y in the next
-# subtower down, every step below recurses on halves.
+# The helpers below work on integer coordinate lists: an element with
+# rational coordinates is carried as an integer list v and a positive
+# denominator D, standing for v/D. The first half of a tower's basis spans the
+# subtower over all generators but the last, and the basis table maps that
+# half into itself; so a list of length 2^l is an element of the subtower over
+# the first l generators, multiplied with the full table. Write it as x + w,
+# x the lower half and w the upper half, both in the tower's own basis, and
+# let b be the l-th generator, so that w = y*sqrt(b) for some y in the lower
+# half. The conjugate over the next subtower down flips the sign of w;
+# through the table, w^2 lands in the lower half and a lower-half element
+# times w in the upper half; the relative norm is x^2 - w^2. Every step below
+# recurses on halves.
 
 
-def _mul(a: list, b: list, table) -> list:
-    out = [Fraction(0)] * len(a)
+def _integral(coords) -> tuple[list[int], int]:
+    """(v, D) with coords = v/D, D the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _mul(a: list[int], b: list[int], table) -> list[int]:
+    """Product of two integer coordinate lists of one length through the basis
+    table, skipping zero coordinates; the same list twice is squared over the
+    pairs i <= j, with the cross terms doubled."""
+    out = [0] * len(a)
+    if a is b:
+        nz = [(i, c) for i, c in enumerate(a) if c]
+        for n, (i, ai) in enumerate(nz):
+            row = table[i]
+            g, k = row[i]
+            out[k] += g * ai * ai
+            ai2 = 2 * ai
+            for j, aj in nz[n + 1:]:
+                g, k = row[j]
+                out[k] += g * ai2 * aj
+        return out
+    nzb = [(j, c) for j, c in enumerate(b) if c]
     for i, ai in enumerate(a):
         if ai:
             row = table[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    g, k = row[j]
-                    out[k] += ai * bj * g
+            for j, bj in nzb:
+                g, k = row[j]
+                out[k] += g * ai * bj
     return out
 
 
-def _split(z: list, table) -> tuple[list, list]:
-    """(x, y) with z = x + y*sqrt(b); basis element half+i is
-    sqrt(m_i)*sqrt(b) divided by the integer table[i][half][0]."""
+def _reduced(v: list[int], den: int) -> tuple[list[int], int]:
+    """v/den with the common content removed and the denominator positive.
+    Each coordinate is divided once by the content g found so far; a remainder
+    r shrinks g to gcd(g, r) and scales the quotients already taken."""
+    g, out = abs(den), []
+    for c in v:
+        q, r = divmod(c, g)
+        if r:
+            h = gcd(g, r)
+            f = g // h
+            out = [o * f for o in out]
+            q, g = q * f + r // h, h
+        out.append(q)
+    if den < 0:
+        g = -g
+        out = [-o for o in out]
+    return out, den // g
+
+
+def _times_sqrt_b(z: list[int], table) -> list[int]:
+    """z*sqrt(b), which swaps the roles of the two halves."""
+    e = [0] * len(z)
+    e[len(z) // 2] = 1
+    return _mul(z, e, table)
+
+
+def _rel_norm(z: list[int], table) -> list[int]:
+    """x^2 - w^2, the norm of z = x + w down to the subtower."""
     half = len(z) // 2
-    return z[:half], [c / table[i][half][0] for i, c in enumerate(z[half:])]
+    x = z[:half]
+    w = [0] * half + z[half:]
+    return [p - q for p, q in zip(_mul(x, x, table), _mul(w, w, table))]
 
 
-def _join(x: list, y: list, table) -> list:
-    half = len(x)
-    return x + [c * table[i][half][0] for i, c in enumerate(y)]
-
-
-def _rel_norm(x: list, y: list, tower: Tower) -> list:
-    """x^2 - b*y^2, the norm of x + y*sqrt(b) down to the subtower."""
-    b = tower.radicands[len(x)]
-    table = tower._table
-    return [p - b * q for p, q in zip(_mul(x, x, table), _mul(y, y, table))]
-
-
-def _norm_multiplier(z: list, tower: Tower) -> tuple[list, Fraction]:
-    """(w, d) with z*w = d rational: w multiplies z by its conjugate
-    x - y*sqrt(b), then the relative norm by its own, down to the base."""
+def _norm_multiplier(z: list[int], table) -> tuple[list[int], int]:
+    """(m, d) with z*m = d, a rational integer: m multiplies the conjugate
+    x - w by the multiplier of the relative norm, down to the base."""
     if len(z) == 1:
-        return [Fraction(1)], z[0]
-    table = tower._table
-    x, y = _split(z, table)
-    w, d = _norm_multiplier(_rel_norm(x, y, tower), tower)
-    return _join(_mul(x, w, table), [-c for c in _mul(y, w, table)], table), d
+        return [1], z[0]
+    half = len(z) // 2
+    m, d = _norm_multiplier(_rel_norm(z, table), table)
+    conj = z[:half] + [-c for c in z[half:]]
+    return _mul(conj, m + [0] * half, table), d
 
 
-def _sign(z: list, tower: Tower) -> int:
-    """Sign of a nonzero z at the distinguished embedding, exactly: x + y*sqrt(b)
-    has the sign of x when x and y agree in sign, and otherwise the sign of x
-    when x^2 - b*y^2 > 0, that of y when it is < 0."""
+def _sign(z: list[int], table) -> int:
+    """Sign of a nonzero z at the distinguished embedding, exactly: x + w has
+    the sign of x when x and w agree in sign, and otherwise the sign of x when
+    x^2 - w^2 > 0, that of w when it is < 0. The sign of w is that of
+    w*sqrt(b), which lies in the lower half."""
     if len(z) == 1:
         return 1 if z[0] > 0 else -1
-    x, y = _split(z, tower._table)
-    sx = _sign(x, tower) if any(x) else 0
-    sy = _sign(y, tower) if any(y) else 0
-    if sx * sy >= 0:
-        return sx or sy
-    return sx * _sign(_rel_norm(x, y, tower), tower)
+    half = len(z) // 2
+    x, w = z[:half], z[half:]
+    sx = _sign(x, table) if any(x) else 0
+    sw = _sign(_times_sqrt_b([0] * half + w, table)[:half], table) if any(w) else 0
+    if sx * sw >= 0:
+        return sx or sw
+    return sx * _sign(_rel_norm(z, table), table)
 
 
-def _sqrt(z: list, tower: Tower) -> list | None:
-    """A square root of a nonzero z, or None when z is not a square.
+def _sqrt(z: list[int], table) -> tuple[list[int], int] | None:
+    """A square root (v, D) of a nonzero integer list z, or None when z is not
+    a square.
 
-    With z = x + y*sqrt(b) = (u + v*sqrt(b))^2: if y = 0 then u = 0 or v = 0;
-    otherwise n = u^2 - b*v^2 is a root of the norm x^2 - b*y^2, up to sign,
-    and one of (x + n)/2, (x - n)/2 is u^2, the other b*v^2. Any root u of
-    either, with v = y/(2u), then gives a root, since x^2 - n^2 = b*y^2.
+    With z = x + w = (u + v)^2, u in the lower half and v in the upper: if
+    w = 0 then u = 0 or v = 0, and v = sqrt(b*x)*sqrt(b)/b; otherwise
+    n = u^2 - v^2 is a root of the norm x^2 - w^2, up to sign, and one of
+    (x + n)/2, (x - n)/2 is u^2, the other v^2. Any root u of either, with
+    v = w/(2u), then gives a root, since x^2 - n^2 = w^2. A root of the
+    rational a/D is sqrt(a*D)/D, so every recursive call is on integers.
     """
     if len(z) == 1:
         a = z[0]
         if a < 0:
             return None
-        num, den = isqrt(a.numerator), isqrt(a.denominator)
-        if num * num != a.numerator or den * den != a.denominator:
+        r = isqrt(a)
+        return ([r], 1) if r * r == a else None
+    half = len(z) // 2
+    x, w = z[:half], z[half:]
+    if not any(w):
+        root = _sqrt(x, table)
+        if root is not None:
+            return root[0] + [0] * half, root[1]
+        b = table[half][half][0]
+        root = _sqrt([b * c for c in x], table)
+        if root is None:
             return None
-        return [Fraction(num, den)]
-    table = tower._table
-    x, y = _split(z, table)
-    zero = [Fraction(0)] * len(x)
-    if not any(y):
-        u = _sqrt(x, tower)
-        if u is not None:
-            return u + zero
-        b = tower.radicands[len(x)]
-        v = _sqrt([c / b for c in x], tower)
-        return None if v is None else _join(zero, v, table)
-    n = _sqrt(_rel_norm(x, y, tower), tower)
+        return _reduced(_times_sqrt_b(root[0] + [0] * half, table), root[1] * b)
+    n = _sqrt(_rel_norm(z, table), table)
     if n is None:
         return None
+    nv, nd = n
     for sg in (1, -1):
-        u = _sqrt([(a + sg * c) / 2 for a, c in zip(x, n)], tower)
-        if u is not None:
-            w, d = _norm_multiplier(u, tower)
-            return _join(u, [c / (2 * d) for c in _mul(y, w, table)], table)
+        # u^2 = (x + sg*n)/2 = a/(2*nd) with a integral
+        root = _sqrt([2 * nd * (nd * c + sg * e) for c, e in zip(x, nv)], table)
+        if root is not None:
+            uv, ud = root
+            den = 2 * nd * ud  # u = uv/den
+            # v = w/(2u) = w*den*m/(2d), with uv*m = d
+            m, d = _norm_multiplier(uv, table)
+            wm = _mul([0] * half + w, m + [0] * half, table)[half:]
+            vv, vd = _reduced([c * den for c in wm], 2 * d)
+            common = den * vd // gcd(den, vd)
+            lo, hi = common // den, common // vd
+            return _reduced([c * lo for c in uv] + [c * hi for c in vv], common)
     return None
 
 
@@ -376,47 +435,30 @@ def sqrt_exact(alpha: TowerElement) -> TowerElement | None:
     distinguished embedding, or None when alpha is not a square.
 
     Method: relative-norm descent through the index-2 subtowers down to exact
-    integer square roots of rational numerators and denominators; the sign is
-    decided by the same recursion, and the root is verified by exact squaring.
+    integer square roots, on integer coordinate lists; the sign is decided by
+    the same recursion, and the root is verified by exact squaring.
     """
     if alpha.is_zero():
         raise ValueError("square root of the zero element")
     tower = alpha.tower
-    coords = _sqrt(list(alpha.coords), tower)
-    if coords is None:
+    v, den = _integral(alpha.coords)
+    # sqrt(v/den) = sqrt(v*den)/den
+    root = _sqrt([c * den for c in v], tower._table)
+    if root is None:
         return None
-    if _sign(coords, tower) < 0:
-        coords = [-c for c in coords]
-    root = TowerElement(tower, tuple(coords))
+    rv, rd = root
+    if _sign(rv, tower._table) < 0:
+        rv = [-c for c in rv]
+    root = TowerElement(tower, tuple(Fraction(c, rd * den) for c in rv))
     if root * root != alpha:
         raise ArithmeticError("the descent root does not square back")
     return root
 
 
 def sqrt_preferring_subfield(alpha: TowerElement) -> TowerElement | None:
-    """Exact square root, first attempted in the subtower spanned by the
-    radicals actually present in alpha (at most biquadratic), then in the
-    full tower; the result is lifted back to alpha's tower."""
-    tower = alpha.tower
-    basis: dict[int, int] = {}
-    for mask, c in enumerate(alpha.coords):
-        if c == 0 or mask == 0:
-            continue
-        cur = mask
-        while cur:
-            top = cur.bit_length() - 1
-            if top in basis:
-                cur ^= basis[top]
-            else:
-                basis[top] = cur
-                break
-    if 1 <= len(basis) < len(tower.generators):
-        sub = Tower(tuple(tower.radicands[m] for m in sorted(basis.values())))
-        by_radicand = dict(zip(tower.radicands, alpha.coords))
-        proj = sub.element([by_radicand.get(m, 0) for m in sub.radicands])
-        root = sqrt_exact(proj)
-        if root is not None:
-            return tower.lift(root)
+    """The root of `sqrt_exact`, under the name the FSU roots call, so that they
+    can be timed apart. A root is unique up to sign, so one found in a
+    subtower would be the same."""
     return sqrt_exact(alpha)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .arith import _sqrt_mod_prime, hilbert_symbol, is_prime, jacobi, local_basis, odd_primes
+from .arith import _sqrt_mod_prime, hilbert_symbol, jacobi, local_basis, odd_primes
 from .errors import (
     DenominatorNotInvertible,
     HypothesisViolation,
@@ -25,6 +25,7 @@ from .errors import (
 from .fields import (
     OcticField,
     TowerElement,
+    _check_triple,
     sqrt_octic,
     sqrt_preferring_subfield,
     theta,
@@ -58,11 +59,6 @@ class ClassicalDatum:
 
     def branch(self) -> tuple[int, int, int]:
         return (self.leg_q_p, self.leg_s_p, self.leg_q_s)
-
-
-def _check_triple(p: int, q: int, s: int) -> None:
-    if len({p, q, s}) != 3 or any(n == 2 or not is_prime(n) for n in (p, q, s)):
-        raise ValueError(f"({p}, {q}, {s}) must be distinct odd primes")
 
 
 def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:

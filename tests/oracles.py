@@ -288,6 +288,103 @@ def nonsquare_witness(generators, coords, t_max: int = 5000):
     return None
 
 
+# -- tower arithmetic over Fraction coordinates ---------------------------
+#
+# The product and the square-root descent as `fields` computed them on
+# `fractions.Fraction` coordinates, with the table of
+# `tower_by_trial_division` (or any table of that form): a coordinate list z of length 2^l is split as
+# x + y*sqrt(b) with y over the lower basis (dividing the upper half by the
+# table gcds), and the relative norm is x^2 - b*y^2.
+
+
+def fraction_mul(a, b, table) -> list:
+    out = [Fraction(0)] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            row = table[i]
+            for j, bj in enumerate(b):
+                if bj:
+                    g, k = row[j]
+                    out[k] += ai * bj * g
+    return out
+
+
+def _split(z: list, table) -> tuple[list, list]:
+    half = len(z) // 2
+    return z[:half], [c / table[i][half][0] for i, c in enumerate(z[half:])]
+
+
+def _join(x: list, y: list, table) -> list:
+    half = len(x)
+    return x + [c * table[i][half][0] for i, c in enumerate(y)]
+
+
+def _fraction_rel_norm(x: list, y: list, radicands, table) -> list:
+    b = radicands[len(x)]
+    return [p - b * q for p, q in zip(fraction_mul(x, x, table), fraction_mul(y, y, table))]
+
+
+def _fraction_norm_multiplier(z: list, radicands, table) -> tuple[list, Fraction]:
+    if len(z) == 1:
+        return [Fraction(1)], z[0]
+    x, y = _split(z, table)
+    w, d = _fraction_norm_multiplier(_fraction_rel_norm(x, y, radicands, table), radicands, table)
+    return _join(fraction_mul(x, w, table), [-c for c in fraction_mul(y, w, table)], table), d
+
+
+def _fraction_sign(z: list, radicands, table) -> int:
+    if len(z) == 1:
+        return 1 if z[0] > 0 else -1
+    x, y = _split(z, table)
+    sx = _fraction_sign(x, radicands, table) if any(x) else 0
+    sy = _fraction_sign(y, radicands, table) if any(y) else 0
+    if sx * sy >= 0:
+        return sx or sy
+    return sx * _fraction_sign(_fraction_rel_norm(x, y, radicands, table), radicands, table)
+
+
+def _fraction_sqrt(z: list, radicands, table) -> list | None:
+    if len(z) == 1:
+        a = z[0]
+        if a < 0:
+            return None
+        num, den = isqrt(a.numerator), isqrt(a.denominator)
+        if num * num != a.numerator or den * den != a.denominator:
+            return None
+        return [Fraction(num, den)]
+    x, y = _split(z, table)
+    zero = [Fraction(0)] * len(x)
+    if not any(y):
+        u = _fraction_sqrt(x, radicands, table)
+        if u is not None:
+            return u + zero
+        b = radicands[len(x)]
+        v = _fraction_sqrt([c / b for c in x], radicands, table)
+        return None if v is None else _join(zero, v, table)
+    n = _fraction_sqrt(_fraction_rel_norm(x, y, radicands, table), radicands, table)
+    if n is None:
+        return None
+    for sg in (1, -1):
+        u = _fraction_sqrt([(a + sg * c) / 2 for a, c in zip(x, n)], radicands, table)
+        if u is not None:
+            w, d = _fraction_norm_multiplier(u, radicands, table)
+            return _join(u, [c / (2 * d) for c in fraction_mul(y, w, table)], table)
+    return None
+
+
+def fraction_descent_sqrt(radicands, table, coords) -> tuple[Fraction, ...] | None:
+    """The square root of a nonzero tower element given by its radicands,
+    basis table and coordinates, positive at the all-positive embedding, by
+    the relative-norm descent on Fraction coordinates; None when the element
+    is not a square."""
+    root = _fraction_sqrt([Fraction(c) for c in coords], radicands, table)
+    if root is None:
+        return None
+    if _fraction_sign(root, radicands, table) < 0:
+        root = [-c for c in root]
+    return tuple(root)
+
+
 # -- primes, split primes and the in-pattern corpus -----------------------
 
 

@@ -197,11 +197,15 @@ def test_cache_env_var_roundtrip(tmp_path):
 
 def _main_in_process(monkeypatch, argv) -> tuple[int, str]:
     monkeypatch.delenv("UNITCERT_CACHE", raising=False)
-    # keep this process's int-to-str digit limit; main() would lift it
-    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda limit: None, raising=False)
+    # main() lifts the int-to-str digit limit; put this process's back after
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code, out.getvalue()
 
 
@@ -224,7 +228,7 @@ def test_delta_places_all_builds_theta_once(monkeypatch):
     assert built == [(7, 11, 43)]
 
 
-# sha256 of the standard output of four commands. Answers and certificates are
+# sha256 of the standard output of seven commands. Answers and certificates are
 # fixed byte for byte, so a new hash here is a change of output, not of speed.
 PINNED_STDOUT = {
     ("delta", "7", "11", "43", "--places", "all", "--json"):
@@ -235,11 +239,20 @@ PINNED_STDOUT = {
         "7e64b9419f3839f78ee9afa5c5fb9cb81a3de5ec70a68725d45d0cdab79d5e38",
     ("separate", str(DATA / "separate_7_19_3.json"), "--json"):
         "52ced9261b5e13a80f0052a42f939e8fee848bb12d86ebab697269f679dbd62b",
+    ("fsu", "3023", "3011", "3019", "--json"):
+        "a70ff5ed8b49af87ae464b05c560d35696bc4abcb412c888c6fdbff19e0e3b9d",
+    ("fsu", "10007", "10067", "10091", "--json"):
+        "50ea56907a7317f6bf1fb6925f62252e3fd07fdf30b0db1318e4eedff435952d",
+    ("sqrt", "octic:7,19,3", "--", "1/49,0,0,0,0,0,0,0"):
+        "8e03276567e9d9306ba3147752845dd5c99a5be0aa3a0e8e8ee0b3b90f1e52b5",
 }
 
 
 @pytest.mark.parametrize(
-    "argv", list(PINNED_STDOUT), ids=["delta-7-11-43", "delta-1031", "verify-paper", "separate"]
+    "argv",
+    list(PINNED_STDOUT),
+    ids=["delta-7-11-43", "delta-1031", "verify-paper", "separate", "fsu-3023", "fsu-10007",
+         "sqrt-1/49"],
 )
 def test_stdout_matches_pinned_sha256(monkeypatch, argv):
     code, out = _main_in_process(monkeypatch, list(argv))

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -14,13 +15,13 @@ from unitcert import (
     embed_real,
     fundamental_pell,
     hypothesis_branch,
-    octic_mul,
     sqrt_biquad,
     sqrt_exact,
     sqrt_octic,
     theta,
     theta_factors,
 )
+from unitcert import fields
 from unitcert.errors import NotASquareInBiquad
 
 
@@ -47,7 +48,7 @@ def test_square_of_printed_root_is_unit_product():
     root = O.element([14, 9, 0, 0, 3, 2, 0, 0])
     e21 = O.from_quad_unit(fundamental_pell(21))
     e42 = O.from_quad_unit(fundamental_pell(42))
-    assert octic_mul(root, root) == e21 * e42
+    assert root * root == e21 * e42
     # the expanded product 715 + 504 r2 + 156 rps + 110 r2ps
     assert (e21 * e42).coords == tuple(
         Fraction(c) for c in (715, 504, 0, 0, 156, 110, 0, 0)
@@ -73,7 +74,7 @@ def test_mismatched_fields_rejected():
     a = OcticField(7, 19, 3).one()
     b = OcticField(7, 11, 43).one()
     with pytest.raises(ValueError):
-        octic_mul(a, b)
+        a * b
     with pytest.raises(ValueError):
         a + b
 
@@ -306,6 +307,61 @@ def test_sqrt_exact_by_property(tower):
         assert root in (g, -g)
         assert embed_real(root) > 0
         assert sqrt_exact(-(g * g)) is None
+
+
+def _sparse_element(tower, rng):
+    """Coordinates in [-9, 9] over denominators 1..9, about a third zeroed."""
+    return tower.element([
+        Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) if rng.random() < 0.65 else 0
+        for _ in range(tower.degree)
+    ])
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=lambda t: f"deg{t.degree}")
+def test_integer_kernel_matches_fraction_products(tower):
+    rng = random.Random(31 + tower.degree)
+    _, table = oracles.tower_by_trial_division(tower.generators)
+    for _ in range(40):
+        a, b = _sparse_element(tower, rng), _sparse_element(tower, rng)
+        assert (a * b).coords == tuple(oracles.fraction_mul(a.coords, b.coords, table))
+        square = tuple(oracles.fraction_mul(a.coords, a.coords, table))
+        assert (a * a).coords == square  # the squaring path
+        assert (a * copy.copy(a)).coords == square  # the general path
+        v, den = fields._integral(a.coords)
+        scaled = [c * den * den for c in square]
+        assert fields._mul(v, v, tower._table) == scaled
+        assert fields._mul(v, list(v), tower._table) == scaled
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=lambda t: f"deg{t.degree}")
+def test_sqrt_exact_matches_fraction_descent(tower):
+    rng = random.Random(37 + tower.degree)
+    radicands, table = oracles.tower_by_trial_division(tower.generators)
+    squares = 0
+    for _ in range(30):
+        g = _sparse_element(tower, rng)
+        if g.is_zero():
+            continue
+        for alpha in (g, g * g, -(g * g), g * g * 3):
+            root = sqrt_exact(alpha)
+            expected = oracles.fraction_descent_sqrt(radicands, table, alpha.coords)
+            assert (None if root is None else root.coords) == expected
+            squares += root is not None
+    assert squares >= 20
+
+
+def test_sqrt_exact_matches_fraction_descent_on_the_1e4_rung():
+    p, q, s = 10007, 10067, 10091
+    th = theta(p, q, s)
+    octic = th.tower
+    e_pq = octic.from_quad_unit(fundamental_pell(p * q))
+    roots = []
+    for alpha in (th, e_pq * th):
+        root = sqrt_exact(alpha)
+        expected = oracles.fraction_descent_sqrt(octic.radicands, octic._table, alpha.coords)
+        assert (None if root is None else root.coords) == expected
+        roots.append(root)
+    assert [r is None for r in roots].count(True) == 1
 
 
 def test_sqrt_exact_sign_of_tiny_values():
