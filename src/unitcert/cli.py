@@ -73,6 +73,13 @@ def _close_cache(config: RunConfig, cache) -> None:
         save_cache(config.cache_path, cache)
 
 
+def _print_fsu(cert: Certificate) -> None:
+    for g in cert.fsu:
+        tag = "" if g.mu is None else f"  [mu = {g.mu}]"
+        body = g.element.to_text() if g.element is not None else f"<symbolic: {g.warning}>"
+        print(f"  {g.name}{tag}: {body}")
+
+
 def _print_certificate(cert: Certificate) -> None:
     place = cert.place
     print(f"triple: p={cert.p} q={cert.q} s={cert.s}")
@@ -90,13 +97,13 @@ def _print_certificate(cert: Certificate) -> None:
         print("oracle cross-check: passed")
     if cert.fsu:
         print("unit system:")
-        for g in cert.fsu:
-            tag = "" if g.mu is None else f"  [mu = {g.mu}]"
-            body = g.element.to_text() if g.element is not None else f"<symbolic: {g.warning}>"
-            print(f"  {g.name}{tag}: {body}")
+        _print_fsu(cert)
 
 
 def cmd_delta(args) -> int:
+    """`delta` and `fsu`: one certificate, with the JSON of both; `delta`
+    prints the whole certificate and may survey all places, `fsu` prints the
+    unit system alone."""
     config = _config(args)
     cache = _open_cache(config)
     cert = delta(
@@ -107,7 +114,7 @@ def cmd_delta(args) -> int:
     )
     payload = cert.to_json_dict()
     extra = None
-    if config.place_mode == "all":
+    if args.command == "delta" and config.place_mode == "all":
         decisions = survey_places(
             args.p, args.q, args.s,
             prime_bound=config.prime_bound,
@@ -129,6 +136,10 @@ def cmd_delta(args) -> int:
     _close_cache(config, cache)
     if config.json:
         sys.stdout.write(_dump(payload))
+    elif args.command == "fsu":
+        print(f"unit system of Q(sqrt2, sqrt{args.p * args.q}, sqrt{args.p * args.s})"
+              f"  [delta={cert.delta}, mu={cert.mu}]")
+        _print_fsu(cert)
     else:
         _print_certificate(cert)
         if extra is not None:
@@ -138,28 +149,6 @@ def cmd_delta(args) -> int:
                     f"  t={row['t']} signs={tuple(row['signs'])} valid={row['valid']}"
                     + (f" delta={row['delta']}" if row["valid"] else "")
                 )
-    return EXIT_OK
-
-
-def cmd_fsu(args) -> int:
-    config = _config(args)
-    cache = _open_cache(config)
-    cert = delta(
-        args.p, args.q, args.s,
-        prime_bound=config.prime_bound,
-        force=config.force,
-        cache=cache,
-    )
-    _close_cache(config, cache)
-    if config.json:
-        sys.stdout.write(_dump(cert.to_json_dict()))
-    else:
-        print(f"unit system of Q(sqrt2, sqrt{args.p * args.q}, sqrt{args.p * args.s})"
-              f"  [delta={cert.delta}, mu={cert.mu}]")
-        for g in cert.fsu:
-            tag = "" if g.mu is None else f"  [mu = {g.mu}]"
-            body = g.element.to_text() if g.element is not None else f"<symbolic: {g.warning}>"
-            print(f"  {g.name}{tag}: {body}")
     return EXIT_OK
 
 
@@ -298,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsu.add_argument("q", type=int)
     p_fsu.add_argument("s", type=int)
     p_fsu.add_argument("--force", action="store_true")
-    p_fsu.set_defaults(func=cmd_fsu)
+    p_fsu.set_defaults(func=cmd_delta)
 
     p_datum = sub.add_parser("datum", parents=[common],
                              help="print the classical residue datum")

@@ -3,8 +3,10 @@
 Covers the biquadratic fields Q(sqrt a, sqrt b) and the octic field
 Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, real embeddings at arbitrary
 precision, exact square roots by relative-norm descent through the tower of
-index-2 subfields, the normalized generator product Theta, and the biquadratic
-unit-index square test.
+index-2 subfields, closed-form roots of products of Pell units of norm +1
+(sqrt(2*eps) = sqrt(x + 1) + sqrt(x - 1)), the normalized generator product
+Theta from two such roots, and the biquadratic unit-index square test. The
+descent is the general root; a root of a unit product never needs it.
 
 Elements keep `Fraction` coordinates, but products and square roots run on
 integer coordinate lists: each operand's denominators are cleared once (an
@@ -456,9 +458,9 @@ def sqrt_exact(alpha: TowerElement) -> TowerElement | None:
 
 
 def sqrt_preferring_subfield(alpha: TowerElement) -> TowerElement | None:
-    """The root of `sqrt_exact`, under the name the FSU roots call, so that they
-    can be timed apart. A root is unique up to sign, so one found in a
-    subtower would be the same."""
+    """The root of `sqrt_exact` under a name of its own, which `bench/tracer.py`
+    times as the FSU-root layer. The FSU roots of `residual` now come from
+    `sqrt_unit_product` and do not call it."""
     return sqrt_exact(alpha)
 
 
@@ -478,15 +480,86 @@ def sqrt_octic(alpha: TowerElement) -> TowerElement | None:
     return sqrt_exact(alpha)
 
 
+# -- closed-form roots of Pell-unit products -------------------------------
+
+
+def _half_root(u: QuadUnit) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((a, m), (b, n)) with sqrt(2*eps) = a*sqrt(m) + b*sqrt(n), a, b > 0 and
+    m, n squarefree, for a unit eps = x + y*sqrt(d) of norm +1.
+
+    The square of sqrt(x + 1) + sqrt(x - 1) is 2x + 2y*sqrt(d), so x + 1 = m*a^2
+    and x - 1 = n*b^2, with (x + 1)(x - 1) = d*y^2 (Azizi 1999). The two
+    factors share at most a factor 2, so an odd prime divides m exactly when it
+    divides both x + 1 and d: m is g or 2g, g the odd part of gcd(x + 1, 2d).
+    Then n = m*d/h^2 is the squarefree part of m*d, h = gcd(m, d), and
+    m*a*b/h = y gives b.
+    """
+    x, y, d = u.x, u.y, u.d
+    g = gcd(x + 1, 2 * d)
+    g >>= (g & -g).bit_length() - 1
+    for m in (g, 2 * g):
+        a2, r = divmod(x + 1, m)
+        a = isqrt(a2)
+        if not r and a * a == a2:
+            h = gcd(m, d)
+            return (a, m), (y * h // (m * a), m * d // (h * h))
+    raise ArithmeticError(f"no closed-form root of the Pell unit of Z[sqrt({d})]")
+
+
+def _times_radicals(terms: dict[int, int], factor) -> dict[int, int]:
+    """The product of sum(c*sqrt(r)) over `terms` (radicand -> c) with
+    sum(c*sqrt(m)) over `factor` ((c, m) pairs), squarefree radicands
+    throughout: sqrt(r)*sqrt(m) = g*sqrt(r*m/g^2) with g = gcd(r, m)."""
+    out: dict[int, int] = {}
+    for r, e in terms.items():
+        for c, m in factor:
+            g = gcd(r, m)
+            k = r // g * (m // g)
+            out[k] = out.get(k, 0) + e * c * g
+    return out
+
+
+def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
+    """Square root in `tower` of the product of one Pell unit, or of two with
+    different d, positive at the distinguished embedding; None when the
+    product is not a square there.
+
+    sqrt(eps) = (a*sqrt(2m) + b*sqrt(2n))/2 by `_half_root`, so the root is a
+    product of binomials in square roots of integers, each monomial moved onto
+    the basis through the squarefree part of its radicand. Every coefficient
+    is positive, so the root is positive at the distinguished embedding, and a
+    monomial whose radicand is not in the tower puts the root outside it. A
+    unit of norm -1 is negative at an embedding that flips its sqrt(d) and
+    keeps the other unit's, so then the product is no square. The root is
+    checked by exact squaring.
+    """
+    product = tower.from_quad_unit(units[0])
+    for u in units[1:]:
+        product = product * tower.from_quad_unit(u)
+    if any(u.norm != 1 for u in units):
+        return None
+    terms = {1: 1}
+    for u in units:
+        terms = _times_radicals(_times_radicals(terms, _half_root(u)), ((1, 2),))
+    coords = [Fraction(0)] * tower.degree
+    den = 2 ** len(units)
+    for r, c in terms.items():
+        if r not in tower._index:
+            return None
+        coords[tower._index[r]] = Fraction(c, den)
+    root = TowerElement(tower, tuple(coords))
+    if root * root != product:
+        raise ArithmeticError("the closed-form root does not square back")
+    return root
+
+
 # -- Theta and the biquadratic unit index ---------------------------------
 
 
 def _unit_product_root(d: int, cache: dict[int, QuadUnit] | None) -> TowerElement:
     """The positive square root of eps_d * eps_2d inside Q(sqrt2, sqrt d)."""
     field = BiquadField(2, d)
-    e_d = field.from_quad_unit(fundamental_pell(d, cache))
-    e_2d = field.from_quad_unit(fundamental_pell(2 * d, cache))
-    root = sqrt_biquad(e_d * e_2d)
+    root = sqrt_unit_product(field, (fundamental_pell(d, cache), fundamental_pell(2 * d, cache)))
     if root is None:
         raise NotASquareInBiquad(
             f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})"
@@ -512,11 +585,15 @@ def theta(
     q: int,
     s: int,
     cache: dict[int, QuadUnit] | None = None,
+    octic: OcticField | None = None,
 ) -> TowerElement:
     """The normalized product Theta = sqrt(eps_pq eps_2pq) * sqrt(eps_ps eps_2ps)
-    as an exact octic element, positive at the distinguished embedding."""
+    as an exact octic element, positive at the distinguished embedding. A
+    caller that has built the octic field of (p, q, s), and so validated the
+    triple, passes it in."""
     f1, f2 = theta_factors(p, q, s, cache)
-    octic = OcticField(p, q, s)
+    if octic is None:
+        octic = OcticField(p, q, s)
     return octic.lift(f1) * octic.lift(f2)
 
 

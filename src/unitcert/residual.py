@@ -3,7 +3,10 @@
 Validates the congruence hypotheses on (p, q, s), builds the normalized Theta,
 searches for a split prime with a valid place, decides the residual bit delta
 by one Legendre symbol, and emits the complete rank-7 unit system together
-with a fully auditable certificate.
+with a fully auditable certificate. The optional oracle confirms the bit with
+one exact square root, xi of mu*Theta, and a local proof at the certificate's
+place that the other candidate is no square; six of the seven unit
+generators come from closed forms, and only xi needs the descent.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .fields import (
     TowerElement,
     _check_triple,
     sqrt_octic,
-    sqrt_preferring_subfield,
+    sqrt_unit_product,
     theta,
 )
 from .pell import QuadUnit, fundamental_pell
@@ -61,15 +64,22 @@ class ClassicalDatum:
         return (self.leg_q_p, self.leg_s_p, self.leg_q_s)
 
 
+def _datum(p: int, q: int, s: int) -> ClassicalDatum:
+    return ClassicalDatum(p % 8, q % 8, s % 8, jacobi(q, p), jacobi(s, p), jacobi(q, s))
+
+
 def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
     """The 6-tuple (p mod 8, q mod 8, s mod 8, (q/p), (s/p), (q/s))."""
     _check_triple(p, q, s)
-    return ClassicalDatum(p % 8, q % 8, s % 8, jacobi(q, p), jacobi(s, p), jacobi(q, s))
+    return _datum(p, q, s)
 
 
 def hypothesis_branch(p: int, q: int, s: int) -> tuple[int, int, int]:
     """Checks p = 7, q = s = 3 mod 8 and the Legendre pattern; returns the branch."""
-    datum = classical_datum(p, q, s)
+    return _branch(classical_datum(p, q, s))
+
+
+def _branch(datum: ClassicalDatum) -> tuple[int, int, int]:
     if datum.p_mod8 != 7 or datum.q_mod8 != 3 or datum.s_mod8 != 3:
         raise HypothesisViolation(
             f"need p = 7 and q = s = 3 mod 8, got ({datum.p_mod8}, {datum.q_mod8}, {datum.s_mod8})"
@@ -128,8 +138,9 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
     ascending: t = +-1 (mod 8), so that 2 is a square mod t, and
     (pq/t) = (ps/t) = 1, which also leaves out the t dividing pqs. The primes
     come from the sieve of `arith.odd_primes`; no t is tested for primality.
+    The triple is taken to be validated, as `OcticField` and
+    `classical_datum` do, and is not validated again.
     """
-    _check_triple(p, q, s)
     pq, ps = p * q, p * s
     for t in odd_primes(bound):
         if t % 8 in (1, 7) and jacobi(pq, t) == 1 and jacobi(ps, t) == 1:
@@ -138,6 +149,7 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
 
 def find_split_primes(p: int, q: int, s: int, count: int, bound: int = DEFAULT_PRIME_BOUND) -> list[int]:
     """The first `count` split primes below `bound`, ascending."""
+    _check_triple(p, q, s)
     out = []
     for t in iter_split_primes(p, q, s, bound):
         out.append(t)
@@ -382,28 +394,22 @@ def survey_places(
         cache = {}  # each Pell unit once per call
     if theta_elem is None:
         theta_elem = theta(p, q, s, cache)
+    else:
+        _check_triple(p, q, s)
     eps_pq = fundamental_pell(p * q, cache)
     return list(_scan_places(p, q, s, theta_elem, eps_pq, prime_bound, prime_count))
 
 
 def _fsu_generators(
     octic: OcticField,
-    theta_elem: TowerElement,
     mu: str,
     xi: TowerElement | None,
     cache: dict[int, QuadUnit] | None,
 ) -> list[Generator]:
     p, q, s = octic.p, octic.q, octic.s
-    emb = octic.from_quad_unit
-    e2 = emb(fundamental_pell(2, cache))
-    e_pq = emb(fundamental_pell(p * q, cache))
-    e_ps = emb(fundamental_pell(p * s, cache))
-    e_qs = emb(fundamental_pell(q * s, cache))
-    e_2qs = emb(fundamental_pell(2 * q * s, cache))
-    e_2pq = emb(fundamental_pell(2 * p * q, cache))
+    eps = {d: fundamental_pell(d, cache) for d in (2, p * q, p * s, q * s, 2 * q * s, 2 * p * q)}
 
-    def rooted(name: str, product: TowerElement, mu_tag: str | None = None) -> Generator:
-        root = sqrt_preferring_subfield(product)
+    def generator(name: str, root: TowerElement | None, mu_tag: str | None = None) -> Generator:
         if root is None:
             return Generator(
                 name, None, False, mu_tag,
@@ -411,21 +417,28 @@ def _fsu_generators(
             )
         return Generator(name, root, True, mu_tag)
 
-    mu_theta = theta_elem if mu == "1" else e_pq * theta_elem
-    xi_gen = (
-        Generator("xi", xi, True, mu)
-        if xi is not None
-        else rooted("xi", mu_theta, mu)
-    )
+    def rooted(name: str, *ds: int) -> Generator:
+        return generator(name, sqrt_unit_product(octic, [eps[d] for d in ds]))
+
     return [
-        Generator("eps_2", e2, True),
-        Generator("eps_pq", e_pq, True),
-        rooted("sqrt(eps_pq*eps_ps)", e_pq * e_ps),
-        rooted("sqrt(eps_pq*eps_qs)", e_pq * e_qs),
-        rooted("sqrt(eps_2qs)", e_2qs),
-        rooted("sqrt(eps_pq*eps_2pq)", e_pq * e_2pq),
-        xi_gen,
+        Generator("eps_2", octic.from_quad_unit(eps[2]), True),
+        Generator("eps_pq", octic.from_quad_unit(eps[p * q]), True),
+        rooted("sqrt(eps_pq*eps_ps)", p * q, p * s),
+        rooted("sqrt(eps_pq*eps_qs)", p * q, q * s),
+        rooted("sqrt(eps_2qs)", 2 * q * s),
+        rooted("sqrt(eps_pq*eps_2pq)", p * q, 2 * p * q),
+        generator("xi", xi, mu),
     ]
+
+
+def _eps_is_local_nonsquare(eps_pq: QuadUnit, place: SplitPlace) -> bool:
+    """Euler's criterion for the residue x + y*rpq of eps_pq = x + y*sqrt(pq)
+    at the place, from the unit's coordinates and the place's root of pq,
+    which is checked again; t is a prime of the sieve."""
+    t = place.t
+    if (place.rpq * place.rpq - eps_pq.d) % t:
+        return False
+    return pow((eps_pq.x + eps_pq.y * place.rpq) % t, (t - 1) // 2, t) == t - 1
 
 
 def delta(
@@ -445,13 +458,20 @@ def delta(
     first place where eps_pq has nonsquare residue, and reads delta off the
     Legendre symbol of the Theta residue; `survey_places` makes the same scan
     through all the places. With `force` the congruence check is
-    downgraded to a certificate flag and the exact square-root cross-check is
-    switched on. The cross-check recomputes the decision globally: exactly one
-    of Theta and eps_pq*Theta must have an exact root.
+    downgraded to a certificate flag and the exact cross-check is switched on.
+    The cross-check recomputes the decision globally: mu*Theta must have an
+    exact root xi. The other candidate is then eps_pq^(+-1)*xi^2, a square
+    only if eps_pq is one, and eps_pq is a nonresidue at the certificate's
+    place by Euler's criterion, recomputed from its coordinates. xi is the
+    one relative-norm descent of a call, made for the oracle or the FSU; the
+    other FSU roots have closed forms. The triple is validated once, by
+    building its octic field.
     """
+    octic = OcticField(p, q, s)
+    datum = _datum(p, q, s)
     hypotheses_verified = True
     try:
-        hypothesis_branch(p, q, s)
+        _branch(datum)
     except HypothesisViolation:
         if not force:
             raise
@@ -460,10 +480,9 @@ def delta(
     if not hypotheses_verified:
         oracle_on = True
 
-    datum = classical_datum(p, q, s)
     if cache is None:
         cache = {}  # each of the seven Pell units once per call
-    theta_elem = theta(p, q, s, cache)
+    theta_elem = theta(p, q, s, cache, octic)
     eps_pq = fundamental_pell(p * q, cache)
 
     chosen = next(
@@ -477,22 +496,18 @@ def delta(
     place, bit, mu = chosen.place, chosen.delta, "1" if chosen.delta == 0 else "eps_pq"
 
     xi = None
+    if oracle_on or with_fsu:
+        xi = sqrt_octic(theta_elem if bit == 0 else octic.from_quad_unit(eps_pq) * theta_elem)
     if oracle_on:
-        octic = theta_elem.tower
-        e_pq_elem = octic.from_quad_unit(eps_pq)
-        square_candidate = theta_elem if bit == 0 else e_pq_elem * theta_elem
-        other_candidate = e_pq_elem * theta_elem if bit == 0 else theta_elem
-        xi = sqrt_octic(square_candidate)
         if xi is None:
             raise OracleDisagreement(
                 f"residue criterion gives delta = {bit} but mu*Theta has no exact root"
             )
-        if sqrt_octic(other_candidate) is not None:
-            raise OracleDisagreement("both squareclass candidates have exact roots")
-
-    fsu_list = None
-    if with_fsu:
-        fsu_list = _fsu_generators(theta_elem.tower, theta_elem, mu, xi, cache)
+        if not _eps_is_local_nonsquare(eps_pq, place):
+            raise OracleDisagreement(
+                f"eps_pq is not a nonresidue at the place above t = {place.t}, "
+                "so the other candidate is not excluded"
+            )
 
     return Certificate(
         p=p, q=q, s=s,
@@ -506,7 +521,7 @@ def delta(
         legendre_eps=-1,
         delta=bit,
         mu=mu,
-        fsu=fsu_list,
+        fsu=_fsu_generators(octic, mu, xi, cache) if with_fsu else None,
         oracle_checked=oracle_on,
         theta=theta_elem,
     )

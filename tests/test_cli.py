@@ -228,7 +228,7 @@ def test_delta_places_all_builds_theta_once(monkeypatch):
     assert built == [(7, 11, 43)]
 
 
-# sha256 of the standard output of seven commands. Answers and certificates are
+# sha256 of the standard output of ten commands. Answers and certificates are
 # fixed byte for byte, so a new hash here is a change of output, not of speed.
 PINNED_STDOUT = {
     ("delta", "7", "11", "43", "--places", "all", "--json"):
@@ -245,6 +245,12 @@ PINNED_STDOUT = {
         "50ea56907a7317f6bf1fb6925f62252e3fd07fdf30b0db1318e4eedff435952d",
     ("sqrt", "octic:7,19,3", "--", "1/49,0,0,0,0,0,0,0"):
         "8e03276567e9d9306ba3147752845dd5c99a5be0aa3a0e8e8ee0b3b90f1e52b5",
+    ("fsu", "7", "19", "3"):
+        "06c50e015c24204fb7f65800d824b33b8f6c0fa1fb712bdd44c2c3a535870b3e",
+    ("delta", "7", "19", "3"):
+        "5d20940a2d3591003e1d99882e1811b6e0f0ddfeb1e6ceeddfa217c3bbd191b5",
+    ("delta", "30047", "30011", "30139", "--json"):
+        "8cef75d8c8171e3f6b2f8a4b81674dc0f0f7078ede32061fbd74439194a0cbc8",
 }
 
 
@@ -252,7 +258,7 @@ PINNED_STDOUT = {
     "argv",
     list(PINNED_STDOUT),
     ids=["delta-7-11-43", "delta-1031", "verify-paper", "separate", "fsu-3023", "fsu-10007",
-         "sqrt-1/49"],
+         "sqrt-1/49", "fsu-7-19-3-text", "delta-7-19-3-text", "delta-30047"],
 )
 def test_stdout_matches_pinned_sha256(monkeypatch, argv):
     code, out = _main_in_process(monkeypatch, list(argv))

@@ -427,3 +427,62 @@ def test_oracle_nonsquare_answers_have_local_witnesses():
         assert [r is None for r in roots].count(True) == 1
         non_square = th if roots[0] is None else e_pq * th
         assert oracles.nonsquare_witness(octic.generators, non_square.coords) is not None
+
+
+# -- closed-form roots of Pell-unit products --------------------------------
+
+LADDER_RUNGS = [(1031, 1019, 1171), (3023, 3011, 3019), (10007, 10067, 10091), (30047, 30011, 30139)]
+
+
+def _unit_products(p, q, s):
+    """(tower, units) for Theta's two factors and the four FSU roots."""
+    cache = {}
+    e = {d: fundamental_pell(d, cache) for d in (p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)}
+    octic = OcticField(p, q, s)
+    return [
+        (BiquadField(2, p * q), (e[p * q], e[2 * p * q])),
+        (BiquadField(2, p * s), (e[p * s], e[2 * p * s])),
+        (octic, (e[p * q], e[p * s])),
+        (octic, (e[p * q], e[q * s])),
+        (octic, (e[2 * q * s],)),
+        (octic, (e[p * q], e[2 * p * q])),
+    ]
+
+
+def _descent_root(tower, units):
+    product = tower.one()
+    for u in units:
+        product = product * tower.from_quad_unit(u)
+    return sqrt_exact(product)
+
+
+@pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], LADDER_RUNGS],
+                         ids=["every-9th-corpus-triple", "ladder-rungs"])
+def test_closed_form_roots_match_the_descent(triples):
+    for triple in triples:
+        for tower, units in _unit_products(*triple):
+            root = fields.sqrt_unit_product(tower, units)
+            assert root is not None
+            assert root == _descent_root(tower, units)
+
+
+def test_closed_form_half_integer_root_and_refusals():
+    # the half-integer first factor of theta_factors(3, 5, 7)
+    B = BiquadField(2, 15)
+    units = (fundamental_pell(15), fundamental_pell(30))
+    root = fields.sqrt_unit_product(B, units)
+    assert root == theta_factors(3, 5, 7)[0] == _descent_root(B, units)
+    assert root.coords[1] == Fraction(5, 2)
+    # eps_65 has norm -1: the product is negative at an embedding
+    B = BiquadField(2, 65)
+    units = (fundamental_pell(65), fundamental_pell(130))
+    assert units[0].norm == -1
+    assert fields.sqrt_unit_product(B, units) is None and _descent_root(B, units) is None
+    # sqrt(eps_21) = 2*sqrt7 + 3*sqrt3, and sqrt(eps_133*eps_114) has a
+    # monomial in sqrt(14*114) = 2*sqrt399: both radicals lie outside the tower
+    for tower, ds in ((BiquadField(2, 21), (21,)), (OcticField(7, 19, 3), (133, 114))):
+        units = tuple(fundamental_pell(d) for d in ds)
+        assert all(u.norm == 1 for u in units)
+        assert fields.sqrt_unit_product(tower, units) is None
+        assert _descent_root(tower, units) is None
+

@@ -1,10 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from test_scan import _count_calls
 
-from unitcert import pell
+import unitcert
+from unitcert import pell, residual
 from unitcert import (
     OcticField,
+    PlaceDecision,
     SplitPlace,
     classical_datum,
     decide_mu_hilbert,
@@ -306,3 +310,60 @@ def test_survey_and_hilbert_walk_each_pell_continued_fraction_once(monkeypatch):
     walked.clear()
     decide_mu_hilbert(p, q, s, place)
     assert sorted(walked) == theta_units
+
+
+def test_delta_runs_one_descent_with_the_oracle_or_the_fsu(monkeypatch):
+    roots = []
+    _count_calls(monkeypatch, unitcert.fields.sqrt_exact, roots)
+    for triple, options, descents in [
+        ((7, 19, 3), {"oracle": True}, 1),
+        ((1031, 1019, 1171), {}, 1),
+        ((7, 19, 3), {"with_fsu": False}, 0),
+    ]:
+        roots.clear()
+        cert = delta(*triple, **options)
+        assert len(roots) == descents
+        if descents:
+            # the descent is xi's, whose square is mu*Theta
+            xi = cert.fsu[6].element if cert.fsu else None
+            assert xi is None or roots[0][0] == xi * xi
+
+
+def test_delta_validates_the_triple_once(monkeypatch):
+    proofs = []
+    _count_calls(monkeypatch, unitcert.arith.is_prime, proofs)
+    for options in ({}, {"oracle": True}, {"with_fsu": False}):
+        proofs.clear()
+        delta(7, 19, 3, **options)
+        assert sorted(n for (n,) in proofs) == [3, 7, 19]
+    with pytest.raises(ValueError, match="must be distinct odd primes"):
+        delta(7, 9, 3)
+
+
+def test_oracle_rejects_a_flipped_bit(monkeypatch):
+    scan = residual._scan_places
+
+    def flipped(*args):
+        for d in scan(*args):
+            if d.valid:
+                d = dataclasses.replace(d, legendre_theta=-d.legendre_theta, delta=1 - d.delta)
+            yield d
+
+    monkeypatch.setattr(residual, "_scan_places", flipped)
+    assert delta(7, 19, 3, with_fsu=False).delta == 1  # the scan alone is trusted
+    with pytest.raises(OracleDisagreement, match=r"mu\*Theta has no exact root"):
+        delta(7, 19, 3, oracle=True)
+
+
+def test_oracle_rejects_a_place_where_eps_pq_is_a_local_square(monkeypatch):
+    # every place above 47 has eps_21 a local square for (7, 3, 59); the true
+    # bit is 1, so xi exists and only the local proof can fail
+    place = enumerate_places(47, 7, 3, 59)[0]
+    r_eps = residue_at(fundamental_pell(21), place)
+    assert jacobi(r_eps, 47) == 1
+    r_theta = residue_at(theta(7, 3, 59), place)
+    forged = PlaceDecision(place, r_eps, -1, True, r_theta, -1, 1)
+    monkeypatch.setattr(residual, "_scan_places", lambda *args: iter([forged]))
+    assert delta(7, 3, 59, with_fsu=False).place.t == 47  # the scan alone is trusted
+    with pytest.raises(OracleDisagreement, match="not a nonresidue at the place above t = 47"):
+        delta(7, 3, 59, oracle=True, with_fsu=False)
