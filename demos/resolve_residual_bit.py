@@ -7,9 +7,10 @@ cannot be read off the usual congruence data: it takes one Legendre symbol at
 a well-chosen auxiliary prime. This script resolves it for (p, q, s) = (7, 19, 3).
 """
 
+import math
+
 from unitcert import (
     delta,
-    embed_real,
     fundamental_pell,
     jacobi,
     residue_at,
@@ -34,7 +35,8 @@ print(f"  sqrt(eps_{p*s} eps_{2*p*s}) = {f_ps.to_text()}")
 th = theta(p, q, s)
 print(f"\nStep 3: Theta = product of both roots, as an octic element:")
 print(f"  Theta = {th.to_text()}")
-print(f"  numerically {float(embed_real(th)):.6f} at the distinguished embedding")
+value = sum(float(c) * math.sqrt(m) for c, m in zip(th.coords, th.tower.radicands))
+print(f"  numerically {value:.6f} at the distinguished embedding")
 
 print("\nStep 4: pick a split prime with a valid place and read one Legendre bit:")
 cert = delta(p, q, s, oracle=True)

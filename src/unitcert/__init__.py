@@ -1,7 +1,7 @@
 """unitcert: exact-arithmetic certification of the residual unit-group bit in
 the totally real octic fields Q(sqrt2, sqrt pq, sqrt ps), plus the general
 local machinery for separating squareclass candidates by finitely many
-Hilbert-symbol bits at split places."""
+Legendre bits at split places."""
 
 from .arith import hilbert_symbol, is_prime, jacobi, local_basis, sqrt_mod
 from .certify import (
@@ -10,7 +10,6 @@ from .certify import (
     TestFunctional,
     certify_affine,
     separate_candidates,
-    test_vector,
 )
 from .errors import (
     DenominatorNotInvertible,
@@ -20,7 +19,6 @@ from .errors import (
     NonUnitResidue,
     NotASquareInBiquad,
     OracleDisagreement,
-    PrecisionExhausted,
     RankDeficient,
     SearchExhausted,
     UnitCertError,
@@ -31,8 +29,6 @@ from .fields import (
     Tower,
     TowerElement,
     biquad_unit_index,
-    embed_real,
-    sqrt_biquad,
     sqrt_exact,
     sqrt_octic,
     theta,
@@ -64,15 +60,14 @@ __all__ = [
     "AffineCertificate", "BiquadField", "Certificate", "ClassicalDatum",
     "DenominatorNotInvertible", "Generator", "HypothesisViolation",
     "Inseparable", "InvalidPlace", "NonUnitResidue", "NotASquareInBiquad",
-    "OcticField", "OracleDisagreement", "PlaceDecision", "PrecisionExhausted",
-    "QuadUnit", "RankDeficient", "SearchExhausted", "SeparationCertificate",
-    "SplitPlace", "TestFunctional", "Tower", "TowerElement", "UnitCertError",
-    "biquad_unit_index", "certify_affine", "classical_datum",
-    "decide_mu_hilbert", "delta", "embed_real", "enumerate_places",
+    "OcticField", "OracleDisagreement", "PlaceDecision", "QuadUnit",
+    "RankDeficient", "SearchExhausted", "SeparationCertificate",
+    "SplitPlace", "TestFunctional", "Tower", "TowerElement",
+    "UnitCertError", "biquad_unit_index", "certify_affine",
+    "classical_datum", "decide_mu_hilbert", "delta", "enumerate_places",
     "find_split_primes", "fsu", "fundamental_pell", "hilbert_symbol",
     "hypothesis_branch", "is_prime", "is_squarefree", "iter_split_primes",
     "jacobi", "load_cache", "local_basis", "noncollapse_check",
-    "residue_at", "save_cache", "separate_candidates", "sqrt_biquad",
-    "sqrt_exact", "sqrt_mod", "sqrt_octic", "survey_places", "test_vector",
-    "theta", "theta_factors",
+    "residue_at", "save_cache", "separate_candidates", "sqrt_exact",
+    "sqrt_mod", "sqrt_octic", "survey_places", "theta", "theta_factors",
 ]

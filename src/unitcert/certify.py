@@ -1,8 +1,9 @@
 """Local certification machinery over F2.
 
-Hilbert test functionals at split places, rank-based search for functionals
-resolving an affine coset of squareclasses, and separation of arbitrary
-finite candidate families by finitely many local bits.
+Legendre test functionals at split places (the Hilbert symbol against the
+uniformizer), rank-based search for functionals resolving an affine coset of
+squareclasses, and separation of arbitrary finite candidate families by
+finitely many local bits.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .arith import hilbert_symbol, jacobi, local_basis
+from .arith import jacobi
 from .errors import (
     DenominatorNotInvertible,
     Inseparable,
@@ -34,18 +35,15 @@ DEFAULT_FUNCTIONAL_PRIMES = 64
 
 @dataclass(frozen=True)
 class TestFunctional:
-    """F2-valued functional x -> bit of the Hilbert symbol (x, b) at a place.
+    """F2-valued functional x -> Legendre bit of x's residue at a place above t.
 
-    The basis element b is either the smallest local nonresidue ("u") or the
-    uniformizer t itself ("t"). On a t-adic unit r, (r, t)_t is the Legendre
-    symbol (r/t) and (r, u)_t = 1, so a "u" functional is 0 on every unit
-    residue: the searches below stream only "t" functionals, and `test_vector`
-    alone still evaluates "u".
+    This is the Hilbert symbol (x, t) at the place: on a t-adic unit r,
+    (r, t)_t is the Legendre symbol (r/t), and (r, u)_t = 1 for the local
+    nonresidue u, so the uniformizer is the one basis element with a bit to
+    give. The JSON names it as basis "t" with value t.
     """
 
     place: SplitPlace
-    basis: str  # "u" or "t"
-    value: int
 
     def evaluate(self, x) -> int:
         t = self.place.t
@@ -55,24 +53,15 @@ class TestFunctional:
             raise NonUnitResidue(str(exc)) from exc
         if r == 0:
             raise NonUnitResidue(f"zero residue at the place above {t}")
-        return 0 if hilbert_symbol(r, self.value, t) == 1 else 1
+        return 0 if jacobi(r, t) == 1 else 1
 
     def to_json_dict(self) -> dict:
         return {
             "t": str(self.place.t),
             "signs": list(self.place.signs),
-            "basis": self.basis,
-            "value": str(self.value),
+            "basis": "t",
+            "value": str(self.place.t),
         }
-
-
-def test_vector(x, place: SplitPlace) -> tuple[int, int]:
-    """Local Hilbert test vector of x against the basis (t, u) at a place."""
-    t, u = local_basis(place.t)
-    return (
-        TestFunctional(place, "t", t).evaluate(x),
-        TestFunctional(place, "u", u).evaluate(x),
-    )
 
 
 def _field_of(elements: list[TowerElement]):
@@ -87,13 +76,12 @@ def _field_of(elements: list[TowerElement]):
 
 def _iter_functionals(tower, elements: list[TowerElement], bound: int, max_primes: int):
     """Deterministic functional stream: ascending split primes, places in
-    `enumerate_places` order, one "t" functional per place, each with its bits
+    `enumerate_places` order, one functional per place, each with its bits
     on `elements`. A place where one of them has a zero or non-invertible
     residue is left out.
 
     The elements are reduced once per prime and their residues read off at
-    the eight places; a bit is the Legendre symbol of the residue, which is
-    the functional's Hilbert symbol on a unit.
+    the eight places, as `TestFunctional.evaluate` would read them one by one.
     """
     p, q, s = tower.p, tower.q, tower.s
     for t in islice(iter_split_primes(p, q, s, bound), max_primes):
@@ -104,7 +92,7 @@ def _iter_functionals(tower, elements: list[TowerElement], bound: int, max_prime
         for place in enumerate_places(t, p, q, s):
             residues = [residue_from(v, place) for v in reduced]
             if 0 not in residues:
-                yield TestFunctional(place, "t", t), [0 if jacobi(r, t) == 1 else 1 for r in residues]
+                yield TestFunctional(place), [0 if jacobi(r, t) == 1 else 1 for r in residues]
 
 
 def _gf2_rank(rows: list[int]) -> int:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import golden
@@ -33,44 +32,19 @@ EXIT_EXHAUSTED = 3
 EXIT_ORACLE = 4
 
 
-@dataclass
-class RunConfig:
-    prime_bound: int = 100_000
-    place_mode: str = "first"
-    json: bool = False
-    force: bool = False
-    cache_path: str | None = None
-
-    def __post_init__(self):
-        if self.prime_bound <= 0:
-            raise ValueError("bounds must be positive")
-        if self.place_mode not in ("first", "all"):
-            raise ValueError("place mode must be 'first' or 'all'")
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        prime_bound=args.prime_bound,
-        place_mode=args.places,
-        json=args.json,
-        force=getattr(args, "force", False),
-        cache_path=args.cache or os.environ.get("UNITCERT_CACHE"),
-    )
-
-
-def _open_cache(config: RunConfig) -> dict:
+def _open_cache(args) -> dict:
     """The Pell units of one command: loaded from --cache, else an empty dict,
     so that each unit is computed once per command either way."""
-    return load_cache(config.cache_path) if config.cache_path else {}
+    return load_cache(args.cache) if args.cache else {}
 
 
-def _close_cache(config: RunConfig, cache) -> None:
-    if config.cache_path:
-        save_cache(config.cache_path, cache)
+def _close_cache(args, cache) -> None:
+    if args.cache:
+        save_cache(args.cache, cache)
 
 
 def _print_fsu(cert: Certificate) -> None:
@@ -104,20 +78,14 @@ def cmd_delta(args) -> int:
     """`delta` and `fsu`: one certificate, with the JSON of both; `delta`
     prints the whole certificate and may survey all places, `fsu` prints the
     unit system alone."""
-    config = _config(args)
-    cache = _open_cache(config)
-    cert = delta(
-        args.p, args.q, args.s,
-        prime_bound=config.prime_bound,
-        force=config.force,
-        cache=cache,
-    )
+    cache = _open_cache(args)
+    cert = delta(args.p, args.q, args.s, prime_bound=args.prime_bound, force=args.force, cache=cache)
     payload = cert.to_json_dict()
     extra = None
-    if args.command == "delta" and config.place_mode == "all":
+    if args.command == "delta" and args.places == "all":
         decisions = survey_places(
             args.p, args.q, args.s,
-            prime_bound=config.prime_bound,
+            prime_bound=args.prime_bound,
             cache=cache,
             theta_elem=cert.theta,
         )
@@ -133,8 +101,8 @@ def cmd_delta(args) -> int:
             for d in decisions
         ]
         payload["all_places"] = extra
-    _close_cache(config, cache)
-    if config.json:
+    _close_cache(args, cache)
+    if args.json:
         sys.stdout.write(_dump(payload))
     elif args.command == "fsu":
         print(f"unit system of Q(sqrt2, sqrt{args.p * args.q}, sqrt{args.p * args.s})"
@@ -153,9 +121,8 @@ def cmd_delta(args) -> int:
 
 
 def cmd_datum(args) -> int:
-    config = _config(args)
     d = classical_datum(args.p, args.q, args.s)
-    if config.json:
+    if args.json:
         sys.stdout.write(_dump({
             "triple": {"p": str(args.p), "q": str(args.q), "s": str(args.s)},
             "datum": list(d.as_tuple()),
@@ -166,11 +133,10 @@ def cmd_datum(args) -> int:
 
 
 def cmd_pell(args) -> int:
-    config = _config(args)
-    cache = _open_cache(config)
+    cache = _open_cache(args)
     unit = fundamental_pell(args.d, cache)
-    _close_cache(config, cache)
-    if config.json:
+    _close_cache(args, cache)
+    if args.json:
         sys.stdout.write(_dump({
             "d": str(unit.d), "x": str(unit.x), "y": str(unit.y), "norm": str(unit.norm),
         }))
@@ -195,11 +161,10 @@ def _parse_element(field, text: str):
 
 
 def cmd_sqrt(args) -> int:
-    config = _config(args)
     field = _parse_field(args.field)
     element = _parse_element(field, args.element)
     root = sqrt_exact(element)
-    if config.json:
+    if args.json:
         sys.stdout.write(_dump({
             "element": element.to_text(),
             "is_square": root is not None,
@@ -211,34 +176,32 @@ def cmd_sqrt(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    config = _config(args)
     with open(args.input) as fh:
         payload = json.load(fh)
     field = OcticField(int(payload["p"]), int(payload["q"]), int(payload["s"]))
     candidates = [
         field.element([Fraction(c) for c in coords]) for coords in payload["candidates"]
     ]
-    bound = int(payload.get("bound", config.prime_bound))
+    bound = int(payload.get("bound", args.prime_bound))
     cert: SeparationCertificate = separate_candidates(candidates, bound=bound)
     out = cert.to_json_dict()
-    if config.json:
+    if args.json:
         sys.stdout.write(_dump(out))
     else:
         print(f"functionals ({len(cert.functionals)}):")
         for f in cert.functionals:
-            print(f"  t={f.place.t} signs={f.place.signs} basis={f.basis} value={f.value}")
+            print(f"  t={f.place.t} signs={f.place.signs} basis=t value={f.place.t}")
         for coords, row in zip(out["candidates"], out["table"]):
             print(f"  {row} <- {coords}")
     return EXIT_OK
 
 
 def cmd_verify_paper(args) -> int:
-    config = _config(args)
-    cache = _open_cache(config)
-    items = golden.run_checks(prime_bound=config.prime_bound, cache=cache)
-    _close_cache(config, cache)
+    cache = _open_cache(args)
+    items = golden.run_checks(prime_bound=args.prime_bound, cache=cache)
+    _close_cache(args, cache)
     failed = [item for item in items if not item.ok]
-    if config.json:
+    if args.json:
         sys.stdout.write(_dump({
             "items": [item.to_json_dict() for item in items],
             "total": len(items),
@@ -262,57 +225,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certification of the residual unit-group bit of "
                     "Q(sqrt2, sqrt pq, sqrt ps), with local separation tools.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime-bound", type=int, default=100_000,
-                        help="upper bound for auxiliary split primes")
-    common.add_argument("--places", choices=("first", "all"), default="first",
-                        help="evaluate only the first valid place or survey all")
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--cache", default=None,
-                        help="Pell unit cache file (or set UNITCERT_CACHE)")
+    # each subcommand takes only the flags it reads
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit JSON")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--prime-bound", type=int, default=100_000,
+                       help="upper bound for auxiliary split primes")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", default=os.environ.get("UNITCERT_CACHE"),
+                       help="Pell unit cache file (or set UNITCERT_CACHE)")
+    triple = argparse.ArgumentParser(add_help=False)
+    for name in ("p", "q", "s"):
+        triple.add_argument(name, type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_delta = sub.add_parser("delta", parents=[common],
+    p_delta = sub.add_parser("delta", parents=[triple, json_flag, bound, cache],
                              help="decide the residual bit for a triple")
-    p_delta.add_argument("p", type=int)
-    p_delta.add_argument("q", type=int)
-    p_delta.add_argument("s", type=int)
+    p_delta.add_argument("--places", choices=("first", "all"), default="first",
+                         help="evaluate only the first valid place or survey all")
     p_delta.add_argument("--force", action="store_true",
                          help="run outside the supported pattern (enables the oracle)")
     p_delta.set_defaults(func=cmd_delta)
 
-    p_fsu = sub.add_parser("fsu", parents=[common],
+    p_fsu = sub.add_parser("fsu", parents=[triple, json_flag, bound, cache],
                            help="emit the seven-generator unit system")
-    p_fsu.add_argument("p", type=int)
-    p_fsu.add_argument("q", type=int)
-    p_fsu.add_argument("s", type=int)
     p_fsu.add_argument("--force", action="store_true")
     p_fsu.set_defaults(func=cmd_delta)
 
-    p_datum = sub.add_parser("datum", parents=[common],
+    p_datum = sub.add_parser("datum", parents=[triple, json_flag],
                              help="print the classical residue datum")
-    p_datum.add_argument("p", type=int)
-    p_datum.add_argument("q", type=int)
-    p_datum.add_argument("s", type=int)
     p_datum.set_defaults(func=cmd_datum)
 
-    p_pell = sub.add_parser("pell", parents=[common],
+    p_pell = sub.add_parser("pell", parents=[json_flag, cache],
                             help="fundamental Pell unit of Z[sqrt d]")
     p_pell.add_argument("d", type=int)
     p_pell.set_defaults(func=cmd_pell)
 
-    p_sqrt = sub.add_parser("sqrt", parents=[common],
+    p_sqrt = sub.add_parser("sqrt", parents=[json_flag],
                             help="exact square root in a tower")
     p_sqrt.add_argument("field", help="'biquad:a,b' or 'octic:p,q,s'")
     p_sqrt.add_argument("element", help="comma-separated rational coordinates")
     p_sqrt.set_defaults(func=cmd_sqrt)
 
-    p_sep = sub.add_parser("separate", parents=[common],
+    p_sep = sub.add_parser("separate", parents=[json_flag, bound],
                            help="separate squareclass candidates by local bits")
     p_sep.add_argument("input", help="JSON file with p, q, s and candidate coordinates")
     p_sep.set_defaults(func=cmd_separate)
 
-    p_verify = sub.add_parser("verify-paper", parents=[common],
+    p_verify = sub.add_parser("verify-paper", parents=[json_flag, bound, cache],
                               help="replay every built-in reference value")
     p_verify.set_defaults(func=cmd_verify_paper)
     return parser
@@ -327,6 +287,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "prime_bound", 1) <= 0:
+            raise ValueError("bounds must be positive")
         return args.func(args)
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

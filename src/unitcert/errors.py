@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package. Every decision is exact, so
+no error reports a precision limit."""
 
 from __future__ import annotations
 
@@ -15,11 +16,6 @@ class SearchExhausted(UnitCertError):
     """A bounded search (split primes, places, functionals) ran out of candidates."""
 
 
-class PrecisionExhausted(UnitCertError):
-    """A real embedding's interval enclosure did not separate the value from 0
-    within embed_real's precision cap; exact square roots never raise it."""
-
-
 class NotASquareInBiquad(UnitCertError):
     """A unit product expected to be a square in its biquadratic field is not."""
 
@@ -29,7 +25,7 @@ class DenominatorNotInvertible(UnitCertError):
 
 
 class NonUnitResidue(UnitCertError):
-    """An element has zero (or undefined) residue at a place, so no Hilbert test applies."""
+    """An element has zero (or undefined) residue at a place, so no Legendre bit applies."""
 
 
 class InvalidPlace(UnitCertError):

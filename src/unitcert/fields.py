@@ -1,12 +1,14 @@
 """Exact arithmetic in real multiquadratic towers.
 
 Covers the biquadratic fields Q(sqrt a, sqrt b) and the octic field
-Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, real embeddings at arbitrary
-precision, exact square roots by relative-norm descent through the tower of
-index-2 subfields, closed-form roots of products of Pell units of norm +1
-(sqrt(2*eps) = sqrt(x + 1) + sqrt(x - 1)), the normalized generator product
-Theta from two such roots, and the biquadratic unit-index square test. The
-descent is the general root; a root of a unit product never needs it.
+Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, exact square roots by
+relative-norm descent through the tower of index-2 subfields, closed-form
+roots of products of Pell units of norm +1 (sqrt(2*eps) = sqrt(x + 1) +
+sqrt(x - 1)), the normalized generator product Theta from two such roots, and
+the biquadratic unit-index square test. The descent is the general root; a
+root of a unit product never needs it. Signs at the distinguished (all
+positive) real embedding are decided exactly, by the descent's own recursion,
+so nothing here approximates a real number.
 
 Elements keep `Fraction` coordinates, but products and square roots run on
 integer coordinate lists: each operand's denominators are cleared once (an
@@ -17,16 +19,11 @@ output `Fraction` is built once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt, lcm
 
-from . import _interval as iv
 from .arith import is_prime
-from .errors import NotASquareInBiquad, PrecisionExhausted
+from .errors import NotASquareInBiquad
 from .pell import QuadUnit, fundamental_pell, is_squarefree
-
-DEFAULT_PRECISION_BITS = 256
-MAX_PRECISION_BITS = 16384
 
 
 class Tower:
@@ -101,24 +98,6 @@ class Tower:
             coords[self._index[m]] = c
         return TowerElement(self, tuple(coords))
 
-    # -- embeddings -------------------------------------------------------
-
-    def embeddings(self) -> list[tuple[int, ...]]:
-        """All real embeddings as sign tuples over the generators; the
-        distinguished all-positive embedding comes first."""
-        return list(product((1, -1), repeat=len(self.generators)))
-
-    def iota0(self) -> tuple[int, ...]:
-        return (1,) * len(self.generators)
-
-    def basis_sign(self, i: int, signs: tuple[int, ...]) -> int:
-        """Sign picked up by the i-th basis radical under an embedding."""
-        sg = 1
-        for j, s in enumerate(signs):
-            if i >> j & 1 and s < 0:
-                sg = -sg
-        return sg
-
 
 class TowerElement:
     """Element of a Tower with exact rational coordinates."""
@@ -186,18 +165,6 @@ class TowerElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> TowerElement:
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def to_text(self) -> str:
         """Canonical textual form "c0 + c1*r2 + ..." with exact rationals."""
         parts = []
@@ -230,49 +197,6 @@ class OcticField(Tower):
         super().__init__((2, p * q, p * s))
         self.p, self.q, self.s = p, q, s
         self.tokens = ("1", "r2", "rpq", "r2pq", "rps", "r2ps", "rqs", "r2qs")
-
-
-# -- real embeddings ------------------------------------------------------
-
-
-def embed_real(
-    x: TowerElement,
-    signs: tuple[int, ...] | None = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> Fraction:
-    """Evaluate an element under a real embedding to the requested precision.
-
-    The embedding is a choice of sign for each generating radical; omitting it
-    selects the distinguished all-positive embedding. The returned rational is
-    the midpoint of a rigorous enclosure whose relative width is below
-    2^(8 - precision_bits); the working precision is raised internally when
-    cancellation (tiny conjugates of units) makes that necessary.
-    """
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
-    tower = x.tower
-    if signs is None:
-        signs = tower.iota0()
-    if len(signs) != len(tower.generators) or any(s not in (1, -1) for s in signs):
-        raise ValueError(f"embedding must be a sign tuple of length {len(tower.generators)}")
-    if x.is_zero():
-        return Fraction(0)
-    signs = tuple(signs)
-    bits = precision_bits
-    while True:
-        enc = (0, 0)
-        for i, c in enumerate(x.coords):
-            if c:
-                rad = iv.iv_sqrt_int(tower.radicands[i], bits)
-                enc = iv.iv_add(enc, iv.iv_scale(rad, c * tower.basis_sign(i, signs)))
-        lo, hi = iv.iv_endpoints(enc, bits)
-        mid = iv.iv_mid(enc, bits)
-        # nonzero element, injective embedding: the loop must terminate
-        if (lo > 0 or hi < 0) and hi - lo <= abs(mid) * Fraction(1, 1 << (precision_bits - 8)):
-            return mid
-        bits *= 2
-        if bits > max(MAX_PRECISION_BITS, 8 * precision_bits):
-            raise PrecisionExhausted("embedding enclosure did not converge")
 
 
 # -- integer kernel and exact square roots --------------------------------
@@ -464,14 +388,6 @@ def sqrt_preferring_subfield(alpha: TowerElement) -> TowerElement | None:
     return sqrt_exact(alpha)
 
 
-def sqrt_biquad(alpha: TowerElement) -> TowerElement | None:
-    """Square root in a biquadratic field, normalized positive at the
-    distinguished embedding; None when there is no root."""
-    if alpha.tower.degree != 4:
-        raise ValueError("sqrt_biquad expects an element of a biquadratic field")
-    return sqrt_exact(alpha)
-
-
 def sqrt_octic(alpha: TowerElement) -> TowerElement | None:
     """Square root in the octic field, normalized positive at the distinguished
     embedding; None when there is no root."""
@@ -617,6 +533,6 @@ def biquad_unit_index(
         for u, e in zip(units, exps):
             if e:
                 candidate = candidate * u
-        if sqrt_biquad(candidate) is not None:
+        if sqrt_exact(candidate) is not None:
             return 2, exps
     return 1, None

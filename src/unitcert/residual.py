@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .arith import _sqrt_mod_prime, hilbert_symbol, jacobi, local_basis, odd_primes
+from .arith import _sqrt_mod_prime, hilbert_symbol, jacobi, odd_primes
 from .errors import (
     DenominatorNotInvertible,
     HypothesisViolation,
@@ -128,9 +128,6 @@ class SplitPlace:
             self.q * self.s: self.rpq * self.rps * pinv % t,
             2 * self.q * self.s: self.r2 * self.rpq * self.rps * pinv % t,
         }
-
-    def key(self) -> tuple[int, tuple[int, int, int]]:
-        return (self.t, self.signs)
 
 
 def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) -> Iterator[int]:
@@ -538,34 +535,24 @@ def decide_mu_hilbert(
     s: int,
     place: SplitPlace,
     cache: dict[int, QuadUnit] | None = None,
-) -> tuple[str, tuple[int, int], int]:
-    """Alternate decision path through Hilbert symbols at one place.
+) -> str:
+    """Alternate decision path through the Hilbert symbol at one place.
 
-    Evaluates the local test vector of Theta against the basis (t, u) of the
-    completion at the place; mu = "1" exactly when every symbol is trivial.
-    Also returns the single basis element b with (eps_pq, b) = -1, which
-    realizes the one-functional certification of the pair of candidates.
-    Agreement with the Legendre path is an invariant, since the residue of
-    Theta is a unit and only the uniformizer component can be nontrivial.
+    mu = "1" exactly when (Theta, t) is trivial at the valid place above t.
+    The residue of Theta is a t-adic unit, so its symbol against the local
+    nonresidue u is always trivial and the uniformizer's is the only bit;
+    agreement with the Legendre path is an invariant.
     """
-    t, u = local_basis(place.t)
+    t = place.t
     if cache is None:
         cache = {}  # each Pell unit once per call
     eps_pq = fundamental_pell(p * q, cache)
-    r_eps = residue_at(eps_pq, place)
-    if jacobi(r_eps, t) != -1:
+    if jacobi(residue_at(eps_pq, place), t) != -1:
         raise InvalidPlace(f"eps_pq is a square at the place above {t}")
-    theta_elem = theta(p, q, s, cache)
-    r_theta = residue_at(theta_elem, place)
+    r_theta = residue_at(theta(p, q, s, cache), place)
     if r_theta == 0:
         raise NonUnitResidue("Theta has zero residue at the place")
-    vector = (
-        0 if hilbert_symbol(r_theta, t, t) == 1 else 1,
-        0 if hilbert_symbol(r_theta, u, t) == 1 else 1,
-    )
-    mu = "1" if vector == (0, 0) else "eps_pq"
-    b = t if hilbert_symbol(r_eps, t, t) == -1 else u
-    return mu, vector, b
+    return "1" if hilbert_symbol(r_theta, t, t) == 1 else "eps_pq"
 
 
 def noncollapse_check(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from math import isqrt
+from math import isqrt, lcm
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -383,6 +383,30 @@ def fraction_descent_sqrt(radicands, table, coords) -> tuple[Fraction, ...] | No
     if _fraction_sign(root, radicands, table) < 0:
         root = [-c for c in root]
     return tuple(root)
+
+
+def real_sign(x) -> int:
+    """Sign of a tower element at the all-positive real embedding, by integer
+    bounds alone: isqrt(m * 4^k) <= 2^k * sqrt(m) < isqrt(m * 4^k) + 1 puts
+    2^k * D * x between two integer sums, D the common denominator, and k
+    doubles until both sums have one sign, as they do for x != 0."""
+    den = lcm(*(c.denominator for c in x.coords))
+    terms = [(int(c * den), m) for c, m in zip(x.coords, x.tower.radicands) if c]
+    if not terms:
+        return 0
+    k = 32
+    while True:
+        lo = hi = 0
+        for c, m in terms:
+            r = isqrt(m << 2 * k)
+            up = r if r * r == m << 2 * k else r + 1
+            lo += c * (r if c > 0 else up)
+            hi += c * (up if c > 0 else r)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        k *= 2
 
 
 # -- primes, split primes and the in-pattern corpus -----------------------

@@ -14,7 +14,6 @@ from unitcert import (
     BiquadField,
     OcticField,
     delta,
-    embed_real,
     fsu,
     fundamental_pell,
     hilbert_symbol,
@@ -23,7 +22,7 @@ from unitcert import (
     noncollapse_check,
     residue_at,
     separate_candidates,
-    sqrt_biquad,
+    sqrt_exact,
     sqrt_octic,
     survey_places,
     theta,
@@ -203,9 +202,9 @@ def test_criterion_7_property_suites():
                            for _ in range(4)])
             if g.is_zero():
                 continue
-            root = sqrt_biquad(g * g)
+            root = sqrt_exact(g * g)
             assert root is not None and root * root == g * g
-            assert root in (g, -g) and embed_real(root) > 0
+            assert root in (g, -g) and oracles.real_sign(root) == 1
             done += 1
         O = OcticField(7, 19, 3)
         done = 0
@@ -216,7 +215,7 @@ def test_criterion_7_property_suites():
                 continue
             root = sqrt_octic(g * g)
             assert root is not None and root * root == g * g
-            assert root in (g, -g) and embed_real(root) > 0
+            assert root in (g, -g) and oracles.real_sign(root) == 1
             done += 1
 
         # (e) separation tables on 20 random families of unit products

@@ -1,8 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from unitcert import test_vector as hilbert_vector
 from unitcert import (
     OcticField,
     certify_affine,
@@ -11,6 +11,7 @@ from unitcert import (
     separate_candidates,
     theta,
 )
+from unitcert.certify import TestFunctional as Functional  # not a test class
 from unitcert.errors import Inseparable, NonUnitResidue, RankDeficient, SearchExhausted
 
 
@@ -23,34 +24,37 @@ def ex1():
     return O, th, place, units
 
 
+# the local test vector of the paper has one bit at a split place: the
+# uniformizer's, since (r, u)_t = 1 for every unit residue r
+
+
 def test_test_vector_values(ex1):
     O, th, place, units = ex1
-    assert hilbert_vector(th, place) == (0, 0)  # locally a square: all trivial
-    assert hilbert_vector(units[133], place) == (1, 0)
-    assert hilbert_vector(O.one(), place) == (0, 0)
+    bit = Functional(place).evaluate
+    assert bit(th) == 0  # locally a square
+    assert bit(units[133]) == 1
+    assert bit(O.one()) == 0
 
 
 def test_test_vector_square_unit_residue_is_trivial(ex1):
     O, th, place, units = ex1
-    # 5 = 13^2 mod 41 is a residue, so every symbol in the vector is trivial
-    assert hilbert_vector(O.from_rational(5), place) == (0, 0)
+    # 5 = 13^2 mod 41 is a residue, so the bit is trivial
+    assert Functional(place).evaluate(O.from_rational(5)) == 0
 
 
 def test_test_vector_rejects_non_unit_residue(ex1):
     O, th, place, units = ex1
     with pytest.raises(NonUnitResidue):
-        hilbert_vector(O.from_rational(41), place)
+        Functional(place).evaluate(O.from_rational(41))
+    with pytest.raises(NonUnitResidue):  # t divides a denominator
+        Functional(place).evaluate(O.from_rational(Fraction(1, 41)))
 
 
 def test_functional_additivity(ex1):
     O, th, place, units = ex1
     rng = random.Random(23)
     pool = list(units.values()) + [th]
-    from unitcert.certify import TestFunctional
-    from unitcert import local_basis
-
-    t, u = local_basis(place.t)
-    lam = TestFunctional(place, "t", t)
+    lam = Functional(place)
     for _ in range(40):
         x = rng.choice(pool) * rng.choice(pool)
         y = rng.choice(pool)
@@ -68,7 +72,7 @@ def test_certify_affine_single_bit(ex1):
     cert = certify_affine(th, [units[133]])
     assert len(cert.functionals) == 1
     f = cert.functionals[0]
-    assert f.place.t == 41 and f.basis == "t"
+    assert f.to_json_dict() == {"t": "41", "signs": [1, 1, 1], "basis": "t", "value": "41"}
     assert cert.matrix == [[1]]
     assert cert.base_bits == [0]  # theta is a square at the place
 

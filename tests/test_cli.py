@@ -91,6 +91,19 @@ def test_datum():
     assert r.stdout.strip() == "(7, 3, 3, 1, 1, 1)"
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["fsu", "7", "19", "3", "--places", "all"], 2, "unrecognized arguments: --places all"),
+    (["datum", "7", "19", "3", "--prime-bound", "5"], 2, "unrecognized arguments: --prime-bound 5"),
+    (["delta", "7", "19", "3", "--prime-bound", "0"], 1, "error: bounds must be positive"),
+    (["separate", str(DATA / "separate_7_19_3.json"), "--prime-bound", "0"], 1,
+     "error: bounds must be positive"),
+])
+def test_flags_only_on_the_subcommands_that_read_them(argv, code, message):
+    r = run_cli(*argv)
+    assert (r.returncode, r.stdout) == (code, "")
+    assert r.stderr.strip().endswith(message)
+
+
 def test_pell():
     r = run_cli("pell", "826")
     assert "222239304685 + 7732694382*sqrt(826)" in r.stdout

@@ -1,5 +1,4 @@
 import copy
-import math
 import random
 from fractions import Fraction
 
@@ -12,10 +11,8 @@ from unitcert import (
     OcticField,
     Tower,
     biquad_unit_index,
-    embed_real,
     fundamental_pell,
     hypothesis_branch,
-    sqrt_biquad,
     sqrt_exact,
     sqrt_octic,
     theta,
@@ -94,45 +91,6 @@ def test_tower_validation():
         BiquadField(2, 6)  # ab not squarefree
 
 
-def test_embed_real_values():
-    O = OcticField(7, 19, 3)
-    assert embed_real(O.one()) == 1
-    e21 = O.from_quad_unit(fundamental_pell(21))
-    val = float(embed_real(e21))
-    assert abs(val - (55 + 12 * math.sqrt(21))) < 1e-9
-    # conjugate embedding flipping sqrt(ps) inverts the norm-one unit
-    conj = float(embed_real(e21, (1, 1, -1)))
-    assert abs(conj - (55 - 12 * math.sqrt(21))) < 1e-9
-
-
-def test_embed_real_sign_flip_negates_sqrt2_block():
-    B = BiquadField(2, 21)
-    rng = random.Random(9)
-    x = _random_element(B, rng)
-    c0, c1, c2, c3 = (float(c) for c in x.coords)
-    flipped = float(embed_real(x, (-1, 1)))
-    direct = c0 - c1 * math.sqrt(2) + c2 * math.sqrt(21) - c3 * math.sqrt(42)
-    assert abs(flipped - direct) < 1e-9
-
-
-def test_embed_real_is_multiplicative_at_all_embeddings():
-    rng = random.Random(13)
-    O = OcticField(7, 19, 3)
-    for signs in O.embeddings():
-        a = _random_element(O, rng)
-        b = _random_element(O, rng)
-        lhs = embed_real(a * b, signs)
-        rhs = embed_real(a, signs) * embed_real(b, signs)
-        assert abs(lhs - rhs) < Fraction(1, 2 ** 150) * (1 + abs(lhs))
-
-
-def test_embed_real_precision_validation():
-    with pytest.raises(ValueError):
-        embed_real(OcticField(7, 19, 3).one(), precision_bits=32)
-    with pytest.raises(ValueError):
-        embed_real(OcticField(7, 19, 3).one(), (1, 1))
-
-
 PRINTED_ROOTS = {
     133: (21070, 14877, 1827, 1290),
     21: (14, 9, 3, 2),
@@ -146,7 +104,7 @@ PRINTED_ROOTS = {
 def test_sqrt_biquad_printed_roots(d):
     B = BiquadField(2, d)
     prod = B.from_quad_unit(fundamental_pell(d)) * B.from_quad_unit(fundamental_pell(2 * d))
-    root = sqrt_biquad(prod)
+    root = sqrt_exact(prod)
     assert root is not None
     assert tuple(int(c) for c in root.coords) == PRINTED_ROOTS[d]
     assert root * root == prod
@@ -154,12 +112,10 @@ def test_sqrt_biquad_printed_roots(d):
 
 def test_sqrt_trivial_cases():
     B = BiquadField(2, 21)
-    assert sqrt_biquad(B.from_rational(4)) == B.from_rational(2)
-    assert sqrt_biquad(B.from_rational(-1)) is None
+    assert sqrt_exact(B.from_rational(4)) == B.from_rational(2)
+    assert sqrt_exact(B.from_rational(-1)) is None
     with pytest.raises(ValueError):
-        sqrt_biquad(B.zero())
-    with pytest.raises(ValueError):
-        sqrt_biquad(OcticField(7, 19, 3).one())
+        sqrt_exact(B.zero())
     with pytest.raises(ValueError):
         sqrt_octic(B.one())
 
@@ -173,10 +129,10 @@ def test_sqrt_roundtrip_biquad():
         if g.is_zero():
             continue
         sq = g * g
-        root = sqrt_biquad(sq)
+        root = sqrt_exact(sq)
         assert root is not None and root * root == sq
         assert root in (g, -g)
-        assert embed_real(root) > 0
+        assert oracles.real_sign(root) == 1
         done += 1
 
 
@@ -189,7 +145,7 @@ def test_sqrt_roundtrip_octic():
         root = sqrt_octic(sq)
         assert root is not None and root * root == sq
         assert root in (g, -g)
-        assert embed_real(root) > 0
+        assert oracles.real_sign(root) == 1
 
 
 def test_theta_factors_and_square_identity():
@@ -203,7 +159,7 @@ def test_theta_factors_and_square_identity():
         for d in (p * q, 2 * p * q, p * s, 2 * p * s):
             prod = prod * O.from_quad_unit(fundamental_pell(d))
         assert th * th == prod
-        assert embed_real(th) > 0
+        assert oracles.real_sign(th) == 1
         assert sqrt_octic(-th) is None
 
 
@@ -230,7 +186,7 @@ def test_biquad_unit_index(b):
         for j in range(3):
             if mask >> j & 1:
                 cand = cand * units[j]
-        if sqrt_biquad(cand) is not None:
+        if sqrt_exact(cand) is not None:
             hits.append(tuple(mask >> j & 1 for j in range(3)))
     assert hits == [(0, 1, 1)]
 
@@ -305,7 +261,7 @@ def test_sqrt_exact_by_property(tower):
             continue
         root = sqrt_exact(g * g)
         assert root in (g, -g)
-        assert embed_real(root) > 0
+        assert oracles.real_sign(root) == 1
         assert sqrt_exact(-(g * g)) is None
 
 
@@ -378,8 +334,8 @@ def test_sqrt_exact_sign_of_tiny_values():
         g = conj * h
         root = sqrt_exact(g * g)
         assert root in (g, -g)
-        assert embed_real(root, precision_bits=64) > 0
-        assert (root == g) == (embed_real(g, precision_bits=64) > 0)
+        assert oracles.real_sign(root) == 1
+        assert (root == g) == (oracles.real_sign(g) == 1)
 
 
 def test_tower_table_matches_trial_division():

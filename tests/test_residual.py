@@ -187,10 +187,7 @@ def test_place_invariance_and_local_dichotomy():
 def test_decide_mu_hilbert_agrees_with_delta():
     for triple in [(7, 19, 3), (7, 11, 43), (7, 3, 59)]:
         cert = delta(*triple, with_fsu=False)
-        mu, vector, b = decide_mu_hilbert(*triple, cert.place)
-        assert mu == cert.mu
-        assert vector == ((0, 0) if cert.delta == 0 else (1, 0))
-        assert b == cert.place.t  # the uniformizer detects eps_pq
+        assert decide_mu_hilbert(*triple, cert.place) == cert.mu
 
 
 def test_decide_mu_hilbert_rejects_invalid_place():
