@@ -178,11 +178,19 @@ def cmd_sqrt(args) -> int:
 def cmd_separate(args) -> int:
     with open(args.input) as fh:
         payload = json.load(fh)
-    field = OcticField(int(payload["p"]), int(payload["q"]), int(payload["s"]))
-    candidates = [
-        field.element([Fraction(c) for c in coords]) for coords in payload["candidates"]
-    ]
-    bound = int(payload.get("bound", args.prime_bound))
+    try:
+        field = OcticField(int(payload["p"]), int(payload["q"]), int(payload["s"]))
+        candidates = [
+            field.element([Fraction(c) for c in coords]) for coords in payload["candidates"]
+        ]
+        bound = int(payload.get("bound", args.prime_bound))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{args.input}: a family file is a JSON object with integers p, q, s, a list "
+            f'of coordinate lists "candidates" and an optional "bound" ({exc!r})'
+        ) from exc
+    if bound <= 0:
+        raise ValueError("bounds must be positive")
     cert: SeparationCertificate = separate_candidates(candidates, bound=bound)
     out = cert.to_json_dict()
     if args.json:

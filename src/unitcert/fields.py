@@ -4,11 +4,14 @@ Covers the biquadratic fields Q(sqrt a, sqrt b) and the octic field
 Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, exact square roots by
 relative-norm descent through the tower of index-2 subfields, closed-form
 roots of products of Pell units of norm +1 (sqrt(2*eps) = sqrt(x + 1) +
-sqrt(x - 1)), the normalized generator product Theta from two such roots, and
-the biquadratic unit-index square test. The descent is the general root; a
-root of a unit product never needs it. Signs at the distinguished (all
-positive) real embedding are decided exactly, by the descent's own recursion,
-so nothing here approximates a real number.
+sqrt(x - 1)), the normalized generator product Theta from two such roots, the
+closed-form root of a product of two factors of relative norm +-1 to
+Q(sqrt2) ((x + 1)^2 = x*(Tr x + 2), which gives xi, the root of mu*Theta),
+and the biquadratic unit-index square test. The descent is the general root,
+for `unitcert sqrt`, the unit index and `separate_candidates`; no root that
+`delta` takes needs it. Signs at the distinguished (all positive) real
+embedding are decided exactly, by the descent's own recursion, so nothing
+here approximates a real number.
 
 Elements keep `Fraction` coordinates, but products and square roots run on
 integer coordinate lists: each operand's denominators are cleared once (an
@@ -469,6 +472,96 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     return root
 
 
+# -- closed-form root of a product of two relative-norm-one factors ---------
+
+
+def _norm_one_part(x: TowerElement) -> tuple[list[int], int, int, int]:
+    """(v, D, e, N) with x = v/D, N the relative norm of x to Q(sqrt2), which
+    must be +-1, and e = 1, or -1 when x = -1, so that x + e is not zero."""
+    v, den = _integral(x.coords)
+    n = _rel_norm(v, x.tower._table)
+    if n[1] or abs(n[0]) != den * den:
+        raise ValueError(f"a factor in {x.tower!r} has relative norm to Q(sqrt2) other than +-1")
+    e = -1 if v == [-den] + [0] * (len(v) - 1) else 1
+    return v, den, e, n[0] // (den * den)
+
+
+def _divides_both_odd(z: list[int], ell: int) -> bool:
+    """Whether the largest power of ell dividing every coordinate of z is odd."""
+    odd = False
+    while all(c % ell == 0 for c in z):
+        z = [c // ell for c in z]
+        odd = not odd
+    return odd
+
+
+def _lift_list(octic: OcticField, x: TowerElement, v: list[int]) -> list[int]:
+    """The integer list v, in the basis of x's tower, in the octic basis."""
+    out = [0] * octic.degree
+    for m, c in zip(x.tower.radicands, v):
+        out[octic._index[m]] = c
+    return out
+
+
+def sqrt_norm_one_product(
+    octic: OcticField, a: TowerElement, b: TowerElement
+) -> TowerElement | None:
+    """Square root of a*b in the octic field, for a in K1 = Q(sqrt2, sqrt pq)
+    and b in K2 = Q(sqrt2, sqrt ps), each of relative norm +-1 to Q(sqrt2);
+    positive at the distinguished embedding, or None when a*b is no square.
+
+    For x of relative norm 1, (x + e)^2 = x*(Tr x + 2e) = 2x*L with e = +-1,
+    Tr the trace to Q(sqrt2) and L the Q(sqrt2)-part of x + e. So
+    a*b = ((a + e)(b + e'))^2 / (4W) with W = L_a*L_b in Q(sqrt2), and by
+    Kummer theory W is a square in the octic field exactly when W*r is a
+    square in Q(sqrt2) for one r in {1, pq, ps, qs}. Then w = sqrt(W*r) is a
+    degree-2 root and xi = (a + e)(b + e')*sqrt(r)/(2w). A factor of relative
+    norm -1 leaves no root: the norm of a*b down to K2 would be -b^2. The sign
+    comes from those of a + e, b + e' and w, and the root is checked by exact
+    squaring, on integer lists.
+    """
+    p, q, s = octic.p, octic.q, octic.s
+    if a.tower.generators != (2, p * q) or b.tower.generators != (2, p * s):
+        raise ValueError(f"need factors in Q(sqrt2, sqrt{p * q}) and Q(sqrt2, sqrt{p * s})")
+    (va, da, ea, na), (vb, db, eb, nb) = _norm_one_part(a), _norm_one_part(b)
+    if na < 0 or nb < 0:
+        return None
+    table = octic._table
+    ca = [va[0] + ea * da] + va[1:]  # (a + e)*da, whose Q(sqrt2)-part is L_a*da
+    cb = [vb[0] + eb * db] + vb[1:]
+    z = [c * da * db for c in _mul(ca[:2], cb[:2], table)]  # W*(da*db)^2
+    classes = [1, q * s, p * q, p * s]
+    for ell in (p, q, s):
+        if ell % 8 in (3, 5):
+            # ell is inert in Q(sqrt2): its valuation on z is the least over the
+            # coordinates, and r*z is a square only if ell | r when that is odd
+            odd = _divides_both_odd(z, ell)
+            classes = [r for r in classes if (r % ell == 0) == odd]
+    for r in classes:
+        w = _sqrt([r * c for c in z], table)
+        if w is not None:
+            break
+    else:
+        return None
+    # w = sqrt(W*r)*da*db = (w0 + w1*sqrt2)/wd, so xi = ca*cb*sqrt(r)/(2w)
+    # with 1/w = wd*(w0 - w1*sqrt2)/(w0^2 - 2*w1^2)
+    (w0, w1), wd = w
+    sign = _sign(ca, a.tower._table) * _sign(cb, b.tower._table) * _sign([w0, w1], table)
+    e_r = [0] * octic.degree
+    e_r[octic._index[r]] = sign * wd
+    w_bar = [w0, -w1] + [0] * (octic.degree - 2)
+    num = _mul(_mul(_lift_list(octic, a, ca), w_bar, table), _lift_list(octic, b, cb), table)
+    num = _mul(num, e_r, table)
+    xv, xd = _reduced(num, 2 * (w0 * w0 - 2 * w1 * w1))
+    # xi^2 = a*b, that is xv^2 * da*db = va*vb * xd^2
+    square = _mul(xv, xv, table)
+    product = _mul(_lift_list(octic, a, va), _lift_list(octic, b, vb), table)
+    dd, xd2 = da * db, xd * xd
+    if any(x * dd != y * xd2 for x, y in zip(square, product)):
+        raise ArithmeticError("the closed-form root does not square back")
+    return TowerElement(octic, tuple(Fraction(c, xd) for c in xv))
+
+
 # -- Theta and the biquadratic unit index ---------------------------------
 
 
@@ -501,15 +594,11 @@ def theta(
     q: int,
     s: int,
     cache: dict[int, QuadUnit] | None = None,
-    octic: OcticField | None = None,
 ) -> TowerElement:
     """The normalized product Theta = sqrt(eps_pq eps_2pq) * sqrt(eps_ps eps_2ps)
-    as an exact octic element, positive at the distinguished embedding. A
-    caller that has built the octic field of (p, q, s), and so validated the
-    triple, passes it in."""
+    as an exact octic element, positive at the distinguished embedding."""
     f1, f2 = theta_factors(p, q, s, cache)
-    if octic is None:
-        octic = OcticField(p, q, s)
+    octic = OcticField(p, q, s)
     return octic.lift(f1) * octic.lift(f2)
 
 

@@ -5,8 +5,9 @@ searches for a split prime with a valid place, decides the residual bit delta
 by one Legendre symbol, and emits the complete rank-7 unit system together
 with a fully auditable certificate. The optional oracle confirms the bit with
 one exact square root, xi of mu*Theta, and a local proof at the certificate's
-place that the other candidate is no square; six of the seven unit
-generators come from closed forms, and only xi needs the descent.
+place that the other candidate is no square. All seven unit generators, xi
+included, come from closed forms checked by exact squaring, so no
+relative-norm descent runs here.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .fields import (
     OcticField,
     TowerElement,
     _check_triple,
-    sqrt_octic,
+    sqrt_norm_one_product,
+    sqrt_octic,  # no longer called here; bench/tracer.py hooks this name as the oracle layer
     sqrt_unit_product,
     theta,
+    theta_factors,
 )
 from .pell import QuadUnit, fundamental_pell
 
@@ -459,9 +462,10 @@ def delta(
     The cross-check recomputes the decision globally: mu*Theta must have an
     exact root xi. The other candidate is then eps_pq^(+-1)*xi^2, a square
     only if eps_pq is one, and eps_pq is a nonresidue at the certificate's
-    place by Euler's criterion, recomputed from its coordinates. xi is the
-    one relative-norm descent of a call, made for the oracle or the FSU; the
-    other FSU roots have closed forms. The triple is validated once, by
+    place by Euler's criterion, recomputed from its coordinates. xi, for the
+    oracle or the FSU, is the closed-form root of (mu*f1)*f2, f1 and f2
+    Theta's two biquadratic factors, checked by exact squaring; like the
+    other FSU roots it takes no descent. The triple is validated once, by
     building its octic field.
     """
     octic = OcticField(p, q, s)
@@ -479,7 +483,8 @@ def delta(
 
     if cache is None:
         cache = {}  # each of the seven Pell units once per call
-    theta_elem = theta(p, q, s, cache, octic)
+    f1, f2 = theta_factors(p, q, s, cache)
+    theta_elem = octic.lift(f1) * octic.lift(f2)
     eps_pq = fundamental_pell(p * q, cache)
 
     chosen = next(
@@ -494,7 +499,9 @@ def delta(
 
     xi = None
     if oracle_on or with_fsu:
-        xi = sqrt_octic(theta_elem if bit == 0 else octic.from_quad_unit(eps_pq) * theta_elem)
+        # mu*Theta = (mu*f1)*f2, both factors of relative norm +-1 to Q(sqrt2)
+        mu_f1 = f1 if bit == 0 else f1.tower.from_quad_unit(eps_pq) * f1
+        xi = sqrt_norm_one_product(octic, mu_f1, f2)
     if oracle_on:
         if xi is None:
             raise OracleDisagreement(

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import pytest
+from test_scan import _count_calls
 
-from unitcert import cli, pell, residual
+from unitcert import cli, fields, pell
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -169,6 +171,26 @@ def test_separate_pair_file(tmp_path):
     assert doc["functionals"][0]["t"] == "41"
 
 
+FAMILY = json.loads((DATA / "separate_7_19_3.json").read_text())
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({**FAMILY, "bound": 0}, "bounds must be positive"),
+    ({**FAMILY, "bound": -41}, "bounds must be positive"),
+    ({"q": 19, "s": 3, "candidates": []}, "a family file is a JSON object"),
+    ({"p": 7, "q": 19, "s": 3}, "a family file is a JSON object"),
+    ([1, 2], "a family file is a JSON object"),
+    ({**FAMILY, "candidates": 5}, "a family file is a JSON object"),
+], ids=["bound-0", "bound-negative", "no-p", "no-candidates", "array", "candidates-int"])
+def test_separate_rejects_a_malformed_family_file(tmp_path, payload, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(payload))
+    r = run_cli("separate", str(path))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_verify_paper_text_and_exit():
     r = run_cli("verify-paper")
     assert r.returncode == 0
@@ -234,11 +256,10 @@ def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch):
 
 def test_delta_places_all_builds_theta_once(monkeypatch):
     built = []
-    build = residual.theta
-    monkeypatch.setattr(residual, "theta", lambda *args: built.append(args[:3]) or build(*args))
+    _count_calls(monkeypatch, fields.theta_factors, built)
     code, out = _main_in_process(monkeypatch, ["delta", "7", "11", "43", "--places", "all", "--json"])
     assert code == 0 and json.loads(out)["all_places"]
-    assert built == [(7, 11, 43)]
+    assert [args[:3] for args in built] == [(7, 11, 43)]
 
 
 # sha256 of the standard output of ten commands. Answers and certificates are
@@ -277,3 +298,19 @@ def test_stdout_matches_pinned_sha256(monkeypatch, argv):
     code, out = _main_in_process(monkeypatch, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+# sha256 of the concatenated standard output of `delta p q s --json` over the
+# 986 in-pattern triples below 400, in lexicographic order.
+CORPUS_DELTA_JSON = "37a8fd70902c5a47b58335a596feb0588af930f3d51fbdd36bbd70dd400ffcb1"
+
+
+def test_delta_json_over_the_corpus_matches_pinned_sha256(monkeypatch):
+    triples = oracles.in_pattern_triples(400)
+    assert len(triples) == 986
+    digest = hashlib.sha256()
+    for triple in triples:
+        code, out = _main_in_process(monkeypatch, ["delta", *map(str, triple), "--json"])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == CORPUS_DELTA_JSON

@@ -442,3 +442,72 @@ def test_closed_form_half_integer_root_and_refusals():
         assert fields.sqrt_unit_product(tower, units) is None
         assert _descent_root(tower, units) is None
 
+
+
+# -- the closed-form root of mu*Theta -----------------------------------------
+
+
+@pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], LADDER_RUNGS],
+                         ids=["every-9th-corpus-triple", "ladder-rungs"])
+def test_norm_one_product_root_matches_the_descent(triples):
+    for p, q, s in triples:
+        f1, f2 = theta_factors(p, q, s)
+        octic = OcticField(p, q, s)
+        th = octic.lift(f1) * octic.lift(f2)
+        eps_pq = fundamental_pell(p * q)
+        candidates = [
+            (f1, th),
+            (f1.tower.from_quad_unit(eps_pq) * f1, octic.from_quad_unit(eps_pq) * th),
+        ]
+        roots = []
+        for a, product in candidates:
+            root = fields.sqrt_norm_one_product(octic, a, f2)
+            assert root == sqrt_exact(product)
+            roots.append(root)
+        # exactly one of Theta and eps_pq*Theta is a square, and its root is positive
+        root = next(r for r in roots if r is not None)
+        assert roots.count(None) == 1 and oracles.real_sign(root) == 1
+
+
+def test_norm_one_product_refusals_and_edge_factors():
+    # eps_65 has norm -1, so its relative norm from Q(sqrt2, sqrt65) is -1
+    octic = OcticField(5, 13, 3)
+    K1, K2 = BiquadField(2, 65), BiquadField(2, 15)
+    eps_65 = K1.from_quad_unit(fundamental_pell(65))
+    assert fundamental_pell(65).norm == -1
+    assert fields.sqrt_norm_one_product(octic, eps_65, K2.one()) is None
+    assert fields.sqrt_norm_one_product(octic, K1.one(), K2.one() * -1) is None
+    assert sqrt_exact(octic.lift(eps_65)) is None
+    # a factor outside K1 or K2, or of relative norm other than +-1
+    eps_15 = K2.from_quad_unit(fundamental_pell(15))
+    for a, b in [(K2.one(), K2.one()), (K1.one(), K1.one()), (BiquadField(2, 39).one(), K2.one()),
+                 (K1.from_rational(2), K2.one()), (K1.one(), eps_15 * 3)]:
+        with pytest.raises(ValueError, match="Q\\(sqrt2"):
+            fields.sqrt_norm_one_product(octic, a, b)
+    # x = -1 is shifted by -1: (-1)*(-1) has the root 1, and -1 has none
+    assert fields.sqrt_norm_one_product(octic, K1.one() * -1, K2.one() * -1) == octic.one()
+    assert fields.sqrt_norm_one_product(octic, K1.one() * -1, K2.one()) is None
+    # roots of plain unit products are positive and agree with the descent
+    for a, b in [(eps_65 * eps_65, eps_15 * eps_15), (K1.one(), eps_15 * eps_15)]:
+        root = fields.sqrt_norm_one_product(octic, a, b)
+        assert root == sqrt_exact(octic.lift(a) * octic.lift(b))
+        assert root is not None and oracles.real_sign(root) == 1
+    # a + 1 < 0 < b + 1, so (a + 1)(b + 1) is negative and the root's sign is flipped
+    inv_15 = K2.element([4, 0, -1, 0])  # 1/eps_15 = 4 - sqrt15
+    root = fields.sqrt_norm_one_product(octic, -(eps_65 * eps_65), -(inv_15 * inv_15))
+    assert root == octic.lift(eps_65) * octic.lift(inv_15) and oracles.real_sign(root) == 1
+
+
+def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
+    f1, f2 = theta_factors(7, 19, 3)
+    octic = OcticField(7, 19, 3)
+    assert fields.sqrt_norm_one_product(octic, f1, f2) is not None
+    root_of = fields._sqrt
+
+    def doubled(z, table):
+        root = root_of(z, table)
+        return root if root is None or len(z) != 2 else ([2 * c for c in root[0]], root[1])
+
+    monkeypatch.setattr(fields, "_sqrt", doubled)
+    with pytest.raises(ArithmeticError, match="does not square back"):
+        fields.sqrt_norm_one_product(octic, f1, f2)

@@ -309,21 +309,24 @@ def test_survey_and_hilbert_walk_each_pell_continued_fraction_once(monkeypatch):
     assert sorted(walked) == theta_units
 
 
-def test_delta_runs_one_descent_with_the_oracle_or_the_fsu(monkeypatch):
-    roots = []
+def test_delta_runs_no_descent_with_the_oracle_or_the_fsu(monkeypatch):
+    roots, closed = [], []
     _count_calls(monkeypatch, unitcert.fields.sqrt_exact, roots)
-    for triple, options, descents in [
+    _count_calls(monkeypatch, unitcert.fields.sqrt_norm_one_product, closed)
+    for triple, options, xis in [
         ((7, 19, 3), {"oracle": True}, 1),
         ((1031, 1019, 1171), {}, 1),
         ((7, 19, 3), {"with_fsu": False}, 0),
     ]:
         roots.clear()
+        closed.clear()
         cert = delta(*triple, **options)
-        assert len(roots) == descents
-        if descents:
-            # the descent is xi's, whose square is mu*Theta
-            xi = cert.fsu[6].element if cert.fsu else None
-            assert xi is None or roots[0][0] == xi * xi
+        assert roots == [] and len(closed) == xis
+        if cert.fsu:
+            # xi comes from the closed form, and its square is mu*Theta
+            octic = OcticField(*triple)
+            mu = octic.from_quad_unit(fundamental_pell(triple[0] * triple[1])) if cert.delta else 1
+            assert cert.fsu[6].element * cert.fsu[6].element == cert.theta * mu
 
 
 def test_delta_validates_the_triple_once(monkeypatch):
