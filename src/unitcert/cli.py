@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from fractions import Fraction
 
 from . import golden
 from .certify import SeparationCertificate, separate_candidates
@@ -155,14 +155,9 @@ def _parse_field(spec: str):
     raise ValueError(f"field spec must be 'biquad:a,b' or 'octic:p,q,s', got {spec!r}")
 
 
-def _parse_element(field, text: str):
-    coords = [Fraction(v.strip()) for v in text.split(",")]
-    return field.element(coords)
-
-
 def cmd_sqrt(args) -> int:
     field = _parse_field(args.field)
-    element = _parse_element(field, args.element)
+    element = field.element(args.element.split(","))
     root = sqrt_exact(element)
     if args.json:
         sys.stdout.write(_dump({
@@ -175,19 +170,32 @@ def cmd_sqrt(args) -> int:
     return EXIT_OK
 
 
+def _family_value(value, fraction_string: bool = False):
+    """A JSON integer or, for a coordinate, a string "n" or "n/d". A float such
+    as 0.1 would be read as its binary value and true as 1, so both are refused."""
+    if type(value) is int or (
+        fraction_string and isinstance(value, str) and re.fullmatch(r"[+-]?\d+(/\d+)?", value)
+    ):
+        return value
+    kinds = 'a JSON integer or a string "n" or "n/d"' if fraction_string else "a JSON integer"
+    raise TypeError(f"{value!r} is not {kinds}")
+
+
 def cmd_separate(args) -> int:
     with open(args.input) as fh:
         payload = json.load(fh)
     try:
-        field = OcticField(int(payload["p"]), int(payload["q"]), int(payload["s"]))
+        field = OcticField(*(_family_value(payload[name]) for name in ("p", "q", "s")))
         candidates = [
-            field.element([Fraction(c) for c in coords]) for coords in payload["candidates"]
+            field.element([_family_value(c, fraction_string=True) for c in coords])
+            for coords in payload["candidates"]
         ]
-        bound = int(payload.get("bound", args.prime_bound))
-    except (KeyError, TypeError) as exc:
+        bound = _family_value(payload.get("bound", args.prime_bound))
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(
             f"{args.input}: a family file is a JSON object with integers p, q, s, a list "
-            f'of coordinate lists "candidates" and an optional "bound" ({exc!r})'
+            f'of coordinate lists "candidates" (integers or strings "n" or "n/d") and an '
+            f'optional integer "bound" ({exc!r})'
         ) from exc
     if bound <= 0:
         raise ValueError("bounds must be positive")

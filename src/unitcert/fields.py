@@ -13,16 +13,17 @@ for `unitcert sqrt`, the unit index and `separate_candidates`; no root that
 embedding are decided exactly, by the descent's own recursion, so nothing
 here approximates a real number.
 
-Elements keep `Fraction` coordinates, but products and square roots run on
-integer coordinate lists: each operand's denominators are cleared once (an
-lcm), the integer kernel `_mul` multiplies through the basis table, and each
-output `Fraction` is built once.
+An element has one format, the integer kernel's: integer numerators over one
+positive denominator, with their common content removed, so equal values
+are equal tuples. Sums, products (through the basis table, by `_mul`) and
+square roots all run on that format; `Tower.element` reads rational
+coordinates in and `TowerElement.coords` reads them out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .arith import is_prime
 from .errors import NotASquareInBiquad
@@ -69,47 +70,58 @@ class Tower:
     # -- elements ---------------------------------------------------------
 
     def element(self, coords) -> TowerElement:
-        cs = tuple(Fraction(c) for c in coords)
+        """The element with coordinates that `Fraction` reads (ints, strings)."""
+        cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        return TowerElement(self, cs)
+        den = lcm(*(c.denominator for c in cs))
+        return TowerElement(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def zero(self) -> TowerElement:
-        return self.element([0] * self.degree)
+        return TowerElement(self, [0] * self.degree)
 
     def one(self) -> TowerElement:
         return self.from_rational(1)
 
     def from_rational(self, c) -> TowerElement:
-        coords = [Fraction(c)] + [Fraction(0)] * (self.degree - 1)
-        return self.element(coords)
+        """The rational c, an int or a `Fraction`, in this tower."""
+        return TowerElement(self, [c.numerator] + [0] * (self.degree - 1), c.denominator)
 
     def from_quad_unit(self, u: QuadUnit) -> TowerElement:
         if u.d not in self._index:
             raise ValueError(f"sqrt({u.d}) does not lie in {self!r}")
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(u.x)
-        coords[self._index[u.d]] = Fraction(u.y)
-        return TowerElement(self, tuple(coords))
+        num = [0] * self.degree
+        num[0], num[self._index[u.d]] = u.x, u.y
+        return TowerElement(self, num)
 
     def lift(self, x: TowerElement) -> TowerElement:
         """Embed an element of a subtower whose radicands all occur here."""
-        coords = [Fraction(0)] * self.degree
-        for m, c in zip(x.tower.radicands, x.coords):
+        return TowerElement(self, self._lifted(x.tower, x.num), x.den)
+
+    def _lifted(self, sub: Tower, v) -> list[int]:
+        """The integer list v, in the basis of the subtower `sub`, in this one."""
+        out = [0] * self.degree
+        for m, c in zip(sub.radicands, v):
             if m not in self._index:
                 raise ValueError(f"sqrt({m}) does not lie in {self!r}")
-            coords[self._index[m]] = c
-        return TowerElement(self, tuple(coords))
+            out[self._index[m]] = c
+        return out
 
 
 class TowerElement:
-    """Element of a Tower with exact rational coordinates."""
+    """Element of a Tower: integer numerators `num` over one positive
+    denominator `den`, with no content common to all of them, so that equal
+    values have equal (num, den). `coords` reads the rational coordinates."""
 
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "num", "den")
 
-    def __init__(self, tower: Tower, coords: tuple[Fraction, ...]):
-        self.tower = tower
-        self.coords = coords
+    def __init__(self, tower: Tower, num, den: int = 1):
+        v, self.den = _reduced(num, den)
+        self.tower, self.num = tower, tuple(v)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __repr__(self) -> str:
         return f"<{self.to_text()} in {self.tower!r}>"
@@ -118,14 +130,15 @@ class TowerElement:
         return (
             isinstance(other, TowerElement)
             and self.tower == other.tower
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.tower, self.coords))
+        return hash((self.tower, self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def _coerce(self, other) -> TowerElement | None:
         if isinstance(other, TowerElement):
@@ -136,35 +149,32 @@ class TowerElement:
             return self.tower.from_rational(other)
         return None
 
-    def __add__(self, other) -> TowerElement:
+    def _plus(self, other, sign: int) -> TowerElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TowerElement(self.tower, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        return TowerElement(
+            self.tower, [a * db + sign * b * da for a, b in zip(self.num, o.num)], da * db
+        )
+
+    def __add__(self, other) -> TowerElement:
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> TowerElement:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TowerElement(self.tower, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._plus(other, -1)
 
     def __neg__(self) -> TowerElement:
-        return TowerElement(self.tower, tuple(-c for c in self.coords))
+        return TowerElement(self.tower, [-c for c in self.num], self.den)
 
     def __mul__(self, other) -> TowerElement:
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return TowerElement(self.tower, tuple(c * f for c in self.coords))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, da = _integral(self.coords)
-        b, db = (a, da) if o is self else _integral(o.coords)
-        den = da * db
-        prod = _mul(a, b, self.tower._table)
-        return TowerElement(self.tower, tuple(Fraction(c, den) for c in prod))
+        # x*x passes one tuple twice, which `_mul` squares
+        return TowerElement(self.tower, _mul(self.num, o.num, self.tower._table), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -204,24 +214,17 @@ class OcticField(Tower):
 
 # -- integer kernel and exact square roots --------------------------------
 #
-# The helpers below work on integer coordinate lists: an element with
-# rational coordinates is carried as an integer list v and a positive
-# denominator D, standing for v/D. The first half of a tower's basis spans the
-# subtower over all generators but the last, and the basis table maps that
-# half into itself; so a list of length 2^l is an element of the subtower over
-# the first l generators, multiplied with the full table. Write it as x + w,
-# x the lower half and w the upper half, both in the tower's own basis, and
-# let b be the l-th generator, so that w = y*sqrt(b) for some y in the lower
-# half. The conjugate over the next subtower down flips the sign of w;
-# through the table, w^2 lands in the lower half and a lower-half element
-# times w in the upper half; the relative norm is x^2 - w^2. Every step below
-# recurses on halves.
-
-
-def _integral(coords) -> tuple[list[int], int]:
-    """(v, D) with coords = v/D, D the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
+# The helpers below work on integer coordinate lists, such as an element's
+# numerators. The first half of a tower's basis spans the subtower over all
+# generators but the last, and the basis table maps that half into itself;
+# so a list of length 2^l is an element of the subtower over the first l
+# generators, multiplied with the full table. Write it as x + w, x the lower
+# half and w the upper half, both in the tower's own basis, and let b be the
+# l-th generator, so that w = y*sqrt(b) for some y in the lower half. The
+# conjugate over the next subtower down flips the sign of w; through the
+# table, w^2 lands in the lower half and a lower-half element times w in the
+# upper half; the relative norm is x^2 - w^2. Every step below recurses on
+# halves.
 
 
 def _mul(a: list[int], b: list[int], table) -> list[int]:
@@ -370,15 +373,15 @@ def sqrt_exact(alpha: TowerElement) -> TowerElement | None:
     if alpha.is_zero():
         raise ValueError("square root of the zero element")
     tower = alpha.tower
-    v, den = _integral(alpha.coords)
+    den = alpha.den
     # sqrt(v/den) = sqrt(v*den)/den
-    root = _sqrt([c * den for c in v], tower._table)
+    root = _sqrt([c * den for c in alpha.num], tower._table)
     if root is None:
         return None
     rv, rd = root
     if _sign(rv, tower._table) < 0:
         rv = [-c for c in rv]
-    root = TowerElement(tower, tuple(Fraction(c, rd * den) for c in rv))
+    root = TowerElement(tower, rv, rd * den)
     if root * root != alpha:
         raise ArithmeticError("the descent root does not square back")
     return root
@@ -452,22 +455,18 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     keeps the other unit's, so then the product is no square. The root is
     checked by exact squaring.
     """
-    product = tower.from_quad_unit(units[0])
-    for u in units[1:]:
-        product = product * tower.from_quad_unit(u)
     if any(u.norm != 1 for u in units):
         return None
     terms = {1: 1}
     for u in units:
         terms = _times_radicals(_times_radicals(terms, _half_root(u)), ((1, 2),))
-    coords = [Fraction(0)] * tower.degree
-    den = 2 ** len(units)
+    num = [0] * tower.degree
     for r, c in terms.items():
         if r not in tower._index:
             return None
-        coords[tower._index[r]] = Fraction(c, den)
-    root = TowerElement(tower, tuple(coords))
-    if root * root != product:
+        num[tower._index[r]] = c
+    root = TowerElement(tower, num, 2 ** len(units))
+    if root * root != prod((tower.from_quad_unit(u) for u in units), start=tower.one()):
         raise ArithmeticError("the closed-form root does not square back")
     return root
 
@@ -478,7 +477,7 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
 def _norm_one_part(x: TowerElement) -> tuple[list[int], int, int, int]:
     """(v, D, e, N) with x = v/D, N the relative norm of x to Q(sqrt2), which
     must be +-1, and e = 1, or -1 when x = -1, so that x + e is not zero."""
-    v, den = _integral(x.coords)
+    v, den = list(x.num), x.den
     n = _rel_norm(v, x.tower._table)
     if n[1] or abs(n[0]) != den * den:
         raise ValueError(f"a factor in {x.tower!r} has relative norm to Q(sqrt2) other than +-1")
@@ -493,14 +492,6 @@ def _divides_both_odd(z: list[int], ell: int) -> bool:
         z = [c // ell for c in z]
         odd = not odd
     return odd
-
-
-def _lift_list(octic: OcticField, x: TowerElement, v: list[int]) -> list[int]:
-    """The integer list v, in the basis of x's tower, in the octic basis."""
-    out = [0] * octic.degree
-    for m, c in zip(x.tower.radicands, v):
-        out[octic._index[m]] = c
-    return out
 
 
 def sqrt_norm_one_product(
@@ -550,16 +541,12 @@ def sqrt_norm_one_product(
     e_r = [0] * octic.degree
     e_r[octic._index[r]] = sign * wd
     w_bar = [w0, -w1] + [0] * (octic.degree - 2)
-    num = _mul(_mul(_lift_list(octic, a, ca), w_bar, table), _lift_list(octic, b, cb), table)
+    num = _mul(_mul(octic._lifted(a.tower, ca), w_bar, table), octic._lifted(b.tower, cb), table)
     num = _mul(num, e_r, table)
-    xv, xd = _reduced(num, 2 * (w0 * w0 - 2 * w1 * w1))
-    # xi^2 = a*b, that is xv^2 * da*db = va*vb * xd^2
-    square = _mul(xv, xv, table)
-    product = _mul(_lift_list(octic, a, va), _lift_list(octic, b, vb), table)
-    dd, xd2 = da * db, xd * xd
-    if any(x * dd != y * xd2 for x, y in zip(square, product)):
+    xi = TowerElement(octic, num, 2 * (w0 * w0 - 2 * w1 * w1))
+    if xi * xi != octic.lift(a) * octic.lift(b):
         raise ArithmeticError("the closed-form root does not square back")
-    return TowerElement(octic, tuple(Fraction(c, xd) for c in xv))
+    return xi
 
 
 # -- Theta and the biquadratic unit index ---------------------------------
@@ -618,10 +605,7 @@ def biquad_unit_index(
     field = BiquadField(a, b)
     units = [field.from_quad_unit(fundamental_pell(d, cache)) for d in field.radicands[1:]]
     for exps in _INDEX_EXPONENTS:
-        candidate = field.one()
-        for u, e in zip(units, exps):
-            if e:
-                candidate = candidate * u
+        candidate = prod((u for u, e in zip(units, exps) if e), start=field.one())
         if sqrt_exact(candidate) is not None:
             return 2, exps
     return 1, None

@@ -194,25 +194,24 @@ def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
 
     An element is reduced once per prime: its residue at each of the places
     above t is then the sum of residue * place.residues[radicand], read off by
-    `residue_from`. Raises DenominatorNotInvertible when t divides the
+    `residue_from`. The element's one denominator, the lcm of its reduced
+    coordinate denominators, is inverted once; for a prime t, t divides it,
+    and DenominatorNotInvertible is raised, exactly when t divides the
     denominator of a nonzero coordinate.
     """
     if isinstance(x, QuadUnit):
         return ((1, x.x % t), (x.d, x.y % t))
     if isinstance(x, TowerElement):
-        pairs = zip(x.tower.radicands, x.coords)
+        pairs, den = zip(x.tower.radicands, x.num), x.den
     elif isinstance(x, (int, Fraction)):
-        pairs = ((1, Fraction(x)),)
+        c = Fraction(x)
+        pairs, den = ((1, c.numerator),), c.denominator
     else:
         raise TypeError(f"cannot reduce {type(x).__name__} at a place")
-    out = []
-    for m, c in pairs:
-        if c == 0:
-            continue
-        if c.denominator % t == 0:
-            raise DenominatorNotInvertible(f"denominator {c.denominator} not invertible mod {t}")
-        out.append((m, c.numerator * pow(c.denominator, -1, t) % t))
-    return tuple(out)
+    if den % t == 0:
+        raise DenominatorNotInvertible(f"denominator {den} not invertible mod {t}")
+    inv = pow(den, -1, t)
+    return tuple((m, c * inv % t) for m, c in pairs if c)
 
 
 def residue_from(reduced: tuple[tuple[int, int], ...], place: SplitPlace) -> int:
@@ -237,13 +236,22 @@ def residue_at(x, place: SplitPlace) -> int:
 @dataclass
 class Generator:
     """One member of the unit system: a symbolic name plus the exact element
-    when its square root was computed, with a flag and optional warning."""
+    when its square root was computed; `exact` and `warning` follow from
+    whether there is one."""
 
     name: str
     element: TowerElement | None
-    exact: bool
     mu: str | None = None
-    warning: str | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.element is not None
+
+    @property
+    def warning(self) -> str | None:
+        if self.exact:
+            return None
+        return "not a square in the octic field; hypothesis or convention mismatch"
 
     def to_json_dict(self) -> dict:
         d = {
@@ -404,30 +412,25 @@ def _fsu_generators(
     octic: OcticField,
     mu: str,
     xi: TowerElement | None,
+    root_pq: TowerElement,
     cache: dict[int, QuadUnit] | None,
 ) -> list[Generator]:
+    """The seven generators; sqrt(eps_pq*eps_2pq) is `root_pq`, Theta's first
+    factor lifted to the octic field, and xi is the root of mu*Theta."""
     p, q, s = octic.p, octic.q, octic.s
-    eps = {d: fundamental_pell(d, cache) for d in (2, p * q, p * s, q * s, 2 * q * s, 2 * p * q)}
-
-    def generator(name: str, root: TowerElement | None, mu_tag: str | None = None) -> Generator:
-        if root is None:
-            return Generator(
-                name, None, False, mu_tag,
-                "not a square in the octic field; hypothesis or convention mismatch",
-            )
-        return Generator(name, root, True, mu_tag)
+    eps = {d: fundamental_pell(d, cache) for d in (2, p * q, p * s, q * s, 2 * q * s)}
 
     def rooted(name: str, *ds: int) -> Generator:
-        return generator(name, sqrt_unit_product(octic, [eps[d] for d in ds]))
+        return Generator(name, sqrt_unit_product(octic, [eps[d] for d in ds]))
 
     return [
-        Generator("eps_2", octic.from_quad_unit(eps[2]), True),
-        Generator("eps_pq", octic.from_quad_unit(eps[p * q]), True),
+        Generator("eps_2", octic.from_quad_unit(eps[2])),
+        Generator("eps_pq", octic.from_quad_unit(eps[p * q])),
         rooted("sqrt(eps_pq*eps_ps)", p * q, p * s),
         rooted("sqrt(eps_pq*eps_qs)", p * q, q * s),
         rooted("sqrt(eps_2qs)", 2 * q * s),
-        rooted("sqrt(eps_pq*eps_2pq)", p * q, 2 * p * q),
-        generator("xi", xi, mu),
+        Generator("sqrt(eps_pq*eps_2pq)", root_pq),
+        Generator("xi", xi, mu),
     ]
 
 
@@ -484,7 +487,8 @@ def delta(
     if cache is None:
         cache = {}  # each of the seven Pell units once per call
     f1, f2 = theta_factors(p, q, s, cache)
-    theta_elem = octic.lift(f1) * octic.lift(f2)
+    root_pq = octic.lift(f1)
+    theta_elem = root_pq * octic.lift(f2)
     eps_pq = fundamental_pell(p * q, cache)
 
     chosen = next(
@@ -525,7 +529,7 @@ def delta(
         legendre_eps=-1,
         delta=bit,
         mu=mu,
-        fsu=_fsu_generators(octic, mu, xi, cache) if with_fsu else None,
+        fsu=_fsu_generators(octic, mu, xi, root_pq, cache) if with_fsu else None,
         oracle_checked=oracle_on,
         theta=theta_elem,
     )

@@ -181,7 +181,11 @@ FAMILY = json.loads((DATA / "separate_7_19_3.json").read_text())
     ({"p": 7, "q": 19, "s": 3}, "a family file is a JSON object"),
     ([1, 2], "a family file is a JSON object"),
     ({**FAMILY, "candidates": 5}, "a family file is a JSON object"),
-], ids=["bound-0", "bound-negative", "no-p", "no-candidates", "array", "candidates-int"])
+    ({**FAMILY, "candidates": [[0.1] + [0] * 7, ["1/10"] + ["0"] * 7]}, "0.1 is not a JSON integer"),
+    ({**FAMILY, "candidates": [[True] + [0] * 7, ["1"] + ["0"] * 7]}, "True is not a JSON integer"),
+    ({**FAMILY, "p": 7.9}, "7.9 is not a JSON integer"),
+], ids=["bound-0", "bound-negative", "no-p", "no-candidates", "array", "candidates-int",
+        "coordinate-float", "coordinate-bool", "p-float"])
 def test_separate_rejects_a_malformed_family_file(tmp_path, payload, message):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(payload))

@@ -1,6 +1,6 @@
-import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import oracles
 import pytest
@@ -282,8 +282,8 @@ def test_integer_kernel_matches_fraction_products(tower):
         assert (a * b).coords == tuple(oracles.fraction_mul(a.coords, b.coords, table))
         square = tuple(oracles.fraction_mul(a.coords, a.coords, table))
         assert (a * a).coords == square  # the squaring path
-        assert (a * copy.copy(a)).coords == square  # the general path
-        v, den = fields._integral(a.coords)
+        assert (a * tower.element(a.coords)).coords == square  # the general path
+        v, den = a.num, a.den
         scaled = [c * den * den for c in square]
         assert fields._mul(v, v, tower._table) == scaled
         assert fields._mul(v, list(v), tower._table) == scaled
@@ -511,3 +511,60 @@ def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
     monkeypatch.setattr(fields, "_sqrt", doubled)
     with pytest.raises(ArithmeticError, match="does not square back"):
         fields.sqrt_norm_one_product(octic, f1, f2)
+
+
+# -- the one element format: integer numerators over one denominator -------
+
+
+def test_one_value_has_one_representation():
+    """(3 + sqrt2)/2 built ten ways is one (num, den) and one hash."""
+    O = OcticField(7, 19, 3)
+    B = BiquadField(2, 133)
+    eps_2 = O.from_quad_unit(fundamental_pell(2))  # 1 + sqrt2
+    ways = [
+        O.element([Fraction(6, 4), Fraction(3, 6)] + [0] * 6),
+        O.element(["9/6", "7/14", "0/5"] + [0] * 5),
+        O.element([3, 1] + [0] * 6) * Fraction(1, 2),
+        Fraction(1, 2) * O.element([3, 1] + [0] * 6),
+        O.element([6, 2] + [0] * 6) * O.element([Fraction(1, 4)] + [0] * 7),
+        O.element([1, 1] + [0] * 6) + O.element([Fraction(1, 2), Fraction(-1, 2)] + [0] * 6),
+        (eps_2 + 2) * Fraction(1, 2),
+        O.lift(B.element([Fraction(3, 2), Fraction(1, 2), 0, 0])),
+        fields.TowerElement(O, [6, 2] + [0] * 6, 4),
+        fields.TowerElement(O, [-9, -3] + [0] * 6, -6),
+    ]
+    for x in ways:
+        assert x == ways[0] and hash(x) == hash(ways[0])
+        assert (x.num, x.den) == ((3, 1) + (0,) * 6, 2)
+        assert x.coords == (Fraction(3, 2), Fraction(1, 2)) + (Fraction(0),) * 6
+    assert O.from_quad_unit(fundamental_pell(2)) == O.element([1, 1] + [0] * 6)
+    assert len({*ways, O.one()}) == 2
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert x.coords == tuple(Fraction(c, x.den) for c in x.num)
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=lambda t: f"deg{t.degree}")
+def test_every_result_is_content_free_over_a_positive_denominator(tower):
+    rng = random.Random(41 + tower.degree)
+    for _ in range(30):
+        a, b = _sparse_element(tower, rng), _sparse_element(tower, rng)
+        for x in (a, b, a * b, a * a, a + b, a - b, -a, a * Fraction(-3, 7), a - a):
+            _assert_canonical(x)
+        if not a.is_zero():
+            _assert_canonical(sqrt_exact(a * a))
+    for zero in (tower.zero(), tower.element(["0/7"] * tower.degree), tower.one() * 0,
+                 fields.TowerElement(tower, [0] * tower.degree, -5)):
+        assert (zero.num, zero.den) == ((0,) * tower.degree, 1) and zero.is_zero()
+
+
+def test_closed_form_roots_are_canonical():
+    f_pq, f_ps = theta_factors(7, 19, 3)
+    octic = OcticField(7, 19, 3)
+    xi = fields.sqrt_norm_one_product(octic, f_pq, f_ps)
+    for x in (f_pq, f_ps, xi, theta(7, 19, 3)):
+        _assert_canonical(x)
+    assert xi.den == 2 and f_pq.den == 1

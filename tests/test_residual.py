@@ -1,6 +1,8 @@
 import dataclasses
+import random
 from fractions import Fraction
 
+import oracles
 import pytest
 from test_scan import _count_calls
 
@@ -121,6 +123,38 @@ def test_residue_at_denominator_collision():
     bad = O.element([Fraction(1, 41), 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(DenominatorNotInvertible):
         residue_at(bad, place)
+
+
+def test_reduce_mod_matches_the_per_coordinate_residue_at_every_place():
+    """One inverse of the element's denominator per prime gives the residue
+    of every coordinate inverted on its own, and DenominatorNotInvertible
+    comes exactly when t divides some coordinate's denominator."""
+    rng = random.Random(43)
+    O = OcticField(7, 19, 3)
+    primes = find_split_primes(7, 19, 3, 4)  # 41, 89, 167, 257
+    dens = (1, 2, 3, 41, 2 * 41, 89, 3 * 89, 41 * 167)
+    raised = 0
+    for _ in range(60):
+        x = O.element([
+            Fraction(rng.randrange(-50, 51), rng.choice(dens)) if rng.random() < 0.7 else 0
+            for _ in range(8)
+        ])
+        for t in primes:
+            places = enumerate_places(t, 7, 19, 3)
+            expected = [oracles.residue_by_place(x, place) for place in places]
+            if any(c.denominator % t == 0 for c in x.coords):
+                assert expected == [None] * 8
+                with pytest.raises(DenominatorNotInvertible, match=f"denominator {x.den} "):
+                    residual.reduce_mod(x, t)
+                raised += 1
+            else:
+                reduced = residual.reduce_mod(x, t)
+                assert [residual.residue_from(reduced, place) for place in places] == expected
+    assert raised >= 20
+    assert residual.reduce_mod(Fraction(3, 2), 41) == ((1, 3 * 21 % 41),)
+    assert residual.reduce_mod(0, 41) == () == residual.reduce_mod(O.zero(), 41)
+    with pytest.raises(DenominatorNotInvertible):
+        residual.reduce_mod(Fraction(1, 41), 41)
 
 
 def test_delta_first_triple():
@@ -327,6 +361,39 @@ def test_delta_runs_no_descent_with_the_oracle_or_the_fsu(monkeypatch):
             octic = OcticField(*triple)
             mu = octic.from_quad_unit(fundamental_pell(triple[0] * triple[1])) if cert.delta else 1
             assert cert.fsu[6].element * cert.fsu[6].element == cert.theta * mu
+
+
+def test_delta_roots_five_unit_products_with_the_fsu(monkeypatch):
+    """Theta's two factors and three FSU roots; sqrt(eps_pq*eps_2pq) is
+    Theta's first factor, lifted, and is not rooted a second time."""
+    direct = unitcert.fields.sqrt_unit_product
+    roots = []
+    _count_calls(monkeypatch, direct, roots)
+    for triple, options, count in [
+        ((7, 19, 3), {}, 5),
+        ((1031, 1019, 1171), {"oracle": True}, 5),
+        ((7, 19, 3), {"with_fsu": False}, 2),
+    ]:
+        roots.clear()
+        cert = delta(*triple, **options)
+        assert len(roots) == count
+        if cert.fsu:
+            p, q, _ = triple
+            octic = OcticField(*triple)
+            units = [fundamental_pell(p * q), fundamental_pell(2 * p * q)]
+            assert cert.fsu[5].name == "sqrt(eps_pq*eps_2pq)"
+            assert cert.fsu[5].element == direct(octic, units)
+
+
+def test_generator_exact_and_warning_follow_the_element():
+    root = OcticField(7, 19, 3).one()
+    found, missing = residual.Generator("g", root), residual.Generator("xi", None, "eps_pq")
+    assert (found.exact, found.warning) == (True, None)
+    assert missing.exact is False and "not a square" in missing.warning
+    assert list(found.to_json_dict()) == ["name", "element", "exact"]
+    assert list(missing.to_json_dict()) == ["name", "element", "exact", "mu", "warning"]
+    with pytest.raises(TypeError):
+        residual.Generator("g", None, exact=True)
 
 
 def test_delta_validates_the_triple_once(monkeypatch):
