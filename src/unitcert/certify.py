@@ -30,7 +30,7 @@ from .residual import (
 )
 
 DEFAULT_FUNCTIONAL_BOUND = 100_000
-DEFAULT_FUNCTIONAL_PRIMES = 64
+FUNCTIONAL_PRIMES = 64  # split primes the functional stream reads below the caller's bound
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,17 @@ def _field_of(elements: list[TowerElement]):
     return tower
 
 
-def _iter_functionals(tower, elements: list[TowerElement], bound: int, max_primes: int):
-    """Deterministic functional stream: ascending split primes, places in
-    `enumerate_places` order, one functional per place, each with its bits
-    on `elements`. A place where one of them has a zero or non-invertible
-    residue is left out.
+def _iter_functionals(tower, elements: list[TowerElement], bound: int):
+    """Deterministic functional stream: the first FUNCTIONAL_PRIMES split
+    primes below bound, ascending, places in `enumerate_places` order, one
+    functional per place, each with its bits on `elements`. A place where
+    one of them has a zero or non-invertible residue is left out.
 
     The elements are reduced once per prime and their residues read off at
     the eight places, as `TestFunctional.evaluate` would read them one by one.
     """
     p, q, s = tower.p, tower.q, tower.s
-    for t in islice(iter_split_primes(p, q, s, bound), max_primes):
+    for t in islice(iter_split_primes(p, q, s, bound), FUNCTIONAL_PRIMES):
         try:
             reduced = [reduce_mod(x, t) for x in elements]
         except DenominatorNotInvertible:
@@ -145,12 +145,13 @@ def certify_affine(
     u0: TowerElement,
     generators: list[TowerElement],
     bound: int = DEFAULT_FUNCTIONAL_BOUND,
-    max_primes: int = DEFAULT_FUNCTIONAL_PRIMES,
 ) -> AffineCertificate:
     """Search for functionals of full rank on the span of the generators.
 
     The returned functionals decode any class u0 * prod(g_i^e_i) from its bit
-    vector. Places where any involved element has non-unit residue are skipped.
+    vector. The search reads the places above the first FUNCTIONAL_PRIMES
+    split primes below bound. Places where any involved element has non-unit
+    residue are skipped.
     """
     r = len(generators)
     if r == 0:
@@ -161,7 +162,7 @@ def certify_affine(
     base_bits: list[int] = []
     row_masks: list[int] = []
     detected = [False] * r
-    for functional, bits in _iter_functionals(tower, [*generators, u0], bound, max_primes):
+    for functional, bits in _iter_functionals(tower, [*generators, u0], bound):
         col, base = bits[:-1], bits[-1]
         for j, bit in enumerate(col):
             if bit:
@@ -211,11 +212,11 @@ class SeparationCertificate:
 def separate_candidates(
     candidates: list[TowerElement],
     bound: int = DEFAULT_FUNCTIONAL_BOUND,
-    max_primes: int = DEFAULT_FUNCTIONAL_PRIMES,
 ) -> SeparationCertificate:
     """Separate a finite family of squareclasses by local Legendre bits.
 
-    Greedy over the deterministic functional stream, keeping a functional when
+    Greedy over the deterministic functional stream (the places above the
+    first FUNCTIONAL_PRIMES split primes below bound), keeping a functional when
     it raises the rank of the value matrix on the difference classes from the
     first candidate; stops once the candidate rows are pairwise distinct.
     Identical squareclasses are detected on exhaustion by the exact square-root
@@ -231,7 +232,7 @@ def separate_candidates(
     chosen: list[TestFunctional] = []
     rows: list[tuple[int, ...]] = [() for _ in candidates]
     row_masks: list[int] = []
-    for functional, values in _iter_functionals(tower, [*diffs, *candidates], bound, max_primes):
+    for functional, values in _iter_functionals(tower, [*diffs, *candidates], bound):
         col, bits = values[:len(diffs)], values[len(diffs):]
         mask = sum(bit << j for j, bit in enumerate(col))
         if mask == 0 or _gf2_rank(row_masks + [mask]) <= len(row_masks):

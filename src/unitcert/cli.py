@@ -89,17 +89,7 @@ def cmd_delta(args) -> int:
             cache=cache,
             theta_elem=cert.theta,
         )
-        extra = [
-            {
-                "t": str(d.place.t),
-                "signs": list(d.place.signs),
-                "valid": d.valid,
-                "eps_pq_residue": str(d.eps_residue),
-                "theta_residue": None if d.theta_residue is None else str(d.theta_residue),
-                "delta": d.delta,
-            }
-            for d in decisions
-        ]
+        extra = [d.to_json_dict() for d in decisions]
         payload["all_places"] = extra
     _close_cache(args, cache)
     if args.json:

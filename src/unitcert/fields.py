@@ -594,16 +594,12 @@ _INDEX_EXPONENTS = (
 )
 
 
-def biquad_unit_index(
-    a: int,
-    b: int,
-    cache: dict[int, QuadUnit] | None = None,
-) -> tuple[int, tuple[int, int, int] | None]:
+def biquad_unit_index(a: int, b: int) -> tuple[int, tuple[int, int, int] | None]:
     """Index of the subgroup generated by quadratic-subfield units inside the
     unit group of Q(sqrt a, sqrt b): either 1, or 2 with the exponent vector
     (e1, e2, e3) such that eps_a^e1 * eps_b^e2 * eps_ab^e3 is a square."""
     field = BiquadField(a, b)
-    units = [field.from_quad_unit(fundamental_pell(d, cache)) for d in field.radicands[1:]]
+    units = [field.from_quad_unit(fundamental_pell(d)) for d in field.radicands[1:]]
     for exps in _INDEX_EXPONENTS:
         candidate = prod((u for u, e in zip(units, exps) if e), start=field.one())
         if sqrt_exact(candidate) is not None:

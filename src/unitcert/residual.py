@@ -46,7 +46,7 @@ EPS_CONVENTION = "pell-unit-of-Z[sqrt d]"
 ALLOWED_BRANCHES = ((1, 1, 1), (-1, -1, 1))
 
 DEFAULT_PRIME_BOUND = 100_000
-DEFAULT_PRIME_COUNT = 50
+PRIME_COUNT = 50  # split primes a scan reads below the caller's bound
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,9 @@ def _branch(datum: ClassicalDatum) -> tuple[int, int, int]:
 @dataclass
 class SplitPlace:
     """A place above an odd prime t split in the octic field: an embedding of
-    the tower into F_t given by compatible residues of the three radicals."""
+    the tower into F_t given by compatible residues of the three radicals.
+    `signs` and `residues` follow from the roots: a sign is +1 where the root
+    is the canonical min(r, t - r) mod t, as `sqrt_mod` gives it, else -1."""
 
     t: int
     p: int
@@ -110,16 +112,18 @@ class SplitPlace:
     r2: int
     rpq: int
     rps: int
-    signs: tuple[int, int, int] = (1, 1, 1)
-    residues: dict[int, int] = field(default_factory=dict, repr=False)
+    signs: tuple[int, int, int] = field(init=False)
+    residues: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         t, p = self.t, self.p
         if (2 * self.p * self.q * self.s) % t == 0:
             raise ValueError(f"t = {t} divides 2pqs")
-        for r, m in ((self.r2, 2), (self.rpq, p * self.q), (self.rps, p * self.s)):
+        roots = (self.r2, self.rpq, self.rps)
+        for r, m in zip(roots, (2, p * self.q, p * self.s)):
             if r * r % t != m % t:
                 raise ValueError(f"{r}^2 is not {m} mod {t}")
+        self.signs = tuple(1 if 2 * (r % t) < t else -1 for r in roots)
         pinv = pow(p, -1, t)
         self.residues = {
             1: 1,
@@ -158,14 +162,10 @@ def find_split_primes(p: int, q: int, s: int, count: int, bound: int = DEFAULT_P
     raise SearchExhausted(f"only {len(out)} of {count} split primes below {bound}")
 
 
-_SIGN_TRIPLES = tuple(
-    (s2, spq, sps) for s2 in (1, -1) for spq in (1, -1) for sps in (1, -1)
-)
-
-
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
     """The eight places above a split prime t, ordered lexicographically by the
-    sign choices on the canonical roots, all-canonical first.
+    sign choices on the canonical roots, all-canonical first; each place
+    reads its signs off its roots.
 
     t is taken to be an odd prime, as `iter_split_primes` yields them, and is
     not proven prime again; every root is checked by `SplitPlace`."""
@@ -174,18 +174,12 @@ def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
     cps = _sqrt_mod_prime(p * s, t)
     if not c2 or not cpq or not cps:
         raise ValueError(f"{t} does not split in the octic field for ({p}, {q}, {s})")
-    places = []
-    for s2, spq, sps in _SIGN_TRIPLES:
-        places.append(
-            SplitPlace(
-                t, p, q, s,
-                c2 if s2 > 0 else t - c2,
-                cpq if spq > 0 else t - cpq,
-                cps if sps > 0 else t - cps,
-                signs=(s2, spq, sps),
-            )
-        )
-    return places
+    return [
+        SplitPlace(t, p, q, s, r2, rpq, rps)
+        for r2 in (c2, t - c2)
+        for rpq in (cpq, t - cpq)
+        for rps in (cps, t - cps)
+    ]
 
 
 def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
@@ -344,6 +338,16 @@ class PlaceDecision:
     legendre_theta: int | None = None
     delta: int | None = None
 
+    def to_json_dict(self) -> dict:
+        return {
+            "t": str(self.place.t),
+            "signs": list(self.place.signs),
+            "valid": self.valid,
+            "eps_pq_residue": str(self.eps_residue),
+            "theta_residue": None if self.theta_residue is None else str(self.theta_residue),
+            "delta": self.delta,
+        }
+
 
 def _scan_places(
     p: int,
@@ -352,22 +356,30 @@ def _scan_places(
     theta_elem: TowerElement,
     eps_pq: QuadUnit,
     prime_bound: int,
-    prime_count: int,
 ) -> Iterator[PlaceDecision]:
-    """Decisions at the places above the first prime_count split primes, in
-    ascending (t, signs) order, so the first valid one is the paper's place.
+    """Decisions at the places above the first PRIME_COUNT split primes below
+    prime_bound, in ascending (t, signs) order, so the first valid one is the
+    paper's place.
 
-    Theta is reduced once per prime, at the first valid place above it; a
-    denominator of Theta that t divides, or a zero Theta residue, ends the
-    places above t and the scan moves on to the next t. The unit eps_pq has
-    integer coordinates and no inverse to share, so `residue_at` takes its
-    residue at each place.
+    eps_pq = x + y*sqrt(pq) depends on the root of pq alone: `residue_at`
+    takes its residue r at the first place above t, and the places with the
+    other root of pq have x - y*sqrt(pq) = N(eps_pq)/r, so each prime takes
+    one reduction of eps_pq and one Legendre symbol per residue. Theta is
+    reduced once per prime, at the first valid place above it; a denominator
+    of Theta that t divides, or a zero Theta residue, ends the places above t
+    and the scan moves on to the next t.
     """
-    for t in islice(iter_split_primes(p, q, s, prime_bound), prime_count):
+    for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT):
+        places = enumerate_places(t, p, q, s)
+        r = residue_at(eps_pq, places[0])
+        flipped = eps_pq.norm * pow(r, -1, t) % t
+        eps_by_rpq = {
+            places[0].rpq: (r, jacobi(r, t)),
+            t - places[0].rpq: (flipped, jacobi(flipped, t)),
+        }
         theta_mod = None
-        for place in enumerate_places(t, p, q, s):
-            r_eps = residue_at(eps_pq, place)
-            leg_eps = jacobi(r_eps, t)
+        for place in places:
+            r_eps, leg_eps = eps_by_rpq[place.rpq]
             if leg_eps != -1:
                 yield PlaceDecision(place, r_eps, leg_eps, valid=False)
                 continue
@@ -390,14 +402,13 @@ def survey_places(
     q: int,
     s: int,
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    prime_count: int = DEFAULT_PRIME_COUNT,
     cache: dict[int, QuadUnit] | None = None,
     theta_elem: TowerElement | None = None,
 ) -> list[PlaceDecision]:
-    """Every place above the first split primes, by the scan `delta` makes:
-    the residue of eps_pq everywhere, and Theta's residue and delta at the
-    valid places. A Theta built by the caller (`Certificate.theta`) is used
-    as given."""
+    """Every place above the first PRIME_COUNT split primes below
+    prime_bound, by the scan `delta` makes: the residue of eps_pq everywhere,
+    and Theta's residue and delta at the valid places. A Theta built by the
+    caller (`Certificate.theta`) is used as given."""
     if cache is None:
         cache = {}  # each Pell unit once per call
     if theta_elem is None:
@@ -405,7 +416,7 @@ def survey_places(
     else:
         _check_triple(p, q, s)
     eps_pq = fundamental_pell(p * q, cache)
-    return list(_scan_places(p, q, s, theta_elem, eps_pq, prime_bound, prime_count))
+    return list(_scan_places(p, q, s, theta_elem, eps_pq, prime_bound))
 
 
 def _fsu_generators(
@@ -449,16 +460,16 @@ def delta(
     q: int,
     s: int,
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    prime_count: int = DEFAULT_PRIME_COUNT,
     force: bool = False,
-    oracle: bool | None = None,
+    oracle: bool = False,
     with_fsu: bool = True,
     cache: dict[int, QuadUnit] | None = None,
 ) -> Certificate:
     """Decide the residual bit delta(p, q, s) and certify it.
 
-    Iterates (split prime, place) pairs in deterministic order, selects the
-    first place where eps_pq has nonsquare residue, and reads delta off the
+    Iterates (split prime, place) pairs in deterministic order, over the
+    first PRIME_COUNT split primes below prime_bound, selects the first place
+    where eps_pq has nonsquare residue, and reads delta off the
     Legendre symbol of the Theta residue; `survey_places` makes the same scan
     through all the places. With `force` the congruence check is
     downgraded to a certificate flag and the exact cross-check is switched on.
@@ -480,9 +491,7 @@ def delta(
         if not force:
             raise
         hypotheses_verified = False
-    oracle_on = bool(oracle)
-    if not hypotheses_verified:
-        oracle_on = True
+    oracle_on = oracle or not hypotheses_verified
 
     if cache is None:
         cache = {}  # each of the seven Pell units once per call
@@ -492,12 +501,12 @@ def delta(
     eps_pq = fundamental_pell(p * q, cache)
 
     chosen = next(
-        (d for d in _scan_places(p, q, s, theta_elem, eps_pq, prime_bound, prime_count) if d.valid),
+        (d for d in _scan_places(p, q, s, theta_elem, eps_pq, prime_bound) if d.valid),
         None,
     )
     if chosen is None:
         raise SearchExhausted(
-            f"no valid place below t = {prime_bound} (first {prime_count} split primes)"
+            f"no valid place below t = {prime_bound} (first {PRIME_COUNT} split primes)"
         )
     place, bit, mu = chosen.place, chosen.delta, "1" if chosen.delta == 0 else "eps_pq"
 
@@ -535,18 +544,12 @@ def delta(
     )
 
 
-def fsu(p: int, q: int, s: int, **options) -> list[Generator]:
+def fsu(p: int, q: int, s: int) -> list[Generator]:
     """The seven-generator unit system of the octic field, exact where possible."""
-    return delta(p, q, s, with_fsu=True, **options).fsu
+    return delta(p, q, s).fsu
 
 
-def decide_mu_hilbert(
-    p: int,
-    q: int,
-    s: int,
-    place: SplitPlace,
-    cache: dict[int, QuadUnit] | None = None,
-) -> str:
+def decide_mu_hilbert(p: int, q: int, s: int, place: SplitPlace) -> str:
     """Alternate decision path through the Hilbert symbol at one place.
 
     mu = "1" exactly when (Theta, t) is trivial at the valid place above t.
@@ -555,8 +558,7 @@ def decide_mu_hilbert(
     agreement with the Legendre path is an invariant.
     """
     t = place.t
-    if cache is None:
-        cache = {}  # each Pell unit once per call
+    cache: dict[int, QuadUnit] = {}  # each Pell unit once per call
     eps_pq = fundamental_pell(p * q, cache)
     if jacobi(residue_at(eps_pq, place), t) != -1:
         raise InvalidPlace(f"eps_pq is a square at the place above {t}")
@@ -569,11 +571,12 @@ def decide_mu_hilbert(
 def noncollapse_check(
     triple1: tuple[int, int, int],
     triple2: tuple[int, int, int],
-    **options,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+    cache: dict[int, QuadUnit] | None = None,
 ) -> tuple[bool, dict]:
     """True when the classical data agree but the residual bits differ."""
-    c1 = delta(*triple1, with_fsu=False, **options)
-    c2 = delta(*triple2, with_fsu=False, **options)
+    c1 = delta(*triple1, prime_bound=prime_bound, with_fsu=False, cache=cache)
+    c2 = delta(*triple2, prime_bound=prime_bound, with_fsu=False, cache=cache)
     same_datum = c1.datum == c2.datum
     differs = c1.delta != c2.delta
     report = {

@@ -469,8 +469,7 @@ def places_by_sqrt_mod(t: int, p: int, q: int, s: int) -> list:
 
     roots = [sqrt_mod(a, t) for a in (2, p * q, p * s)]
     return [
-        SplitPlace(t, p, q, s, *(r if sg > 0 else t - r for r, sg in zip(roots, signs)),
-                   signs=signs)
+        SplitPlace(t, p, q, s, *(r if sg > 0 else t - r for r, sg in zip(roots, signs)))
         for signs in product((1, -1), repeat=3)
     ]
 

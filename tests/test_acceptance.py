@@ -144,7 +144,7 @@ def test_criterion_5_oracle_cross_validation():
 def test_criterion_6_place_invariance():
     with Budget("criterion 6 (bit is independent of the chosen place)", 30.0):
         for triple, expected in [((7, 19, 3), 0), ((7, 11, 43), 0), ((7, 3, 59), 1)]:
-            valid = [d for d in survey_places(*triple, prime_count=5) if d.valid]
+            valid = [d for d in survey_places(*triple) if d.valid]
             assert len(valid) >= 3
             assert len({d.place.t for d in valid}) >= 2
             assert {d.delta for d in valid} == {expected}

@@ -97,14 +97,14 @@ def test_certify_affine_rank_two_decodes_coset(ex1):
 def test_certify_affine_rank_deficient(ex1):
     O, th, place, units = ex1
     with pytest.raises(RankDeficient):
-        certify_affine(th, [O.one()], max_primes=4)
+        certify_affine(th, [O.one()])
 
 
 def test_certify_affine_exhaustion_on_dependent_pair(ex1):
     O, th, place, units = ex1
     same_class = units[133] * O.from_rational(4)
     with pytest.raises(SearchExhausted):
-        certify_affine(th, [units[133], same_class], max_primes=4)
+        certify_affine(th, [units[133], same_class])
 
 
 def test_separate_singleton(ex1):
@@ -133,7 +133,7 @@ def test_separate_four_distinct_rows(ex1):
 def test_separate_detects_duplicate_class(ex1):
     O, th, place, units = ex1
     with pytest.raises(Inseparable) as info:
-        separate_candidates([units[133], units[133] * O.from_rational(9)], max_primes=4)
+        separate_candidates([units[133], units[133] * O.from_rational(9)])
     assert info.value.witness == (0, 1)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -96,6 +97,28 @@ def test_enumerate_places_rejects_nonsplit_prime():
 def test_split_place_validates_roots():
     with pytest.raises(ValueError):
         SplitPlace(41, 7, 19, 3, 18, 16, 12)
+
+
+def test_split_place_reads_its_signs_off_its_roots():
+    # 24 = 41 - 17 is the other root of 2 mod 41
+    place = SplitPlace(41, 7, 19, 3, 24, 16, 12)
+    assert place.signs == (-1, 1, 1)
+    assert SplitPlace(41, 7, 19, 3, 17 + 41, 41 - 16, 12).signs == (1, -1, 1)
+    for keyword in ({"signs": (1, 1, 1)}, {"residues": {}}):
+        with pytest.raises(TypeError):
+            SplitPlace(41, 7, 19, 3, 24, 16, 12, **keyword)
+
+
+def test_every_enumerated_place_carries_its_own_signs():
+    for t, triple in [(41, (7, 19, 3)), (79, (7, 3, 59)), (23, (7, 11, 43))]:
+        places = enumerate_places(t, *triple)
+        assert [p.signs for p in places] == list(itertools.product((1, -1), repeat=3))
+        p, q, s = triple
+        canonical = [unitcert.sqrt_mod(m, t) for m in (2, p * q, p * s)]
+        for place in places:
+            roots = (place.r2, place.rpq, place.rps)
+            for r, c, sign in zip(roots, canonical, place.signs):
+                assert r == (c if sign > 0 else t - c)
 
 
 def test_residue_at_worked_values():
@@ -207,7 +230,7 @@ def test_delta_oracle_cross_check_passes():
 
 def test_place_invariance_and_local_dichotomy():
     for triple, expected in [((7, 19, 3), 0), ((7, 11, 43), 0), ((7, 3, 59), 1)]:
-        decisions = survey_places(*triple, prime_count=4)
+        decisions = survey_places(*triple)
         valid = [d for d in decisions if d.valid]
         assert len(valid) >= 3
         assert len({d.place.t for d in valid}) >= 2
@@ -279,6 +302,14 @@ def test_fsu_third_triple_xi_squares_to_eps_theta():
     O = xi.element.tower
     e21 = O.from_quad_unit(fundamental_pell(21))
     assert xi.element * xi.element == e21 * theta(7, 3, 59)
+
+
+def test_fsu_and_noncollapse_check_take_no_keyword_bag():
+    assert fsu(7, 19, 3) == delta(7, 19, 3).fsu
+    with pytest.raises(TypeError):
+        fsu(7, 19, 3, oracle=True)
+    with pytest.raises(SearchExhausted):
+        noncollapse_check((7, 19, 3), (7, 3, 59), prime_bound=30)
 
 
 def test_noncollapse_pairs():

@@ -117,6 +117,31 @@ def test_separate_candidates_matches_the_per_place_scan(every_9th_triple):
         ), triple
 
 
+@pytest.mark.parametrize("triple", [(5, 13, 17), (5, 13, 3), (13, 5, 29)])
+def test_survey_matches_the_per_place_scan_for_eps_pq_of_norm_minus_one(triple):
+    # eps_65 = 8 + sqrt(65) has norm -1, so above t = 7 (mod 8) the two roots
+    # of pq give residues r and -1/r of opposite Legendre symbols; these
+    # triples have no Theta, and a unit of their octic field stands in for it
+    p, q, s = triple
+    octic = OcticField(p, q, s)
+    eps = fundamental_pell(p * q)
+    assert eps.norm == -1
+    stand_in = octic.from_quad_unit(fundamental_pell(2)) * octic.from_quad_unit(
+        fundamental_pell(p * s)
+    )
+    rows = _rows(survey_places(p, q, s, theta_elem=stand_in))
+    assert rows == oracles.survey_by_places(p, q, s, stand_in, eps)
+    mixed = {t for t, _, valid, *_ in rows if valid} & {t for t, _, valid, *_ in rows if not valid}
+    assert mixed and all(t % 8 == 7 for t in mixed)
+    # a denominator at a mixed prime ends its places at the first valid one,
+    # so fewer than its four invalid places are listed
+    t = min(mixed)
+    with_denominator = stand_in * Fraction(1, t)
+    rows = _rows(survey_places(p, q, s, theta_elem=with_denominator))
+    assert rows == oracles.survey_by_places(p, q, s, with_denominator, eps)
+    assert sum(row[0] == t for row in rows) < 4
+
+
 @pytest.fixture(scope="module")
 def ex1():
     octic = OcticField(7, 19, 3)  # split primes 41, 89, 167, ...
@@ -167,20 +192,20 @@ def test_failures_match_the_per_place_scan(ex1):
     octic, th, units = ex1
     one, u133 = octic.one(), units[133]
     err = _same_error(
-        lambda: certify_affine(th, [one], max_primes=4),
-        lambda: oracles.certify_affine_by_places(th, [one], max_primes=4),
+        lambda: certify_affine(th, [one]),
+        lambda: oracles.certify_affine_by_places(th, [one]),
     )
     assert isinstance(err, RankDeficient)
     pair = [u133, u133 * 4]
     err = _same_error(
-        lambda: certify_affine(th, pair, max_primes=4),
-        lambda: oracles.certify_affine_by_places(th, pair, max_primes=4),
+        lambda: certify_affine(th, pair),
+        lambda: oracles.certify_affine_by_places(th, pair),
     )
     assert isinstance(err, SearchExhausted)
     same = [u133, u133 * 9]
     err = _same_error(
-        lambda: separate_candidates(same, max_primes=4),
-        lambda: oracles.separate_by_places(same, max_primes=4),
+        lambda: separate_candidates(same),
+        lambda: oracles.separate_by_places(same),
     )
     assert isinstance(err, Inseparable)
     apart = [one, u133, units[2]]
@@ -215,8 +240,10 @@ def test_survey_proves_only_the_triple_prime_and_reduces_theta_once_per_prime(mo
     per_prime = Counter(t for x, t in reductions if isinstance(x, TowerElement))
     valid_ts = {d.place.t for d in decisions if d.valid}
     assert per_prime == Counter(valid_ts)
-    # eps_pq has integer coordinates: residue_at takes it at each place
-    assert sum(isinstance(x, QuadUnit) for x, _ in reductions) == len(decisions)
+    # eps_pq depends on the root of pq alone: one reduction per scanned prime
+    eps_ts = [t for x, t in reductions if isinstance(x, QuadUnit)]
+    assert eps_ts == sorted({d.place.t for d in decisions})
+    assert len(eps_ts) == unitcert.residual.PRIME_COUNT == 50
 
 
 def test_certify_reduces_each_element_once_per_prime_and_streams_only_t(monkeypatch):
