@@ -34,7 +34,7 @@ from .fields import (
     theta,
     theta_factors,
 )
-from .pell import QuadUnit, fundamental_pell, is_squarefree, load_cache, save_cache
+from .pell import QuadUnit, fundamental_pell, is_squarefree
 from .residual import (
     Certificate,
     ClassicalDatum,
@@ -67,7 +67,7 @@ __all__ = [
     "classical_datum", "decide_mu_hilbert", "delta", "enumerate_places",
     "find_split_primes", "fsu", "fundamental_pell", "hilbert_symbol",
     "hypothesis_branch", "is_prime", "is_squarefree", "iter_split_primes",
-    "jacobi", "load_cache", "local_basis", "noncollapse_check",
-    "residue_at", "save_cache", "separate_candidates", "sqrt_exact",
+    "jacobi", "local_basis", "noncollapse_check",
+    "residue_at", "separate_candidates", "sqrt_exact",
     "sqrt_mod", "sqrt_octic", "survey_places", "theta", "theta_factors",
 ]

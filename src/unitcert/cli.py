@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -23,8 +22,8 @@ from .errors import (
     UnitCertError,
 )
 from .fields import BiquadField, OcticField, sqrt_exact
-from .pell import fundamental_pell, load_cache, save_cache
-from .residual import Certificate, classical_datum, delta, survey_places
+from .pell import fundamental_pell
+from .residual import Certificate, classical_datum, delta
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -34,17 +33,6 @@ EXIT_ORACLE = 4
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _open_cache(args) -> dict:
-    """The Pell units of one command: loaded from --cache, else an empty dict,
-    so that each unit is computed once per command either way."""
-    return load_cache(args.cache) if args.cache else {}
-
-
-def _close_cache(args, cache) -> None:
-    if args.cache:
-        save_cache(args.cache, cache)
 
 
 def _print_fsu(cert: Certificate) -> None:
@@ -78,20 +66,12 @@ def cmd_delta(args) -> int:
     """`delta` and `fsu`: one certificate, with the JSON of both; `delta`
     prints the whole certificate and may survey all places, `fsu` prints the
     unit system alone."""
-    cache = _open_cache(args)
-    cert = delta(args.p, args.q, args.s, prime_bound=args.prime_bound, force=args.force, cache=cache)
+    cert = delta(args.p, args.q, args.s, prime_bound=args.prime_bound, force=args.force)
     payload = cert.to_json_dict()
     extra = None
     if args.command == "delta" and args.places == "all":
-        decisions = survey_places(
-            args.p, args.q, args.s,
-            prime_bound=args.prime_bound,
-            cache=cache,
-            theta_elem=cert.theta,
-        )
-        extra = [d.to_json_dict() for d in decisions]
+        extra = [d.to_json_dict() for d in cert.survey(args.prime_bound)]
         payload["all_places"] = extra
-    _close_cache(args, cache)
     if args.json:
         sys.stdout.write(_dump(payload))
     elif args.command == "fsu":
@@ -123,9 +103,7 @@ def cmd_datum(args) -> int:
 
 
 def cmd_pell(args) -> int:
-    cache = _open_cache(args)
-    unit = fundamental_pell(args.d, cache)
-    _close_cache(args, cache)
+    unit = fundamental_pell(args.d)
     if args.json:
         sys.stdout.write(_dump({
             "d": str(unit.d), "x": str(unit.x), "y": str(unit.y), "norm": str(unit.norm),
@@ -203,9 +181,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    cache = _open_cache(args)
-    items = golden.run_checks(prime_bound=args.prime_bound, cache=cache)
-    _close_cache(args, cache)
+    items = golden.run_checks(prime_bound=args.prime_bound)
     failed = [item for item in items if not item.ok]
     if args.json:
         sys.stdout.write(_dump({
@@ -237,15 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     bound = argparse.ArgumentParser(add_help=False)
     bound.add_argument("--prime-bound", type=int, default=100_000,
                        help="upper bound for auxiliary split primes")
-    cache = argparse.ArgumentParser(add_help=False)
-    cache.add_argument("--cache", default=os.environ.get("UNITCERT_CACHE"),
-                       help="Pell unit cache file (or set UNITCERT_CACHE)")
     triple = argparse.ArgumentParser(add_help=False)
     for name in ("p", "q", "s"):
         triple.add_argument(name, type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_delta = sub.add_parser("delta", parents=[triple, json_flag, bound, cache],
+    p_delta = sub.add_parser("delta", parents=[triple, json_flag, bound],
                              help="decide the residual bit for a triple")
     p_delta.add_argument("--places", choices=("first", "all"), default="first",
                          help="evaluate only the first valid place or survey all")
@@ -253,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run outside the supported pattern (enables the oracle)")
     p_delta.set_defaults(func=cmd_delta)
 
-    p_fsu = sub.add_parser("fsu", parents=[triple, json_flag, bound, cache],
+    p_fsu = sub.add_parser("fsu", parents=[triple, json_flag, bound],
                            help="emit the seven-generator unit system")
     p_fsu.add_argument("--force", action="store_true")
     p_fsu.set_defaults(func=cmd_delta)
@@ -262,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print the classical residue datum")
     p_datum.set_defaults(func=cmd_datum)
 
-    p_pell = sub.add_parser("pell", parents=[json_flag, cache],
+    p_pell = sub.add_parser("pell", parents=[json_flag],
                             help="fundamental Pell unit of Z[sqrt d]")
     p_pell.add_argument("d", type=int)
     p_pell.set_defaults(func=cmd_pell)
@@ -278,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("input", help="JSON file with p, q, s and candidate coordinates")
     p_sep.set_defaults(func=cmd_separate)
 
-    p_verify = sub.add_parser("verify-paper", parents=[json_flag, bound, cache],
+    p_verify = sub.add_parser("verify-paper", parents=[json_flag, bound],
                               help="replay every built-in reference value")
     p_verify.set_defaults(func=cmd_verify_paper)
     return parser
@@ -287,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # exact FSU coordinates of large triples run to thousands of digits
+    # `sqrt` and `separate` read, and `pell --json` writes, integers of any length
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()

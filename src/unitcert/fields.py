@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .arith import is_prime
 from .errors import NotASquareInBiquad
-from .pell import QuadUnit, fundamental_pell, is_squarefree
+from .pell import QuadUnit, _decimal, fundamental_pell, is_squarefree
 
 
 class Tower:
@@ -182,7 +182,9 @@ class TowerElement:
         """Canonical textual form "c0 + c1*r2 + ..." with exact rationals."""
         parts = []
         for c, tok in zip(self.coords, self.tower.tokens):
-            rat = str(c)
+            rat = _decimal(c.numerator)
+            if c.denominator != 1:
+                rat += "/" + _decimal(c.denominator)
             parts.append(rat if tok == "1" else f"{rat}*{tok}")
         return " + ".join(parts)
 
@@ -552,10 +554,10 @@ def sqrt_norm_one_product(
 # -- Theta and the biquadratic unit index ---------------------------------
 
 
-def _unit_product_root(d: int, cache: dict[int, QuadUnit] | None) -> TowerElement:
+def _unit_product_root(eps_d: QuadUnit, eps_2d: QuadUnit) -> TowerElement:
     """The positive square root of eps_d * eps_2d inside Q(sqrt2, sqrt d)."""
-    field = BiquadField(2, d)
-    root = sqrt_unit_product(field, (fundamental_pell(d, cache), fundamental_pell(2 * d, cache)))
+    d = eps_d.d
+    root = sqrt_unit_product(BiquadField(2, d), (eps_d, eps_2d))
     if root is None:
         raise NotASquareInBiquad(
             f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})"
@@ -563,30 +565,39 @@ def _unit_product_root(d: int, cache: dict[int, QuadUnit] | None) -> TowerElemen
     return root
 
 
-def theta_factors(
-    p: int,
-    q: int,
-    s: int,
-    cache: dict[int, QuadUnit] | None = None,
+def _theta_units(p: int, q: int, s: int) -> dict[int, QuadUnit]:
+    """The Pell units of pq, 2pq, ps and 2ps, which Theta's factors root; a
+    caller that needs one of them again reads it from this dict."""
+    return {d: fundamental_pell(d) for d in (p * q, 2 * p * q, p * s, 2 * p * s)}
+
+
+def _theta_factors(
+    p: int, q: int, s: int, eps: dict[int, QuadUnit]
 ) -> tuple[TowerElement, TowerElement]:
-    """The two normalized biquadratic roots whose product is Theta."""
+    """Theta's two factors from the units of `_theta_units(p, q, s)`."""
     return (
-        _unit_product_root(p * q, cache),
-        _unit_product_root(p * s, cache),
+        _unit_product_root(eps[p * q], eps[2 * p * q]),
+        _unit_product_root(eps[p * s], eps[2 * p * s]),
     )
 
 
-def theta(
-    p: int,
-    q: int,
-    s: int,
-    cache: dict[int, QuadUnit] | None = None,
-) -> TowerElement:
-    """The normalized product Theta = sqrt(eps_pq eps_2pq) * sqrt(eps_ps eps_2ps)
-    as an exact octic element, positive at the distinguished embedding."""
-    f1, f2 = theta_factors(p, q, s, cache)
-    octic = OcticField(p, q, s)
+def _theta(octic: OcticField, eps: dict[int, QuadUnit]) -> TowerElement:
+    """Theta in the octic field from the units of `_theta_units`."""
+    f1, f2 = _theta_factors(octic.p, octic.q, octic.s, eps)
     return octic.lift(f1) * octic.lift(f2)
+
+
+def theta_factors(p: int, q: int, s: int) -> tuple[TowerElement, TowerElement]:
+    """The two normalized biquadratic roots whose product is Theta, from the
+    four Pell units that each call walks."""
+    return _theta_factors(p, q, s, _theta_units(p, q, s))
+
+
+def theta(p: int, q: int, s: int) -> TowerElement:
+    """The normalized product Theta = sqrt(eps_pq eps_2pq) * sqrt(eps_ps eps_2ps)
+    as an exact octic element, positive at the distinguished embedding, from
+    the four Pell units that each call walks."""
+    return _theta(OcticField(p, q, s), _theta_units(p, q, s))
 
 
 _INDEX_EXPONENTS = (

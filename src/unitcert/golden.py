@@ -101,14 +101,11 @@ def _unit_str(u: QuadUnit) -> str:
     return f"({u.x}, {u.y}, {u.norm:+d})"
 
 
-def run_checks(
-    prime_bound: int = 100_000,
-    cache: dict[int, QuadUnit] | None = None,
-) -> list[CheckItem]:
+def run_checks(prime_bound: int = 100_000) -> list[CheckItem]:
     """Recompute every reference value and compare; one item per number.
 
-    A computation failure (for example a corrupt cache poisoning a root) is
-    recorded as a failing item rather than aborting the remaining checks.
+    Each check computes the Pell units it reads afresh. A computation failure
+    is recorded as a failing item rather than aborting the remaining checks.
     """
     items: list[CheckItem] = []
 
@@ -120,15 +117,15 @@ def run_checks(
         for d in sorted({p * q, 2 * p * q, p * s, 2 * p * s}):
             x, y, norm = UNITS[d]
             try:
-                actual = _unit_str(fundamental_pell(d, cache))
+                actual = _unit_str(fundamental_pell(d))
             except Exception as exc:
                 actual = f"error: {exc}"
             add(f"{ex.label}.unit_{d}", f"({x}, {y}, {norm:+d})", actual)
         try:
-            f_pq, f_ps = theta_factors(p, q, s, cache)
+            f_pq, f_ps = theta_factors(p, q, s)
             add(f"{ex.label}.root_{p * q}", ROOTS[p * q], tuple(int(c) for c in f_pq.coords))
             add(f"{ex.label}.root_{p * s}", ROOTS[p * s], tuple(int(c) for c in f_ps.coords))
-            cert = delta(p, q, s, prime_bound=prime_bound, with_fsu=False, cache=cache)
+            cert = delta(p, q, s, prime_bound=prime_bound, with_fsu=False)
         except Exception as exc:
             add(f"{ex.label}.delta", ex.delta, f"error: {exc}")
             continue
@@ -154,7 +151,7 @@ def run_checks(
     add("noncollapse.datum_1", (7, 3, 3, -1, -1, 1), classical_datum(*t1).as_tuple())
     add("noncollapse.datum_2", (7, 3, 3, -1, -1, 1), classical_datum(*t2).as_tuple())
     try:
-        ok, report = noncollapse_check(t1, t2, prime_bound=prime_bound, cache=cache)
+        ok, report = noncollapse_check(t1, t2, prime_bound=prime_bound)
         add("noncollapse.delta_pair", (0, 1),
             (report["triple1"]["delta"], report["triple2"]["delta"]))
         add("noncollapse.check", True, ok)

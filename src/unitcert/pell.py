@@ -3,16 +3,25 @@
 The walk over the complete quotients stops halfway through the palindromic
 period, and a balanced product tree of the partial quotients gives the
 convergents that close the unit exactly (Jacobson and Williams, Solving the
-Pell Equation, 2009). Nothing is memoized across calls; callers that need a
-unit twice pass one cache dict per call.
+Pell Equation, 2009). Nothing is memoized: every call walks the continued
+fraction, and a caller that needs a unit twice keeps it itself.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from decimal import Decimal
 from math import isqrt
-from pathlib import Path
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n at any size. `str` refuses an int longer than the
+    interpreter's int-string limit (4300 digits by default); `Decimal` does not
+    convert through that path."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def is_squarefree(n: int) -> bool:
@@ -47,24 +56,16 @@ class QuadUnit:
             raise ValueError("expected the positive fundamental solution")
 
     def __str__(self) -> str:
-        return f"{self.x} + {self.y}*sqrt({self.d})  (norm {self.norm:+d})"
+        return f"{_decimal(self.x)} + {_decimal(self.y)}*sqrt({self.d})  (norm {self.norm:+d})"
 
 
-def fundamental_pell(d: int, cache: dict[int, QuadUnit] | None = None) -> QuadUnit:
-    """Smallest unit > 1 of Z[sqrt(d)], from the continued fraction of sqrt(d).
-
-    The norm is -1 exactly when the period length is odd. Cache entries (when a
-    cache dict is supplied) were norm-checked at load time and are trusted here;
-    a non-minimal entry surfaces downstream as a reference-value mismatch.
+def fundamental_pell(d: int) -> QuadUnit:
+    """Smallest unit > 1 of Z[sqrt(d)], from the continued fraction of sqrt(d),
+    walked on every call. The norm is -1 exactly when the period length is odd.
     """
     if d <= 1 or not is_squarefree(d):
         raise ValueError(f"d must be a squarefree integer > 1, got {d}")
-    if cache is not None and d in cache:
-        return cache[d]
-    unit = QuadUnit(d, *_half_period(d))
-    if cache is not None:
-        cache[d] = unit
-    return unit
+    return QuadUnit(d, *_half_period(d))
 
 
 def _half_period(d: int) -> tuple[int, int, int]:
@@ -109,37 +110,3 @@ def _convergents(quotients: list[int]) -> tuple[int, int, int, int]:
     a, b, c, d = _convergents(quotients[:mid])
     e, f, g, h = _convergents(quotients[mid:])
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
-def load_cache(path: str | Path) -> dict[int, QuadUnit]:
-    """Load a JSON Pell cache, dropping entries that fail the norm identity."""
-    cache: dict[int, QuadUnit] = {}
-    p = Path(path)
-    if not p.exists():
-        return cache
-    try:
-        raw = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError):
-        return cache
-    if not isinstance(raw, dict):
-        return cache
-    for key, entry in raw.items():
-        try:
-            d = int(key)
-            unit = QuadUnit(d, int(entry["x"]), int(entry["y"]), int(entry["norm"]))
-        except (KeyError, TypeError, ValueError):
-            continue  # corrupt entry: recompute on demand instead of trusting it
-        cache[d] = unit
-    return cache
-
-
-def save_cache(path: str | Path, cache: dict[int, QuadUnit]) -> None:
-    """Persist the cache as JSON with decimal-string fields, sorted by d."""
-    obj = {
-        str(d): {"x": str(u.x), "y": str(u.y), "norm": str(u.norm)}
-        for d, u in sorted(cache.items())
-    }
-    p = Path(path)
-    tmp = p.with_suffix(p.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2) + "\n")
-    tmp.replace(p)

@@ -30,11 +30,12 @@ from .fields import (
     OcticField,
     TowerElement,
     _check_triple,
+    _theta,
+    _theta_factors,
+    _theta_units,
     sqrt_norm_one_product,
     sqrt_octic,  # no longer called here; bench/tracer.py hooks this name as the oracle layer
     sqrt_unit_product,
-    theta,
-    theta_factors,
 )
 from .pell import QuadUnit, fundamental_pell
 
@@ -279,8 +280,9 @@ class Certificate:
     mu: str
     fsu: list[Generator] | None
     oracle_checked: bool
-    # the Theta of the decision, kept for a survey of the same triple; not in the JSON
-    theta: TowerElement | None = field(default=None, repr=False, compare=False)
+    # Theta and eps_pq of the decision, kept for `survey`; not in the JSON
+    theta: TowerElement = field(repr=False, compare=False)
+    eps_pq: QuadUnit = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.legendre_eps != -1:
@@ -324,6 +326,11 @@ class Certificate:
             "fsu": None if self.fsu is None else [g.to_json_dict() for g in self.fsu],
             "oracle_checked": self.oracle_checked,
         }
+
+    def survey(self, prime_bound: int) -> list[PlaceDecision]:
+        """Every place that `survey_places` reads for this triple, from the
+        Theta and eps_pq of this decision, so no unit is walked again."""
+        return list(_scan_places(self.p, self.q, self.s, self.theta, self.eps_pq, prime_bound))
 
 
 @dataclass
@@ -402,20 +409,19 @@ def survey_places(
     q: int,
     s: int,
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    cache: dict[int, QuadUnit] | None = None,
     theta_elem: TowerElement | None = None,
 ) -> list[PlaceDecision]:
     """Every place above the first PRIME_COUNT split primes below
     prime_bound, by the scan `delta` makes: the residue of eps_pq everywhere,
     and Theta's residue and delta at the valid places. A Theta built by the
-    caller (`Certificate.theta`) is used as given."""
-    if cache is None:
-        cache = {}  # each Pell unit once per call
+    caller is used as given; `Certificate.survey` reuses a decision's."""
     if theta_elem is None:
-        theta_elem = theta(p, q, s, cache)
+        eps = _theta_units(p, q, s)
+        theta_elem = _theta(OcticField(p, q, s), eps)
+        eps_pq = eps[p * q]
     else:
         _check_triple(p, q, s)
-    eps_pq = fundamental_pell(p * q, cache)
+        eps_pq = fundamental_pell(p * q)
     return list(_scan_places(p, q, s, theta_elem, eps_pq, prime_bound))
 
 
@@ -424,12 +430,13 @@ def _fsu_generators(
     mu: str,
     xi: TowerElement | None,
     root_pq: TowerElement,
-    cache: dict[int, QuadUnit] | None,
+    eps: dict[int, QuadUnit],
 ) -> list[Generator]:
     """The seven generators; sqrt(eps_pq*eps_2pq) is `root_pq`, Theta's first
-    factor lifted to the octic field, and xi is the root of mu*Theta."""
+    factor lifted to the octic field, and xi is the root of mu*Theta. `eps`
+    holds the units of Theta's factors; the other three are walked here."""
     p, q, s = octic.p, octic.q, octic.s
-    eps = {d: fundamental_pell(d, cache) for d in (2, p * q, p * s, q * s, 2 * q * s)}
+    eps = eps | {d: fundamental_pell(d) for d in (2, q * s, 2 * q * s)}
 
     def rooted(name: str, *ds: int) -> Generator:
         return Generator(name, sqrt_unit_product(octic, [eps[d] for d in ds]))
@@ -463,7 +470,6 @@ def delta(
     force: bool = False,
     oracle: bool = False,
     with_fsu: bool = True,
-    cache: dict[int, QuadUnit] | None = None,
 ) -> Certificate:
     """Decide the residual bit delta(p, q, s) and certify it.
 
@@ -480,7 +486,7 @@ def delta(
     oracle or the FSU, is the closed-form root of (mu*f1)*f2, f1 and f2
     Theta's two biquadratic factors, checked by exact squaring; like the
     other FSU roots it takes no descent. The triple is validated once, by
-    building its octic field.
+    building its octic field, and each Pell unit is walked once per call.
     """
     octic = OcticField(p, q, s)
     datum = _datum(p, q, s)
@@ -493,12 +499,11 @@ def delta(
         hypotheses_verified = False
     oracle_on = oracle or not hypotheses_verified
 
-    if cache is None:
-        cache = {}  # each of the seven Pell units once per call
-    f1, f2 = theta_factors(p, q, s, cache)
+    eps = _theta_units(p, q, s)
+    f1, f2 = _theta_factors(p, q, s, eps)
     root_pq = octic.lift(f1)
     theta_elem = root_pq * octic.lift(f2)
-    eps_pq = fundamental_pell(p * q, cache)
+    eps_pq = eps[p * q]
 
     chosen = next(
         (d for d in _scan_places(p, q, s, theta_elem, eps_pq, prime_bound) if d.valid),
@@ -538,9 +543,10 @@ def delta(
         legendre_eps=-1,
         delta=bit,
         mu=mu,
-        fsu=_fsu_generators(octic, mu, xi, root_pq, cache) if with_fsu else None,
+        fsu=_fsu_generators(octic, mu, xi, root_pq, eps) if with_fsu else None,
         oracle_checked=oracle_on,
         theta=theta_elem,
+        eps_pq=eps_pq,
     )
 
 
@@ -558,11 +564,10 @@ def decide_mu_hilbert(p: int, q: int, s: int, place: SplitPlace) -> str:
     agreement with the Legendre path is an invariant.
     """
     t = place.t
-    cache: dict[int, QuadUnit] = {}  # each Pell unit once per call
-    eps_pq = fundamental_pell(p * q, cache)
-    if jacobi(residue_at(eps_pq, place), t) != -1:
+    eps = _theta_units(p, q, s)
+    if jacobi(residue_at(eps[p * q], place), t) != -1:
         raise InvalidPlace(f"eps_pq is a square at the place above {t}")
-    r_theta = residue_at(theta(p, q, s, cache), place)
+    r_theta = residue_at(_theta(OcticField(p, q, s), eps), place)
     if r_theta == 0:
         raise NonUnitResidue("Theta has zero residue at the place")
     return "1" if hilbert_symbol(r_theta, t, t) == 1 else "eps_pq"
@@ -572,11 +577,10 @@ def noncollapse_check(
     triple1: tuple[int, int, int],
     triple2: tuple[int, int, int],
     prime_bound: int = DEFAULT_PRIME_BOUND,
-    cache: dict[int, QuadUnit] | None = None,
 ) -> tuple[bool, dict]:
     """True when the classical data agree but the residual bits differ."""
-    c1 = delta(*triple1, prime_bound=prime_bound, with_fsu=False, cache=cache)
-    c2 = delta(*triple2, prime_bound=prime_bound, with_fsu=False, cache=cache)
+    c1 = delta(*triple1, prime_bound=prime_bound, with_fsu=False)
+    c2 = delta(*triple2, prime_bound=prime_bound, with_fsu=False)
     same_datum = c1.datum == c2.datum
     differs = c1.delta != c2.delta
     report = {

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import oracles
 import pytest
 from test_scan import _count_calls
 
-from unitcert import cli, fields, pell
+from unitcert import QuadUnit, cli, delta, fields, golden, pell
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -210,32 +211,19 @@ def test_verify_paper_json_deterministic():
     assert doc["ok"] and doc["failed"] == 0
 
 
-def test_verify_paper_catches_nonminimal_cache_entry(tmp_path):
-    # (55 + 12 sqrt21)^2 passes the norm re-verification, so only the
-    # reference replay can expose it, as a diff on the printed unit
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"21": {"x": "6049", "y": "1320", "norm": "1"}}))
-    r = run_cli("verify-paper", "--cache", str(path))
-    assert r.returncode == 1
-    assert "FAIL" in r.stdout
-    assert "expected (55, 12, +1)" in r.stdout
-
-
-def test_cache_env_var_roundtrip(tmp_path):
-    path = tmp_path / "cache.json"
-    env = dict(os.environ, UNITCERT_CACHE=str(path))
-    r = run_cli("pell", "133", env=env)
-    assert r.returncode == 0
-    stored = json.loads(path.read_text())
-    assert stored["133"]["x"] == "2588599"
-    # identity-violating entries are recomputed, not trusted
-    path.write_text(json.dumps({"133": {"x": "9", "y": "1", "norm": "1"}}))
-    r = run_cli("pell", "133", env=env)
-    assert "2588599" in r.stdout
+def test_verify_paper_reports_a_wrong_unit_and_exits_1(monkeypatch):
+    # (55 + 12 sqrt21)^2 satisfies the norm identity without being the
+    # fundamental unit; the replay shows it as a diff on the printed unit
+    walk = golden.fundamental_pell
+    squared = QuadUnit(21, 6049, 1320, 1)
+    monkeypatch.setattr(golden, "fundamental_pell", lambda d: squared if d == 21 else walk(d))
+    code, out = _main_in_process(monkeypatch, ["verify-paper"])
+    assert code == 1
+    assert "FAIL" in out
+    assert "expected (55, 12, +1)" in out
 
 
 def _main_in_process(monkeypatch, argv) -> tuple[int, str]:
-    monkeypatch.delenv("UNITCERT_CACHE", raising=False)
     # main() lifts the int-to-str digit limit; put this process's back after
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     out = io.StringIO()
@@ -260,7 +248,7 @@ def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch):
 
 def test_delta_places_all_builds_theta_once(monkeypatch):
     built = []
-    _count_calls(monkeypatch, fields.theta_factors, built)
+    _count_calls(monkeypatch, fields._theta_factors, built)
     code, out = _main_in_process(monkeypatch, ["delta", "7", "11", "43", "--places", "all", "--json"])
     assert code == 0 and json.loads(out)["all_places"]
     assert [args[:3] for args in built] == [(7, 11, 43)]
@@ -302,6 +290,50 @@ def test_stdout_matches_pinned_sha256(monkeypatch, argv):
     code, out = _main_in_process(monkeypatch, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_certificate_json_needs_no_lifted_int_string_limit():
+    # FSU coordinates of this triple run to about 4350 digits, past the
+    # interpreter's default limit of 4300 on int-to-str conversion
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        out = json.dumps(delta(10007, 10067, 10091).to_json_dict(), indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    argv = ("fsu", "10007", "10067", "10091", "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+# The flags of each subcommand, as its --help lists them; the Pell unit file
+# cache and its --cache flag are gone.
+HELP_FLAGS = {
+    "delta": ["--force", "--help", "--json", "--places", "--prime-bound"],
+    "fsu": ["--force", "--help", "--json", "--prime-bound"],
+    "datum": ["--help", "--json"],
+    "pell": ["--help", "--json"],
+    "sqrt": ["--help", "--json"],
+    "separate": ["--help", "--json", "--prime-bound"],
+    "verify-paper": ["--help", "--json", "--prime-bound"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_help_lists_exactly_the_pinned_flags(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args([command, "--help"])
+    assert exit_.value.code == 0
+    assert sorted(set(re.findall(r"--[a-z][a-z-]*", out.getvalue()))) == HELP_FLAGS[command]
+
+
+def test_unitcert_cache_variable_writes_no_file(tmp_path):
+    path = tmp_path / "cache.json"
+    r = run_cli("pell", "133", env=dict(os.environ, UNITCERT_CACHE=str(path)))
+    assert r.returncode == 0 and "2588599" in r.stdout
+    assert not path.exists()
 
 
 # sha256 of the concatenated standard output of `delta p q s --json` over the

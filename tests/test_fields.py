@@ -392,8 +392,7 @@ LADDER_RUNGS = [(1031, 1019, 1171), (3023, 3011, 3019), (10007, 10067, 10091), (
 
 def _unit_products(p, q, s):
     """(tower, units) for Theta's two factors and the four FSU roots."""
-    cache = {}
-    e = {d: fundamental_pell(d, cache) for d in (p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)}
+    e = {d: fundamental_pell(d) for d in (p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)}
     octic = OcticField(p, q, s)
     return [
         (BiquadField(2, p * q), (e[p * q], e[2 * p * q])),

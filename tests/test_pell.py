@@ -1,10 +1,9 @@
-import json
 import random
 
 import pytest
 
 import oracles
-from unitcert import QuadUnit, fundamental_pell, is_squarefree, load_cache, save_cache
+from unitcert import QuadUnit, fundamental_pell, is_squarefree
 
 PRINTED_UNITS = {
     133: (2588599, 224460, 1),
@@ -146,40 +145,3 @@ def test_proper_power_oracle_detects_powers():
         assert oracles.is_proper_power_unit(d, *sq)
         assert oracles.is_proper_power_unit(d, *cu)
         assert not oracles.is_proper_power_unit(d, u.x, u.y)
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "cache.json"
-    cache = {}
-    fundamental_pell(133, cache)
-    fundamental_pell(2, cache)
-    save_cache(path, cache)
-    loaded = load_cache(path)
-    assert loaded.keys() == cache.keys()
-    assert loaded[133] == cache[133]
-
-
-def test_cache_identity_violating_entry_is_dropped(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"21": {"x": "55", "y": "13", "norm": "1"}}))
-    loaded = load_cache(path)
-    assert 21 not in loaded  # fails x^2 - d y^2 = +-1, so recomputed instead
-    u = fundamental_pell(21, loaded)
-    assert (u.x, u.y) == (55, 12)
-
-
-def test_cache_nonminimal_but_valid_entry_is_trusted(tmp_path):
-    # (55 + 12 sqrt21)^2 = 6049 + 1320 sqrt21 satisfies the norm identity, so
-    # the cache check cannot reject it; reference-value replay catches it.
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"21": {"x": "6049", "y": "1320", "norm": "1"}}))
-    loaded = load_cache(path)
-    u = fundamental_pell(21, loaded)
-    assert (u.x, u.y) == (6049, 1320)
-
-
-def test_cache_garbage_file_ignored(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text("{not json")
-    assert load_cache(path) == {}
-    assert load_cache(tmp_path / "missing.json") == {}
