@@ -3,13 +3,17 @@
 Covers the biquadratic fields Q(sqrt a, sqrt b) and the octic field
 Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, exact square roots by
 relative-norm descent through the tower of index-2 subfields, closed-form
-roots of products of Pell units of norm +1 (sqrt(2*eps) = sqrt(x + 1) +
-sqrt(x - 1)), the normalized generator product Theta from two such roots, the
-closed-form root of a product of two factors of relative norm +-1 to
-Q(sqrt2) ((x + 1)^2 = x*(Tr x + 2), which gives xi, the root of mu*Theta),
-and the biquadratic unit-index square test. The descent is the general root,
-for `unitcert sqrt`, the unit index and `separate_candidates`; no root that
-`delta` takes needs it. Signs at the distinguished (all positive) real
+roots of products of Pell units of norm +1 from the half units of their
+continued fractions (sqrt(eps) = (h + k*sqrt d)/sqrt(Q)), the normalized
+generator product Theta from two such roots, the closed-form root of a
+product of two factors of relative norm +-1 to Q(sqrt2) from a relative
+half-root of each over Z[sqrt2] (sqrt(x) = (gamma*alpha + beta*sqrt m) /
+sqrt(2*gamma*D), which gives xi, the root of mu*Theta), and the biquadratic
+unit-index square test. The descent is the general root, for `unitcert
+sqrt`, the unit index and `separate_candidates`; no root that `delta` takes
+needs it. The Pell-unit roots divide and root only small integers, and the
+roots and divisions behind xi run on one factor at a time, never on the
+product of the two. Signs at the distinguished (all positive) real
 embedding are decided exactly, by the descent's own recursion, so nothing
 here approximates a real number.
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .arith import is_prime
+from .arith import _sqrt_mod_prime, is_prime
 from .errors import NotASquareInBiquad
 from .pell import QuadUnit, _decimal, fundamental_pell, is_squarefree
 
@@ -333,6 +337,10 @@ def _sqrt(z: list[int], table) -> tuple[list[int], int] | None:
             return None
         r = isqrt(a)
         return ([r], 1) if r * r == a else None
+    if len(z) == 2 and z[1]:
+        x, w = z
+        b = table[1][1][0]
+        return _root_quadratic(x, w, b, x * x - b * w * w)
     half = len(z) // 2
     x, w = z[:half], z[half:]
     if not any(w):
@@ -361,6 +369,31 @@ def _sqrt(z: list[int], table) -> tuple[list[int], int] | None:
             common = den * vd // gcd(den, vd)
             lo, hi = common // den, common // vd
             return _reduced([c * lo for c in uv] + [c * hi for c in vv], common)
+    return None
+
+
+def _root_quadratic(x: int, w: int, b: int, norm: int) -> tuple[list[int], int] | None:
+    """A root (v, D) of x + w*sqrt(b), w != 0, whose norm x^2 - b*w^2 the
+    caller gives, or None when it is no square: with the root u + v*sqrt(b)
+    and n = sqrt(norm), one of x + n, x - n is 2u^2 and the other 2b*v^2, so
+    the root is (r + r2*sqrt(b))/2 with r = sqrt(2(x +- n)) and
+    r2 = sqrt(2(x -+ n)/b), of the sign of w. Three integer square roots;
+    the only divisor is b."""
+    if norm < 0:
+        return None
+    n = isqrt(norm)
+    if n * n != norm:
+        return None
+    for c in (x + n, x - n):
+        if c < 0:
+            continue
+        r = isqrt(2 * c)
+        c2, rem = divmod(2 * (2 * x - c), b)
+        if r * r != 2 * c or rem:
+            continue
+        r2 = isqrt(c2)
+        if r2 * r2 == c2:
+            return _reduced([r, r2 if w > 0 else -r2], 2)
     return None
 
 
@@ -407,29 +440,6 @@ def sqrt_octic(alpha: TowerElement) -> TowerElement | None:
 # -- closed-form roots of Pell-unit products -------------------------------
 
 
-def _half_root(u: QuadUnit) -> tuple[tuple[int, int], tuple[int, int]]:
-    """((a, m), (b, n)) with sqrt(2*eps) = a*sqrt(m) + b*sqrt(n), a, b > 0 and
-    m, n squarefree, for a unit eps = x + y*sqrt(d) of norm +1.
-
-    The square of sqrt(x + 1) + sqrt(x - 1) is 2x + 2y*sqrt(d), so x + 1 = m*a^2
-    and x - 1 = n*b^2, with (x + 1)(x - 1) = d*y^2 (Azizi 1999). The two
-    factors share at most a factor 2, so an odd prime divides m exactly when it
-    divides both x + 1 and d: m is g or 2g, g the odd part of gcd(x + 1, 2d).
-    Then n = m*d/h^2 is the squarefree part of m*d, h = gcd(m, d), and
-    m*a*b/h = y gives b.
-    """
-    x, y, d = u.x, u.y, u.d
-    g = gcd(x + 1, 2 * d)
-    g >>= (g & -g).bit_length() - 1
-    for m in (g, 2 * g):
-        a2, r = divmod(x + 1, m)
-        a = isqrt(a2)
-        if not r and a * a == a2:
-            h = gcd(m, d)
-            return (a, m), (y * h // (m * a), m * d // (h * h))
-    raise ArithmeticError(f"no closed-form root of the Pell unit of Z[sqrt({d})]")
-
-
 def _times_radicals(terms: dict[int, int], factor) -> dict[int, int]:
     """The product of sum(c*sqrt(r)) over `terms` (radicand -> c) with
     sum(c*sqrt(m)) over `factor` ((c, m) pairs), squarefree radicands
@@ -448,32 +458,138 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     different d, positive at the distinguished embedding; None when the
     product is not a square there.
 
-    sqrt(eps) = (a*sqrt(2m) + b*sqrt(2n))/2 by `_half_root`, so the root is a
-    product of binomials in square roots of integers, each monomial moved onto
-    the basis through the squarefree part of its radicand. Every coefficient
-    is positive, so the root is positive at the distinguished embedding, and a
-    monomial whose radicand is not in the tower puts the root outside it. A
-    unit of norm -1 is negative at an embedding that flips its sqrt(d) and
-    keeps the other unit's, so then the product is no square. The root is
-    checked by exact squaring.
+    A unit of norm +1 from `fundamental_pell` keeps its half unit: eps =
+    (h + k*sqrt(d))^2/Q with h, k > 0 and Q | 2d, so sqrt(eps) =
+    (h*sqrt(Q) + k*g*sqrt(n))/Q with g = gcd(d, Q) and n = d*Q/g^2. Q is
+    squarefree, since 4 is the only square that can divide 2d and 4 | Q would
+    make h and k both even, and so is n. The
+    root is a product of such binomials over the product of the Q, each
+    monomial moved onto the basis through the squarefree part of its
+    radicand; no number of the size of a unit is divided or rooted. Every
+    coefficient is positive, so the root is positive at the distinguished
+    embedding, and a monomial whose radicand is not in the tower puts the root
+    outside it. A unit of norm -1 is negative at an embedding that flips its
+    sqrt(d) and keeps the other unit's, so then the product is no square. Each
+    half unit is checked against its unit, and the root by exact squaring.
     """
     if any(u.norm != 1 for u in units):
         return None
-    terms = {1: 1}
+    terms, den = {1: 1}, 1
     for u in units:
-        terms = _times_radicals(_times_radicals(terms, _half_root(u)), ((1, 2),))
+        if u.half is None:
+            raise ValueError(f"the unit of Z[sqrt({u.d})] has no half unit; take it from fundamental_pell")
+        h, k, Q = u.half
+        if h * h + u.d * k * k != Q * u.x or 2 * h * k != Q * u.y:
+            raise ArithmeticError(f"the half unit of Z[sqrt({u.d})] does not square back to the unit")
+        g = gcd(u.d, Q)
+        terms = _times_radicals(terms, ((h, Q), (k * g, u.d // g * (Q // g))))
+        den *= Q
     num = [0] * tower.degree
     for r, c in terms.items():
         if r not in tower._index:
             return None
         num[tower._index[r]] = c
-    root = TowerElement(tower, num, 2 ** len(units))
+    root = TowerElement(tower, num, den)
     if root * root != prod((tower.from_quad_unit(u) for u in units), start=tower.one()):
         raise ArithmeticError("the closed-form root does not square back")
     return root
 
 
 # -- closed-form root of a product of two relative-norm-one factors ---------
+#
+# The helpers below work in Z[sqrt2] on pairs (c0, c1) = c0 + c1*sqrt2.
+
+
+def _sqrt2_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _sqrt2_div(z: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+    """z/g in Z[sqrt2], for a g that divides z exactly; a remainder means that
+    a root taken on the way was wrong, and raises ArithmeticError."""
+    n = g[0] * g[0] - 2 * g[1] * g[1]
+    q0, r0 = divmod(z[0] * g[0] - 2 * z[1] * g[1], n)
+    q1, r1 = divmod(z[1] * g[0] - z[0] * g[1], n)
+    if r0 or r1:
+        raise ArithmeticError("the relative half-root does not square back")
+    return q0, q1
+
+
+def _sqrt2_gcd(z: tuple[int, int], n: int) -> tuple[int, int]:
+    """A gcd of z and the integer n > 0 in Z[sqrt2], by Euclid's algorithm with
+    nearest-integer quotients; Z[sqrt2] is norm-Euclidean, so it ends."""
+    a, b = (n, 0), (z[0] % n, z[1] % n)
+    while b[0] or b[1]:
+        nb = b[0] * b[0] - 2 * b[1] * b[1]
+        # a/b = a*conj(b)/nb, rounded coordinate by coordinate
+        q0 = (2 * (a[0] * b[0] - 2 * a[1] * b[1]) + nb) // (2 * nb)
+        q1 = (2 * (a[1] * b[0] - a[0] * b[1]) + nb) // (2 * nb)
+        qb = _sqrt2_mul((q0, q1), b)
+        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+    return a
+
+
+def _primes_over(ell: int) -> list[tuple[int, tuple[int, int], int | None]]:
+    """The primes of Z[sqrt2] over the odd prime ell, as (ell, generator, u):
+    ell itself with u = None when ell = 3, 5 (mod 8) is inert, and for a split
+    ell two conjugate generators pi of norm ell, u the residue of sqrt2 mod pi.
+
+    pi comes from Euclid's algorithm on (ell, u) for a root u of 2 mod ell,
+    stopped at the first remainder r with r^2 < 2*ell: then r = s*u (mod ell)
+    and |s| <= ell/r_prev gives 2*s^2 < ell, so r^2 - 2*s^2, a multiple of ell
+    in (-ell, 2*ell) and not 0, is ell, and r - s*sqrt2 lies over sqrt2 = u.
+    """
+    if ell % 8 in (3, 5):
+        return [(ell, (ell, 0), None)]
+    u = _sqrt_mod_prime(2, ell)
+    r_prev, r, s_prev, s = ell, u, 0, 1
+    while r * r >= 2 * ell:
+        quo = r_prev // r
+        r_prev, r, s_prev, s = r, r_prev - quo * r, s, s_prev - quo * s
+    return [(ell, (r, -s), u), (ell, (r, s), ell - u)]
+
+
+def _relative_half_root(v: list[int], D: int, e: int, primes) -> tuple[list[int], tuple[int, int]]:
+    """(B, g) with sqrt(x) = B/sqrt(g), B in x's tower F(sqrt m), F = Q(sqrt2),
+    and g in Z[sqrt2], for x = v/D of relative norm 1 to F and the e of
+    `_norm_one_part`. `primes` are the primes of Z[sqrt2] over m, from
+    `_primes_over`.
+
+    Write x = (v0 + v1*sqrt m)/D with v0, v1 in Z[sqrt2] and T = v0 + e*D.
+    Then (x + e)^2 = 2*x*T/D and T*(v0 - e*D) = m*v1^2, and the two factors
+    share only divisors of 2D. So T = gamma*alpha^2, where gamma is G =
+    gcd(T, 2D) times the primes over m that divide T/G (each once) times a
+    unit of {+-1, +-(1 + sqrt2)} that matches the signs of the rest at both
+    embeddings of F. alpha and beta = v1/alpha are exact and half the size of
+    x, and sqrt(x) = (gamma*alpha + beta*sqrt m)/sqrt(2*gamma*D).
+    """
+    T = (v[0] + e * D, v[1])
+    G = _sqrt2_gcd(T, 2 * D)
+    A = _sqrt2_div(T, G)
+    gamma = (1, 0)
+    for ell, pi, u in primes:
+        # an inert ell divides both coordinates; a split one's pi takes A to 0
+        # where sqrt2 = u
+        if (A[0] % ell == 0 == A[1] % ell) if u is None else (A[0] + A[1] * u) % ell == 0:
+            gamma = _sqrt2_mul(gamma, pi)
+    z = _sqrt2_div(A, gamma)
+    norm = z[0] * z[0] - 2 * z[1] * z[1]
+    if norm > 0:
+        unit = (1, 0) if z[0] > 0 else (-1, 0)
+        z = (unit[0] * z[0], unit[0] * z[1])
+    else:
+        # sign(z1)*(1 + sqrt2) has z's signs; dividing by it multiplies by
+        # sign(z1)*(sqrt2 - 1) and flips the sign of the norm
+        unit = (1, 1) if z[1] > 0 else (-1, -1)
+        z = (unit[0] * (2 * z[1] - z[0]), unit[0] * (z[0] - z[1]))
+        norm = -norm
+    alpha = _root_quadratic(z[0], z[1], 2, norm)
+    if alpha is None or alpha[1] != 1:
+        raise ArithmeticError("the relative half-root does not square back")
+    alpha = (alpha[0][0], alpha[0][1])
+    gamma = _sqrt2_mul(_sqrt2_mul(G, gamma), unit)
+    beta = _sqrt2_div((v[2], v[3]), alpha)
+    return list(_sqrt2_mul(gamma, alpha) + beta), (2 * D * gamma[0], 2 * D * gamma[1])
 
 
 def _norm_one_part(x: TowerElement) -> tuple[list[int], int, int, int]:
@@ -487,7 +603,7 @@ def _norm_one_part(x: TowerElement) -> tuple[list[int], int, int, int]:
     return v, den, e, n[0] // (den * den)
 
 
-def _divides_both_odd(z: list[int], ell: int) -> bool:
+def _divides_both_odd(z, ell: int) -> bool:
     """Whether the largest power of ell dividing every coordinate of z is odd."""
     odd = False
     while all(c % ell == 0 for c in z):
@@ -503,15 +619,16 @@ def sqrt_norm_one_product(
     and b in K2 = Q(sqrt2, sqrt ps), each of relative norm +-1 to Q(sqrt2);
     positive at the distinguished embedding, or None when a*b is no square.
 
-    For x of relative norm 1, (x + e)^2 = x*(Tr x + 2e) = 2x*L with e = +-1,
-    Tr the trace to Q(sqrt2) and L the Q(sqrt2)-part of x + e. So
-    a*b = ((a + e)(b + e'))^2 / (4W) with W = L_a*L_b in Q(sqrt2), and by
-    Kummer theory W is a square in the octic field exactly when W*r is a
-    square in Q(sqrt2) for one r in {1, pq, ps, qs}. Then w = sqrt(W*r) is a
-    degree-2 root and xi = (a + e)(b + e')*sqrt(r)/(2w). A factor of relative
-    norm -1 leaves no root: the norm of a*b down to K2 would be -b^2. The sign
-    comes from those of a + e, b + e' and w, and the root is checked by exact
-    squaring, on integer lists.
+    Each factor has a relative half-root over Z[sqrt2], sqrt(x) = B/sqrt(g)
+    (`_relative_half_root`), so a*b = (B_a*B_b)^2/(g_a*g_b), and by Kummer
+    theory g = g_a*g_b is a square in the octic field exactly when r*g is a
+    square in Q(sqrt2) for one r in {1, pq, ps, qs}. Only one r can work: a
+    square's content has even valuation at p, q and s, so r takes the primes
+    of p, q, s at which the content of g has odd valuation. Then
+    kappa = sqrt(r*g) is a degree-2 root of a small number and
+    xi = B_a*B_b*sqrt(r)/kappa. A factor of relative norm -1 leaves no root:
+    the norm of a*b down to K2 would be -b^2. The sign comes from those of
+    B_a, B_b and kappa, and the root is checked by exact squaring.
     """
     p, q, s = octic.p, octic.q, octic.s
     if a.tower.generators != (2, p * q) or b.tower.generators != (2, p * s):
@@ -520,32 +637,24 @@ def sqrt_norm_one_product(
     if na < 0 or nb < 0:
         return None
     table = octic._table
-    ca = [va[0] + ea * da] + va[1:]  # (a + e)*da, whose Q(sqrt2)-part is L_a*da
-    cb = [vb[0] + eb * db] + vb[1:]
-    z = [c * da * db for c in _mul(ca[:2], cb[:2], table)]  # W*(da*db)^2
-    classes = [1, q * s, p * q, p * s]
-    for ell in (p, q, s):
-        if ell % 8 in (3, 5):
-            # ell is inert in Q(sqrt2): its valuation on z is the least over the
-            # coordinates, and r*z is a square only if ell | r when that is odd
-            odd = _divides_both_odd(z, ell)
-            classes = [r for r in classes if (r % ell == 0) == odd]
-    for r in classes:
-        w = _sqrt([r * c for c in z], table)
-        if w is not None:
-            break
-    else:
+    over_p = _primes_over(p)
+    ba, ga = _relative_half_root(va, da, ea, over_p + _primes_over(q))
+    bb, gb = _relative_half_root(vb, db, eb, over_p + _primes_over(s))
+    g = _sqrt2_mul(ga, gb)
+    r = prod(ell for ell in (p, q, s) if _divides_both_odd(g, ell))
+    if r not in (1, q * s, p * q, p * s):
         return None
-    # w = sqrt(W*r)*da*db = (w0 + w1*sqrt2)/wd, so xi = ca*cb*sqrt(r)/(2w)
-    # with 1/w = wd*(w0 - w1*sqrt2)/(w0^2 - 2*w1^2)
-    (w0, w1), wd = w
-    sign = _sign(ca, a.tower._table) * _sign(cb, b.tower._table) * _sign([w0, w1], table)
+    kappa = _sqrt([r * g[0], r * g[1]], table)
+    if kappa is None:
+        return None
+    # 1/kappa = kd*(k0 - k1*sqrt2)/(k0^2 - 2*k1^2)
+    (k0, k1), kd = kappa
+    sign = _sign(ba, a.tower._table) * _sign(bb, b.tower._table) * _sign([k0, k1], table)
     e_r = [0] * octic.degree
-    e_r[octic._index[r]] = sign * wd
-    w_bar = [w0, -w1] + [0] * (octic.degree - 2)
-    num = _mul(_mul(octic._lifted(a.tower, ca), w_bar, table), octic._lifted(b.tower, cb), table)
-    num = _mul(num, e_r, table)
-    xi = TowerElement(octic, num, 2 * (w0 * w0 - 2 * w1 * w1))
+    e_r[octic._index[r]] = sign * kd
+    num = _mul(octic._lifted(a.tower, ba), octic._lifted(b.tower, bb), table)
+    num = _mul(num, _mul(e_r, [k0, -k1] + [0] * (octic.degree - 2), table), table)
+    xi = TowerElement(octic, num, k0 * k0 - 2 * k1 * k1)
     if xi * xi != octic.lift(a) * octic.lift(b):
         raise ArithmeticError("the closed-form root does not square back")
     return xi

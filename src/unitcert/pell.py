@@ -9,7 +9,7 @@ fraction, and a caller that needs a unit twice keeps it itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from math import isqrt
 
@@ -42,12 +42,18 @@ def is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class QuadUnit:
-    """The fundamental Pell unit x + y*sqrt(d) of Z[sqrt(d)], with its norm sign."""
+    """The fundamental Pell unit x + y*sqrt(d) of Z[sqrt(d)], with its norm sign.
+
+    `half` is (h, k, Q) with x + y*sqrt(d) = (h + k*sqrt(d))^2/Q, h, k > 0 and
+    Q | 2d, the half unit at which `fundamental_pell` stopped its walk for a
+    unit of norm +1; it is None for a unit of norm -1 or one built by hand.
+    """
 
     d: int
     x: int
     y: int
     norm: int
+    half: tuple[int, int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.norm not in (1, -1) or self.x * self.x - self.d * self.y * self.y != self.norm:
@@ -65,17 +71,21 @@ def fundamental_pell(d: int) -> QuadUnit:
     """
     if d <= 1 or not is_squarefree(d):
         raise ValueError(f"d must be a squarefree integer > 1, got {d}")
-    return QuadUnit(d, *_half_period(d))
+    x, y, norm, half = _half_period(d)
+    unit = QuadUnit(d, x, y, norm)
+    object.__setattr__(unit, "half", half)  # frozen: set once, after the norm check
+    return unit
 
 
-def _half_period(d: int) -> tuple[int, int, int]:
-    """(x, y, norm) of the fundamental unit, from the first half of the period.
+def _half_period(d: int) -> tuple[int, int, int, tuple[int, int, int] | None]:
+    """(x, y, norm, half) of the fundamental unit, from the first half of the
+    period; half is (h, k, Q) for an even period and None for an odd one.
 
     With (P_i, Q_i) the complete quotients (sqrt(d) + P_i) / Q_i and h_i/k_i
     the convergents, the first m with Q_m == Q_(m+1) gives an odd period and
     eps = (h_(m-1) + k_(m-1) sqrt d)(h_m + k_m sqrt d) / Q_m of norm -1; the
     first m >= 1 with P_m == P_(m+1) gives an even period and
-    eps = (h_(m-1) + k_(m-1) sqrt d)^2 / Q_m of norm +1.
+    eps = (h_(m-1) + k_(m-1) sqrt d)^2 / Q_m of norm +1, and Q_m divides 2d.
     """
     a0 = isqrt(d)
     P, Q = 0, 1
@@ -87,10 +97,10 @@ def _half_period(d: int) -> tuple[int, int, int]:
         if Q_next == Q:
             quotients.append(a)
             h, h_prev, k, k_prev = _convergents(quotients)
-            return (h_prev * h + d * k_prev * k) // Q, (h_prev * k + h * k_prev) // Q, -1
+            return (h_prev * h + d * k_prev * k) // Q, (h_prev * k + h * k_prev) // Q, -1, None
         if P_next == P and quotients:
             h, _, k, _ = _convergents(quotients)
-            return (h * h + d * k * k) // Q, 2 * h * k // Q, 1
+            return (h * h + d * k * k) // Q, 2 * h * k // Q, 1, (h, k, Q)
         quotients.append(a)
         P, Q = P_next, Q_next
 

@@ -99,12 +99,30 @@ def _branch(datum: ClassicalDatum) -> tuple[int, int, int]:
 # -- split places ----------------------------------------------------------
 
 
+class _computed_once:
+    """An attribute computed on its first read and stored on the instance, where
+    later reads find it directly: `functools.cached_property` without the lock
+    that CPython 3.11 takes on every first read, which a scan of thousands of
+    places would pay."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass
 class SplitPlace:
     """A place above an odd prime t split in the octic field: an embedding of
     the tower into F_t given by compatible residues of the three radicals.
     `signs` and `residues` follow from the roots: a sign is +1 where the root
-    is the canonical min(r, t - r) mod t, as `sqrt_mod` gives it, else -1."""
+    is the canonical min(r, t - r) mod t, as `sqrt_mod` gives it, else -1.
+    The roots are checked when the place is built; `residues` is computed on
+    first read, since a scan reads it only at the places it evaluates."""
 
     t: int
     p: int
@@ -114,7 +132,6 @@ class SplitPlace:
     rpq: int
     rps: int
     signs: tuple[int, int, int] = field(init=False)
-    residues: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         t, p = self.t, self.p
@@ -125,16 +142,21 @@ class SplitPlace:
             if r * r % t != m % t:
                 raise ValueError(f"{r}^2 is not {m} mod {t}")
         self.signs = tuple(1 if 2 * (r % t) < t else -1 for r in roots)
+
+    @_computed_once
+    def residues(self) -> dict[int, int]:
+        """The residue mod t of the square root of each basis radicand."""
+        t, p, q, s = self.t, self.p, self.q, self.s
         pinv = pow(p, -1, t)
-        self.residues = {
+        return {
             1: 1,
             2: self.r2,
-            p * self.q: self.rpq,
-            2 * p * self.q: self.r2 * self.rpq % t,
-            p * self.s: self.rps,
-            2 * p * self.s: self.r2 * self.rps % t,
-            self.q * self.s: self.rpq * self.rps * pinv % t,
-            2 * self.q * self.s: self.r2 * self.rpq * self.rps * pinv % t,
+            p * q: self.rpq,
+            2 * p * q: self.r2 * self.rpq % t,
+            p * s: self.rps,
+            2 * p * s: self.r2 * self.rps % t,
+            q * s: self.rpq * self.rps * pinv % t,
+            2 * q * s: self.r2 * self.rpq * self.rps * pinv % t,
         }
 
 

@@ -442,6 +442,25 @@ def test_closed_form_half_integer_root_and_refusals():
         assert _descent_root(tower, units) is None
 
 
+def _with_half(u, half):
+    """A copy of the unit u that carries the half unit `half` instead."""
+    copy = fields.QuadUnit(u.d, u.x, u.y, u.norm)
+    object.__setattr__(copy, "half", half)
+    return copy
+
+
+def test_closed_form_root_checks_the_half_units():
+    B = BiquadField(2, 133)
+    units = (fundamental_pell(133), fundamental_pell(266))
+    h, k, Q = units[0].half
+    for half in [(h + 1, k, Q), (h, k + 1, Q), (h, k, 2 * Q), (h, k, 3 * Q), (k, h, Q)]:
+        with pytest.raises(ArithmeticError, match="does not square back"):
+            fields.sqrt_unit_product(B, (_with_half(units[0], half), units[1]))
+    # a unit of norm +1 built by hand has no half unit to root
+    with pytest.raises(ValueError, match="no half unit"):
+        fields.sqrt_unit_product(B, (_with_half(units[0], None), units[1]))
+    assert fields.sqrt_unit_product(B, units) == theta_factors(7, 19, 3)[0]
+
 
 # -- the closed-form root of mu*Theta -----------------------------------------
 
@@ -497,6 +516,35 @@ def test_norm_one_product_refusals_and_edge_factors():
     assert root == octic.lift(eps_65) * octic.lift(inv_15) and oracles.real_sign(root) == 1
 
 
+def _norm_one_quotient(K, rng):
+    """y/y' for a random y in K = Q(sqrt2, sqrt m), y' its conjugate over
+    Q(sqrt2): relative norm 1 and, as a rule, a denominator with primes of m."""
+    while True:
+        y = K.element([rng.randint(-9, 9) for _ in range(4)])
+        n = y * K.element([c if i < 2 else -c for i, c in enumerate(y.coords)])
+        if not n.is_zero():
+            break
+    n0, n1 = n.coords[0], n.coords[1]
+    return y * y * K.element([n0, -n1, 0, 0]) * (1 / (n0 * n0 - 2 * n1 * n1))
+
+
+def test_norm_one_product_root_of_factors_with_denominators():
+    # gcd(T, 2D) and the primes over m then see denominators D > 2, some
+    # sharing primes with m; the descent is the reference
+    rng = random.Random(20260)
+    seen_den = set()
+    for p, q, s in [(7, 19, 3), (5, 13, 3), (17, 7, 41), (3, 11, 23)]:
+        octic = OcticField(p, q, s)
+        K1, K2 = BiquadField(2, p * q), BiquadField(2, p * s)
+        for _ in range(6):
+            x1, x2 = _norm_one_quotient(K1, rng), _norm_one_quotient(K2, rng)
+            seen_den.update((x1.den, x2.den))
+            for a, b in [(x1, x2), (x1 * x1, x2 * x2), (-(x1 * x1), -(x2 * x2)), (x1 * x1, x2)]:
+                root = fields.sqrt_norm_one_product(octic, a, b)
+                assert root == sqrt_exact(octic.lift(a) * octic.lift(b)), (p, q, s, a, b)
+    assert max(seen_den) > 1000
+
+
 def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
     f1, f2 = theta_factors(7, 19, 3)
     octic = OcticField(7, 19, 3)
@@ -510,6 +558,95 @@ def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
     monkeypatch.setattr(fields, "_sqrt", doubled)
     with pytest.raises(ArithmeticError, match="does not square back"):
         fields.sqrt_norm_one_product(octic, f1, f2)
+
+
+def test_relative_half_root_is_checked_by_exact_division(monkeypatch):
+    # a wrong alpha makes beta = v1/alpha inexact, or xi fail to square back:
+    # either way ArithmeticError, never AssertionError or ZeroDivisionError;
+    # the other root -alpha gives the same xi, whose sign is fixed afterwards
+    f1, f2 = theta_factors(7, 19, 3)
+    octic = OcticField(7, 19, 3)
+    xi = fields.sqrt_norm_one_product(octic, f1, f2)
+    root_of = fields._root_quadratic
+    for scale in (2, 3, -1):
+        def scaled(x, w, b, norm, scale=scale):
+            v, d = root_of(x, w, b, norm)
+            return [scale * c for c in v], d
+
+        monkeypatch.setattr(fields, "_root_quadratic", scaled)
+        if scale == -1:
+            assert fields.sqrt_norm_one_product(octic, f1, f2) == xi
+            continue
+        with pytest.raises(ArithmeticError, match="does not square back"):
+            fields.sqrt_norm_one_product(octic, f1, f2)
+
+
+def _forced_triples():
+    """For each class of (p, q, s) mod 8, the first triple of distinct primes
+    below 200 in that class whose Theta factors exist (some classes have none
+    there: a unit of norm -1 leaves no factor)."""
+    by_class = {}
+    for n in range(3, 200, 2):
+        if oracles.trial_division_is_prime(n):
+            by_class.setdefault(n % 8, []).append(n)
+    found = []
+    for cp in (1, 3, 5, 7):
+        for cq in (1, 3, 5, 7):
+            for cs in (1, 3, 5, 7):
+                for p in by_class[cp][:3]:
+                    triple = next(
+                        ((p, q, s) for q in by_class[cq][:4] for s in by_class[cs][:4]
+                         if len({p, q, s}) == 3 and _has_theta(p, q, s)),
+                        None,
+                    )
+                    if triple:
+                        found.append(triple)
+                        break
+    return found
+
+
+def _has_theta(p, q, s):
+    try:
+        theta_factors(p, q, s)
+    except NotASquareInBiquad:
+        return False
+    return True
+
+
+def test_norm_one_product_root_on_forced_triples_of_every_class_mod_8():
+    # p, q and s both split (+-1 mod 8) and inert (+-3 mod 8) in Z[sqrt2]; for
+    # p = +-3 (mod 8) no prime of Z[sqrt2] lies over p alone
+    triples = _forced_triples()
+    for i in range(3):
+        assert {t[i] % 8 for t in triples} == {1, 3, 5, 7}
+    counts = set()
+    for p, q, s in triples:
+        f1, f2 = theta_factors(p, q, s)
+        octic = OcticField(p, q, s)
+        th = octic.lift(f1) * octic.lift(f2)
+        eps_pq = fundamental_pell(p * q)
+        roots = []
+        for a, product in [(f1, th), (f1.tower.from_quad_unit(eps_pq) * f1,
+                                      octic.from_quad_unit(eps_pq) * th)]:
+            root = fields.sqrt_norm_one_product(octic, a, f2)
+            assert root == sqrt_exact(product), (p, q, s)
+            roots.append(root)
+        counts.add(roots.count(None))
+    # cases with one square candidate, with none and with two occur
+    assert counts == {0, 1, 2}
+
+
+def test_primes_over_a_split_prime_have_its_norm():
+    for ell in range(3, 20000, 2):
+        if not oracles.trial_division_is_prime(ell):
+            continue
+        primes = fields._primes_over(ell)
+        if ell % 8 in (3, 5):
+            assert primes == [(ell, (ell, 0), None)]
+            continue
+        for _, (a, b), u in primes:
+            assert a * a - 2 * b * b == ell and (a + b * u) % ell == 0
+        assert primes[0][1] == (primes[1][1][0], -primes[1][1][1])
 
 
 # -- the one element format: integer numerators over one denominator -------

@@ -145,3 +145,34 @@ def test_proper_power_oracle_detects_powers():
         assert oracles.is_proper_power_unit(d, *sq)
         assert oracles.is_proper_power_unit(d, *cu)
         assert not oracles.is_proper_power_unit(d, u.x, u.y)
+
+
+def _corpus_radicands():
+    return sorted({
+        m
+        for p, q, s in oracles.in_pattern_triples(400)
+        for m in (2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)
+    })
+
+
+def test_half_units_of_every_even_period_corpus_radicand():
+    # eps = (h + k*sqrt d)^2/Q with Q | 2d: the walk's stopping point rebuilds
+    # x and y; only d = 2 has an odd period, and then no half unit is kept
+    odd = []
+    for d in _corpus_radicands():
+        u = fundamental_pell(d)
+        if u.norm == -1:
+            assert u.half is None
+            odd.append(d)
+            continue
+        h, k, Q = u.half
+        assert h > 0 and k > 0 and (2 * d) % Q == 0 and Q % 4 != 0
+        assert h * h - d * k * k in (Q, -Q)
+        assert (h * h + d * k * k, 2 * h * k) == (Q * u.x, Q * u.y)
+    assert odd == [2]
+
+
+def test_a_unit_built_by_hand_has_no_half_unit():
+    u = QuadUnit(21, 55, 12, 1)
+    assert u.half is None and u == fundamental_pell(21)
+    assert fundamental_pell(21).half == (9, 2, 3)  # (9 + 2*sqrt21)^2 = 3*(55 + 12*sqrt21)
