@@ -23,6 +23,7 @@ from .errors import (
     HypothesisViolation,
     InvalidPlace,
     NonUnitResidue,
+    NotASquareInBiquad,
     OracleDisagreement,
     SearchExhausted,
 )
@@ -175,14 +176,13 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
 
 
 def find_split_primes(p: int, q: int, s: int, count: int, bound: int = DEFAULT_PRIME_BOUND) -> list[int]:
-    """The first `count` split primes below `bound`, ascending."""
+    """The first `count` split primes below `bound`, ascending; a negative
+    count raises ValueError."""
     _check_triple(p, q, s)
-    out = []
-    for t in iter_split_primes(p, q, s, bound):
-        out.append(t)
-        if len(out) == count:
-            return out
-    raise SearchExhausted(f"only {len(out)} of {count} split primes below {bound}")
+    out = list(islice(iter_split_primes(p, q, s, bound), count))
+    if len(out) < count:
+        raise SearchExhausted(f"only {len(out)} of {count} split primes below {bound}")
+    return out
 
 
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
@@ -390,39 +390,33 @@ def _scan_places(
     prime_bound, in ascending (t, signs) order, so the first valid one is the
     paper's place.
 
-    eps_pq = x + y*sqrt(pq) depends on the root of pq alone: `residue_at`
-    takes its residue r at the first place above t, and the places with the
-    other root of pq have x - y*sqrt(pq) = N(eps_pq)/r, so each prime takes
-    one reduction of eps_pq and one Legendre symbol per residue. Theta is
-    reduced once per prime, at the first valid place above it; a denominator
-    of Theta that t divides, or a zero Theta residue, ends the places above t
-    and the scan moves on to the next t.
+    eps_pq = (h + k*sqrt(pq))^2/Q by its half unit, so at every place above t
+    its Legendre symbol is (Q/t): the eight places are valid exactly when
+    (Q/t) = -1. `residue_at` takes eps_pq's residue r at the first place; the
+    places with the other root of pq have 1/r, as the norm is +1. Theta is
+    reduced once per valid prime. A denominator of Theta that t divides, or a
+    zero Theta residue, ends the places above t; the triple's own Theta has
+    neither, so these exits only validate a Theta passed to `survey_places`.
     """
+    Q = eps_pq.half[2]
     for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT):
         places = enumerate_places(t, p, q, s)
         r = residue_at(eps_pq, places[0])
-        flipped = eps_pq.norm * pow(r, -1, t) % t
-        eps_by_rpq = {
-            places[0].rpq: (r, jacobi(r, t)),
-            t - places[0].rpq: (flipped, jacobi(flipped, t)),
-        }
-        theta_mod = None
+        eps_res = {places[0].rpq: r, t - places[0].rpq: pow(r, -1, t)}
+        if jacobi(Q, t) == 1:
+            yield from (PlaceDecision(pl, eps_res[pl.rpq], 1, valid=False) for pl in places)
+            continue
+        try:
+            theta_mod = reduce_mod(theta_elem, t)
+        except DenominatorNotInvertible:
+            continue
         for place in places:
-            r_eps, leg_eps = eps_by_rpq[place.rpq]
-            if leg_eps != -1:
-                yield PlaceDecision(place, r_eps, leg_eps, valid=False)
-                continue
-            if theta_mod is None:
-                try:
-                    theta_mod = reduce_mod(theta_elem, t)
-                except DenominatorNotInvertible:
-                    break
             r_theta = residue_from(theta_mod, place)
             if r_theta == 0:
-                break  # cannot happen for a unit; defend against bad inputs
+                break
             leg_theta = jacobi(r_theta, t)
             yield PlaceDecision(
-                place, r_eps, leg_eps, True, r_theta, leg_theta, 0 if leg_theta == 1 else 1
+                place, eps_res[place.rpq], -1, True, r_theta, leg_theta, 0 if leg_theta == 1 else 1
             )
 
 
@@ -436,7 +430,8 @@ def survey_places(
     """Every place above the first PRIME_COUNT split primes below
     prime_bound, by the scan `delta` makes: the residue of eps_pq everywhere,
     and Theta's residue and delta at the valid places. A Theta built by the
-    caller is used as given; `Certificate.survey` reuses a decision's."""
+    caller is used as given; `Certificate.survey` reuses a decision's. A
+    triple whose eps_pq has norm -1 has no Theta and is refused."""
     if theta_elem is None:
         eps = _theta_units(p, q, s)
         theta_elem = _theta(OcticField(p, q, s), eps)
@@ -444,6 +439,8 @@ def survey_places(
     else:
         _check_triple(p, q, s)
         eps_pq = fundamental_pell(p * q)
+        if eps_pq.half is None:
+            raise NotASquareInBiquad(f"eps_{p * q} has norm -1, so the triple has no Theta")
     return list(_scan_places(p, q, s, theta_elem, eps_pq, prime_bound))
 
 
@@ -496,10 +493,11 @@ def delta(
     """Decide the residual bit delta(p, q, s) and certify it.
 
     Iterates (split prime, place) pairs in deterministic order, over the
-    first PRIME_COUNT split primes below prime_bound, selects the first place
-    where eps_pq has nonsquare residue, and reads delta off the
-    Legendre symbol of the Theta residue; `survey_places` makes the same scan
-    through all the places. With `force` the congruence check is
+    first PRIME_COUNT split primes below prime_bound, selects the
+    all-canonical place above the first t with (Q/t) = -1, Q from eps_pq's
+    half unit, where eps_pq has nonsquare residue at every place, and reads
+    delta off the Legendre symbol of the Theta residue; `survey_places` makes
+    the same scan through all the places. With `force` the congruence check is
     downgraded to a certificate flag and the exact cross-check is switched on.
     The cross-check recomputes the decision globally: mu*Theta must have an
     exact root xi. The other candidate is then eps_pq^(+-1)*xi^2, a square

@@ -436,6 +436,10 @@ def split_primes_by_legendre(p: int, q: int, s: int, bound: int):
     )
 
 
+# the seed-0 size ladder of the benchmark, at p, q, s near 1e3, 3e3, 1e4, 3e4
+LADDER_TRIPLES = ((1031, 1019, 1171), (3023, 3011, 3019), (10007, 10067, 10091), (30047, 30011, 30139))
+
+
 def in_pattern_triples(limit: int) -> list[tuple[int, int, int]]:
     """Triples of distinct primes below limit with q < s, p = 7 and
     q = s = 3 (mod 8), and ((q/p), (s/p), (q/s)) = (1, 1, 1) or (-1, -1, 1),

@@ -387,9 +387,6 @@ def test_oracle_nonsquare_answers_have_local_witnesses():
 
 # -- closed-form roots of Pell-unit products --------------------------------
 
-LADDER_RUNGS = [(1031, 1019, 1171), (3023, 3011, 3019), (10007, 10067, 10091), (30047, 30011, 30139)]
-
-
 def _unit_products(p, q, s):
     """(tower, units) for Theta's two factors and the four FSU roots."""
     e = {d: fundamental_pell(d) for d in (p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)}
@@ -411,7 +408,7 @@ def _descent_root(tower, units):
     return sqrt_exact(product)
 
 
-@pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], LADDER_RUNGS],
+@pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], oracles.LADDER_TRIPLES],
                          ids=["every-9th-corpus-triple", "ladder-rungs"])
 def test_closed_form_roots_match_the_descent(triples):
     for triple in triples:
@@ -465,7 +462,7 @@ def test_closed_form_root_checks_the_half_units():
 # -- the closed-form root of mu*Theta -----------------------------------------
 
 
-@pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], LADDER_RUNGS],
+@pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], oracles.LADDER_TRIPLES],
                          ids=["every-9th-corpus-triple", "ladder-rungs"])
 def test_norm_one_product_root_matches_the_descent(triples):
     for p, q, s in triples:

@@ -31,10 +31,6 @@ def test_smallest_negative_norm_case():
     assert (u.x, u.y, u.norm) == (1, 1, -1)
 
 
-# the seed-0 size ladder of the benchmark, at p, q, s near 1e3, 3e3, 1e4, 3e4
-LADDER_TRIPLES = ((1031, 1019, 1171), (3023, 3011, 3019), (10007, 10067, 10091), (30047, 30011, 30139))
-
-
 def _primes_above(n, count):
     out = []
     while len(out) < count:
@@ -115,7 +111,7 @@ def test_half_period_matches_full_period_at_random_d_below_1e8():
 def test_half_period_matches_full_period_on_the_ladder_radicands():
     ds = {
         m
-        for p, q, s in LADDER_TRIPLES
+        for p, q, s in oracles.LADDER_TRIPLES
         for m in (2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s)
     }
     assert len(ds) == 25

@@ -69,6 +69,12 @@ def test_find_split_primes():
         find_split_primes(7, 19, 3, 50, 100)
 
 
+def test_find_split_primes_takes_no_more_than_the_count():
+    assert find_split_primes(7, 19, 3, 0, 1000) == []
+    with pytest.raises(ValueError):
+        find_split_primes(7, 19, 3, -1, 1000)
+
+
 def test_enumerate_places_order_and_closure():
     places = enumerate_places(41, 7, 19, 3)
     assert len(places) == 8

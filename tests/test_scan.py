@@ -21,6 +21,7 @@ from unitcert import (
     QuadUnit,
     TowerElement,
     certify_affine,
+    delta,
     enumerate_places,
     fsu,
     fundamental_pell,
@@ -30,7 +31,7 @@ from unitcert import (
     theta,
 )
 from unitcert.arith import odd_primes
-from unitcert.errors import Inseparable, RankDeficient, SearchExhausted
+from unitcert.errors import Inseparable, NotASquareInBiquad, RankDeficient, SearchExhausted
 
 CORPUS = oracles.in_pattern_triples(400)
 
@@ -118,28 +119,64 @@ def test_separate_candidates_matches_the_per_place_scan(every_9th_triple):
 
 
 @pytest.mark.parametrize("triple", [(5, 13, 17), (5, 13, 3), (13, 5, 29)])
-def test_survey_matches_the_per_place_scan_for_eps_pq_of_norm_minus_one(triple):
-    # eps_65 = 8 + sqrt(65) has norm -1, so above t = 7 (mod 8) the two roots
-    # of pq give residues r and -1/r of opposite Legendre symbols; these
-    # triples have no Theta, and a unit of their octic field stands in for it
+def test_survey_refuses_eps_pq_of_norm_minus_one(triple):
+    # eps_65 = 8 + sqrt(65) has norm -1 and no half unit, so these triples
+    # have no Theta, and a unit of their octic field passed for it is refused
     p, q, s = triple
     octic = OcticField(p, q, s)
     eps = fundamental_pell(p * q)
-    assert eps.norm == -1
+    assert eps.norm == -1 and eps.half is None
     stand_in = octic.from_quad_unit(fundamental_pell(2)) * octic.from_quad_unit(
         fundamental_pell(p * s)
     )
-    rows = _rows(survey_places(p, q, s, theta_elem=stand_in))
-    assert rows == oracles.survey_by_places(p, q, s, stand_in, eps)
-    mixed = {t for t, _, valid, *_ in rows if valid} & {t for t, _, valid, *_ in rows if not valid}
-    assert mixed and all(t % 8 == 7 for t in mixed)
-    # a denominator at a mixed prime ends its places at the first valid one,
-    # so fewer than its four invalid places are listed
-    t = min(mixed)
-    with_denominator = stand_in * Fraction(1, t)
-    rows = _rows(survey_places(p, q, s, theta_elem=with_denominator))
-    assert rows == oracles.survey_by_places(p, q, s, with_denominator, eps)
-    assert sum(row[0] == t for row in rows) < 4
+    with pytest.raises(NotASquareInBiquad):
+        survey_places(p, q, s, theta_elem=stand_in)
+    with pytest.raises(NotASquareInBiquad):
+        survey_places(p, q, s)
+
+
+def test_eps_pq_residues_and_validity_follow_from_its_half_unit():
+    # eps_pq = (h + k*sqrt(pq))^2/Q, so its residue at every place above t is
+    # a square times 1/Q, and the eight places are valid exactly when
+    # (Q/t) = -1; the triple's own Theta ends no prime's places early
+    for triple in CORPUS[::7]:
+        h, k, Q = fundamental_pell(triple[0] * triple[1]).half
+        decisions = survey_places(*triple)
+        assert len(decisions) == 8 * unitcert.residual.PRIME_COUNT, triple
+        for d in decisions:
+            t = d.place.t
+            leg = oracles.euler_legendre(Q, t)
+            assert (d.valid, d.legendre_eps) == (leg == -1, leg), (triple, t)
+            assert d.eps_residue == (h + k * d.place.rpq) ** 2 * pow(Q, -1, t) % t, (triple, t)
+
+
+@pytest.fixture(scope="module")
+def corpus_and_ladder_certificates():
+    return [delta(*triple, with_fsu=False) for triple in CORPUS + list(oracles.LADDER_TRIPLES)]
+
+
+def test_certificate_place_is_all_canonical_above_the_first_t_with_q_m_a_nonresidue(
+    corpus_and_ladder_certificates,
+):
+    for cert in corpus_and_ladder_certificates:
+        p, q, s = cert.p, cert.q, cert.s
+        Q = cert.eps_pq.half[2]
+        first = next(
+            t for t in oracles.split_primes_by_legendre(p, q, s, 10 ** 5)
+            if oracles.euler_legendre(Q, t) == -1
+        )
+        assert (cert.place.t, cert.place.signs) == (first, (1, 1, 1)), (p, q, s)
+
+
+def test_own_theta_denominator_is_prime_to_every_split_prime(corpus_and_ladder_certificates):
+    # a split t is prime to 2pqs, so the scan's denominator exit is input
+    # validation only; the zero-residue exit is covered by the survey above
+    for cert in corpus_and_ladder_certificates:
+        den = cert.theta.den
+        for r in (2, cert.p, cert.q, cert.s):
+            while den % r == 0:
+                den //= r
+        assert den == 1, (cert.p, cert.q, cert.s)
 
 
 @pytest.fixture(scope="module")
