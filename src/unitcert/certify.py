@@ -1,9 +1,11 @@
 """Local certification machinery over F2.
 
 Legendre test functionals at split places (the Hilbert symbol against the
-uniformizer), rank-based search for functionals resolving an affine coset of
+uniformizer), a search for functionals resolving an affine coset of
 squareclasses, and separation of arbitrary finite candidate families by
-finitely many local bits.
+finitely many local bits. Both searches read one deterministic functional
+stream and keep a functional exactly when its row raises the F2 rank, which
+one incremental echelon basis decides.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
 )
 from .fields import TowerElement, sqrt_exact
 from .residual import (
+    DEFAULT_PRIME_BOUND,
     SplitPlace,
     enumerate_places,
     iter_split_primes,
@@ -29,7 +32,6 @@ from .residual import (
     residue_from,
 )
 
-DEFAULT_FUNCTIONAL_BOUND = 100_000
 FUNCTIONAL_PRIMES = 64  # split primes the functional stream reads below the caller's bound
 
 
@@ -95,15 +97,21 @@ def _iter_functionals(tower, elements: list[TowerElement], bound: int):
                 yield TestFunctional(place), [0 if jacobi(r, t) == 1 else 1 for r in residues]
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    work = [r for r in rows if r]
-    rank = 0
-    while work:
-        pivot = work[0]
-        low = pivot & -pivot
-        rank += 1
-        work = [r ^ pivot if r & low else r for r in work[1:] if (r ^ pivot if r & low else r)]
-    return rank
+def _independent(stream, width: int):
+    """The (functional, bits) items of `stream` whose first `width` bits, as a
+    row over F2, raise the rank of the rows yielded before. Those are kept as
+    an echelon basis, each reduced against the earlier ones with its lowest
+    bit as pivot; reducing a new row by them in order leaves it nonzero
+    exactly when it is independent of them."""
+    basis: list[tuple[int, int]] = []  # (pivot bit, reduced row)
+    for functional, bits in stream:
+        row = sum(bit << j for j, bit in enumerate(bits[:width]))
+        for pivot, kept in basis:
+            if row & pivot:
+                row ^= kept
+        if row:
+            basis.append((row & -row, row))
+            yield functional, bits
 
 
 def _gf2_solve(matrix_rows: list[int], rhs_bits: list[int], r: int) -> tuple[int, ...]:
@@ -144,7 +152,7 @@ class AffineCertificate:
 def certify_affine(
     u0: TowerElement,
     generators: list[TowerElement],
-    bound: int = DEFAULT_FUNCTIONAL_BOUND,
+    bound: int = DEFAULT_PRIME_BOUND,
 ) -> AffineCertificate:
     """Search for functionals of full rank on the span of the generators.
 
@@ -160,26 +168,16 @@ def certify_affine(
     chosen: list[TestFunctional] = []
     matrix: list[list[int]] = []
     base_bits: list[int] = []
-    row_masks: list[int] = []
-    detected = [False] * r
-    for functional, bits in _iter_functionals(tower, [*generators, u0], bound):
-        col, base = bits[:-1], bits[-1]
-        for j, bit in enumerate(col):
-            if bit:
-                detected[j] = True
-        mask = sum(bit << j for j, bit in enumerate(col))
-        if mask == 0:
-            continue
-        if _gf2_rank(row_masks + [mask]) <= len(row_masks):
-            continue
+    stream = _iter_functionals(tower, [*generators, u0], bound)
+    for functional, bits in _independent(stream, r):
         chosen.append(functional)
-        matrix.append(col)
-        base_bits.append(base)
-        row_masks.append(mask)
+        matrix.append(bits[:-1])
+        base_bits.append(bits[-1])
         if len(chosen) == r:
             return AffineCertificate(chosen, matrix, base_bits)
-    for j, hit in enumerate(detected):
-        if not hit:
+    # the kept rows span the streamed ones: a bit that none has, no functional gave
+    for j in range(r):
+        if not any(row[j] for row in matrix):
             raise RankDeficient(
                 f"generator {j} was not detected by any functional below {bound}; "
                 "dependence suspected"
@@ -211,7 +209,7 @@ class SeparationCertificate:
 
 def separate_candidates(
     candidates: list[TowerElement],
-    bound: int = DEFAULT_FUNCTIONAL_BOUND,
+    bound: int = DEFAULT_PRIME_BOUND,
 ) -> SeparationCertificate:
     """Separate a finite family of squareclasses by local Legendre bits.
 
@@ -231,15 +229,10 @@ def separate_candidates(
     diffs = [c * candidates[0] for c in candidates[1:]]
     chosen: list[TestFunctional] = []
     rows: list[tuple[int, ...]] = [() for _ in candidates]
-    row_masks: list[int] = []
-    for functional, values in _iter_functionals(tower, [*diffs, *candidates], bound):
-        col, bits = values[:len(diffs)], values[len(diffs):]
-        mask = sum(bit << j for j, bit in enumerate(col))
-        if mask == 0 or _gf2_rank(row_masks + [mask]) <= len(row_masks):
-            continue
+    stream = _iter_functionals(tower, [*diffs, *candidates], bound)
+    for functional, values in _independent(stream, len(diffs)):
         chosen.append(functional)
-        row_masks.append(mask)
-        rows = [rows[i] + (bits[i],) for i in range(len(candidates))]
+        rows = [row + (bit,) for row, bit in zip(rows, values[len(diffs):])]
         if len(set(rows)) == len(rows):
             return SeparationCertificate(list(candidates), chosen, rows)
     collisions = [

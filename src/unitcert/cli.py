@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fields import BiquadField, OcticField, sqrt_exact
 from .pell import fundamental_pell
-from .residual import Certificate, classical_datum, delta
+from .residual import DEFAULT_PRIME_BOUND, Certificate, classical_datum, delta
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -159,7 +159,7 @@ def cmd_separate(args) -> int:
             for coords in payload["candidates"]
         ]
         bound = _family_value(payload.get("bound", args.prime_bound))
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(
             f"{args.input}: a family file is a JSON object with integers p, q, s, a list "
             f'of coordinate lists "candidates" (integers or strings "n" or "n/d") and an '
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON")
     bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--prime-bound", type=int, default=100_000,
+    bound.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND,
                        help="upper bound for auxiliary split primes")
     triple = argparse.ArgumentParser(add_help=False)
     for name in ("p", "q", "s"):

@@ -74,8 +74,14 @@ class Tower:
     # -- elements ---------------------------------------------------------
 
     def element(self, coords) -> TowerElement:
-        """The element with coordinates that `Fraction` reads (ints, strings)."""
-        cs = [Fraction(c) for c in coords]
+        """The element with coordinates that `Fraction` reads (ints, strings);
+        a coordinate with a zero denominator raises ValueError."""
+        cs = []
+        for i, c in enumerate(coords):
+            try:
+                cs.append(Fraction(c))
+            except ZeroDivisionError:
+                raise ValueError(f"coordinate {i} ({c!r}) has a zero denominator") from None
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
         den = lcm(*(c.denominator for c in cs))
@@ -200,7 +206,6 @@ class BiquadField(Tower):
         if gcd(a, b) != 1:
             raise ValueError(f"need ab squarefree, got gcd({a},{b}) > 1")
         super().__init__((a, b))
-        self.a, self.b = a, b
 
 
 def _check_triple(p: int, q: int, s: int) -> None:
@@ -663,17 +668,6 @@ def sqrt_norm_one_product(
 # -- Theta and the biquadratic unit index ---------------------------------
 
 
-def _unit_product_root(eps_d: QuadUnit, eps_2d: QuadUnit) -> TowerElement:
-    """The positive square root of eps_d * eps_2d inside Q(sqrt2, sqrt d)."""
-    d = eps_d.d
-    root = sqrt_unit_product(BiquadField(2, d), (eps_d, eps_2d))
-    if root is None:
-        raise NotASquareInBiquad(
-            f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})"
-        )
-    return root
-
-
 def _theta_units(p: int, q: int, s: int) -> dict[int, QuadUnit]:
     """The Pell units of pq, 2pq, ps and 2ps, which Theta's factors root; a
     caller that needs one of them again reads it from this dict."""
@@ -683,11 +677,15 @@ def _theta_units(p: int, q: int, s: int) -> dict[int, QuadUnit]:
 def _theta_factors(
     p: int, q: int, s: int, eps: dict[int, QuadUnit]
 ) -> tuple[TowerElement, TowerElement]:
-    """Theta's two factors from the units of `_theta_units(p, q, s)`."""
-    return (
-        _unit_product_root(eps[p * q], eps[2 * p * q]),
-        _unit_product_root(eps[p * s], eps[2 * p * s]),
-    )
+    """Theta's two factors from the units of `_theta_units(p, q, s)`: the
+    positive square roots of eps_d * eps_2d in Q(sqrt2, sqrt d), d = pq, ps."""
+    factors = []
+    for d in (p * q, p * s):
+        root = sqrt_unit_product(BiquadField(2, d), (eps[d], eps[2 * d]))
+        if root is None:
+            raise NotASquareInBiquad(f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})")
+        factors.append(root)
+    return tuple(factors)
 
 
 def _theta(octic: OcticField, eps: dict[int, QuadUnit]) -> TowerElement:

@@ -101,7 +101,7 @@ def _unit_str(u: QuadUnit) -> str:
     return f"({u.x}, {u.y}, {u.norm:+d})"
 
 
-def run_checks(prime_bound: int = 100_000) -> list[CheckItem]:
+def run_checks(prime_bound: int) -> list[CheckItem]:
     """Recompute every reference value and compare; one item per number.
 
     Each check computes the Pell units it reads afresh. A computation failure

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .arith import _sqrt_mod_prime, hilbert_symbol, jacobi, odd_primes
 from .errors import (
@@ -285,34 +285,37 @@ class Generator:
 
 @dataclass
 class Certificate:
-    """Complete audit trail of one residual-bit decision."""
+    """Complete audit trail of one residual-bit decision. Its place is valid
+    by construction: eps_pq is a local nonsquare there (`legendre_eps`), and
+    delta and mu follow from Theta's Legendre bit."""
+
+    eps_convention: ClassVar[str] = EPS_CONVENTION
+    legendre_eps: ClassVar[int] = -1
 
     p: int
     q: int
     s: int
     datum: ClassicalDatum
-    eps_convention: str
     hypotheses_verified: bool
     place: SplitPlace
     theta_residue: int
     eps_pq_residue: int
     legendre_theta: int
-    legendre_eps: int
-    delta: int
-    mu: str
     fsu: list[Generator] | None
     oracle_checked: bool
     # Theta and eps_pq of the decision, kept for `survey`; not in the JSON
     theta: TowerElement = field(repr=False, compare=False)
     eps_pq: QuadUnit = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.legendre_eps != -1:
-            raise InvalidPlace("certificate place must have eps_pq a local nonsquare")
-        if self.delta != (0 if self.legendre_theta == 1 else 1):
-            raise ValueError("delta is inconsistent with the Legendre bit")
-        if self.mu != ("1" if self.delta == 0 else "eps_pq"):
-            raise ValueError("mu is inconsistent with delta")
+    @property
+    def delta(self) -> int:
+        """0 exactly when Theta's residue is a square mod t."""
+        return 0 if self.legendre_theta == 1 else 1
+
+    @property
+    def mu(self) -> str:
+        """eps_pq^delta, the candidate whose product with Theta is a square."""
+        return "1" if self.delta == 0 else "eps_pq"
 
     def to_json_dict(self) -> dict:
         place = self.place
@@ -365,7 +368,13 @@ class PlaceDecision:
     valid: bool
     theta_residue: int | None = None
     legendre_theta: int | None = None
-    delta: int | None = None
+
+    @property
+    def delta(self) -> int | None:
+        """The bit Theta's Legendre symbol gives; None at an invalid place."""
+        if self.legendre_theta is None:
+            return None
+        return 0 if self.legendre_theta == 1 else 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -414,10 +423,7 @@ def _scan_places(
             r_theta = residue_from(theta_mod, place)
             if r_theta == 0:
                 break
-            leg_theta = jacobi(r_theta, t)
-            yield PlaceDecision(
-                place, eps_res[place.rpq], -1, True, r_theta, leg_theta, 0 if leg_theta == 1 else 1
-            )
+            yield PlaceDecision(place, eps_res[place.rpq], -1, True, r_theta, jacobi(r_theta, t))
 
 
 def survey_places(
@@ -533,41 +539,38 @@ def delta(
         raise SearchExhausted(
             f"no valid place below t = {prime_bound} (first {PRIME_COUNT} split primes)"
         )
-    place, bit, mu = chosen.place, chosen.delta, "1" if chosen.delta == 0 else "eps_pq"
-
-    xi = None
-    if oracle_on or with_fsu:
-        # mu*Theta = (mu*f1)*f2, both factors of relative norm +-1 to Q(sqrt2)
-        mu_f1 = f1 if bit == 0 else f1.tower.from_quad_unit(eps_pq) * f1
-        xi = sqrt_norm_one_product(octic, mu_f1, f2)
-    if oracle_on:
-        if xi is None:
-            raise OracleDisagreement(
-                f"residue criterion gives delta = {bit} but mu*Theta has no exact root"
-            )
-        if not _eps_is_local_nonsquare(eps_pq, place):
-            raise OracleDisagreement(
-                f"eps_pq is not a nonresidue at the place above t = {place.t}, "
-                "so the other candidate is not excluded"
-            )
-
-    return Certificate(
+    cert = Certificate(
         p=p, q=q, s=s,
         datum=datum,
-        eps_convention=EPS_CONVENTION,
         hypotheses_verified=hypotheses_verified,
-        place=place,
+        place=chosen.place,
         theta_residue=chosen.theta_residue,
         eps_pq_residue=chosen.eps_residue,
         legendre_theta=chosen.legendre_theta,
-        legendre_eps=-1,
-        delta=bit,
-        mu=mu,
-        fsu=_fsu_generators(octic, mu, xi, root_pq, eps) if with_fsu else None,
+        fsu=None,
         oracle_checked=oracle_on,
         theta=theta_elem,
         eps_pq=eps_pq,
     )
+
+    xi = None
+    if oracle_on or with_fsu:
+        # mu*Theta = (mu*f1)*f2, both factors of relative norm +-1 to Q(sqrt2)
+        mu_f1 = f1 if cert.delta == 0 else f1.tower.from_quad_unit(eps_pq) * f1
+        xi = sqrt_norm_one_product(octic, mu_f1, f2)
+    if oracle_on:
+        if xi is None:
+            raise OracleDisagreement(
+                f"residue criterion gives delta = {cert.delta} but mu*Theta has no exact root"
+            )
+        if not _eps_is_local_nonsquare(eps_pq, cert.place):
+            raise OracleDisagreement(
+                f"eps_pq is not a nonresidue at the place above t = {cert.place.t}, "
+                "so the other candidate is not excluded"
+            )
+    if with_fsu:
+        cert.fsu = _fsu_generators(octic, cert.mu, xi, root_pq, eps)
+    return cert
 
 
 def fsu(p: int, q: int, s: int) -> list[Generator]:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from unitcert import (
@@ -12,6 +13,7 @@ from unitcert import (
     theta,
 )
 from unitcert.certify import TestFunctional as Functional  # not a test class
+from unitcert.certify import _independent
 from unitcert.errors import Inseparable, NonUnitResidue, RankDeficient, SearchExhausted
 
 
@@ -160,3 +162,17 @@ def test_separate_random_unit_families(ex1):
 def test_separate_requires_candidates():
     with pytest.raises(ValueError):
         separate_candidates([])
+
+
+def test_echelon_basis_keeps_a_row_exactly_when_the_rank_rises():
+    rng = random.Random(31)
+    for trial in range(300):
+        width = rng.randint(1, 9)
+        pool = [rng.getrandbits(width) for _ in range(rng.randint(1, 6))] + [0]
+        masks = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+        stream = [(i, [m >> j & 1 for j in range(width)] + [rng.getrandbits(1)])
+                  for i, m in enumerate(masks)]
+        kept = [i for i, _ in _independent(iter(stream), width)]
+        ranks = [oracles._rank(masks[:i]) for i in range(len(masks) + 1)]
+        rises = [i for i in range(len(masks)) if ranks[i + 1] > ranks[i]]
+        assert kept == rises, (trial, masks)

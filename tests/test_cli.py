@@ -196,6 +196,14 @@ def test_separate_rejects_a_malformed_family_file(tmp_path, payload, message):
     assert "Traceback" not in r.stderr
 
 
+def test_a_zero_denominator_is_an_error_line(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**FAMILY, "candidates": [["1"] + ["0"] * 7, ["1/0"] + ["0"] * 7]}))
+    for r in (run_cli("sqrt", "biquad:2,21", "1/0,0,0,0"), run_cli("separate", str(path))):
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: coordinate 0 ('1/0') has a zero denominator\n"
+
+
 def test_verify_paper_text_and_exit():
     r = run_cli("verify-paper")
     assert r.returncode == 0

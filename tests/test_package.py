@@ -19,7 +19,7 @@ def test_all_is_exactly_the_public_names_of_the_package():
 # and keyword bags (none). A new knob must be added here on purpose.
 OPTIONAL_PARAMETERS = {
     "Generator": ["mu"],
-    "PlaceDecision": ["theta_residue", "legendre_theta", "delta"],
+    "PlaceDecision": ["theta_residue", "legendre_theta"],
     "TowerElement": ["den"],
     "certify_affine": ["bound"],
     "delta": ["prime_bound", "force", "oracle", "with_fsu"],
@@ -53,4 +53,4 @@ def optional_parameters() -> dict[str, list[str]]:
 def test_every_optional_parameter_of_the_public_api_is_pinned():
     found = optional_parameters()
     assert found == OPTIONAL_PARAMETERS
-    assert sum(map(len, found.values())) == 16
+    assert sum(map(len, found.values())) == 15

@@ -342,6 +342,30 @@ def test_certificate_json_shape():
     assert doc["fsu"][6]["name"] == "xi" and doc["fsu"][6]["mu"] == "1"
 
 
+def test_certificate_derives_delta_and_mu_from_the_legendre_bit():
+    cert = delta(7, 19, 3, with_fsu=False)
+    for name, value in (("delta", 0), ("mu", "1"), ("legendre_eps", -1),
+                        ("eps_convention", residual.EPS_CONVENTION)):
+        assert getattr(cert, name) == value
+        with pytest.raises(TypeError):
+            dataclasses.replace(cert, **{name: value})
+    flipped = dataclasses.replace(cert, legendre_theta=-1)
+    assert (flipped.delta, flipped.mu) == (1, "eps_pq")
+    doc = flipped.to_json_dict()
+    assert (doc["legendre_theta"], doc["delta"], doc["mu"]) == (-1, 1, "eps_pq")
+    assert list(doc) == list(cert.to_json_dict())
+
+
+def test_place_decision_reads_delta_off_the_legendre_bit():
+    decisions = survey_places(7, 19, 3)
+    assert {d.valid for d in decisions} == {True, False}
+    for d in decisions:
+        expected = (0 if d.legendre_theta == 1 else 1) if d.valid else None
+        assert d.delta == d.to_json_dict()["delta"] == expected
+    with pytest.raises(TypeError):
+        PlaceDecision(decisions[0].place, 1, 1, False, delta=None)
+
+
 def test_delta_decides_at_size_1e4():
     # Pell units of about 19k bits; the interval reconstruction of square
     # roots gave up here at its precision cap
@@ -463,7 +487,7 @@ def test_oracle_rejects_a_flipped_bit(monkeypatch):
     def flipped(*args):
         for d in scan(*args):
             if d.valid:
-                d = dataclasses.replace(d, legendre_theta=-d.legendre_theta, delta=1 - d.delta)
+                d = dataclasses.replace(d, legendre_theta=-d.legendre_theta)
             yield d
 
     monkeypatch.setattr(residual, "_scan_places", flipped)
@@ -479,7 +503,7 @@ def test_oracle_rejects_a_place_where_eps_pq_is_a_local_square(monkeypatch):
     r_eps = residue_at(fundamental_pell(21), place)
     assert jacobi(r_eps, 47) == 1
     r_theta = residue_at(theta(7, 3, 59), place)
-    forged = PlaceDecision(place, r_eps, -1, True, r_theta, -1, 1)
+    forged = PlaceDecision(place, r_eps, -1, True, r_theta, -1)
     monkeypatch.setattr(residual, "_scan_places", lambda *args: iter([forged]))
     assert delta(7, 3, 59, with_fsu=False).place.t == 47  # the scan alone is trusted
     with pytest.raises(OracleDisagreement, match="not a nonresidue at the place above t = 47"):

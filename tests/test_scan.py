@@ -253,6 +253,19 @@ def test_failures_match_the_per_place_scan(ex1):
     assert isinstance(err, SearchExhausted)
 
 
+def test_rank_deficiency_names_the_generator_the_per_place_scan_names(ex1):
+    # the undetected generator comes after detected ones, some of which only
+    # a later kept functional detects
+    octic, th, units = ex1
+    one, u2, u133 = octic.one(), units[2], units[133]
+    for gens in ([u133, u2, one], [u2, one, u133], [u133, u2 * 4, u2, one]):
+        err = _same_error(
+            lambda: certify_affine(th, gens),
+            lambda: oracles.certify_affine_by_places(th, gens),
+        )
+        assert isinstance(err, RankDeficient) and "generator 0" not in str(err)
+
+
 def _count_calls(monkeypatch, fn, record):
     """Replace every binding of fn in the loaded unitcert modules by a wrapper
     that records its arguments."""
