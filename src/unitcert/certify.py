@@ -136,14 +136,23 @@ class AffineCertificate:
     matrix: list[list[int]]  # matrix[i][j] = functional i on generator j
     base_bits: list[int]
 
+    def _check_length(self, vector: tuple[int, ...], what: str) -> int:
+        r = len(self.functionals)
+        if len(vector) != r:
+            raise ValueError(f"{what} has {len(vector)} entries, need r = {r}")
+        return r
+
     def encode(self, exponents: tuple[int, ...]) -> tuple[int, ...]:
+        self._check_length(exponents, "exponent vector")
         return tuple(
             (self.base_bits[i] + sum(m * e for m, e in zip(row, exponents))) % 2
             for i, row in enumerate(self.matrix)
         )
 
     def decode(self, bits: tuple[int, ...]) -> tuple[int, ...]:
-        r = len(self.functionals)
+        r = self._check_length(bits, "bit vector")
+        if any(bit not in (0, 1) for bit in bits):
+            raise ValueError(f"bits to decode must be 0 or 1, got {tuple(bits)} (r = {r})")
         rows = [sum(self.matrix[i][j] << j for j in range(r)) for i in range(r)]
         rhs = [(bits[i] ^ self.base_bits[i]) for i in range(r)]
         return _gf2_solve(rows, rhs, r)

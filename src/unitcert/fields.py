@@ -668,43 +668,37 @@ def sqrt_norm_one_product(
 # -- Theta and the biquadratic unit index ---------------------------------
 
 
-def _theta_units(p: int, q: int, s: int) -> dict[int, QuadUnit]:
-    """The Pell units of pq, 2pq, ps and 2ps, which Theta's factors root; a
-    caller that needs one of them again reads it from this dict."""
-    return {d: fundamental_pell(d) for d in (p * q, 2 * p * q, p * s, 2 * p * s)}
-
-
-def _theta_factors(
-    p: int, q: int, s: int, eps: dict[int, QuadUnit]
-) -> tuple[TowerElement, TowerElement]:
-    """Theta's two factors from the units of `_theta_units(p, q, s)`: the
-    positive square roots of eps_d * eps_2d in Q(sqrt2, sqrt d), d = pq, ps."""
+def _theta_parts(
+    octic: OcticField,
+) -> tuple[dict[int, QuadUnit], TowerElement, TowerElement, TowerElement]:
+    """Theta built once for the octic field's triple: (eps, f1, f2, Theta).
+    eps holds the Pell units of pq, 2pq, ps and 2ps, each walked once, for a
+    caller that needs one again; f1 and f2 are Theta's two factors, the
+    positive square roots of eps_d * eps_2d in Q(sqrt2, sqrt d), d = pq, ps;
+    Theta is their product in the octic field."""
+    p, q, s = octic.p, octic.q, octic.s
+    eps = {d: fundamental_pell(d) for d in (p * q, 2 * p * q, p * s, 2 * p * s)}
     factors = []
     for d in (p * q, p * s):
         root = sqrt_unit_product(BiquadField(2, d), (eps[d], eps[2 * d]))
         if root is None:
             raise NotASquareInBiquad(f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})")
         factors.append(root)
-    return tuple(factors)
-
-
-def _theta(octic: OcticField, eps: dict[int, QuadUnit]) -> TowerElement:
-    """Theta in the octic field from the units of `_theta_units`."""
-    f1, f2 = _theta_factors(octic.p, octic.q, octic.s, eps)
-    return octic.lift(f1) * octic.lift(f2)
+    f1, f2 = factors
+    return eps, f1, f2, octic.lift(f1) * octic.lift(f2)
 
 
 def theta_factors(p: int, q: int, s: int) -> tuple[TowerElement, TowerElement]:
     """The two normalized biquadratic roots whose product is Theta, from the
     four Pell units that each call walks."""
-    return _theta_factors(p, q, s, _theta_units(p, q, s))
+    return _theta_parts(OcticField(p, q, s))[1:3]
 
 
 def theta(p: int, q: int, s: int) -> TowerElement:
     """The normalized product Theta = sqrt(eps_pq eps_2pq) * sqrt(eps_ps eps_2ps)
     as an exact octic element, positive at the distinguished embedding, from
     the four Pell units that each call walks."""
-    return _theta(OcticField(p, q, s), _theta_units(p, q, s))
+    return _theta_parts(OcticField(p, q, s))[3]
 
 
 _INDEX_EXPONENTS = (

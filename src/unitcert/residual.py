@@ -31,9 +31,7 @@ from .fields import (
     OcticField,
     TowerElement,
     _check_triple,
-    _theta,
-    _theta_factors,
-    _theta_units,
+    _theta_parts,
     sqrt_norm_one_product,
     sqrt_octic,  # no longer called here; bench/tracer.py hooks this name as the oracle layer
     sqrt_unit_product,
@@ -439,8 +437,7 @@ def survey_places(
     caller is used as given; `Certificate.survey` reuses a decision's. A
     triple whose eps_pq has norm -1 has no Theta and is refused."""
     if theta_elem is None:
-        eps = _theta_units(p, q, s)
-        theta_elem = _theta(OcticField(p, q, s), eps)
+        eps, _, _, theta_elem = _theta_parts(OcticField(p, q, s))
         eps_pq = eps[p * q]
     else:
         _check_triple(p, q, s)
@@ -525,10 +522,7 @@ def delta(
         hypotheses_verified = False
     oracle_on = oracle or not hypotheses_verified
 
-    eps = _theta_units(p, q, s)
-    f1, f2 = _theta_factors(p, q, s, eps)
-    root_pq = octic.lift(f1)
-    theta_elem = root_pq * octic.lift(f2)
+    eps, f1, f2, theta_elem = _theta_parts(octic)
     eps_pq = eps[p * q]
 
     chosen = next(
@@ -569,7 +563,7 @@ def delta(
                 "so the other candidate is not excluded"
             )
     if with_fsu:
-        cert.fsu = _fsu_generators(octic, cert.mu, xi, root_pq, eps)
+        cert.fsu = _fsu_generators(octic, cert.mu, xi, octic.lift(f1), eps)
     return cert
 
 
@@ -587,10 +581,10 @@ def decide_mu_hilbert(p: int, q: int, s: int, place: SplitPlace) -> str:
     agreement with the Legendre path is an invariant.
     """
     t = place.t
-    eps = _theta_units(p, q, s)
+    eps, _, _, theta_elem = _theta_parts(OcticField(p, q, s))
     if jacobi(residue_at(eps[p * q], place), t) != -1:
         raise InvalidPlace(f"eps_pq is a square at the place above {t}")
-    r_theta = residue_at(_theta(OcticField(p, q, s), eps), place)
+    r_theta = residue_at(theta_elem, place)
     if r_theta == 0:
         raise NonUnitResidue("Theta has zero residue at the place")
     return "1" if hilbert_symbol(r_theta, t, t) == 1 else "eps_pq"

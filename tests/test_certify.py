@@ -96,6 +96,22 @@ def test_certify_affine_rank_two_decodes_coset(ex1):
             assert cert.encode((a, b)) == bits
 
 
+def test_affine_certificate_refuses_malformed_vectors(ex1):
+    O, th, place, units = ex1
+    cert = certify_affine(th, [units[2], units[133]])
+    for exponents in [(1,), (1, 0, 1), ()]:
+        with pytest.raises(ValueError, match="need r = 2"):
+            cert.encode(exponents)
+    for bits in [(1,), (1, 0, 1), ()]:
+        with pytest.raises(ValueError, match="need r = 2"):
+            cert.decode(bits)
+    for bits in [(0, 2), (2, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            cert.decode(bits)
+    # exponents are read mod 2, so any integer vector of length r encodes
+    assert cert.encode((3, -2)) == cert.encode((1, 0))
+
+
 def test_certify_affine_rank_deficient(ex1):
     O, th, place, units = ex1
     with pytest.raises(RankDeficient):

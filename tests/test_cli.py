@@ -13,6 +13,7 @@ import pytest
 from test_scan import _count_calls
 
 from unitcert import QuadUnit, cli, delta, fields, golden, pell
+from unitcert.errors import SearchExhausted
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -231,6 +232,40 @@ def test_verify_paper_reports_a_wrong_unit_and_exits_1(monkeypatch):
     assert "expected (55, 12, +1)" in out
 
 
+def test_verify_paper_records_a_computation_that_raises_and_exits_1(monkeypatch):
+    # a raising computation becomes a failing `error:` item; the other
+    # examples' checks still run and pass
+    decide, walk = golden.delta, golden.fundamental_pell
+
+    def delta_exhausted_for_ex3(p, q, s, **options):
+        if (p, q, s) == (7, 3, 59):
+            raise SearchExhausted("no valid place below t = 100000")
+        return decide(p, q, s, **options)
+
+    def walk_failing_at_413(d):
+        if d == 413:
+            raise ArithmeticError("continued fraction cut short")
+        return walk(d)
+
+    def noncollapse_raises(*args, **options):
+        raise RuntimeError("pair not decided")
+
+    monkeypatch.setattr(golden, "delta", delta_exhausted_for_ex3)
+    monkeypatch.setattr(golden, "fundamental_pell", walk_failing_at_413)
+    monkeypatch.setattr(golden, "noncollapse_check", noncollapse_raises)
+    code, out = _main_in_process(monkeypatch, ["verify-paper", "--json"])
+    assert code == 1
+    items = json.loads(out)["items"]
+    actual = {item["name"]: item["actual"] for item in items}
+    failed = {item["name"] for item in items if not item["ok"]}
+    assert failed == {"ex3.unit_413", "ex3.delta", "noncollapse.delta_pair", "noncollapse.check"}
+    assert actual["ex3.unit_413"] == "error: continued fraction cut short"
+    assert actual["ex3.delta"] == "error: no valid place below t = 100000"
+    assert actual["noncollapse.delta_pair"] == actual["noncollapse.check"] == "error: pair not decided"
+    assert any(name.startswith("ex1.") for name in actual)
+    assert any(name.startswith("ex2.") for name in actual)
+
+
 def _main_in_process(monkeypatch, argv) -> tuple[int, str]:
     # main() lifts the int-to-str digit limit; put this process's back after
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
@@ -256,10 +291,10 @@ def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch):
 
 def test_delta_places_all_builds_theta_once(monkeypatch):
     built = []
-    _count_calls(monkeypatch, fields._theta_factors, built)
+    _count_calls(monkeypatch, fields._theta_parts, built)
     code, out = _main_in_process(monkeypatch, ["delta", "7", "11", "43", "--places", "all", "--json"])
     assert code == 0 and json.loads(out)["all_places"]
-    assert [args[:3] for args in built] == [(7, 11, 43)]
+    assert [(octic.p, octic.q, octic.s) for (octic,) in built] == [(7, 11, 43)]
 
 
 # sha256 of the standard output of ten commands. Answers and certificates are

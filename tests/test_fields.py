@@ -172,14 +172,18 @@ def test_sqrt_octic_dichotomy_first_triple():
     assert sqrt_octic(e133 * th) is None
 
 
-@pytest.mark.parametrize("b", [21, 77, 133])
-def test_biquad_unit_index(b):
-    index, exps = biquad_unit_index(2, b)
-    assert index == 2
-    assert exps == (0, 1, 1)  # eps_b * eps_2b is the square
-    # uniqueness: no other nontrivial exponent vector yields a square
-    field = BiquadField(2, b)
-    units = [field.from_quad_unit(fundamental_pell(d)) for d in (2, b, 2 * b)]
+@pytest.mark.parametrize("a, b, exps", [
+    (2, 21, (0, 1, 1)), (2, 77, (0, 1, 1)), (2, 133, (0, 1, 1)),
+    (10, 21, None),
+], ids=["21", "77", "133", "10-21"])
+def test_biquad_unit_index(a, b, exps):
+    # index 2 where eps_b * eps_2b is the square; Q(sqrt10, sqrt21) has
+    # index 1, and no product of its three subfield units is a square
+    assert biquad_unit_index(a, b) == (2 if exps else 1, exps)
+    # uniqueness: no other nontrivial exponent vector yields a square, and a
+    # local nonresidue proves each of the others is none
+    field = BiquadField(a, b)
+    units = [field.from_quad_unit(fundamental_pell(d)) for d in field.radicands[1:]]
     hits = []
     for mask in range(1, 8):
         cand = field.one()
@@ -188,7 +192,9 @@ def test_biquad_unit_index(b):
                 cand = cand * units[j]
         if sqrt_exact(cand) is not None:
             hits.append(tuple(mask >> j & 1 for j in range(3)))
-    assert hits == [(0, 1, 1)]
+        else:
+            assert oracles.nonsquare_witness(field.generators, cand.coords) is not None
+    assert hits == ([exps] if exps else [])
 
 
 def test_unit_product_root_failure_raises():
@@ -196,6 +202,14 @@ def test_unit_product_root_failure_raises():
     # embedding and cannot be a square; the first factor must refuse
     with pytest.raises(NotASquareInBiquad):
         theta_factors(5, 13, 3)
+
+
+@pytest.mark.parametrize("triple", [(1, 7, 3), (7, 9, 3)])
+def test_theta_factors_validates_the_triple_as_theta_does(triple):
+    for build in (theta, theta_factors):
+        with pytest.raises(ValueError) as refused:
+            build(*triple)
+        assert str(refused.value) == f"{triple} must be distinct odd primes"
 
 
 def test_unit_product_root_can_exist_off_pattern():

@@ -1,5 +1,8 @@
+import ast
 import inspect
+import sys
 import types
+from pathlib import Path
 
 import unitcert
 
@@ -54,3 +57,22 @@ def test_every_optional_parameter_of_the_public_api_is_pinned():
     found = optional_parameters()
     assert found == OPTIONAL_PARAMETERS
     assert sum(map(len, found.values())) == 15
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "unitcert").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
