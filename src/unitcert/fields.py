@@ -5,15 +5,15 @@ Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, exact square roots by
 relative-norm descent through the tower of index-2 subfields, closed-form
 roots of products of Pell units of norm +1 from the half units of their
 continued fractions (sqrt(eps) = (h + k*sqrt d)/sqrt(Q)), the normalized
-generator product Theta from two such roots, the closed-form root of a
-product of two factors of relative norm +-1 to Q(sqrt2) from a relative
+generator product Theta from two such roots, the closed-form root of
+Q*a*b for factors a, b of relative norm +-1 to Q(sqrt2) from a relative
 half-root of each over Z[sqrt2] (sqrt(x) = (gamma*alpha + beta*sqrt m) /
-sqrt(2*gamma*D), which gives xi, the root of mu*Theta), and the biquadratic
-unit-index square test. The descent is the general root, for `unitcert
-sqrt`, the unit index and `separate_candidates`; no root that `delta` takes
-needs it. The Pell-unit roots divide and root only small integers, and the
-roots and divisions behind xi run on one factor at a time, never on the
-product of the two. Signs at the distinguished (all positive) real
+sqrt(2*gamma*D); with eps_pq = (h + k*sqrt pq)^2/Q it gives xi, the root of
+mu*Theta), and the biquadratic unit-index square test. The descent is the
+general root, for `unitcert sqrt`, the unit index and `separate_candidates`;
+no root that `delta` takes needs it. Pell-unit roots divide and root only
+small integers; xi is rooted and checked one factor at a time, and no octic
+product but xi is formed. Signs at the distinguished (all positive) real
 embedding are decided exactly, by the descent's own recursion, so nothing
 here approximates a real number.
 
@@ -510,14 +510,10 @@ def _sqrt2_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _sqrt2_div(z: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
-    """z/g in Z[sqrt2], for a g that divides z exactly; a remainder means that
-    a root taken on the way was wrong, and raises ArithmeticError."""
+    """z/g in Z[sqrt2], for a g that divides z; when a wrong root makes g
+    no divisor, the quotient is wrong and the root's check fails."""
     n = g[0] * g[0] - 2 * g[1] * g[1]
-    q0, r0 = divmod(z[0] * g[0] - 2 * z[1] * g[1], n)
-    q1, r1 = divmod(z[1] * g[0] - z[0] * g[1], n)
-    if r0 or r1:
-        raise ArithmeticError("the relative half-root does not square back")
-    return q0, q1
+    return (z[0] * g[0] - 2 * z[1] * g[1]) // n, (z[1] * g[0] - z[0] * g[1]) // n
 
 
 def _sqrt2_gcd(z: tuple[int, int], n: int) -> tuple[int, int]:
@@ -608,32 +604,37 @@ def _norm_one_part(x: TowerElement) -> tuple[list[int], int, int, int]:
     return v, den, e, n[0] // (den * den)
 
 
-def _divides_both_odd(z, ell: int) -> bool:
-    """Whether the largest power of ell dividing every coordinate of z is odd."""
-    odd = False
-    while all(c % ell == 0 for c in z):
-        z = [c // ell for c in z]
-        odd = not odd
-    return odd
-
-
 def sqrt_norm_one_product(
     octic: OcticField, a: TowerElement, b: TowerElement
 ) -> TowerElement | None:
     """Square root of a*b in the octic field, for a in K1 = Q(sqrt2, sqrt pq)
     and b in K2 = Q(sqrt2, sqrt ps), each of relative norm +-1 to Q(sqrt2);
     positive at the distinguished embedding, or None when a*b is no square.
+    The mu = 1 case of `_sqrt_mu_product`, xi's root for `delta`: each factor
+    is rooted and checked on its own, and no octic product but the root is formed."""
+    return _sqrt_mu_product(octic, a, b, 1, 0, 1)
+
+
+def _sqrt_mu_product(
+    octic: OcticField, a: TowerElement, b: TowerElement, h: int, k: int, Q: int
+) -> TowerElement | None:
+    """Square root of mu*a*b, positive at the distinguished embedding, or
+    None: a, b as in `sqrt_norm_one_product`, mu = (h + k*sqrt(pq))^2/Q with
+    h > 0, k >= 0 and Q | 2pq; (h, k, Q) is (1, 0, 1), or eps_pq's half
+    unit, which `sqrt_unit_product` checks against eps_pq.
 
     Each factor has a relative half-root over Z[sqrt2], sqrt(x) = B/sqrt(g)
-    (`_relative_half_root`), so a*b = (B_a*B_b)^2/(g_a*g_b), and by Kummer
-    theory g = g_a*g_b is a square in the octic field exactly when r*g is a
-    square in Q(sqrt2) for one r in {1, pq, ps, qs}. Only one r can work: a
-    square's content has even valuation at p, q and s, so r takes the primes
-    of p, q, s at which the content of g has odd valuation. Then
-    kappa = sqrt(r*g) is a degree-2 root of a small number and
-    xi = B_a*B_b*sqrt(r)/kappa. A factor of relative norm -1 leaves no root:
-    the norm of a*b down to K2 would be -b^2. The sign comes from those of
-    B_a, B_b and kappa, and the root is checked by exact squaring.
+    (`_relative_half_root`), so Q*a*b = (Q*B_a*B_b)^2/(Q*g), g = g_a*g_b; by
+    Kummer theory it is a square exactly when r*Q*g is one in Q(sqrt2) for an
+    r in {1, pq, ps, qs}, unique as r*r' is no square there. The root of
+    mu*a*b is then (h + k*sqrt(pq))*B_a*B_b*sqrt(r)/kappa, kappa = sqrt(r*Q*g)
+    a root of a small number, of the sign of B_a*B_b*kappa. A factor of
+    relative norm -1 leaves no root: the norm of a*b down to K2 is -b^2.
+
+    The check proves the square with no octic product: B_a^2*D_a = g_a*v_a
+    in K1, B_b^2*D_b = g_b*v_b in K2 (x = v/D) and kappa^2 = r*Q*g in
+    Q(sqrt2) give, with (h + k*sqrt(pq))^2 = Q*mu, the square
+    Q*mu*(g*a*b)*r/(r*Q*g) = mu*a*b. A failure raises ArithmeticError.
     """
     p, q, s = octic.p, octic.q, octic.s
     if a.tower.generators != (2, p * q) or b.tower.generators != (2, p * s):
@@ -641,28 +642,29 @@ def sqrt_norm_one_product(
     (va, da, ea, na), (vb, db, eb, nb) = _norm_one_part(a), _norm_one_part(b)
     if na < 0 or nb < 0:
         return None
-    table = octic._table
-    over_p = _primes_over(p)
-    ba, ga = _relative_half_root(va, da, ea, over_p + _primes_over(q))
-    bb, gb = _relative_half_root(vb, db, eb, over_p + _primes_over(s))
-    g = _sqrt2_mul(ga, gb)
-    r = prod(ell for ell in (p, q, s) if _divides_both_odd(g, ell))
-    if r not in (1, q * s, p * q, p * s):
-        return None
-    kappa = _sqrt([r * g[0], r * g[1]], table)
-    if kappa is None:
+    table, ta, tb = octic._table, a.tower._table, b.tower._table
+    ba, ga = _relative_half_root(va, da, ea, _primes_over(p) + _primes_over(q))
+    bb, gb = _relative_half_root(vb, db, eb, _primes_over(p) + _primes_over(s))
+    g = [Q * c for c in _sqrt2_mul(ga, gb)]
+    for r in (1, q * s, p * q, p * s):
+        kappa = _sqrt([r * c for c in g], table)
+        if kappa is not None:
+            break
+    else:
         return None
     # 1/kappa = kd*(k0 - k1*sqrt2)/(k0^2 - 2*k1^2)
     (k0, k1), kd = kappa
-    sign = _sign(ba, a.tower._table) * _sign(bb, b.tower._table) * _sign([k0, k1], table)
-    e_r = [0] * octic.degree
-    e_r[octic._index[r]] = sign * kd
-    num = _mul(octic._lifted(a.tower, ba), octic._lifted(b.tower, bb), table)
-    num = _mul(num, _mul(e_r, [k0, -k1] + [0] * (octic.degree - 2), table), table)
-    xi = TowerElement(octic, num, k0 * k0 - 2 * k1 * k1)
-    if xi * xi != octic.lift(a) * octic.lift(b):
+    if (
+        [da * c for c in _mul(ba, ba, ta)] != [*_sqrt2_mul(ga, va[:2]), *_sqrt2_mul(ga, va[2:])]
+        or [db * c for c in _mul(bb, bb, tb)] != [*_sqrt2_mul(gb, vb[:2]), *_sqrt2_mul(gb, vb[2:])]
+        or [*_sqrt2_mul((k0, k1), (k0, k1))] != [kd * kd * r * c for c in g]
+    ):
         raise ArithmeticError("the closed-form root does not square back")
-    return xi
+    e_r = [0] * octic.degree
+    e_r[octic._index[r]] = _sign(ba, ta) * _sign(bb, tb) * _sign([k0, k1], table) * kd
+    num = _mul(octic._lifted(a.tower, _mul(ba, [h, 0, k, 0], ta)), octic._lifted(b.tower, bb), table)
+    num = _mul(num, _mul(e_r, [k0, -k1] + [0] * (octic.degree - 2), table), table)
+    return TowerElement(octic, num, k0 * k0 - 2 * k1 * k1)
 
 
 # -- Theta and the biquadratic unit index ---------------------------------

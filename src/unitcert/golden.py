@@ -101,11 +101,51 @@ def _unit_str(u: QuadUnit) -> str:
     return f"({u.x}, {u.y}, {u.norm:+d})"
 
 
+def _expected(ex: ExampleValues) -> dict[str, object]:
+    """The reference value of each of the example's items after its units,
+    by name, in the order the checklist reports them."""
+    p, q, s = ex.triple
+    out = {
+        f"root_{p * q}": ROOTS[p * q], f"root_{p * s}": ROOTS[p * s], "datum": ex.datum,
+        "split_prime": ex.t, "place_roots": ex.place_roots,
+        "residue_factor_pq": ex.factor_pq_residue, "residue_factor_ps": ex.factor_ps_residue,
+        "theta_residue": ex.theta_residue, "legendre_theta": ex.legendre_theta,
+        "eps_pq_residue": ex.eps_pq_residue, "legendre_eps_pq": -1,
+    }
+    if ex.eps_theta_residue is not None:
+        out |= {"eps_theta_residue": ex.eps_theta_residue, "legendre_eps_theta": 1}
+    return out | {"delta": ex.delta, "mu": ex.mu}
+
+
+def _recompute(ex: ExampleValues, prime_bound: int, out: dict[str, object]) -> None:
+    """Fill `out` with the recomputed value of each item of `_expected`, by
+    name; a computation that raises leaves the items after it out."""
+    p, q, s = ex.triple
+    f_pq, f_ps = theta_factors(p, q, s)
+    out[f"root_{p * q}"] = tuple(int(c) for c in f_pq.coords)
+    out[f"root_{p * s}"] = tuple(int(c) for c in f_ps.coords)
+    cert = delta(p, q, s, prime_bound=prime_bound, with_fsu=False)
+    place = cert.place
+    out |= {
+        "datum": cert.datum.as_tuple(), "split_prime": place.t,
+        "place_roots": (place.r2, place.rpq, place.rps),
+        "residue_factor_pq": residue_at(f_pq, place), "residue_factor_ps": residue_at(f_ps, place),
+        "theta_residue": cert.theta_residue, "legendre_theta": jacobi(cert.theta_residue, place.t),
+        "eps_pq_residue": cert.eps_pq_residue, "legendre_eps_pq": jacobi(cert.eps_pq_residue, place.t),
+    }
+    if ex.eps_theta_residue is not None:
+        r = cert.eps_pq_residue * cert.theta_residue % place.t
+        out |= {"eps_theta_residue": r, "legendre_eps_theta": jacobi(r, place.t)}
+    out |= {"delta": cert.delta, "mu": cert.mu}
+
+
 def run_checks(prime_bound: int) -> list[CheckItem]:
     """Recompute every reference value and compare; one item per number.
 
     Each check computes the Pell units it reads afresh. A computation failure
-    is recorded as a failing item rather than aborting the remaining checks.
+    is recorded as a failing item rather than aborting the remaining checks:
+    every item that the failed computation would have given reads
+    "error: ...", so the checklist always has the same items.
     """
     items: list[CheckItem] = []
 
@@ -121,31 +161,13 @@ def run_checks(prime_bound: int) -> list[CheckItem]:
             except Exception as exc:
                 actual = f"error: {exc}"
             add(f"{ex.label}.unit_{d}", f"({x}, {y}, {norm:+d})", actual)
+        actuals, error = {}, None
         try:
-            f_pq, f_ps = theta_factors(p, q, s)
-            add(f"{ex.label}.root_{p * q}", ROOTS[p * q], tuple(int(c) for c in f_pq.coords))
-            add(f"{ex.label}.root_{p * s}", ROOTS[p * s], tuple(int(c) for c in f_ps.coords))
-            cert = delta(p, q, s, prime_bound=prime_bound, with_fsu=False)
+            _recompute(ex, prime_bound, actuals)
         except Exception as exc:
-            add(f"{ex.label}.delta", ex.delta, f"error: {exc}")
-            continue
-        add(f"{ex.label}.datum", ex.datum, cert.datum.as_tuple())
-        add(f"{ex.label}.split_prime", ex.t, cert.place.t)
-        add(f"{ex.label}.place_roots", ex.place_roots,
-            (cert.place.r2, cert.place.rpq, cert.place.rps))
-        add(f"{ex.label}.residue_factor_pq", ex.factor_pq_residue, residue_at(f_pq, cert.place))
-        add(f"{ex.label}.residue_factor_ps", ex.factor_ps_residue, residue_at(f_ps, cert.place))
-        add(f"{ex.label}.theta_residue", ex.theta_residue, cert.theta_residue)
-        add(f"{ex.label}.legendre_theta", ex.legendre_theta,
-            jacobi(cert.theta_residue, cert.place.t))
-        add(f"{ex.label}.eps_pq_residue", ex.eps_pq_residue, cert.eps_pq_residue)
-        add(f"{ex.label}.legendre_eps_pq", -1, jacobi(cert.eps_pq_residue, cert.place.t))
-        if ex.eps_theta_residue is not None:
-            r = cert.eps_pq_residue * cert.theta_residue % cert.place.t
-            add(f"{ex.label}.eps_theta_residue", ex.eps_theta_residue, r)
-            add(f"{ex.label}.legendre_eps_theta", 1, jacobi(r, cert.place.t))
-        add(f"{ex.label}.delta", ex.delta, cert.delta)
-        add(f"{ex.label}.mu", ex.mu, cert.mu)
+            error = f"error: {exc}"
+        for name, expected in _expected(ex).items():
+            add(f"{ex.label}.{name}", expected, actuals.get(name, error))
 
     t1, t2 = NONCOLLAPSE_PAIR
     add("noncollapse.datum_1", (7, 3, 3, -1, -1, 1), classical_datum(*t1).as_tuple())

@@ -6,8 +6,8 @@ by one Legendre symbol, and emits the complete rank-7 unit system together
 with a fully auditable certificate. The optional oracle confirms the bit with
 one exact square root, xi of mu*Theta, and a local proof at the certificate's
 place that the other candidate is no square. All seven unit generators, xi
-included, come from closed forms checked by exact squaring, so no
-relative-norm descent runs here.
+included, come from closed forms checked exactly, so no relative-norm
+descent runs here.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .fields import (
     OcticField,
     TowerElement,
     _check_triple,
+    _sqrt_mu_product,
     _theta_parts,
-    sqrt_norm_one_product,
     sqrt_octic,  # no longer called here; bench/tracer.py hooks this name as the oracle layer
     sqrt_unit_product,
 )
@@ -506,10 +506,10 @@ def delta(
     exact root xi. The other candidate is then eps_pq^(+-1)*xi^2, a square
     only if eps_pq is one, and eps_pq is a nonresidue at the certificate's
     place by Euler's criterion, recomputed from its coordinates. xi, for the
-    oracle or the FSU, is the closed-form root of (mu*f1)*f2, f1 and f2
-    Theta's two biquadratic factors, checked by exact squaring; like the
-    other FSU roots it takes no descent. The triple is validated once, by
-    building its octic field, and each Pell unit is walked once per call.
+    oracle or the FSU, is (h + k*sqrt(pq))^delta*sqrt(Q^delta*f1*f2), with
+    eps_pq = (h + k*sqrt(pq))^2/Q and Theta = f1*f2, its factors rooted and
+    checked alone, without descent. The triple is validated once, by building
+    its octic field, and each Pell unit is walked once per call.
     """
     octic = OcticField(p, q, s)
     datum = _datum(p, q, s)
@@ -549,9 +549,7 @@ def delta(
 
     xi = None
     if oracle_on or with_fsu:
-        # mu*Theta = (mu*f1)*f2, both factors of relative norm +-1 to Q(sqrt2)
-        mu_f1 = f1 if cert.delta == 0 else f1.tower.from_quad_unit(eps_pq) * f1
-        xi = sqrt_norm_one_product(octic, mu_f1, f2)
+        xi = _sqrt_mu_product(octic, f1, f2, *(eps_pq.half if cert.delta else (1, 0, 1)))
     if oracle_on:
         if xi is None:
             raise OracleDisagreement(

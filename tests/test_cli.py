@@ -258,9 +258,18 @@ def test_verify_paper_records_a_computation_that_raises_and_exits_1(monkeypatch)
     items = json.loads(out)["items"]
     actual = {item["name"]: item["actual"] for item in items}
     failed = {item["name"] for item in items if not item["ok"]}
-    assert failed == {"ex3.unit_413", "ex3.delta", "noncollapse.delta_pair", "noncollapse.check"}
+    # every ex3 item that reads delta's certificate fails with its error;
+    # ex3's roots come before delta and still pass, and no item goes missing
+    after_delta = ["datum", "split_prime", "place_roots", "residue_factor_pq", "residue_factor_ps",
+                   "theta_residue", "legendre_theta", "eps_pq_residue", "legendre_eps_pq",
+                   "eps_theta_residue", "legendre_eps_theta", "delta", "mu"]
+    assert len(items) == 57
+    assert failed == {"ex3.unit_413", "noncollapse.delta_pair", "noncollapse.check"} | {
+        f"ex3.{name}" for name in after_delta}
     assert actual["ex3.unit_413"] == "error: continued fraction cut short"
-    assert actual["ex3.delta"] == "error: no valid place below t = 100000"
+    for name in after_delta:
+        assert actual[f"ex3.{name}"] == "error: no valid place below t = 100000"
+    assert {"ex3.root_21", "ex3.root_413"} <= {item["name"] for item in items if item["ok"]}
     assert actual["noncollapse.delta_pair"] == actual["noncollapse.check"] == "error: pair not decided"
     assert any(name.startswith("ex1.") for name in actual)
     assert any(name.startswith("ex2.") for name in actual)

@@ -11,6 +11,7 @@ from unitcert import (
     OcticField,
     Tower,
     biquad_unit_index,
+    delta,
     fundamental_pell,
     hypothesis_branch,
     sqrt_exact,
@@ -571,18 +572,19 @@ def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
         fields.sqrt_norm_one_product(octic, f1, f2)
 
 
-def test_relative_half_root_is_checked_by_exact_division(monkeypatch):
-    # a wrong alpha makes beta = v1/alpha inexact, or xi fail to square back:
-    # either way ArithmeticError, never AssertionError or ZeroDivisionError;
-    # the other root -alpha gives the same xi, whose sign is fixed afterwards
+def test_relative_half_root_is_checked_by_its_identity(monkeypatch):
+    # a wrong alpha makes beta = v1/alpha inexact, and then B^2*D = g*v fails:
+    # ArithmeticError, never AssertionError or ZeroDivisionError; the other
+    # root -alpha gives the same xi, whose sign is fixed afterwards
     f1, f2 = theta_factors(7, 19, 3)
     octic = OcticField(7, 19, 3)
     xi = fields.sqrt_norm_one_product(octic, f1, f2)
     root_of = fields._root_quadratic
     for scale in (2, 3, -1):
         def scaled(x, w, b, norm, scale=scale):
-            v, d = root_of(x, w, b, norm)
-            return [scale * c for c in v], d
+            # kappa's search calls it on non-squares too, which stay None
+            root = root_of(x, w, b, norm)
+            return root and ([scale * c for c in root[0]], root[1])
 
         monkeypatch.setattr(fields, "_root_quadratic", scaled)
         if scale == -1:
@@ -590,6 +592,45 @@ def test_relative_half_root_is_checked_by_exact_division(monkeypatch):
             continue
         with pytest.raises(ArithmeticError, match="does not square back"):
             fields.sqrt_norm_one_product(octic, f1, f2)
+
+
+@pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], oracles.LADDER_TRIPLES],
+                         ids=["every-9th-corpus-triple", "ladder-rungs"])
+def test_delta_xi_is_the_descent_root_of_mu_theta(triples):
+    # delta roots Q^delta*f1*f2 and multiplies by (h + k*sqrt(pq))^delta; the
+    # descent on the octic product mu*Theta is the reference
+    for p, q, s in triples:
+        cert = delta(p, q, s, oracle=True)
+        octic = OcticField(p, q, s)
+        mu = octic.from_quad_unit(fundamental_pell(p * q)) if cert.delta else octic.one()
+        assert cert.fsu[6].element == sqrt_exact(mu * cert.theta), (p, q, s)
+
+
+def test_xi_check_catches_a_wrong_half_root_or_kappa(monkeypatch):
+    # (7, 3, 59) has delta = 1, so xi roots Q*Theta with Q = 3 from eps_21's
+    # half unit; each per-factor identity catches its own wrong root
+    assert fundamental_pell(21).half[2] == 3
+    half_root, root_of = fields._relative_half_root, fields._sqrt
+    for which in (0, 1):
+        calls = []
+
+        def doubled(v, D, e, primes, which=which):
+            B, g = half_root(v, D, e, primes)
+            calls.append(B)
+            return ([2 * c for c in B] if len(calls) == which + 1 else B), g
+
+        monkeypatch.setattr(fields, "_relative_half_root", doubled)
+        with pytest.raises(ArithmeticError, match="does not square back"):
+            delta(7, 3, 59, oracle=True)
+    monkeypatch.setattr(fields, "_relative_half_root", half_root)
+
+    def doubled_kappa(z, table):
+        root = root_of(z, table)
+        return root if root is None or len(z) != 2 else ([2 * c for c in root[0]], root[1])
+
+    monkeypatch.setattr(fields, "_sqrt", doubled_kappa)
+    with pytest.raises(ArithmeticError, match="does not square back"):
+        delta(7, 3, 59, oracle=True)
 
 
 def _forced_triples():

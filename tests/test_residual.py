@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -34,6 +36,7 @@ from unitcert.errors import (
     InvalidPlace,
     OracleDisagreement,
     SearchExhausted,
+    UnitCertError,
 )
 
 
@@ -222,6 +225,36 @@ def test_delta_forced_off_pattern_engages_oracle():
     # the forced run must detect that through the exact oracle
     with pytest.raises(OracleDisagreement):
         delta(7, 3, 11, force=True)
+
+
+# sha256 over the forced runs below, one line per triple: the triple and its
+# outcome, then the error's message, or delta, t and the FSU's text
+FORCED_RUNS_BELOW_80 = "44837c1306a984809d73602f246462b3146da49d2cebd03c4c6eb6ceda13f8dd"
+
+
+def test_forced_runs_of_every_out_of_pattern_triple_below_80_are_pinned():
+    # every ordered p and pair q < s of distinct odd primes below 80, outside
+    # the pattern, as delta(force=True, oracle=True): an error that is no
+    # UnitCertError, such as a factor of relative norm -1 reaching xi's
+    # check, fails here
+    primes = oracles.odd_primes_by_trial_division(79)
+    inside = set(oracles.in_pattern_triples(80))
+    triples = [(p, q, s) for p in primes for i, q in enumerate(primes) for s in primes[i + 1:]
+               if p not in (q, s) and (p, q, s) not in inside]
+    outcomes, digest = collections.Counter(), hashlib.sha256()
+    for triple in triples:
+        try:
+            cert = delta(*triple, force=True, oracle=True)
+        except UnitCertError as exc:
+            outcome, line = type(exc).__name__, f"{triple} {type(exc).__name__} {exc}"
+        else:
+            fsu_text = ";".join(f"{g.name}={g.element.to_text() if g.element else None}" for g in cert.fsu)
+            outcome, line = "decided", f"{triple} decided {cert.delta} {cert.place.t} {fsu_text}"
+        outcomes[outcome] += 1
+        digest.update(line.encode() + b"\n")
+    assert outcomes == {"NotASquareInBiquad": 1918, "OracleDisagreement": 1648,
+                        "SearchExhausted": 256, "decided": 148}
+    assert digest.hexdigest() == FORCED_RUNS_BELOW_80
 
 
 def test_delta_search_exhaustion():
@@ -420,7 +453,8 @@ def test_delta_calls_fundamental_pell_once_per_walk(monkeypatch):
 def test_delta_runs_no_descent_with_the_oracle_or_the_fsu(monkeypatch):
     roots, closed = [], []
     _count_calls(monkeypatch, unitcert.fields.sqrt_exact, roots)
-    _count_calls(monkeypatch, unitcert.fields.sqrt_norm_one_product, closed)
+    # xi's one closed form, which `sqrt_norm_one_product` shares
+    _count_calls(monkeypatch, unitcert.fields._sqrt_mu_product, closed)
     for triple, options, xis in [
         ((7, 19, 3), {"oracle": True}, 1),
         ((1031, 1019, 1171), {}, 1),
