@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except OracleDisagreement as exc:
+    except (OracleDisagreement, ArithmeticError) as exc:  # ArithmeticError: a failed exact check
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except Inseparable as exc:

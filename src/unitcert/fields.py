@@ -552,9 +552,9 @@ def _primes_over(ell: int) -> list[tuple[int, tuple[int, int], int | None]]:
 
 def _relative_half_root(v: list[int], D: int, e: int, primes) -> tuple[list[int], tuple[int, int]]:
     """(B, g) with sqrt(x) = B/sqrt(g), B in x's tower F(sqrt m), F = Q(sqrt2),
-    and g in Z[sqrt2], for x = v/D of relative norm 1 to F and the e of
-    `_norm_one_part`. `primes` are the primes of Z[sqrt2] over m, from
-    `_primes_over`.
+    and g in Z[sqrt2], for x = v/D of relative norm 1 to F and e = 1, or -1
+    when x = -1, so that x + e is not zero. `primes` are the primes of
+    Z[sqrt2] over m, from `_primes_over`.
 
     Write x = (v0 + v1*sqrt m)/D with v0, v1 in Z[sqrt2] and T = v0 + e*D.
     Then (x + e)^2 = 2*x*T/D and T*(v0 - e*D) = m*v1^2, and the two factors
@@ -593,15 +593,22 @@ def _relative_half_root(v: list[int], D: int, e: int, primes) -> tuple[list[int]
     return list(_sqrt2_mul(gamma, alpha) + beta), (2 * D * gamma[0], 2 * D * gamma[1])
 
 
-def _norm_one_part(x: TowerElement) -> tuple[list[int], int, int, int]:
-    """(v, D, e, N) with x = v/D, N the relative norm of x to Q(sqrt2), which
-    must be +-1, and e = 1, or -1 when x = -1, so that x + e is not zero."""
-    v, den = list(x.num), x.den
-    n = _rel_norm(v, x.tower._table)
-    if n[1] or abs(n[0]) != den * den:
+def _norm_one_part(x: TowerElement) -> int:
+    """The relative norm of x to Q(sqrt2), computed in full; it must be +-1."""
+    n = _rel_norm(list(x.num), x.tower._table)
+    if n[1] or abs(n[0]) != x.den * x.den:
         raise ValueError(f"a factor in {x.tower!r} has relative norm to Q(sqrt2) other than +-1")
-    e = -1 if v == [-den] + [0] * (len(v) - 1) else 1
-    return v, den, e, n[0] // (den * den)
+    return n[0] // (x.den * x.den)
+
+
+def _norm_sign(x: TowerElement) -> int:
+    """The relative norm of x = v/D in Q(sqrt2, sqrt m) to Q(sqrt2), known to be
+    +-1, read off a residue: N(v) has rational part v0^2 + 2*v1^2 -
+    m*(v2^2 + 2*v3^2) = +-D^2, and D^2 and -D^2 differ mod 2*D^2 + 1."""
+    D2 = x.den * x.den
+    M = 2 * D2 + 1
+    v0, v1, v2, v3 = (c % M for c in x.num)
+    return 1 if (v0 * v0 + 2 * v1 * v1 - x.tower.generators[1] * (v2 * v2 + 2 * v3 * v3)) % M == D2 else -1
 
 
 def sqrt_norm_one_product(
@@ -610,8 +617,12 @@ def sqrt_norm_one_product(
     """Square root of a*b in the octic field, for a in K1 = Q(sqrt2, sqrt pq)
     and b in K2 = Q(sqrt2, sqrt ps), each of relative norm +-1 to Q(sqrt2);
     positive at the distinguished embedding, or None when a*b is no square.
-    The mu = 1 case of `_sqrt_mu_product`, xi's root for `delta`: each factor
-    is rooted and checked on its own, and no octic product but the root is formed."""
+    The factors' norms are checked in full; then it is the mu = 1 case of
+    `_sqrt_mu_product`, xi's root for `delta`."""
+    p, q, s = octic.p, octic.q, octic.s
+    if a.tower.generators != (2, p * q) or b.tower.generators != (2, p * s):
+        raise ValueError(f"need factors in Q(sqrt2, sqrt{p * q}) and Q(sqrt2, sqrt{p * s})")
+    _norm_one_part(a), _norm_one_part(b)
     return _sqrt_mu_product(octic, a, b, 1, 0, 1)
 
 
@@ -621,7 +632,9 @@ def _sqrt_mu_product(
     """Square root of mu*a*b, positive at the distinguished embedding, or
     None: a, b as in `sqrt_norm_one_product`, mu = (h + k*sqrt(pq))^2/Q with
     h > 0, k >= 0 and Q | 2pq; (h, k, Q) is (1, 0, 1), or eps_pq's half
-    unit, which `sqrt_unit_product` checks against eps_pq.
+    unit, which `sqrt_unit_product` checks against eps_pq. The norms of a and
+    b must be known to be +-1 (for Theta's factors, `sqrt_unit_product`'s
+    squaring check proves it); their signs are read by `_norm_sign`.
 
     Each factor has a relative half-root over Z[sqrt2], sqrt(x) = B/sqrt(g)
     (`_relative_half_root`), so Q*a*b = (Q*B_a*B_b)^2/(Q*g), g = g_a*g_b; by
@@ -636,12 +649,11 @@ def _sqrt_mu_product(
     Q(sqrt2) give, with (h + k*sqrt(pq))^2 = Q*mu, the square
     Q*mu*(g*a*b)*r/(r*Q*g) = mu*a*b. A failure raises ArithmeticError.
     """
-    p, q, s = octic.p, octic.q, octic.s
-    if a.tower.generators != (2, p * q) or b.tower.generators != (2, p * s):
-        raise ValueError(f"need factors in Q(sqrt2, sqrt{p * q}) and Q(sqrt2, sqrt{p * s})")
-    (va, da, ea, na), (vb, db, eb, nb) = _norm_one_part(a), _norm_one_part(b)
-    if na < 0 or nb < 0:
+    if _norm_sign(a) < 0 or _norm_sign(b) < 0:
         return None
+    p, q, s = octic.p, octic.q, octic.s
+    (va, da), (vb, db) = (a.num, a.den), (b.num, b.den)
+    ea, eb = (-1 if v == (-1, 0, 0, 0) else 1 for v in (va, vb))  # so that x + e is not zero
     table, ta, tb = octic._table, a.tower._table, b.tower._table
     ba, ga = _relative_half_root(va, da, ea, _primes_over(p) + _primes_over(q))
     bb, gb = _relative_half_root(vb, db, eb, _primes_over(p) + _primes_over(s))

@@ -306,6 +306,22 @@ def test_delta_places_all_builds_theta_once(monkeypatch):
     assert [(octic.p, octic.q, octic.s) for (octic,) in built] == [(7, 11, 43)]
 
 
+def test_a_failed_exact_check_is_an_internal_verification_failure(monkeypatch, capsys):
+    # a doubled half-root of Theta's first factor fails its identity in xi's
+    # check: one stderr line and exit code 4, not a traceback
+    half_root = fields._relative_half_root
+
+    def doubled(v, D, e, primes):
+        B, g = half_root(v, D, e, primes)
+        return [2 * c for c in B], g
+
+    monkeypatch.setattr(fields, "_relative_half_root", doubled)
+    code, out = _main_in_process(monkeypatch, ["delta", "7", "19", "3"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_ORACLE == 4 and out == ""
+    assert err == "internal verification failure: the closed-form root does not square back\n"
+
+
 # sha256 of the standard output of ten commands. Answers and certificates are
 # fixed byte for byte, so a new hash here is a change of output, not of speed.
 PINNED_STDOUT = {

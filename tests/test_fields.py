@@ -482,6 +482,8 @@ def test_closed_form_root_checks_the_half_units():
 def test_norm_one_product_root_matches_the_descent(triples):
     for p, q, s in triples:
         f1, f2 = theta_factors(p, q, s)
+        # the residue sign that delta's xi reads is the exact relative norm
+        assert [fields._norm_sign(f) for f in (f1, f2)] == [fields._norm_one_part(f) for f in (f1, f2)]
         octic = OcticField(p, q, s)
         th = octic.lift(f1) * octic.lift(f2)
         eps_pq = fundamental_pell(p * q)
@@ -555,6 +557,32 @@ def test_norm_one_product_root_of_factors_with_denominators():
                 root = fields.sqrt_norm_one_product(octic, a, b)
                 assert root == sqrt_exact(octic.lift(a) * octic.lift(b)), (p, q, s, a, b)
     assert max(seen_den) > 1000
+
+
+def test_norm_sign_residue_matches_the_exact_norm_on_forced_factors():
+    # Theta's factor in Q(sqrt2, sqrt d) depends on d = pq or ps alone, so the
+    # roots of eps_d*eps_2d for all products d of two distinct odd primes below
+    # 80 are the factors of every forced triple below 80 that has a Theta
+    primes = oracles.odd_primes_by_trial_division(79)
+    signs = []
+    for i, p in enumerate(primes):
+        for q in primes[i + 1:]:
+            units = (fundamental_pell(p * q), fundamental_pell(2 * p * q))
+            f = fields.sqrt_unit_product(BiquadField(2, p * q), units)
+            if f is not None:
+                signs.append(fields._norm_one_part(f))
+                assert fields._norm_sign(f) == signs[-1], (p, q)
+    assert signs.count(1) == 110 and signs.count(-1) == 40
+
+
+def test_norm_sign_residue_matches_the_exact_norm_with_a_denominator():
+    # a factor of norm 1 with D > 1, and the same times eps_65 of norm -1
+    K = BiquadField(2, 65)
+    x = _norm_one_quotient(K, random.Random(20261))
+    eps_65 = K.from_quad_unit(fundamental_pell(65))
+    assert x.den > 1 and (x * eps_65).den == x.den
+    for f, norm in [(x, 1), (x * eps_65, -1), (-x, 1), (K.one() * -1, 1)]:
+        assert fields._norm_one_part(f) == fields._norm_sign(f) == norm
 
 
 def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):

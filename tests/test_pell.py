@@ -1,9 +1,10 @@
 import random
+from math import isqrt
 
 import pytest
 
 import oracles
-from unitcert import QuadUnit, fundamental_pell, is_squarefree
+from unitcert import QuadUnit, fundamental_pell, is_squarefree, pell
 
 PRINTED_UNITS = {
     133: (2588599, 224460, 1),
@@ -172,3 +173,66 @@ def test_a_unit_built_by_hand_has_no_half_unit():
     u = QuadUnit(21, 55, 12, 1)
     assert u.half is None and u == fundamental_pell(21)
     assert fundamental_pell(21).half == (9, 2, 3)  # (9 + 2*sqrt21)^2 = 3*(55 + 12*sqrt21)
+
+
+def _half_period_quotients(d, cap):
+    """The partial quotients a_0, ... that the walk multiplies in: the first
+    (L + 1) // 2 of the period of length L, found by the full-period
+    recurrence with its division; None when the period is longer than cap."""
+    a0 = isqrt(d)
+    P, Q, a = 0, 1, a0
+    quotients = [a0]
+    while len(quotients) <= cap:
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        a = (a0 + P) // Q
+        if Q == 1:
+            return quotients[:(len(quotients) + 1) // 2]
+        quotients.append(a)
+    return None
+
+
+def _block_matrix(quotients):
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    for a in quotients:
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+    return h, h_prev, k, k_prev
+
+
+def test_walk_blocks_at_the_block_boundaries(monkeypatch):
+    # for each half-period length around the block size and each norm, the
+    # first squarefree d: the unit matches the full-period oracle, and the
+    # tree gets one matrix per block of consecutive quotients, the last block
+    # partial (the identity when it is empty)
+    size = pell._BLOCK
+    lengths = {1, 2, size - 1, size, size + 1, 2 * size}
+    found = {}
+    for d in oracles.squarefree_numbers(10 ** 4):
+        quotients = _half_period_quotients(d, 4 * size + 2)
+        if quotients is not None and len(quotients) in lengths:
+            found.setdefault((len(quotients), oracles.pell_by_convergents(d)[2]), d)
+    assert len(found) == 2 * len(lengths)  # both period parities at each length
+    tree, handed = pell._tree, []
+    monkeypatch.setattr(pell, "_tree", lambda blocks, column: handed.append(list(blocks)) or tree(blocks, column))
+    for (n, norm), d in found.items():
+        handed.clear()
+        u = fundamental_pell(d)
+        assert (u.x, u.y, u.norm) == oracles.pell_by_convergents(d), d
+        blocks, quotients = handed[0], _half_period_quotients(d, 4 * size + 2)
+        assert (len(blocks) - 1) * size <= n <= len(blocks) * size, d
+        assert blocks == [_block_matrix(quotients[i:i + size]) for i in range(0, len(blocks) * size, size)], d
+
+
+def test_a_wrong_half_unit_from_the_tree_is_refused(monkeypatch):
+    # x and y are built from (h, k, Q) and the norm is proved there: an h off
+    # by one fails h^2 - d*k^2 = +-Q, with one block and with many
+    tree = pell._tree
+
+    def off_by_one(blocks, column):
+        product = tree(blocks, column)
+        return (product[0] + 1, product[1]) if column else product
+
+    monkeypatch.setattr(pell, "_tree", off_by_one)
+    for d in (21, 30047 * 30011):
+        with pytest.raises(ArithmeticError, match=r"h\^2 - d\*k\^2 = \+-Q"):
+            fundamental_pell(d)
