@@ -216,19 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
     triple = argparse.ArgumentParser(add_help=False)
     for name in ("p", "q", "s"):
         triple.add_argument(name, type=int)
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--force", action="store_true",
+                       help="run a triple outside the supported pattern, with the oracle on and the "
+                            "certificate marked hypothesis-unverified; no effect on a triple inside it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_delta = sub.add_parser("delta", parents=[triple, json_flag, bound],
+    p_delta = sub.add_parser("delta", parents=[triple, json_flag, bound, force],
                              help="decide the residual bit for a triple")
     p_delta.add_argument("--places", choices=("first", "all"), default="first",
                          help="evaluate only the first valid place or survey all")
-    p_delta.add_argument("--force", action="store_true",
-                         help="run outside the supported pattern (enables the oracle)")
     p_delta.set_defaults(func=cmd_delta)
 
-    p_fsu = sub.add_parser("fsu", parents=[triple, json_flag, bound],
+    p_fsu = sub.add_parser("fsu", parents=[triple, json_flag, bound, force],
                            help="emit the seven-generator unit system")
-    p_fsu.add_argument("--force", action="store_true")
     p_fsu.set_defaults(func=cmd_delta)
 
     p_datum = sub.add_parser("datum", parents=[triple, json_flag],

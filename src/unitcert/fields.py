@@ -593,14 +593,6 @@ def _relative_half_root(v: list[int], D: int, e: int, primes) -> tuple[list[int]
     return list(_sqrt2_mul(gamma, alpha) + beta), (2 * D * gamma[0], 2 * D * gamma[1])
 
 
-def _norm_one_part(x: TowerElement) -> int:
-    """The relative norm of x to Q(sqrt2), computed in full; it must be +-1."""
-    n = _rel_norm(list(x.num), x.tower._table)
-    if n[1] or abs(n[0]) != x.den * x.den:
-        raise ValueError(f"a factor in {x.tower!r} has relative norm to Q(sqrt2) other than +-1")
-    return n[0] // (x.den * x.den)
-
-
 def _norm_sign(x: TowerElement) -> int:
     """The relative norm of x = v/D in Q(sqrt2, sqrt m) to Q(sqrt2), known to be
     +-1, read off a residue: N(v) has rational part v0^2 + 2*v1^2 -
@@ -611,30 +603,16 @@ def _norm_sign(x: TowerElement) -> int:
     return 1 if (v0 * v0 + 2 * v1 * v1 - x.tower.generators[1] * (v2 * v2 + 2 * v3 * v3)) % M == D2 else -1
 
 
-def sqrt_norm_one_product(
-    octic: OcticField, a: TowerElement, b: TowerElement
-) -> TowerElement | None:
-    """Square root of a*b in the octic field, for a in K1 = Q(sqrt2, sqrt pq)
-    and b in K2 = Q(sqrt2, sqrt ps), each of relative norm +-1 to Q(sqrt2);
-    positive at the distinguished embedding, or None when a*b is no square.
-    The factors' norms are checked in full; then it is the mu = 1 case of
-    `_sqrt_mu_product`, xi's root for `delta`."""
-    p, q, s = octic.p, octic.q, octic.s
-    if a.tower.generators != (2, p * q) or b.tower.generators != (2, p * s):
-        raise ValueError(f"need factors in Q(sqrt2, sqrt{p * q}) and Q(sqrt2, sqrt{p * s})")
-    _norm_one_part(a), _norm_one_part(b)
-    return _sqrt_mu_product(octic, a, b, 1, 0, 1)
-
-
 def _sqrt_mu_product(
     octic: OcticField, a: TowerElement, b: TowerElement, h: int, k: int, Q: int
 ) -> TowerElement | None:
     """Square root of mu*a*b, positive at the distinguished embedding, or
-    None: a, b as in `sqrt_norm_one_product`, mu = (h + k*sqrt(pq))^2/Q with
-    h > 0, k >= 0 and Q | 2pq; (h, k, Q) is (1, 0, 1), or eps_pq's half
-    unit, which `sqrt_unit_product` checks against eps_pq. The norms of a and
-    b must be known to be +-1 (for Theta's factors, `sqrt_unit_product`'s
-    squaring check proves it); their signs are read by `_norm_sign`.
+    None: a in K1 = Q(sqrt2, sqrt pq) and b in K2 = Q(sqrt2, sqrt ps), of
+    relative norms to Q(sqrt2) known to be +-1 (not checked here; for Theta's
+    factors `sqrt_unit_product`'s squaring check proves it), whose signs
+    `_norm_sign` reads; mu = (h + k*sqrt(pq))^2/Q with h > 0, k >= 0, Q | 2pq
+    and (h, k, Q) = (1, 0, 1) or eps_pq's half unit, which `sqrt_unit_product`
+    checks against eps_pq.
 
     Each factor has a relative half-root over Z[sqrt2], sqrt(x) = B/sqrt(g)
     (`_relative_half_root`), so Q*a*b = (Q*B_a*B_b)^2/(Q*g), g = g_a*g_b; by

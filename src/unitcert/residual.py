@@ -500,8 +500,9 @@ def delta(
     all-canonical place above the first t with (Q/t) = -1, Q from eps_pq's
     half unit, where eps_pq has nonsquare residue at every place, and reads
     delta off the Legendre symbol of the Theta residue; `survey_places` makes
-    the same scan through all the places. With `force` the congruence check is
-    downgraded to a certificate flag and the exact cross-check is switched on.
+    the same scan through all the places. With `force` a triple outside the
+    congruence pattern is decided too, flagged `hypotheses_verified = False`
+    and cross-checked exactly; on a triple inside it `force` has no effect.
     The cross-check recomputes the decision globally: mu*Theta must have an
     exact root xi. The other candidate is then eps_pq^(+-1)*xi^2, a square
     only if eps_pq is one, and eps_pq is a nonresidue at the certificate's

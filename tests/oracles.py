@@ -385,6 +385,19 @@ def fraction_descent_sqrt(radicands, table, coords) -> tuple[Fraction, ...] | No
     return tuple(root)
 
 
+def relative_norm_to_sqrt2(x) -> tuple[Fraction, Fraction]:
+    """x*conj(x) for x in Q(sqrt2, sqrt m), conj the automorphism that fixes
+    sqrt2 and flips sqrt m, as (n0, n1) for n0 + n1*sqrt2: with x = a + b*sqrt m
+    for a = c0 + c1*sqrt2, b = c2 + c3*sqrt2 on the basis (1, sqrt2, sqrt m,
+    sqrt 2m), the product is a^2 - m*b^2, multiplied out on Fractions."""
+    assert tuple(x.tower.radicands[:2]) == (1, 2) and x.tower.radicands[3] == 2 * x.tower.radicands[2]
+    m = x.tower.radicands[2]
+    c0, c1, c2, c3 = (Fraction(c) for c in x.coords)
+    a2 = (c0 * c0 + 2 * c1 * c1, 2 * c0 * c1)
+    b2 = (c2 * c2 + 2 * c3 * c3, 2 * c2 * c3)
+    return a2[0] - m * b2[0], a2[1] - m * b2[1]
+
+
 def real_sign(x) -> int:
     """Sign of a tower element at the all-positive real embedding, by integer
     bounds alone: isqrt(m * 4^k) <= 2^k * sqrt(m) < isqrt(m * 4^k) + 1 puts

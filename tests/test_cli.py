@@ -397,6 +397,23 @@ def test_help_lists_exactly_the_pinned_flags(command):
     assert sorted(set(re.findall(r"--[a-z][a-z-]*", out.getvalue()))) == HELP_FLAGS[command]
 
 
+def test_force_does_nothing_on_a_triple_inside_the_pattern(monkeypatch):
+    # --force acts only on a triple outside the pattern: here the oracle stays
+    # off and the certificate stays hypothesis-verified, byte for byte
+    forced = _main_in_process(monkeypatch, ["delta", "7", "19", "3", "--force", "--json"])
+    assert forced == _main_in_process(monkeypatch, ["delta", "7", "19", "3", "--json"])
+    doc = json.loads(forced[1])
+    assert forced[0] == 0 and doc["hypotheses_verified"] is True and doc["oracle_checked"] is False
+    # and the help of both subcommands that take --force says so
+    for command in ("delta", "fsu"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        text = " ".join(out.getvalue().split())
+        assert "--force run a triple outside the supported pattern" in text
+        assert "no effect on a triple inside it" in text
+
+
 def test_unitcert_cache_variable_writes_no_file(tmp_path):
     path = tmp_path / "cache.json"
     r = run_cli("pell", "133", env=dict(os.environ, UNITCERT_CACHE=str(path)))

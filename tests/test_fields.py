@@ -483,7 +483,8 @@ def test_norm_one_product_root_matches_the_descent(triples):
     for p, q, s in triples:
         f1, f2 = theta_factors(p, q, s)
         # the residue sign that delta's xi reads is the exact relative norm
-        assert [fields._norm_sign(f) for f in (f1, f2)] == [fields._norm_one_part(f) for f in (f1, f2)]
+        for f in (f1, f2):
+            assert oracles.relative_norm_to_sqrt2(f) == (fields._norm_sign(f), 0)
         octic = OcticField(p, q, s)
         th = octic.lift(f1) * octic.lift(f2)
         eps_pq = fundamental_pell(p * q)
@@ -493,7 +494,7 @@ def test_norm_one_product_root_matches_the_descent(triples):
         ]
         roots = []
         for a, product in candidates:
-            root = fields.sqrt_norm_one_product(octic, a, f2)
+            root = fields._sqrt_mu_product(octic, a, f2, 1, 0, 1)
             assert root == sqrt_exact(product)
             roots.append(root)
         # exactly one of Theta and eps_pq*Theta is a square, and its root is positive
@@ -507,26 +508,21 @@ def test_norm_one_product_refusals_and_edge_factors():
     K1, K2 = BiquadField(2, 65), BiquadField(2, 15)
     eps_65 = K1.from_quad_unit(fundamental_pell(65))
     assert fundamental_pell(65).norm == -1
-    assert fields.sqrt_norm_one_product(octic, eps_65, K2.one()) is None
-    assert fields.sqrt_norm_one_product(octic, K1.one(), K2.one() * -1) is None
+    assert fields._sqrt_mu_product(octic, eps_65, K2.one(), 1, 0, 1) is None
+    assert fields._sqrt_mu_product(octic, K1.one(), K2.one() * -1, 1, 0, 1) is None
     assert sqrt_exact(octic.lift(eps_65)) is None
-    # a factor outside K1 or K2, or of relative norm other than +-1
     eps_15 = K2.from_quad_unit(fundamental_pell(15))
-    for a, b in [(K2.one(), K2.one()), (K1.one(), K1.one()), (BiquadField(2, 39).one(), K2.one()),
-                 (K1.from_rational(2), K2.one()), (K1.one(), eps_15 * 3)]:
-        with pytest.raises(ValueError, match="Q\\(sqrt2"):
-            fields.sqrt_norm_one_product(octic, a, b)
     # x = -1 is shifted by -1: (-1)*(-1) has the root 1, and -1 has none
-    assert fields.sqrt_norm_one_product(octic, K1.one() * -1, K2.one() * -1) == octic.one()
-    assert fields.sqrt_norm_one_product(octic, K1.one() * -1, K2.one()) is None
+    assert fields._sqrt_mu_product(octic, K1.one() * -1, K2.one() * -1, 1, 0, 1) == octic.one()
+    assert fields._sqrt_mu_product(octic, K1.one() * -1, K2.one(), 1, 0, 1) is None
     # roots of plain unit products are positive and agree with the descent
     for a, b in [(eps_65 * eps_65, eps_15 * eps_15), (K1.one(), eps_15 * eps_15)]:
-        root = fields.sqrt_norm_one_product(octic, a, b)
+        root = fields._sqrt_mu_product(octic, a, b, 1, 0, 1)
         assert root == sqrt_exact(octic.lift(a) * octic.lift(b))
         assert root is not None and oracles.real_sign(root) == 1
     # a + 1 < 0 < b + 1, so (a + 1)(b + 1) is negative and the root's sign is flipped
     inv_15 = K2.element([4, 0, -1, 0])  # 1/eps_15 = 4 - sqrt15
-    root = fields.sqrt_norm_one_product(octic, -(eps_65 * eps_65), -(inv_15 * inv_15))
+    root = fields._sqrt_mu_product(octic, -(eps_65 * eps_65), -(inv_15 * inv_15), 1, 0, 1)
     assert root == octic.lift(eps_65) * octic.lift(inv_15) and oracles.real_sign(root) == 1
 
 
@@ -554,7 +550,7 @@ def test_norm_one_product_root_of_factors_with_denominators():
             x1, x2 = _norm_one_quotient(K1, rng), _norm_one_quotient(K2, rng)
             seen_den.update((x1.den, x2.den))
             for a, b in [(x1, x2), (x1 * x1, x2 * x2), (-(x1 * x1), -(x2 * x2)), (x1 * x1, x2)]:
-                root = fields.sqrt_norm_one_product(octic, a, b)
+                root = fields._sqrt_mu_product(octic, a, b, 1, 0, 1)
                 assert root == sqrt_exact(octic.lift(a) * octic.lift(b)), (p, q, s, a, b)
     assert max(seen_den) > 1000
 
@@ -570,8 +566,9 @@ def test_norm_sign_residue_matches_the_exact_norm_on_forced_factors():
             units = (fundamental_pell(p * q), fundamental_pell(2 * p * q))
             f = fields.sqrt_unit_product(BiquadField(2, p * q), units)
             if f is not None:
-                signs.append(fields._norm_one_part(f))
-                assert fields._norm_sign(f) == signs[-1], (p, q)
+                norm = oracles.relative_norm_to_sqrt2(f)
+                assert norm in ((1, 0), (-1, 0)) and fields._norm_sign(f) == norm[0], (p, q)
+                signs.append(norm[0])
     assert signs.count(1) == 110 and signs.count(-1) == 40
 
 
@@ -582,13 +579,13 @@ def test_norm_sign_residue_matches_the_exact_norm_with_a_denominator():
     eps_65 = K.from_quad_unit(fundamental_pell(65))
     assert x.den > 1 and (x * eps_65).den == x.den
     for f, norm in [(x, 1), (x * eps_65, -1), (-x, 1), (K.one() * -1, 1)]:
-        assert fields._norm_one_part(f) == fields._norm_sign(f) == norm
+        assert oracles.relative_norm_to_sqrt2(f) == (norm, 0) and fields._norm_sign(f) == norm
 
 
 def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
     f1, f2 = theta_factors(7, 19, 3)
     octic = OcticField(7, 19, 3)
-    assert fields.sqrt_norm_one_product(octic, f1, f2) is not None
+    assert fields._sqrt_mu_product(octic, f1, f2, 1, 0, 1) is not None
     root_of = fields._sqrt
 
     def doubled(z, table):
@@ -597,7 +594,7 @@ def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
 
     monkeypatch.setattr(fields, "_sqrt", doubled)
     with pytest.raises(ArithmeticError, match="does not square back"):
-        fields.sqrt_norm_one_product(octic, f1, f2)
+        fields._sqrt_mu_product(octic, f1, f2, 1, 0, 1)
 
 
 def test_relative_half_root_is_checked_by_its_identity(monkeypatch):
@@ -606,7 +603,7 @@ def test_relative_half_root_is_checked_by_its_identity(monkeypatch):
     # root -alpha gives the same xi, whose sign is fixed afterwards
     f1, f2 = theta_factors(7, 19, 3)
     octic = OcticField(7, 19, 3)
-    xi = fields.sqrt_norm_one_product(octic, f1, f2)
+    xi = fields._sqrt_mu_product(octic, f1, f2, 1, 0, 1)
     root_of = fields._root_quadratic
     for scale in (2, 3, -1):
         def scaled(x, w, b, norm, scale=scale):
@@ -616,10 +613,10 @@ def test_relative_half_root_is_checked_by_its_identity(monkeypatch):
 
         monkeypatch.setattr(fields, "_root_quadratic", scaled)
         if scale == -1:
-            assert fields.sqrt_norm_one_product(octic, f1, f2) == xi
+            assert fields._sqrt_mu_product(octic, f1, f2, 1, 0, 1) == xi
             continue
         with pytest.raises(ArithmeticError, match="does not square back"):
-            fields.sqrt_norm_one_product(octic, f1, f2)
+            fields._sqrt_mu_product(octic, f1, f2, 1, 0, 1)
 
 
 @pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], oracles.LADDER_TRIPLES],
@@ -708,12 +705,41 @@ def test_norm_one_product_root_on_forced_triples_of_every_class_mod_8():
         roots = []
         for a, product in [(f1, th), (f1.tower.from_quad_unit(eps_pq) * f1,
                                       octic.from_quad_unit(eps_pq) * th)]:
-            root = fields.sqrt_norm_one_product(octic, a, f2)
+            root = fields._sqrt_mu_product(octic, a, f2, 1, 0, 1)
             assert root == sqrt_exact(product), (p, q, s)
             roots.append(root)
         counts.add(roots.count(None))
     # cases with one square candidate, with none and with two occur
     assert counts == {0, 1, 2}
+
+
+def test_xi_closed_form_matches_the_descent_on_every_forced_triple_below_80():
+    # every triple of distinct odd primes below 80 with q < s that has a
+    # Theta, in or out of the pattern: both mu = 1 and mu = eps_pq (whose
+    # norm is +1 whenever f1 exists, so it has a half unit) against the descent
+    primes = oracles.odd_primes_by_trial_division(79)
+    factors = {}  # d -> the root of eps_d*eps_2d in Q(sqrt2, sqrt d), or None
+    for i, p in enumerate(primes):
+        for q in primes[i + 1:]:
+            units = (fundamental_pell(p * q), fundamental_pell(2 * p * q))
+            factors[p * q] = fields.sqrt_unit_product(BiquadField(2, p * q), units)
+    triples, roots = 0, []
+    for p in primes:
+        for q in primes:
+            for s in primes:
+                f1, f2 = factors.get(p * q), factors.get(p * s)
+                if len({p, q, s}) < 3 or q > s or f1 is None or f2 is None:
+                    continue
+                triples += 1
+                octic = OcticField(p, q, s)
+                th = octic.lift(f1) * octic.lift(f2)
+                eps_pq = fundamental_pell(p * q)
+                for half, product in [((1, 0, 1), th), (eps_pq.half, octic.from_quad_unit(eps_pq) * th)]:
+                    root = fields._sqrt_mu_product(octic, f1, f2, *half)
+                    assert root == sqrt_exact(product), (p, q, s, half)
+                    roots.append(root)
+    assert triples == 2072
+    assert roots.count(None) == 3904 and len(roots) - roots.count(None) == 240
 
 
 def test_primes_over_a_split_prime_have_its_norm():
@@ -780,7 +806,7 @@ def test_every_result_is_content_free_over_a_positive_denominator(tower):
 def test_closed_form_roots_are_canonical():
     f_pq, f_ps = theta_factors(7, 19, 3)
     octic = OcticField(7, 19, 3)
-    xi = fields.sqrt_norm_one_product(octic, f_pq, f_ps)
+    xi = fields._sqrt_mu_product(octic, f_pq, f_ps, 1, 0, 1)
     for x in (f_pq, f_ps, xi, theta(7, 19, 3)):
         _assert_canonical(x)
     assert xi.den == 2 and f_pq.den == 1

@@ -453,7 +453,7 @@ def test_delta_calls_fundamental_pell_once_per_walk(monkeypatch):
 def test_delta_runs_no_descent_with_the_oracle_or_the_fsu(monkeypatch):
     roots, closed = [], []
     _count_calls(monkeypatch, unitcert.fields.sqrt_exact, roots)
-    # xi's one closed form, which `sqrt_norm_one_product` shares
+    # xi's one closed form
     _count_calls(monkeypatch, unitcert.fields._sqrt_mu_product, closed)
     for triple, options, xis in [
         ((7, 19, 3), {"oracle": True}, 1),
