@@ -66,7 +66,10 @@ class TestFunctional:
         }
 
 
-def _field_of(elements: list[TowerElement]):
+def _field_of(elements: list[TowerElement], names: list[str]):
+    for e, name in zip(elements, names):
+        if e.is_zero():
+            raise ValueError(f"{name} is zero, which has no squareclass")
     towers = {e.tower for e in elements}
     if len(towers) != 1:
         raise ValueError("all elements must live in one octic field")
@@ -171,9 +174,9 @@ def certify_affine(
     residue are skipped.
     """
     r = len(generators)
+    tower = _field_of([u0, *generators], ["u0", *(f"generator {j}" for j in range(r))])
     if r == 0:
         return AffineCertificate([], [], [])
-    tower = _field_of([u0, *generators])
     chosen: list[TestFunctional] = []
     matrix: list[list[int]] = []
     base_bits: list[int] = []
@@ -231,9 +234,9 @@ def separate_candidates(
     """
     if not candidates:
         raise ValueError("at least one candidate is required")
+    tower = _field_of(candidates, [f"candidate {i}" for i in range(len(candidates))])
     if len(candidates) == 1:
         return SeparationCertificate(list(candidates), [], [()])
-    tower = _field_of(candidates)
     # difference of squareclasses = product; dividing by u0 differs by a square
     diffs = [c * candidates[0] for c in candidates[1:]]
     chosen: list[TestFunctional] = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .arith import _sqrt_mod_prime, is_prime
+from .arith import is_prime
 from .errors import NotASquareInBiquad
 from .pell import QuadUnit, _decimal, fundamental_pell, is_squarefree
 
@@ -530,65 +530,35 @@ def _sqrt2_gcd(z: tuple[int, int], n: int) -> tuple[int, int]:
     return a
 
 
-def _primes_over(ell: int) -> list[tuple[int, tuple[int, int], int | None]]:
-    """The primes of Z[sqrt2] over the odd prime ell, as (ell, generator, u):
-    ell itself with u = None when ell = 3, 5 (mod 8) is inert, and for a split
-    ell two conjugate generators pi of norm ell, u the residue of sqrt2 mod pi.
-
-    pi comes from Euclid's algorithm on (ell, u) for a root u of 2 mod ell,
-    stopped at the first remainder r with r^2 < 2*ell: then r = s*u (mod ell)
-    and |s| <= ell/r_prev gives 2*s^2 < ell, so r^2 - 2*s^2, a multiple of ell
-    in (-ell, 2*ell) and not 0, is ell, and r - s*sqrt2 lies over sqrt2 = u.
-    """
-    if ell % 8 in (3, 5):
-        return [(ell, (ell, 0), None)]
-    u = _sqrt_mod_prime(2, ell)
-    r_prev, r, s_prev, s = ell, u, 0, 1
-    while r * r >= 2 * ell:
-        quo = r_prev // r
-        r_prev, r, s_prev, s = r, r_prev - quo * r, s, s_prev - quo * s
-    return [(ell, (r, -s), u), (ell, (r, s), ell - u)]
-
-
-def _relative_half_root(v: list[int], D: int, e: int, primes) -> tuple[list[int], tuple[int, int]]:
+def _relative_half_root(v: list[int], D: int, e: int, m: int) -> tuple[list[int], tuple[int, int]]:
     """(B, g) with sqrt(x) = B/sqrt(g), B in x's tower F(sqrt m), F = Q(sqrt2),
     and g in Z[sqrt2], for x = v/D of relative norm 1 to F and e = 1, or -1
-    when x = -1, so that x + e is not zero. `primes` are the primes of
-    Z[sqrt2] over m, from `_primes_over`.
+    when x = -1, so that x + e is not zero.
 
     Write x = (v0 + v1*sqrt m)/D with v0, v1 in Z[sqrt2] and T = v0 + e*D.
     Then (x + e)^2 = 2*x*T/D and T*(v0 - e*D) = m*v1^2, and the two factors
     share only divisors of 2D. So T = gamma*alpha^2, where gamma is G =
-    gcd(T, 2D) times the primes over m that divide T/G (each once) times a
-    unit of {+-1, +-(1 + sqrt2)} that matches the signs of the rest at both
-    embeddings of F. alpha and beta = v1/alpha are exact and half the size of
-    x, and sqrt(x) = (gamma*alpha + beta*sqrt m)/sqrt(2*gamma*D).
+    gcd(T, 2*D*m) times a unit of {+-1, +-(1 + sqrt2)} that leaves T/gamma
+    positive at both embeddings of F. At a prime pi of Z[sqrt2], G has the
+    valuation of gcd(T, 2D), plus 1 when pi divides both m (odd and
+    squarefree) and T/gcd(T, 2D); off 2D, where T's valuation has the parity
+    of m's, that is T's valuation mod 2. alpha and beta = v1/alpha are exact
+    and half the size of x, and
+    sqrt(x) = (gamma*alpha + beta*sqrt m)/sqrt(2*gamma*D).
     """
     T = (v[0] + e * D, v[1])
-    G = _sqrt2_gcd(T, 2 * D)
-    A = _sqrt2_div(T, G)
-    gamma = (1, 0)
-    for ell, pi, u in primes:
-        # an inert ell divides both coordinates; a split one's pi takes A to 0
-        # where sqrt2 = u
-        if (A[0] % ell == 0 == A[1] % ell) if u is None else (A[0] + A[1] * u) % ell == 0:
-            gamma = _sqrt2_mul(gamma, pi)
-    z = _sqrt2_div(A, gamma)
-    norm = z[0] * z[0] - 2 * z[1] * z[1]
-    if norm > 0:
-        unit = (1, 0) if z[0] > 0 else (-1, 0)
-        z = (unit[0] * z[0], unit[0] * z[1])
-    else:
-        # sign(z1)*(1 + sqrt2) has z's signs; dividing by it multiplies by
-        # sign(z1)*(sqrt2 - 1) and flips the sign of the norm
-        unit = (1, 1) if z[1] > 0 else (-1, -1)
-        z = (unit[0] * (2 * z[1] - z[0]), unit[0] * (z[0] - z[1]))
-        norm = -norm
-    alpha = _root_quadratic(z[0], z[1], 2, norm)
+    gamma = _sqrt2_gcd(T, 2 * D * m)
+    z = _sqrt2_div(T, gamma)
+    if z[0] * z[0] < 2 * z[1] * z[1]:
+        # z's signs at the two embeddings differ; 1 + sqrt2 has norm -1, so
+        # z/(1 + sqrt2) = z*(sqrt2 - 1) has equal ones
+        gamma, z = _sqrt2_mul(gamma, (1, 1)), (2 * z[1] - z[0], z[0] - z[1])
+    if z[0] < 0:
+        gamma, z = (-gamma[0], -gamma[1]), (-z[0], -z[1])
+    alpha = _root_quadratic(z[0], z[1], 2, z[0] * z[0] - 2 * z[1] * z[1])
     if alpha is None or alpha[1] != 1:
         raise ArithmeticError("the relative half-root does not square back")
     alpha = (alpha[0][0], alpha[0][1])
-    gamma = _sqrt2_mul(_sqrt2_mul(G, gamma), unit)
     beta = _sqrt2_div((v[2], v[3]), alpha)
     return list(_sqrt2_mul(gamma, alpha) + beta), (2 * D * gamma[0], 2 * D * gamma[1])
 
@@ -614,8 +584,10 @@ def _sqrt_mu_product(
     and (h, k, Q) = (1, 0, 1) or eps_pq's half unit, which `sqrt_unit_product`
     checks against eps_pq.
 
-    Each factor has a relative half-root over Z[sqrt2], sqrt(x) = B/sqrt(g)
-    (`_relative_half_root`), so Q*a*b = (Q*B_a*B_b)^2/(Q*g), g = g_a*g_b; by
+    Each factor x = v/D in Q(sqrt2, sqrt m), m = pq or ps, has a relative
+    half-root over Z[sqrt2], sqrt(x) = B/sqrt(g), whose g = 2*D*gamma comes
+    from one gcd with 2*D*m (`_relative_half_root`), so Q*a*b =
+    (Q*B_a*B_b)^2/(Q*g), g = g_a*g_b; by
     Kummer theory it is a square exactly when r*Q*g is one in Q(sqrt2) for an
     r in {1, pq, ps, qs}, unique as r*r' is no square there. The root of
     mu*a*b is then (h + k*sqrt(pq))*B_a*B_b*sqrt(r)/kappa, kappa = sqrt(r*Q*g)
@@ -633,8 +605,8 @@ def _sqrt_mu_product(
     (va, da), (vb, db) = (a.num, a.den), (b.num, b.den)
     ea, eb = (-1 if v == (-1, 0, 0, 0) else 1 for v in (va, vb))  # so that x + e is not zero
     table, ta, tb = octic._table, a.tower._table, b.tower._table
-    ba, ga = _relative_half_root(va, da, ea, _primes_over(p) + _primes_over(q))
-    bb, gb = _relative_half_root(vb, db, eb, _primes_over(p) + _primes_over(s))
+    ba, ga = _relative_half_root(va, da, ea, p * q)
+    bb, gb = _relative_half_root(vb, db, eb, p * s)
     g = [Q * c for c in _sqrt2_mul(ga, gb)]
     for r in (1, q * s, p * q, p * s):
         kappa = _sqrt([r * c for c in g], table)

@@ -362,10 +362,14 @@ class PlaceDecision:
 
     place: SplitPlace
     eps_residue: int
-    legendre_eps: int
     valid: bool
     theta_residue: int | None = None
     legendre_theta: int | None = None
+
+    @property
+    def legendre_eps(self) -> int:
+        """eps_pq's Legendre symbol at the place: -1 exactly at a valid one."""
+        return -1 if self.valid else 1
 
     @property
     def delta(self) -> int | None:
@@ -411,7 +415,7 @@ def _scan_places(
         r = residue_at(eps_pq, places[0])
         eps_res = {places[0].rpq: r, t - places[0].rpq: pow(r, -1, t)}
         if jacobi(Q, t) == 1:
-            yield from (PlaceDecision(pl, eps_res[pl.rpq], 1, valid=False) for pl in places)
+            yield from (PlaceDecision(pl, eps_res[pl.rpq], valid=False) for pl in places)
             continue
         try:
             theta_mod = reduce_mod(theta_elem, t)
@@ -421,7 +425,7 @@ def _scan_places(
             r_theta = residue_from(theta_mod, place)
             if r_theta == 0:
                 break
-            yield PlaceDecision(place, eps_res[place.rpq], -1, True, r_theta, jacobi(r_theta, t))
+            yield PlaceDecision(place, eps_res[place.rpq], True, r_theta, jacobi(r_theta, t))
 
 
 def survey_places(

@@ -398,6 +398,28 @@ def relative_norm_to_sqrt2(x) -> tuple[Fraction, Fraction]:
     return a2[0] - m * b2[0], a2[1] - m * b2[1]
 
 
+def primes_of_sqrt2_over(ell: int) -> list[tuple[int, int]]:
+    """The primes of Z[sqrt2] over the odd prime ell, as generators (a, b) of
+    a + b*sqrt2: ell itself when ell = +-3 (mod 8) is inert, else a and its
+    conjugate for the first a^2 - 2*b^2 = +-ell found by trying b = 0, 1, ...
+    (Thue's lemma puts one with b^2 < ell)."""
+    if ell % 8 in (3, 5):
+        return [(ell, 0)]
+    for b in range(isqrt(ell) + 1):
+        for n in (ell + 2 * b * b, 2 * b * b - ell):
+            a = isqrt(max(n, 0))
+            if a * a == n and a:
+                return [(a, b), (a, -b)]
+    raise AssertionError(f"no element of norm +-{ell} in Z[sqrt2]")
+
+
+def sqrt2_divides(pi: tuple[int, int], z: tuple[int, int]) -> bool:
+    """Whether pi divides z in Z[sqrt2]: z*conj(pi) is a multiple of N(pi)."""
+    a, b = pi
+    n = a * a - 2 * b * b
+    return (z[0] * a - 2 * z[1] * b) % n == 0 == (z[1] * a - z[0] * b) % n
+
+
 def real_sign(x) -> int:
     """Sign of a tower element at the all-positive real embedding, by integer
     bounds alone: isqrt(m * 4^k) <= 2^k * sqrt(m) < isqrt(m * 4^k) + 1 puts

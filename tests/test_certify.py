@@ -125,6 +125,27 @@ def test_certify_affine_exhaustion_on_dependent_pair(ex1):
         certify_affine(th, [units[133], same_class])
 
 
+@pytest.mark.parametrize("size, zero_at, name", [(3, 0, "u0"), (3, 1, "generator 0"), (3, 2, "generator 1"),
+                                                  (1, 0, "u0")])
+def test_certify_affine_refuses_a_zero_element_by_its_position(ex1, size, zero_at, name):
+    # zero has no squareclass: the refusal names it instead of a generator
+    # that no functional detected, also with no generators to search for
+    O, th, place, units = ex1
+    elements = [th, O.from_rational(-1), units[133]][:size]
+    elements[zero_at] = O.zero()
+    with pytest.raises(ValueError, match=f"^{name} is zero, which has no squareclass$"):
+        certify_affine(elements[0], elements[1:])
+
+
+@pytest.mark.parametrize("size, zero_at", [(3, 0), (3, 1), (3, 2), (1, 0)])
+def test_separate_candidates_refuses_a_zero_candidate_by_its_position(ex1, size, zero_at):
+    O, th, place, units = ex1
+    candidates = [th, units[133] * th, units[2]][:size]
+    candidates[zero_at] = O.zero()
+    with pytest.raises(ValueError, match=f"^candidate {zero_at} is zero, which has no squareclass$"):
+        separate_candidates(candidates)
+
+
 def test_separate_singleton(ex1):
     O, th, place, units = ex1
     cert = separate_candidates([th])

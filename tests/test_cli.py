@@ -205,6 +205,16 @@ def test_a_zero_denominator_is_an_error_line(tmp_path):
         assert r.stderr == "error: coordinate 0 ('1/0') has a zero denominator\n"
 
 
+def test_separate_refuses_an_all_zero_candidate(tmp_path):
+    # one error line naming the candidate, not a failed square root of zero
+    path = tmp_path / "family.json"
+    first, *rest = FAMILY["candidates"]
+    path.write_text(json.dumps({**FAMILY, "candidates": [first, ["0"] * 8, *rest]}))
+    r = run_cli("separate", str(path))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: candidate 1 is zero, which has no squareclass\n"
+
+
 def test_verify_paper_text_and_exit():
     r = run_cli("verify-paper")
     assert r.returncode == 0
@@ -311,8 +321,8 @@ def test_a_failed_exact_check_is_an_internal_verification_failure(monkeypatch, c
     # check: one stderr line and exit code 4, not a traceback
     half_root = fields._relative_half_root
 
-    def doubled(v, D, e, primes):
-        B, g = half_root(v, D, e, primes)
+    def doubled(v, D, e, m):
+        B, g = half_root(v, D, e, m)
         return [2 * c for c in B], g
 
     monkeypatch.setattr(fields, "_relative_half_root", doubled)

@@ -539,8 +539,8 @@ def _norm_one_quotient(K, rng):
 
 
 def test_norm_one_product_root_of_factors_with_denominators():
-    # gcd(T, 2D) and the primes over m then see denominators D > 2, some
-    # sharing primes with m; the descent is the reference
+    # gcd(T, 2Dm) then sees denominators D > 2, some sharing primes with m;
+    # the descent is the reference
     rng = random.Random(20260)
     seen_den = set()
     for p, q, s in [(7, 19, 3), (5, 13, 3), (17, 7, 41), (3, 11, 23)]:
@@ -639,8 +639,8 @@ def test_xi_check_catches_a_wrong_half_root_or_kappa(monkeypatch):
     for which in (0, 1):
         calls = []
 
-        def doubled(v, D, e, primes, which=which):
-            B, g = half_root(v, D, e, primes)
+        def doubled(v, D, e, m, which=which):
+            B, g = half_root(v, D, e, m)
             calls.append(B)
             return ([2 * c for c in B] if len(calls) == which + 1 else B), g
 
@@ -742,17 +742,46 @@ def test_xi_closed_form_matches_the_descent_on_every_forced_triple_below_80():
     assert roots.count(None) == 3904 and len(roots) - roots.count(None) == 240
 
 
-def test_primes_over_a_split_prime_have_its_norm():
-    for ell in range(3, 20000, 2):
-        if not oracles.trial_division_is_prime(ell):
-            continue
-        primes = fields._primes_over(ell)
-        if ell % 8 in (3, 5):
-            assert primes == [(ell, (ell, 0), None)]
-            continue
-        for _, (a, b), u in primes:
-            assert a * a - 2 * b * b == ell and (a + b * u) % ell == 0
-        assert primes[0][1] == (primes[1][1][0], -primes[1][1][1])
+def _assert_one_gcd_is_the_gcd_and_the_primes_over_m(x, ell1, ell2):
+    # gamma = gcd(T, 2Dm) up to a unit: its norm is that of gcd(T, 2D) times
+    # the norms of the primes over m that divide T/gcd(T, 2D), split by
+    # search; for x of relative norm 1 the relative half-root's g =
+    # 2*D*gamma has that norm times 4D^2 (a forced factor can have norm -1)
+    v, D, m = x.num, x.den, ell1 * ell2
+    e = -1 if v == (-1, 0, 0, 0) else 1
+    T = (v[0] + e * D, v[1])
+    G = fields._sqrt2_gcd(T, 2 * D)
+    rest = fields._sqrt2_div(T, G)
+    norm = abs(G[0] * G[0] - 2 * G[1] * G[1])
+    for ell in (ell1, ell2):
+        for pi in oracles.primes_of_sqrt2_over(ell):
+            if oracles.sqrt2_divides(pi, rest):
+                norm *= abs(pi[0] * pi[0] - 2 * pi[1] * pi[1])
+    gamma = fields._sqrt2_gcd(T, 2 * D * m)
+    assert abs(gamma[0] * gamma[0] - 2 * gamma[1] * gamma[1]) == norm, (m, v, D)
+    if oracles.relative_norm_to_sqrt2(x) == (1, 0):
+        g = fields._relative_half_root(v, D, e, m)[1]
+        assert abs(g[0] * g[0] - 2 * g[1] * g[1]) == 4 * D * D * norm, (m, v, D)
+
+
+@pytest.mark.parametrize("source", ["every-9th-corpus-triple", "ladder-rungs", "forced-triples",
+                                    "random-quotients"])
+def test_one_gcd_over_2dm_is_gcd_over_2d_times_the_primes_over_m(source):
+    if source == "random-quotients":
+        rng = random.Random(20262)
+        for p, q, s in [(7, 19, 3), (5, 13, 3), (17, 7, 41), (3, 11, 23)]:
+            for ell in (q, s):
+                for _ in range(6):
+                    x = _norm_one_quotient(BiquadField(2, p * ell), rng)
+                    for y in (x, x * x, -x, x * 0 - 1):
+                        _assert_one_gcd_is_the_gcd_and_the_primes_over_m(y, p, ell)
+        return
+    triples = {"every-9th-corpus-triple": oracles.in_pattern_triples(400)[::9],
+               "ladder-rungs": oracles.LADDER_TRIPLES, "forced-triples": _forced_triples()}[source]
+    for p, q, s in triples:
+        f1, f2 = theta_factors(p, q, s)
+        _assert_one_gcd_is_the_gcd_and_the_primes_over_m(f1, p, q)
+        _assert_one_gcd_is_the_gcd_and_the_primes_over_m(f2, p, s)
 
 
 # -- the one element format: integer numerators over one denominator -------

@@ -396,7 +396,7 @@ def test_place_decision_reads_delta_off_the_legendre_bit():
         expected = (0 if d.legendre_theta == 1 else 1) if d.valid else None
         assert d.delta == d.to_json_dict()["delta"] == expected
     with pytest.raises(TypeError):
-        PlaceDecision(decisions[0].place, 1, 1, False, delta=None)
+        PlaceDecision(decisions[0].place, 1, False, delta=None)
 
 
 def test_delta_decides_at_size_1e4():
@@ -537,7 +537,7 @@ def test_oracle_rejects_a_place_where_eps_pq_is_a_local_square(monkeypatch):
     r_eps = residue_at(fundamental_pell(21), place)
     assert jacobi(r_eps, 47) == 1
     r_theta = residue_at(theta(7, 3, 59), place)
-    forged = PlaceDecision(place, r_eps, -1, True, r_theta, -1)
+    forged = PlaceDecision(place, r_eps, True, r_theta, -1)
     monkeypatch.setattr(residual, "_scan_places", lambda *args: iter([forged]))
     assert delta(7, 3, 59, with_fsu=False).place.t == 47  # the scan alone is trusted
     with pytest.raises(OracleDisagreement, match="not a nonresidue at the place above t = 47"):
