@@ -11,11 +11,11 @@ half-root of each over Z[sqrt2] (sqrt(x) = (gamma*alpha + beta*sqrt m) /
 sqrt(2*gamma*D); with eps_pq = (h + k*sqrt pq)^2/Q it gives xi, the root of
 mu*Theta), and the biquadratic unit-index square test. The descent is the
 general root, for `unitcert sqrt`, the unit index and `separate_candidates`;
-no root that `delta` takes needs it. Pell-unit roots divide and root only
-small integers; xi is rooted and checked one factor at a time, and no octic
-product but xi is formed. Signs at the distinguished (all positive) real
-embedding are decided exactly, by the descent's own recursion, so nothing
-here approximates a real number.
+no root that `delta` takes needs it. A Pell-unit root is proved binomial by
+binomial from its half units' identities, xi one factor at a time, and no
+octic product but xi is formed. Signs at the distinguished (all positive)
+real embedding are decided exactly, by the descent's own recursion, so
+nothing here approximates a real number.
 
 An element has one format, the integer kernel's: integer numerators over one
 positive denominator, with their common content removed, so equal values
@@ -463,19 +463,20 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     different d, positive at the distinguished embedding; None when the
     product is not a square there.
 
-    A unit of norm +1 from `fundamental_pell` keeps its half unit: eps =
-    (h + k*sqrt(d))^2/Q with h, k > 0 and Q | 2d, so sqrt(eps) =
-    (h*sqrt(Q) + k*g*sqrt(n))/Q with g = gcd(d, Q) and n = d*Q/g^2. Q is
-    squarefree, since 4 is the only square that can divide 2d and 4 | Q would
-    make h and k both even, and so is n. The
-    root is a product of such binomials over the product of the Q, each
-    monomial moved onto the basis through the squarefree part of its
-    radicand; no number of the size of a unit is divided or rooted. Every
+    A unit of norm +1 from `fundamental_pell` keeps its half unit (h, k, Q),
+    checked here: h, k > 0, h^2 + d*k^2 = Q*x and 2hk = Q*y, so eps =
+    (h + k*sqrt(d))^2/Q, and Q | 2d, 4 not dividing Q, so Q is squarefree.
+    Then sqrt(eps) = (h*sqrt(Q) + k*g*sqrt(n))/Q, g = gcd(d, Q) and n =
+    d*Q/g^2 squarefree, which squares to (h^2 + d*k^2 + 2hk*sqrt(d))/Q = eps
+    as g^2*n = d*Q and sqrt(Q*n) = (Q/g)*sqrt(d). The root is the product of
+    these binomials over the product of the Q, multiplied out exactly by
+    sqrt(r)*sqrt(m) = g*sqrt(r*m/g^2): the identities prove it, and no square
+    is formed, no number of the size of a unit divided or rooted. Every
     coefficient is positive, so the root is positive at the distinguished
     embedding, and a monomial whose radicand is not in the tower puts the root
     outside it. A unit of norm -1 is negative at an embedding that flips its
-    sqrt(d) and keeps the other unit's, so then the product is no square. Each
-    half unit is checked against its unit, and the root by exact squaring.
+    sqrt(d) and keeps the other unit's, so then the product is no square. A
+    half unit that fails a check raises ArithmeticError.
     """
     if any(u.norm != 1 for u in units):
         return None
@@ -484,8 +485,9 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
         if u.half is None:
             raise ValueError(f"the unit of Z[sqrt({u.d})] has no half unit; take it from fundamental_pell")
         h, k, Q = u.half
-        if h * h + u.d * k * k != Q * u.x or 2 * h * k != Q * u.y:
-            raise ArithmeticError(f"the half unit of Z[sqrt({u.d})] does not square back to the unit")
+        if not (h > 0 < k and Q > 0 and 2 * u.d % Q == 0 and Q % 4
+                and h * h + u.d * k * k == Q * u.x and 2 * h * k == Q * u.y):
+            raise ArithmeticError(f"the half unit of Z[sqrt({u.d})] does not square back to the unit over Q | 2d")
         g = gcd(u.d, Q)
         terms = _times_radicals(terms, ((h, Q), (k * g, u.d // g * (Q // g))))
         den *= Q
@@ -494,10 +496,7 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
         if r not in tower._index:
             return None
         num[tower._index[r]] = c
-    root = TowerElement(tower, num, den)
-    if root * root != prod((tower.from_quad_unit(u) for u in units), start=tower.one()):
-        raise ArithmeticError("the closed-form root does not square back")
-    return root
+    return TowerElement(tower, num, den)
 
 
 # -- closed-form root of a product of two relative-norm-one factors ---------
@@ -579,10 +578,10 @@ def _sqrt_mu_product(
     """Square root of mu*a*b, positive at the distinguished embedding, or
     None: a in K1 = Q(sqrt2, sqrt pq) and b in K2 = Q(sqrt2, sqrt ps), of
     relative norms to Q(sqrt2) known to be +-1 (not checked here; for Theta's
-    factors `sqrt_unit_product`'s squaring check proves it), whose signs
-    `_norm_sign` reads; mu = (h + k*sqrt(pq))^2/Q with h > 0, k >= 0, Q | 2pq
-    and (h, k, Q) = (1, 0, 1) or eps_pq's half unit, which `sqrt_unit_product`
-    checks against eps_pq.
+    factors f1^2 = eps_pq*eps_2pq, which `sqrt_unit_product` proves from the
+    half units' identities, gives it), whose signs `_norm_sign` reads; mu =
+    (h + k*sqrt(pq))^2/Q with h > 0, k >= 0, Q | 2pq and (h, k, Q) =
+    (1, 0, 1) or eps_pq's half unit, which `sqrt_unit_product` checks.
 
     Each factor x = v/D in Q(sqrt2, sqrt m), m = pq or ps, has a relative
     half-root over Z[sqrt2], sqrt(x) = B/sqrt(g), whose g = 2*D*gamma comes

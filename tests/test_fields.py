@@ -416,21 +416,53 @@ def _unit_products(p, q, s):
     ]
 
 
-def _descent_root(tower, units):
+def _unit_product(tower, units):
     product = tower.one()
     for u in units:
         product = product * tower.from_quad_unit(u)
-    return sqrt_exact(product)
+    return product
+
+
+def _descent_root(tower, units):
+    return sqrt_exact(_unit_product(tower, units))
 
 
 @pytest.mark.parametrize("triples", [oracles.in_pattern_triples(400)[::9], oracles.LADDER_TRIPLES],
                          ids=["every-9th-corpus-triple", "ladder-rungs"])
 def test_closed_form_roots_match_the_descent(triples):
+    # the library proves these roots from the half-unit identities and never
+    # squares them; the square is taken here, for every product
     for triple in triples:
         for tower, units in _unit_products(*triple):
             root = fields.sqrt_unit_product(tower, units)
             assert root is not None
+            assert root * root == _unit_product(tower, units)
             assert root == _descent_root(tower, units)
+
+
+def test_closed_form_roots_form_no_tower_product(monkeypatch):
+    # at the 10^4 rung the roots are proved binomial by binomial: no product
+    # of tower elements, and no product of coordinate lists, is formed
+    products = _unit_products(*oracles.LADDER_TRIPLES[2])
+    calls = {"_mul": 0, "__mul__": 0}
+    mul, tower_mul = fields._mul, fields.TowerElement.__mul__
+
+    def counting_mul(*args):
+        calls["_mul"] += 1
+        return mul(*args)
+
+    def counting_tower_mul(*args):
+        calls["__mul__"] += 1
+        return tower_mul(*args)
+
+    monkeypatch.setattr(fields, "_mul", counting_mul)
+    monkeypatch.setattr(fields.TowerElement, "__mul__", counting_tower_mul)
+    roots = [fields.sqrt_unit_product(tower, units) for tower, units in products]
+    assert calls == {"_mul": 0, "__mul__": 0}
+    assert None not in roots
+    # the counters see a product when one is formed
+    roots[0] * roots[0]
+    assert calls == {"_mul": 1, "__mul__": 1}
 
 
 def test_closed_form_half_integer_root_and_refusals():
@@ -465,7 +497,10 @@ def test_closed_form_root_checks_the_half_units():
     B = BiquadField(2, 133)
     units = (fundamental_pell(133), fundamental_pell(266))
     h, k, Q = units[0].half
-    for half in [(h + 1, k, Q), (h, k + 1, Q), (h, k, 2 * Q), (h, k, 3 * Q), (k, h, Q)]:
+    # the scaled halves and the negated one satisfy h^2 + d*k^2 = Q*x and
+    # 2hk = Q*y; only Q | 2d with 4 not dividing Q, and h, k > 0, refuse them
+    forged = [(2 * h, 2 * k, 4 * Q), (3 * h, 3 * k, 9 * Q), (-h, -k, Q)]
+    for half in [(h + 1, k, Q), (h, k + 1, Q), (h, k, 2 * Q), (h, k, 3 * Q), (k, h, Q), *forged]:
         with pytest.raises(ArithmeticError, match="does not square back"):
             fields.sqrt_unit_product(B, (_with_half(units[0], half), units[1]))
     # a unit of norm +1 built by hand has no half unit to root
