@@ -11,10 +11,11 @@ a fresh copy of `src/` and runs tier-1 with `-x`. A mutant is killed when
 the suite fails or runs past TIMEOUT_S, and survives when it passes; a
 survivor is a missing test.
 
-Exit 0 when every mutant is killed, 1 when one survives, 2 when the
-unmutated copy fails. A mutant whose text does not occur exactly once in its
-file fails it (tests/test_package.py), so the source has moved on and the
-entry needs updating.
+Exit 0 when every mutant is killed, 1 when one survives, 2 when an entry is
+stale (its text does not occur exactly once in its file, so the source has
+moved on and the entry needs updating) or the unmutated copy fails. The
+staleness check reads this tree, not the copy: a test that read the copy
+would fail under every mutant and so kill them all.
 """
 
 from __future__ import annotations
@@ -76,7 +77,19 @@ def _tier1(tree: Path) -> tuple[bool, str]:
     return run.returncode == 0, "; ".join(failed[:1] + lines[-1:])
 
 
+def _stale(mutants: tuple[Mutant, ...]) -> list[str]:
+    """Names of the entries that would not edit exactly one place in `src/`."""
+    names = [m.name for m in mutants]
+    return [m.name for m in mutants
+            if names.count(m.name) != 1 or not m.path.startswith("src/") or m.old == m.new
+            or (ROOT / m.path).read_text().count(m.old) != 1]
+
+
 def main() -> int:
+    stale = _stale(MUTANTS)
+    if stale:
+        print(f"stale entries: {', '.join(stale)}")
+        return 2
     with tempfile.TemporaryDirectory(prefix="unitcert-mutants-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=SKIP)
