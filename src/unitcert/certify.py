@@ -227,8 +227,9 @@ def separate_candidates(
 
     Greedy over the deterministic functional stream (the places above the
     first FUNCTIONAL_PRIMES split primes below bound), keeping a functional when
-    it raises the rank of the value matrix on the difference classes from the
-    first candidate; stops once the candidate rows are pairwise distinct.
+    it raises the rank of the value matrix on the difference classes c_i*c_0;
+    their bits are XORs of candidate bits, so only the candidates are reduced.
+    Stops once the candidate rows are pairwise distinct.
     Identical squareclasses are detected on exhaustion by the exact square-root
     oracle and reported with the offending pair.
     """
@@ -237,14 +238,13 @@ def separate_candidates(
     tower = _field_of(candidates, [f"candidate {i}" for i in range(len(candidates))])
     if len(candidates) == 1:
         return SeparationCertificate(list(candidates), [], [()])
-    # difference of squareclasses = product; dividing by u0 differs by a square
-    diffs = [c * candidates[0] for c in candidates[1:]]
     chosen: list[TestFunctional] = []
     rows: list[tuple[int, ...]] = [() for _ in candidates]
-    stream = _iter_functionals(tower, [*diffs, *candidates], bound)
-    for functional, values in _independent(stream, len(diffs)):
+    functionals = _iter_functionals(tower, candidates, bound)
+    stream = ((f, [bit ^ bits[0] for bit in bits[1:]] + bits) for f, bits in functionals)
+    for functional, values in _independent(stream, len(candidates) - 1):
         chosen.append(functional)
-        rows = [row + (bit,) for row, bit in zip(rows, values[len(diffs):])]
+        rows = [row + (bit,) for row, bit in zip(rows, values[len(candidates) - 1:])]
         if len(set(rows)) == len(rows):
             return SeparationCertificate(list(candidates), chosen, rows)
     collisions = [

@@ -631,14 +631,12 @@ def _sqrt_mu_product(
 # -- Theta and the biquadratic unit index ---------------------------------
 
 
-def _theta_parts(
-    octic: OcticField,
-) -> tuple[dict[int, QuadUnit], TowerElement, TowerElement, TowerElement]:
-    """Theta built once for the octic field's triple: (eps, f1, f2, Theta).
-    eps holds the Pell units of pq, 2pq, ps and 2ps, each walked once, for a
-    caller that needs one again; f1 and f2 are Theta's two factors, the
-    positive square roots of eps_d * eps_2d in Q(sqrt2, sqrt d), d = pq, ps;
-    Theta is their product in the octic field."""
+def _theta_parts(octic: OcticField) -> tuple[dict[int, QuadUnit], TowerElement, TowerElement]:
+    """Theta's two factors, built once for the octic field's triple: (eps, f1,
+    f2). eps holds the Pell units of pq, 2pq, ps and 2ps, each walked once,
+    for a caller that needs one again; f1 and f2 are the positive square roots
+    of eps_d * eps_2d in Q(sqrt2, sqrt d), d = pq, ps. Their product Theta is
+    not formed here: its residue at a place is theirs multiplied."""
     p, q, s = octic.p, octic.q, octic.s
     eps = {d: fundamental_pell(d) for d in (p * q, 2 * p * q, p * s, 2 * p * s)}
     factors = []
@@ -647,21 +645,21 @@ def _theta_parts(
         if root is None:
             raise NotASquareInBiquad(f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})")
         factors.append(root)
-    f1, f2 = factors
-    return eps, f1, f2, octic.lift(f1) * octic.lift(f2)
+    return eps, *factors
 
 
 def theta_factors(p: int, q: int, s: int) -> tuple[TowerElement, TowerElement]:
     """The two normalized biquadratic roots whose product is Theta, from the
     four Pell units that each call walks."""
-    return _theta_parts(OcticField(p, q, s))[1:3]
+    return _theta_parts(OcticField(p, q, s))[1:]
 
 
 def theta(p: int, q: int, s: int) -> TowerElement:
     """The normalized product Theta = sqrt(eps_pq eps_2pq) * sqrt(eps_ps eps_2ps)
     as an exact octic element, positive at the distinguished embedding, from
     the four Pell units that each call walks."""
-    return _theta_parts(OcticField(p, q, s))[3]
+    _, f1, f2 = _theta_parts(octic := OcticField(p, q, s))
+    return octic.lift(f1) * octic.lift(f2)
 
 
 _INDEX_EXPONENTS = (

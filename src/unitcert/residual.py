@@ -1,6 +1,6 @@
 """The split-prime residue pipeline.
 
-Validates the congruence hypotheses on (p, q, s), builds the normalized Theta,
+Validates the congruence hypotheses on (p, q, s), builds Theta's two factors,
 searches for a split prime with a valid place, decides the residual bit delta
 by one Legendre symbol, and emits the complete rank-7 unit system together
 with a fully auditable certificate. The optional oracle confirms the bit with
@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import ClassVar, Iterator
+from math import prod
+from typing import ClassVar, Iterator, Sequence
 
 from .arith import _sqrt_mod_prime, hilbert_symbol, jacobi, odd_primes
 from .errors import (
@@ -285,7 +286,7 @@ class Generator:
 class Certificate:
     """Complete audit trail of one residual-bit decision. Its place is valid
     by construction: eps_pq is a local nonsquare there (`legendre_eps`), and
-    delta and mu follow from Theta's Legendre bit."""
+    delta and mu follow from the bit of Theta, kept as its factors (f1, f2)."""
 
     eps_convention: ClassVar[str] = EPS_CONVENTION
     legendre_eps: ClassVar[int] = -1
@@ -301,8 +302,8 @@ class Certificate:
     legendre_theta: int
     fsu: list[Generator] | None
     oracle_checked: bool
-    # Theta and eps_pq of the decision, kept for `survey`; not in the JSON
-    theta: TowerElement = field(repr=False, compare=False)
+    # Theta's two factors and eps_pq of the decision, kept for `survey`; not in the JSON
+    theta_factors: tuple[TowerElement, TowerElement] = field(repr=False, compare=False)
     eps_pq: QuadUnit = field(repr=False, compare=False)
 
     @property
@@ -352,8 +353,8 @@ class Certificate:
 
     def survey(self, prime_bound: int) -> list[PlaceDecision]:
         """Every place that `survey_places` reads for this triple, from the
-        Theta and eps_pq of this decision, so no unit is walked again."""
-        return list(_scan_places(self.p, self.q, self.s, self.theta, self.eps_pq, prime_bound))
+        Theta factors and eps_pq of this decision, so no unit is walked again."""
+        return list(_scan_places(self.p, self.q, self.s, self.theta_factors, self.eps_pq, prime_bound))
 
 
 @dataclass
@@ -393,7 +394,7 @@ def _scan_places(
     p: int,
     q: int,
     s: int,
-    theta_elem: TowerElement,
+    factors: Sequence[TowerElement],
     eps_pq: QuadUnit,
     prime_bound: int,
 ) -> Iterator[PlaceDecision]:
@@ -404,10 +405,11 @@ def _scan_places(
     eps_pq = (h + k*sqrt(pq))^2/Q by its half unit, so at every place above t
     its Legendre symbol is (Q/t): the eight places are valid exactly when
     (Q/t) = -1. `residue_at` takes eps_pq's residue r at the first place; the
-    places with the other root of pq have 1/r, as the norm is +1. Theta is
-    reduced once per valid prime. A denominator of Theta that t divides, or a
-    zero Theta residue, ends the places above t; the triple's own Theta has
-    neither, so these exits only validate a Theta passed to `survey_places`.
+    places with the other root of pq have 1/r, as the norm is +1. Each factor
+    of Theta, (f1, f2) or a caller's (Theta,), is reduced once per valid prime,
+    and Theta's residue is theirs multiplied mod t. A factor's denominator that
+    t divides, or a zero Theta residue, ends the places above t; the triple's
+    own factors have neither, so these exits only validate a caller's Theta.
     """
     Q = eps_pq.half[2]
     for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT):
@@ -418,11 +420,11 @@ def _scan_places(
             yield from (PlaceDecision(pl, eps_res[pl.rpq], valid=False) for pl in places)
             continue
         try:
-            theta_mod = reduce_mod(theta_elem, t)
+            reduced = [reduce_mod(f, t) for f in factors]
         except DenominatorNotInvertible:
             continue
         for place in places:
-            r_theta = residue_from(theta_mod, place)
+            r_theta = prod(residue_from(v, place) for v in reduced) % t
             if r_theta == 0:
                 break
             yield PlaceDecision(place, eps_res[place.rpq], True, r_theta, jacobi(r_theta, t))
@@ -441,14 +443,14 @@ def survey_places(
     caller is used as given; `Certificate.survey` reuses a decision's. A
     triple whose eps_pq has norm -1 has no Theta and is refused."""
     if theta_elem is None:
-        eps, _, _, theta_elem = _theta_parts(OcticField(p, q, s))
+        eps, *factors = _theta_parts(OcticField(p, q, s))
         eps_pq = eps[p * q]
     else:
         _check_triple(p, q, s)
-        eps_pq = fundamental_pell(p * q)
+        eps_pq, factors = fundamental_pell(p * q), (theta_elem,)
         if eps_pq.half is None:
             raise NotASquareInBiquad(f"eps_{p * q} has norm -1, so the triple has no Theta")
-    return list(_scan_places(p, q, s, theta_elem, eps_pq, prime_bound))
+    return list(_scan_places(p, q, s, factors, eps_pq, prime_bound))
 
 
 def _fsu_generators(
@@ -527,11 +529,11 @@ def delta(
         hypotheses_verified = False
     oracle_on = oracle or not hypotheses_verified
 
-    eps, f1, f2, theta_elem = _theta_parts(octic)
+    eps, f1, f2 = _theta_parts(octic)
     eps_pq = eps[p * q]
 
     chosen = next(
-        (d for d in _scan_places(p, q, s, theta_elem, eps_pq, prime_bound) if d.valid),
+        (d for d in _scan_places(p, q, s, (f1, f2), eps_pq, prime_bound) if d.valid),
         None,
     )
     if chosen is None:
@@ -548,7 +550,7 @@ def delta(
         legendre_theta=chosen.legendre_theta,
         fsu=None,
         oracle_checked=oracle_on,
-        theta=theta_elem,
+        theta_factors=(f1, f2),
         eps_pq=eps_pq,
     )
 
@@ -584,10 +586,10 @@ def decide_mu_hilbert(p: int, q: int, s: int, place: SplitPlace) -> str:
     agreement with the Legendre path is an invariant.
     """
     t = place.t
-    eps, _, _, theta_elem = _theta_parts(OcticField(p, q, s))
+    eps, f1, f2 = _theta_parts(OcticField(p, q, s))
     if jacobi(residue_at(eps[p * q], place), t) != -1:
         raise InvalidPlace(f"eps_pq is a square at the place above {t}")
-    r_theta = residue_at(theta_elem, place)
+    r_theta = residue_at(f1, place) * residue_at(f2, place) % t
     if r_theta == 0:
         raise NonUnitResidue("Theta has zero residue at the place")
     return "1" if hilbert_symbol(r_theta, t, t) == 1 else "eps_pq"

@@ -663,7 +663,7 @@ def test_delta_xi_is_the_descent_root_of_mu_theta(triples):
         cert = delta(p, q, s, oracle=True)
         octic = OcticField(p, q, s)
         mu = octic.from_quad_unit(fundamental_pell(p * q)) if cert.delta else octic.one()
-        assert cert.fsu[6].element == sqrt_exact(mu * cert.theta), (p, q, s)
+        assert cert.fsu[6].element == sqrt_exact(mu * theta(p, q, s)), (p, q, s)
 
 
 def test_xi_check_catches_a_wrong_half_root_or_kappa(monkeypatch):

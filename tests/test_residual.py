@@ -286,6 +286,23 @@ def test_decide_mu_hilbert_agrees_with_delta():
         assert decide_mu_hilbert(*triple, cert.place) == cert.mu
 
 
+def test_theta_is_not_multiplied_out_by_the_scan_the_survey_or_the_hilbert_path(monkeypatch):
+    # Theta's residue at a place is its factors' residues multiplied mod t,
+    # so none of these forms the octic product f1*f2; `theta` does, once
+    products = []
+    _count_calls(monkeypatch, unitcert.fields._mul, products)
+    cert = delta(7, 3, 59, with_fsu=False)
+    for run, octic_products in (
+        (lambda: theta(7, 3, 59), 1),
+        (lambda: delta(7, 3, 59, with_fsu=False), 0),
+        (lambda: survey_places(7, 3, 59), 0),
+        (lambda: decide_mu_hilbert(7, 3, 59, cert.place), 0),
+    ):
+        products.clear()
+        run()
+        assert sum(len(a) == 8 for a, _, _ in products) == octic_products
+
+
 def test_decide_mu_hilbert_rejects_invalid_place():
     # at t = 47 every place has eps_21 a local square for (7, 3, 59)
     place = enumerate_places(47, 7, 3, 59)[0]
@@ -468,7 +485,7 @@ def test_delta_runs_no_descent_with_the_oracle_or_the_fsu(monkeypatch):
             # xi comes from the closed form, and its square is mu*Theta
             octic = OcticField(*triple)
             mu = octic.from_quad_unit(fundamental_pell(triple[0] * triple[1])) if cert.delta else 1
-            assert cert.fsu[6].element * cert.fsu[6].element == cert.theta * mu
+            assert cert.fsu[6].element * cert.fsu[6].element == theta(*triple) * mu
 
 
 def test_delta_roots_five_unit_products_with_the_fsu(monkeypatch):

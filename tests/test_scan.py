@@ -172,11 +172,13 @@ def test_own_theta_denominator_is_prime_to_every_split_prime(corpus_and_ladder_c
     # a split t is prime to 2pqs, so the scan's denominator exit is input
     # validation only; the zero-residue exit is covered by the survey above
     for cert in corpus_and_ladder_certificates:
-        den = cert.theta.den
-        for r in (2, cert.p, cert.q, cert.s):
-            while den % r == 0:
-                den //= r
-        assert den == 1, (cert.p, cert.q, cert.s)
+        assert len(cert.theta_factors) == 2
+        for factor in cert.theta_factors:
+            den = factor.den
+            for r in (2, cert.p, cert.q, cert.s):
+                while den % r == 0:
+                    den //= r
+            assert den == 1, (cert.p, cert.q, cert.s)
 
 
 @pytest.fixture(scope="module")
@@ -287,9 +289,10 @@ def test_survey_proves_only_the_triple_prime_and_reduces_theta_once_per_prime(mo
     _count_calls(monkeypatch, unitcert.residual.reduce_mod, reductions)
     decisions = survey_places(7, 11, 43)
     assert primes and {n for (n,) in primes} == {7, 11, 43}
+    # Theta's two factors, one reduction each per valid prime
     per_prime = Counter(t for x, t in reductions if isinstance(x, TowerElement))
     valid_ts = {d.place.t for d in decisions if d.valid}
-    assert per_prime == Counter(valid_ts)
+    assert per_prime == Counter({t: 2 for t in valid_ts})
     # eps_pq depends on the root of pq alone: one reduction per scanned prime
     eps_ts = [t for x, t in reductions if isinstance(x, QuadUnit)]
     assert eps_ts == sorted({d.place.t for d in decisions})
@@ -321,3 +324,14 @@ def test_certify_reduces_each_element_once_per_prime_and_streams_only_t(monkeypa
     ts = {f.place.t for f in streamed}
     assert {t for _, t in by_element} == ts
     assert len(by_element) == len(ts) * (len(gens) + 1)
+    # separation reduces the n candidates alone, once per streamed prime: a
+    # difference class's bit is the XOR of two candidate bits
+    reductions.clear()
+    streamed.clear()
+    sep = separate_candidates(gens)
+    assert len(set(sep.table)) == len(gens)
+    assert not hilbert and not evaluated
+    per_prime = Counter(t for _, t in reductions)
+    assert set(per_prime) == {f.place.t for f in streamed}
+    assert set(per_prime.values()) == {len(gens)}
+    assert Counter(id(x) for x, _ in reductions) == Counter({id(g): len(per_prime) for g in gens})

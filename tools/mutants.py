@@ -59,6 +59,14 @@ MUTANTS = (
            "Q > 0 and 2 * u.d % Q == 0 and Q % 4\n", "Q > 0\n"),
     Mutant("half-unit-sign-guard-removed", "src/unitcert/fields.py",
            "if not (h > 0 < k and Q > 0", "if not (Q > 0"),
+    # Theta travels as its two factors: its residue is the product of theirs,
+    # and a difference class's bit the XOR of two candidate bits
+    Mutant("scan-theta-reads-first-factor", "src/unitcert/residual.py",
+           "prod(residue_from(v, place) for v in reduced) % t", "residue_from(reduced[0], place)"),
+    Mutant("hilbert-theta-reads-f1", "src/unitcert/residual.py",
+           "residue_at(f1, place) * residue_at(f2, place) % t", "residue_at(f1, place)"),
+    Mutant("separation-drops-xor", "src/unitcert/certify.py",
+           "[bit ^ bits[0] for bit in bits[1:]]", "bits[1:]"),
 )
 
 
