@@ -248,7 +248,7 @@ def _mul(a: list[int], b: list[int], table) -> list[int]:
         for n, (i, ai) in enumerate(nz):
             row = table[i]
             g, k = row[i]
-            out[k] += g * ai * ai
+            out[k] += g * (ai * ai)
             ai2 = 2 * ai
             for j, aj in nz[n + 1:]:
                 g, k = row[j]
@@ -345,7 +345,7 @@ def _sqrt(z: list[int], table) -> tuple[list[int], int] | None:
     if len(z) == 2 and z[1]:
         x, w = z
         b = table[1][1][0]
-        return _root_quadratic(x, w, b, x * x - b * w * w)
+        return _root_quadratic(x, w, b, x * x - b * (w * w))
     half = len(z) // 2
     x, w = z[:half], z[half:]
     if not any(w):
@@ -486,7 +486,7 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
             raise ValueError(f"the unit of Z[sqrt({u.d})] has no half unit; take it from fundamental_pell")
         h, k, Q = u.half
         if not (h > 0 < k and Q > 0 and 2 * u.d % Q == 0 and Q % 4
-                and h * h + u.d * k * k == Q * u.x and 2 * h * k == Q * u.y):
+                and h * h + u.d * (k * k) == Q * u.x and 2 * h * k == Q * u.y):
             raise ArithmeticError(f"the half unit of Z[sqrt({u.d})] does not square back to the unit over Q | 2d")
         g = gcd(u.d, Q)
         terms = _times_radicals(terms, ((h, Q), (k * g, u.d // g * (Q // g))))
@@ -511,7 +511,7 @@ def _sqrt2_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def _sqrt2_div(z: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
     """z/g in Z[sqrt2], for a g that divides z; when a wrong root makes g
     no divisor, the quotient is wrong and the root's check fails."""
-    n = g[0] * g[0] - 2 * g[1] * g[1]
+    n = g[0] * g[0] - 2 * (g[1] * g[1])
     return (z[0] * g[0] - 2 * z[1] * g[1]) // n, (z[1] * g[0] - z[0] * g[1]) // n
 
 
@@ -548,13 +548,14 @@ def _relative_half_root(v: list[int], D: int, e: int, m: int) -> tuple[list[int]
     T = (v[0] + e * D, v[1])
     gamma = _sqrt2_gcd(T, 2 * D * m)
     z = _sqrt2_div(T, gamma)
-    if z[0] * z[0] < 2 * z[1] * z[1]:
+    norm = z[0] * z[0] - 2 * (z[1] * z[1])
+    if norm < 0:
         # z's signs at the two embeddings differ; 1 + sqrt2 has norm -1, so
-        # z/(1 + sqrt2) = z*(sqrt2 - 1) has equal ones
-        gamma, z = _sqrt2_mul(gamma, (1, 1)), (2 * z[1] - z[0], z[0] - z[1])
+        # z/(1 + sqrt2) = z*(sqrt2 - 1) has equal ones, and norm -norm
+        gamma, z, norm = _sqrt2_mul(gamma, (1, 1)), (2 * z[1] - z[0], z[0] - z[1]), -norm
     if z[0] < 0:
         gamma, z = (-gamma[0], -gamma[1]), (-z[0], -z[1])
-    alpha = _root_quadratic(z[0], z[1], 2, z[0] * z[0] - 2 * z[1] * z[1])
+    alpha = _root_quadratic(z[0], z[1], 2, norm)
     if alpha is None or alpha[1] != 1:
         raise ArithmeticError("the relative half-root does not square back")
     alpha = (alpha[0][0], alpha[0][1])

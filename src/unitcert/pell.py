@@ -1,11 +1,12 @@
 """Fundamental Pell units of Z[sqrt(d)] by the continued fraction of sqrt(d).
 
 One walk over the complete quotients stops halfway through the palindromic
-period and multiplies blocks of partial quotients into 2x2 matrices as it goes;
-a balanced product tree of the blocks gives the convergents that close the
-unit exactly, and a norm +1 is proved on the half unit (Jacobson and
-Williams, Solving the Pell Equation, 2009). Nothing is memoized: every call
-walks the continued fraction, and a caller that needs a unit twice keeps it.
+period, keeping one continuant row per step, and closes each block of
+quotients as a relative generator (A + B*sqrt(d))/Q; a balanced tree of
+three-product nodes multiplies them into the convergent that closes the unit
+exactly, and a norm +1 is proved on the half unit (Jacobson and Williams,
+Solving the Pell Equation, 2009). Nothing is memoized: every call walks the
+continued fraction, and a caller that needs a unit twice keeps it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from math import isqrt
 
-_BLOCK = 32  # partial quotients multiplied out one at a time per tree leaf
+_BLOCK = 32  # partial quotients per tree leaf, walked one continuant at a time
 
 
 def _decimal(n: int) -> str:
@@ -89,52 +90,59 @@ def _half_period(d: int) -> tuple[int, int, int, tuple[int, int, int] | None]:
     """(x, y, norm, half) of the fundamental unit, from the first half of the
     period; half is (h, k, Q) for an even period and None for an odd one.
 
-    With (P_i, Q_i) the complete quotients (sqrt(d) + P_i) / Q_i, where
-    Q_(i+1) = Q_(i-1) + a_i*(P_i - P_(i+1)) and Q_(-1) = d, and h_i/k_i the
-    convergents, the first m with Q_m == Q_(m+1) gives an odd period and
-    eps = (h_(m-1) + k_(m-1) sqrt d)(h_m + k_m sqrt d) / Q_m of norm -1; the
-    first m >= 1 with P_m == P_(m+1) gives an even period and
-    eps = (h + k sqrt d)^2 / Q_m of norm +1, (h, k) = (h_(m-1), k_(m-1)),
-    and Q_m divides 2d. There h^2 - d*k^2 = +-Q_m, and Q_m divides
-    h^2 + d*k^2 and 2hk, which proves x^2 - d*y^2 = 1 from the squares that
-    build x and y; a failure raises ArithmeticError.
+    The complete quotients (sqrt(d) + P_i)/Q_i follow Q_(i+1) = Q_(i-1) +
+    a_i*(P_i - P_(i+1)), Q_(-1) = d, and the relative generators theta_n =
+    h_(n-1) + k_(n-1)*sqrt(d) = prod_(i=1..n) (P_i + sqrt(d))/Q_(i-1) carry
+    the convergents h_i/k_i. A block of up to _BLOCK quotients from complete
+    quotient u to v keeps only its bottom continuants k, k_prev and closes as
+    the leaf (k*P_v + k_prev*Q_v, k, Q_u) of theta_v/theta_u; `_tree` makes
+    theta_m = h + k*sqrt(d) of them. The first m with Q_m == Q_(m+1) gives an
+    odd period and eps = theta_m^2*(P_(m+1) + sqrt(d))/Q_m^2 of norm -1; the
+    first m >= 1 with P_m == P_(m+1) an even one and eps = theta_m^2/Q_m of
+    norm +1, Q_m | 2d. There h^2 - d*k^2 = +-Q_m, and Q_m divides h^2 + d*k^2
+    and 2hk, which proves x^2 - d*y^2 = 1 from the squares that build x and
+    y; a failure raises ArithmeticError.
     """
     a0 = isqrt(d)
     P, Q, Q_prev = 0, 1, d
-    blocks = []
-    while True:
-        h, h_prev, k, k_prev = 1, 0, 0, 1
+    leaves, closed = [], False
+    while not closed:
+        Q_u, k, k_prev = Q, 0, 1
         for _ in range(_BLOCK):
             a = (a0 + P) // Q
             P_next = a * Q - P
             Q_next = Q_prev + a * (P - P_next)
-            if Q_next == Q:
-                blocks.append((a * h + h_prev, h, a * k + k_prev, k))
-                h, h_prev, k, k_prev = _tree(blocks, False)
-                return (h_prev * h + d * k_prev * k) // Q, (h_prev * k + h * k_prev) // Q, -1, None
-            if P_next == P:
-                blocks.append((h, h_prev, k, k_prev))
-                h, k = _tree(blocks, True)
-                hh, dkk = h * h, d * k * k
-                (x, rx), (y, ry) = divmod(hh + dkk, Q), divmod(2 * h * k, Q)
-                if rx or ry or abs(hh - dkk) != Q:
-                    raise ArithmeticError(f"the half unit of Z[sqrt({d})] fails h^2 - d*k^2 = +-Q")
-                return x, y, 1, (h, k, Q)
-            h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+            if Q_next == Q or P_next == P:
+                closed = True
+                break
+            k, k_prev = a * k + k_prev, k
             P, Q, Q_prev = P_next, Q_next, Q
-        blocks.append((h, h_prev, k, k_prev))
+        leaves.append((k * P + k_prev * Q, k, Q_u))
+    h, k, _ = _tree(leaves, d)
+    s, hh, kk = h + k, h * h, k * k  # 2hk = s^2 - h^2 - k^2: squares only
+    hk2, dkk = s * s - hh - kk, d * kk
+    if Q_next == Q:
+        x, y = (hh + dkk) * P_next + hk2 * d, hh + dkk + hk2 * P_next
+        return x // (Q * Q), y // (Q * Q), -1, None
+    (x, rx), (y, ry) = divmod(hh + dkk, Q), divmod(hk2, Q)
+    if rx or ry or abs(hh - dkk) != Q:
+        raise ArithmeticError(f"the half unit of Z[sqrt({d})] fails h^2 - d*k^2 = +-Q")
+    return x, y, 1, (h, k, Q)
 
 
-def _tree(blocks: list[tuple[int, int, int, int]], column: bool) -> tuple[int, ...]:
-    """The product of the block matrices [[h, h_prev], [k, k_prev]], row-major,
-    by a balanced tree, so that big multiplications pair numbers of equal size:
-    (h, h_prev, k, k_prev), or only its first column (h, k) when `column`."""
-    if len(blocks) == 1:
-        return blocks[0][::2] if column else blocks[0]
-    mid = len(blocks) // 2
-    (a, b, c, d), right = _tree(blocks[:mid], False), _tree(blocks[mid:], column)
-    if column:
-        e, g = right
-        return a * e + b * g, c * e + d * g
-    e, f, g, h = right
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+def _tree(leaves: list[tuple[int, int, int]], d: int) -> tuple[int, int, int]:
+    """(A, B, Q_u) with theta_v/theta_u = (A + B*sqrt(d))/Q_u, from the leaves
+    of adjacent spans from u to v, by a balanced tree so that big products
+    pair numbers of equal size. A node takes three products, A1*A2, B1*B2 and
+    (A1 + B1)*(A2 + B2), and divides by the inner Q_w: the product of its
+    halves is Q_w times the leaf of its span, so a remainder raises
+    ArithmeticError."""
+    if len(leaves) == 1:
+        return leaves[0]
+    mid = len(leaves) // 2
+    (A1, B1, Q_u), (A2, B2, Q_w) = _tree(leaves[:mid], d), _tree(leaves[mid:], d)
+    AA, BB = A1 * A2, B1 * B2
+    (A, rA), (B, rB) = divmod(AA + d * BB, Q_w), divmod((A1 + B1) * (A2 + B2) - AA - BB, Q_w)
+    if rA or rB:
+        raise ArithmeticError(f"a product of relative generators of Z[sqrt({d})] leaves a remainder mod Q_w")
+    return A, B, Q_u

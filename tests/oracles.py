@@ -147,6 +147,25 @@ def pell_by_convergents(d: int) -> tuple[int, int, int]:
         k, k_prev = a * k + k_prev, k
 
 
+def relative_generators(d: int, count: int) -> list[tuple[int, int]]:
+    """(h_(n-1), k_(n-1)) for n = 0, ..., count, so that entry n is
+    theta_n = h_(n-1) + k_(n-1)*sqrt(d) with theta_0 = 1: the convergents
+    h_i/k_i of sqrt(d), carried one partial quotient at a time, with the
+    quotients from the full-period recurrence and its division."""
+    a0 = isqrt(d)
+    P, Q, a = 0, 1, a0
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    out = [(h, k)]
+    while len(out) <= count:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        out.append((h, k))
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        a = (a0 + P) // Q
+    return out
+
+
 # -- Hilbert symbol oracles -------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import isqrt
 
@@ -121,6 +122,23 @@ def test_half_period_matches_full_period_on_the_ladder_radicands():
         assert (u.x, u.y, u.norm) == oracles.pell_by_convergents(d), d
 
 
+def test_every_unit_and_half_unit_below_30000_is_pinned():
+    # sha256 of one line "d x y norm half" per squarefree d in [2, 30000),
+    # 3476 of them of norm -1, taken from a walk that multiplied 2x2 matrices
+    # of convergents: every unit and half unit stays the same
+    squarefree = [True] * 30000
+    for p in range(2, isqrt(30000) + 1):
+        squarefree[p * p::p * p] = [False] * len(squarefree[p * p::p * p])
+    digest, negative = hashlib.sha256(), 0
+    for d in range(2, 30000):
+        if squarefree[d]:
+            u = fundamental_pell(d)
+            negative += u.norm == -1
+            digest.update(f"{d} {u.x} {u.y} {u.norm} {u.half}\n".encode())
+    assert negative == 3476
+    assert digest.hexdigest() == "8215ed43f1f50078b518d627a47d97e37affdaa1a02c847f616c222139bc6f57"
+
+
 def test_negative_norm_units_found():
     # 61 and 109 famously have negative-norm fundamental solutions much
     # smaller than the x^2 - d y^2 = 1 ones
@@ -175,64 +193,118 @@ def test_a_unit_built_by_hand_has_no_half_unit():
     assert fundamental_pell(21).half == (9, 2, 3)  # (9 + 2*sqrt21)^2 = 3*(55 + 12*sqrt21)
 
 
-def _half_period_quotients(d, cap):
-    """The partial quotients a_0, ... that the walk multiplies in: the first
-    (L + 1) // 2 of the period of length L, found by the full-period
-    recurrence with its division; None when the period is longer than cap."""
+def _complete_quotients(d, cap):
+    """(P_i, Q_i, a_i) of the complete quotients (sqrt(d) + P_i)/Q_i for
+    i = 0, ..., L // 2, L the period length, found by the full-period
+    recurrence with its division; None when L is longer than cap. The walk
+    multiplies in a_0, ..., a_(L//2 - 1) and closes at P_(L//2), Q_(L//2)."""
     a0 = isqrt(d)
     P, Q, a = 0, 1, a0
-    quotients = [a0]
-    while len(quotients) <= cap:
+    out = [(P, Q, a)]
+    while len(out) <= cap:
         P = a * Q - P
         Q = (d - P * P) // Q
         a = (a0 + P) // Q
         if Q == 1:
-            return quotients[:(len(quotients) + 1) // 2]
-        quotients.append(a)
+            return out[:len(out) // 2 + 1]
+        out.append((P, Q, a))
     return None
 
 
-def _block_matrix(quotients):
-    h, h_prev, k, k_prev = 1, 0, 0, 1
-    for a in quotients:
-        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
-    return h, h_prev, k, k_prev
+def _leaves(quotients, size):
+    """The leaves (k*P_v + k_prev*Q_v, k, Q_u) of the spans of at most size
+    quotients from u to v, k and k_prev the bottom continuants of a_u, ...,
+    a_(v-1); the last span partial, and empty when size divides their number."""
+    n, leaves = len(quotients) - 1, []
+    for u in range(0, n + 1, size):
+        v, k, k_prev = min(u + size, n), 0, 1
+        for _, _, a in quotients[u:v]:
+            k, k_prev = a * k + k_prev, k
+        P_v, Q_v, _ = quotients[v]
+        leaves.append((k * P_v + k_prev * Q_v, k, quotients[u][1]))
+    return leaves
+
+
+def _leaves_handed_to_the_tree(monkeypatch):
+    """A list that holds, after each walk, the leaves of its outermost _tree
+    call first."""
+    tree, handed = pell._tree, []
+    monkeypatch.setattr(pell, "_tree", lambda leaves, d: handed.append(list(leaves)) or tree(leaves, d))
+    return handed
 
 
 def test_walk_blocks_at_the_block_boundaries(monkeypatch):
-    # for each half-period length around the block size and each norm, the
-    # first squarefree d: the unit matches the full-period oracle, and the
-    # tree gets one matrix per block of consecutive quotients, the last block
-    # partial (the identity when it is empty)
+    # for each number of walked quotients around the block size and each
+    # norm, the first squarefree d: the unit matches the full-period oracle,
+    # and the tree gets one leaf per block of consecutive quotients, the last
+    # one partial (the empty span, (Q_v, 0, Q_v), when the block size divides
+    # the number of quotients)
     size = pell._BLOCK
     lengths = {1, 2, size - 1, size, size + 1, 2 * size}
     found = {}
     for d in oracles.squarefree_numbers(10 ** 4):
-        quotients = _half_period_quotients(d, 4 * size + 2)
-        if quotients is not None and len(quotients) in lengths:
-            found.setdefault((len(quotients), oracles.pell_by_convergents(d)[2]), d)
+        quotients = _complete_quotients(d, 4 * size + 2)
+        if quotients is not None and len(quotients) - 1 in lengths:
+            found.setdefault((len(quotients) - 1, oracles.pell_by_convergents(d)[2]), d)
     assert len(found) == 2 * len(lengths)  # both period parities at each length
-    tree, handed = pell._tree, []
-    monkeypatch.setattr(pell, "_tree", lambda blocks, column: handed.append(list(blocks)) or tree(blocks, column))
-    for (n, norm), d in found.items():
+    handed = _leaves_handed_to_the_tree(monkeypatch)
+    for d in found.values():
         handed.clear()
         u = fundamental_pell(d)
         assert (u.x, u.y, u.norm) == oracles.pell_by_convergents(d), d
-        blocks, quotients = handed[0], _half_period_quotients(d, 4 * size + 2)
-        assert (len(blocks) - 1) * size <= n <= len(blocks) * size, d
-        assert blocks == [_block_matrix(quotients[i:i + size]) for i in range(0, len(blocks) * size, size)], d
+        assert handed[0] == _leaves(_complete_quotients(d, 4 * size + 2), size), d
+
+
+def test_every_leaf_is_a_quotient_of_relative_generators(monkeypatch):
+    # Q_u*theta_v = theta_u*(A + B*sqrt(d)) for the leaf (A, B, Q_u) of the
+    # span from u to v, theta_n = h_(n-1) + k_(n-1)*sqrt(d) from the oracle's
+    # convergents; short periods and long ones of many leaves
+    size = pell._BLOCK
+    rng = random.Random(1972)
+    ds = oracles.squarefree_numbers(1000) + [d for d in (rng.randrange(10 ** 6, 10 ** 7) for _ in range(30))
+                                            if oracles.trial_division_is_squarefree(d)]
+    handed = _leaves_handed_to_the_tree(monkeypatch)
+    most = 0
+    for d in ds:
+        handed.clear()
+        fundamental_pell(d)
+        quotients = _complete_quotients(d, 10 ** 6)
+        n = len(quotients) - 1
+        theta = oracles.relative_generators(d, n)
+        assert len(handed[0]) == n // size + 1, d
+        for j, (A, B, Q_u) in enumerate(handed[0]):
+            u, v = j * size, min(j * size + size, n)
+            (hu, ku), (hv, kv) = theta[u], theta[v]
+            assert Q_u == quotients[u][1], d
+            assert (Q_u * hv, Q_u * kv) == (hu * A + d * ku * B, hu * B + ku * A), (d, j)
+        most = max(most, len(handed[0]))
+    assert most > 20
+
+
+def test_a_tree_node_divides_by_the_inner_denominator():
+    # sqrt(7) = [2; 1, 1, 1, 4]: theta_1 = 2 + sqrt(7) over Q_0 = 1 and
+    # theta_2/theta_1 = (1 + sqrt(7))/Q_1, Q_1 = 3, multiply to theta_2 =
+    # 3 + sqrt(7); a numerator that Q_1 does not divide is refused
+    assert pell._tree([(2, 1, 1), (1, 1, 3)], 7) == (3, 1, 1)
+    with pytest.raises(ArithmeticError, match="remainder mod Q_w"):
+        pell._tree([(2, 1, 1), (2, 1, 3)], 7)
 
 
 def test_a_wrong_half_unit_from_the_tree_is_refused(monkeypatch):
     # x and y are built from (h, k, Q) and the norm is proved there: an h off
-    # by one fails h^2 - d*k^2 = +-Q, with one block and with many
-    tree = pell._tree
+    # by one at the root of the tree fails h^2 - d*k^2 = +-Q, with one leaf
+    # and with many
+    tree, calls = pell._tree, []
 
-    def off_by_one(blocks, column):
-        product = tree(blocks, column)
-        return (product[0] + 1, product[1]) if column else product
+    def off_by_one(leaves, d):
+        calls.append(len(leaves))
+        top = len(calls) == 1
+        A, B, Q = tree(leaves, d)
+        return (A + 1, B, Q) if top else (A, B, Q)
 
     monkeypatch.setattr(pell, "_tree", off_by_one)
-    for d in (21, 30047 * 30011):
+    for d, leaves in ((21, 1), (30047 * 30011, 109)):
+        calls.clear()
         with pytest.raises(ArithmeticError, match=r"h\^2 - d\*k\^2 = \+-Q"):
             fundamental_pell(d)
+        assert calls[0] == leaves, d

@@ -67,6 +67,21 @@ MUTANTS = (
            "residue_at(f1, place) * residue_at(f2, place) % t", "residue_at(f1, place)"),
     Mutant("separation-drops-xor", "src/unitcert/certify.py",
            "[bit ^ bits[0] for bit in bits[1:]]", "bits[1:]"),
+    # the Pell walk on relative generators: its leaves, its tree's inner
+    # denominator, the odd period's closing and the complete quotients
+    Mutant("leaf-drops-kprev-Q", "src/unitcert/pell.py",
+           "leaves.append((k * P + k_prev * Q, k, Q_u))", "leaves.append((k * P, k, Q_u))"),
+    Mutant("tree-divides-by-left-denominator", "src/unitcert/pell.py",
+           "divmod(AA + d * BB, Q_w), divmod((A1 + B1) * (A2 + B2) - AA - BB, Q_w)",
+           "divmod(AA + d * BB, Q_u), divmod((A1 + B1) * (A2 + B2) - AA - BB, Q_u)"),
+    Mutant("odd-closing-reads-P_n", "src/unitcert/pell.py",
+           "(hh + dkk) * P_next + hk2 * d, hh + dkk + hk2 * P_next", "(hh + dkk) * P + hk2 * d, hh + dkk + hk2 * P"),
+    Mutant("last-partial-leaf-dropped", "src/unitcert/pell.py",
+           "        leaves.append((k * P + k_prev * Q, k, Q_u))", "        closed or leaves.append((k * P + k_prev * Q, k, Q_u))"),
+    # the walk never meets its stopping condition: the conftest watchdog
+    # stops the hung test
+    Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
+           "P, Q, Q_prev = 0, 1, d", "P, Q, Q_prev = 0, 1, 0"),
 )
 
 
