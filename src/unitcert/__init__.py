@@ -3,7 +3,7 @@ the totally real octic fields Q(sqrt2, sqrt pq, sqrt ps), plus the general
 local machinery for separating squareclass candidates by finitely many
 Legendre bits at split places."""
 
-from .arith import hilbert_symbol, is_prime, jacobi, local_basis, sqrt_mod
+from .arith import hilbert_symbol, is_prime, jacobi, sqrt_mod
 from .certify import (
     AffineCertificate,
     SeparationCertificate,
@@ -45,9 +45,7 @@ from .residual import (
     decide_mu_hilbert,
     delta,
     enumerate_places,
-    find_split_primes,
     fsu,
-    hypothesis_branch,
     iter_split_primes,
     noncollapse_check,
     residue_at,
@@ -65,9 +63,8 @@ __all__ = [
     "SplitPlace", "TestFunctional", "Tower", "TowerElement",
     "UnitCertError", "biquad_unit_index", "certify_affine",
     "classical_datum", "decide_mu_hilbert", "delta", "enumerate_places",
-    "find_split_primes", "fsu", "fundamental_pell", "hilbert_symbol",
-    "hypothesis_branch", "is_prime", "is_squarefree", "iter_split_primes",
-    "jacobi", "local_basis", "noncollapse_check",
+    "fsu", "fundamental_pell", "hilbert_symbol", "is_prime",
+    "is_squarefree", "iter_split_primes", "jacobi", "noncollapse_check",
     "residue_at", "separate_candidates", "sqrt_exact",
     "sqrt_mod", "sqrt_octic", "survey_places", "theta", "theta_factors",
 ]

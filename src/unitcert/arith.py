@@ -1,6 +1,5 @@
 """Arbitrary-precision modular arithmetic: primality, a segmented prime sieve,
-Jacobi symbols, square roots mod p, local squareclass bases, and quadratic
-Hilbert symbols."""
+Jacobi symbols, square roots mod p, and quadratic Hilbert symbols."""
 
 from __future__ import annotations
 
@@ -159,15 +158,6 @@ def _sqrt_mod_prime(a: int, t: int) -> int | None:
             w = w * c % t
             m = i
     return min(r, t - r)
-
-
-def local_basis(t: int) -> tuple[int, int]:
-    """Uniformizer and smallest positive nonresidue: an F2-basis of Q_t^x/Q_t^x2."""
-    _check_odd_prime(t)
-    u = 2
-    while jacobi(u, t) != -1:
-        u += 1
-    return (t, u)
 
 
 def _padic_split(x: Fraction, p: int) -> tuple[int, Fraction]:

@@ -118,11 +118,13 @@ def _independent(stream, width: int):
 
 
 def _gf2_solve(matrix_rows: list[int], rhs_bits: list[int], r: int) -> tuple[int, ...]:
-    """Solve M e = v over F2 for an invertible r x r bit matrix (rows as ints)."""
+    """Solve M e = v over F2 for an r x r bit matrix (rows as ints); ValueError if M is singular."""
     aug = [(matrix_rows[i] << 1) | rhs_bits[i] for i in range(r)]
     for col in range(r):
         colbit = 1 << (col + 1)
-        pivot = next(i for i in range(col, r) if aug[i] & colbit)
+        pivot = next((i for i in range(col, r) if aug[i] & colbit), None)
+        if pivot is None:
+            raise ValueError(f"the {r} x {r} bit matrix is singular over F2")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         for i in range(r):
             if i != col and aug[i] & colbit:
@@ -138,6 +140,11 @@ class AffineCertificate:
     functionals: list[TestFunctional]
     matrix: list[list[int]]  # matrix[i][j] = functional i on generator j
     base_bits: list[int]
+
+    def __post_init__(self):
+        r = len(self.functionals)
+        if len(self.matrix) != r or any(len(row) != r for row in self.matrix) or len(self.base_bits) != r:
+            raise ValueError(f"need an r x r bit matrix and r base bits, r = {r}")
 
     def _check_length(self, vector: tuple[int, ...], what: str) -> int:
         r = len(self.functionals)

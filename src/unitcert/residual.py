@@ -65,7 +65,16 @@ class ClassicalDatum:
         return (self.p_mod8, self.q_mod8, self.s_mod8, self.leg_q_p, self.leg_s_p, self.leg_q_s)
 
     def branch(self) -> tuple[int, int, int]:
-        return (self.leg_q_p, self.leg_s_p, self.leg_q_s)
+        """The Legendre pattern of a supported triple; HypothesisViolation otherwise."""
+        mods = (self.p_mod8, self.q_mod8, self.s_mod8)
+        if mods != (7, 3, 3):
+            raise HypothesisViolation(f"need p = 7 and q = s = 3 mod 8, got {mods}")
+        br = (self.leg_q_p, self.leg_s_p, self.leg_q_s)
+        if br not in ALLOWED_BRANCHES:
+            raise HypothesisViolation(
+                f"Legendre pattern {br} is outside the supported branches {ALLOWED_BRANCHES}"
+            )
+        return br
 
 
 def _datum(p: int, q: int, s: int) -> ClassicalDatum:
@@ -76,24 +85,6 @@ def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
     """The 6-tuple (p mod 8, q mod 8, s mod 8, (q/p), (s/p), (q/s))."""
     _check_triple(p, q, s)
     return _datum(p, q, s)
-
-
-def hypothesis_branch(p: int, q: int, s: int) -> tuple[int, int, int]:
-    """Checks p = 7, q = s = 3 mod 8 and the Legendre pattern; returns the branch."""
-    return _branch(classical_datum(p, q, s))
-
-
-def _branch(datum: ClassicalDatum) -> tuple[int, int, int]:
-    if datum.p_mod8 != 7 or datum.q_mod8 != 3 or datum.s_mod8 != 3:
-        raise HypothesisViolation(
-            f"need p = 7 and q = s = 3 mod 8, got ({datum.p_mod8}, {datum.q_mod8}, {datum.s_mod8})"
-        )
-    br = datum.branch()
-    if br not in ALLOWED_BRANCHES:
-        raise HypothesisViolation(
-            f"Legendre pattern {br} is outside the supported branches {ALLOWED_BRANCHES}"
-        )
-    return br
 
 
 # -- split places ----------------------------------------------------------
@@ -172,16 +163,6 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
     for t in odd_primes(bound):
         if t % 8 in (1, 7) and jacobi(pq, t) == 1 and jacobi(ps, t) == 1:
             yield t
-
-
-def find_split_primes(p: int, q: int, s: int, count: int, bound: int = DEFAULT_PRIME_BOUND) -> list[int]:
-    """The first `count` split primes below `bound`, ascending; a negative
-    count raises ValueError."""
-    _check_triple(p, q, s)
-    out = list(islice(iter_split_primes(p, q, s, bound), count))
-    if len(out) < count:
-        raise SearchExhausted(f"only {len(out)} of {count} split primes below {bound}")
-    return out
 
 
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
@@ -522,7 +503,7 @@ def delta(
     datum = _datum(p, q, s)
     hypotheses_verified = True
     try:
-        _branch(datum)
+        datum.branch()
     except HypothesisViolation:
         if not force:
             raise

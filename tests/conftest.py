@@ -8,7 +8,7 @@ import signal
 
 import pytest
 
-HANG_SECONDS = 120
+HANG_SECONDS = 30
 
 
 def _hung(signum, frame):

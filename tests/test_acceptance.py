@@ -18,7 +18,6 @@ from unitcert import (
     fundamental_pell,
     hilbert_symbol,
     jacobi,
-    local_basis,
     noncollapse_check,
     residue_at,
     separate_candidates,
@@ -162,8 +161,8 @@ def test_criterion_7_property_suites():
             if p == 2:
                 reps, basis = [1, -1, 2, -2, 5, -5, 10, -10], [2, -1, 5]
             else:
-                u = local_basis(p)[1]
-                reps, basis = [1, u, p, u * p], list(local_basis(p))
+                u = oracles.smallest_nonresidue_scan(p)
+                reps, basis = [1, u, p, u * p], [p, u]
             for a in reps:
                 for b in reps:
                     assert hilbert_symbol(a, b, p) == hilbert_symbol(b, a, p)

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 import oracles
-from unitcert import hilbert_symbol, is_prime, jacobi, local_basis, sqrt_mod
+from unitcert import hilbert_symbol, is_prime, jacobi, sqrt_mod
 
 
 def test_jacobi_fixed_values():
@@ -101,14 +101,6 @@ def test_is_prime_beyond_64_bits():
     assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
 
 
-def test_local_basis_against_scan():
-    assert local_basis(41) == (41, 3)
-    assert local_basis(23) == (23, 5)
-    assert local_basis(7) == (7, 3)
-    for t in (3, 5, 11, 13, 41, 79, 101, 23):
-        assert local_basis(t) == (t, oracles.smallest_nonresidue_scan(t))
-
-
 def test_hilbert_trivial_cases():
     for p in (2, 3, 41, "real"):
         for b in (Fraction(5, 7), -3, 2):
@@ -147,7 +139,7 @@ def test_hilbert_odd_against_norm_solvability_oracle():
 def _squareclass_reps(p: int) -> list:
     if p == 2:
         return [1, -1, 2, -2, 5, -5, 10, -10]
-    u = local_basis(p)[1]
+    u = oracles.smallest_nonresidue_scan(p)
     return [1, u, p, u * p]
 
 
@@ -166,7 +158,7 @@ def test_hilbert_bilinear_and_symmetric(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41])
 def test_hilbert_nondegenerate(p):
     reps = _squareclass_reps(p)
-    basis = [2, -1, 5] if p == 2 else list(local_basis(p))
+    basis = [2, -1, 5] if p == 2 else [p, oracles.smallest_nonresidue_scan(p)]
     for a in reps[1:]:
         assert any(hilbert_symbol(a, b, p) == -1 for b in basis), a
 

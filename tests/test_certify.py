@@ -5,6 +5,7 @@ import oracles
 import pytest
 
 from unitcert import (
+    AffineCertificate,
     OcticField,
     certify_affine,
     delta,
@@ -110,6 +111,21 @@ def test_affine_certificate_refuses_malformed_vectors(ex1):
             cert.decode(bits)
     # exponents are read mod 2, so any integer vector of length r encodes
     assert cert.encode((3, -2)) == cert.encode((1, 0))
+
+
+def test_affine_certificate_refuses_a_matrix_of_the_wrong_shape():
+    for matrix, base_bits in [([[1, 0]], [0]), ([[1]], [0, 1]), ([], [0]), ([[1], [0]], [0])]:
+        with pytest.raises(ValueError, match="r x r bit matrix and r base bits, r = 1"):
+            AffineCertificate(["f"], matrix, base_bits)
+    with pytest.raises(ValueError, match="r = 2"):
+        AffineCertificate(["f", "g"], [[1, 0], [0]], [0, 0])
+
+
+def test_affine_certificate_with_a_singular_matrix_does_not_decode():
+    cert = AffineCertificate(["f", "g"], [[1, 1], [1, 1]], [0, 0])
+    for bits in [(0, 1), (0, 0)]:
+        with pytest.raises(ValueError, match="2 x 2 bit matrix is singular"):
+            cert.decode(bits)
 
 
 def test_certify_affine_rank_deficient(ex1):

@@ -11,9 +11,9 @@ from unitcert import (
     OcticField,
     Tower,
     biquad_unit_index,
+    classical_datum,
     delta,
     fundamental_pell,
-    hypothesis_branch,
     sqrt_exact,
     sqrt_octic,
     theta,
@@ -378,7 +378,7 @@ def _in_pattern_triples(limit):
                 if p in (q, s) or not all(map(oracles.trial_division_is_prime, (p, q, s))):
                     continue
                 try:
-                    hypothesis_branch(p, q, s)
+                    classical_datum(p, q, s).branch()
                 except HypothesisViolation:
                     continue
                 out.append((p, q, s))

@@ -26,7 +26,6 @@ OPTIONAL_PARAMETERS = {
     "TowerElement": ["den"],
     "certify_affine": ["bound"],
     "delta": ["prime_bound", "force", "oracle", "with_fsu"],
-    "find_split_primes": ["bound"],
     "iter_split_primes": ["bound"],
     "noncollapse_check": ["prime_bound"],
     "separate_candidates": ["bound"],
@@ -56,7 +55,7 @@ def optional_parameters() -> dict[str, list[str]]:
 def test_every_optional_parameter_of_the_public_api_is_pinned():
     found = optional_parameters()
     assert found == OPTIONAL_PARAMETERS
-    assert sum(map(len, found.values())) == 15
+    assert sum(map(len, found.values())) == 14
 
 
 def test_the_package_imports_only_itself_and_the_standard_library():

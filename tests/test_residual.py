@@ -19,10 +19,9 @@ from unitcert import (
     decide_mu_hilbert,
     delta,
     enumerate_places,
-    find_split_primes,
     fsu,
     fundamental_pell,
-    hypothesis_branch,
+    iter_split_primes,
     jacobi,
     noncollapse_check,
     residue_at,
@@ -55,27 +54,35 @@ def test_classical_datum_rejects_bad_triples():
         classical_datum(2, 3, 5)
 
 
-def test_hypothesis_branch():
-    assert hypothesis_branch(7, 19, 3) == (-1, -1, 1)
-    assert hypothesis_branch(7, 11, 43) == (1, 1, 1)
-    with pytest.raises(HypothesisViolation):
-        hypothesis_branch(5, 7, 11)  # wrong residues mod 8
-    with pytest.raises(HypothesisViolation):
-        hypothesis_branch(7, 3, 11)  # pattern (-1, 1, 1) is outside both branches
+def test_branch_is_the_pattern_check():
+    assert classical_datum(7, 19, 3).branch() == (-1, -1, 1)
+    assert classical_datum(7, 11, 43).branch() == (1, 1, 1)
+    with pytest.raises(HypothesisViolation, match=r"need p = 7 and q = s = 3 mod 8, got \(5, 7, 3\)"):
+        classical_datum(5, 7, 11).branch()  # wrong residues mod 8
+    with pytest.raises(HypothesisViolation, match=r"Legendre pattern \(-1, 1, 1\) is outside"):
+        classical_datum(7, 3, 11).branch()  # pattern (-1, 1, 1) is outside both branches
 
 
-def test_find_split_primes():
-    assert find_split_primes(7, 19, 3, 2, 1000) == [41, 89]
-    assert find_split_primes(7, 11, 43, 2, 1000) == [23, 73]
-    assert find_split_primes(7, 3, 59, 3, 1000) == [47, 79, 89]
-    with pytest.raises(SearchExhausted):
-        find_split_primes(7, 19, 3, 50, 100)
+def test_branch_admits_exactly_the_in_pattern_triples_below_120():
+    primes = oracles.odd_primes_by_trial_division(119)
+    admitted = []
+    for p in primes:
+        for q, s in itertools.combinations(primes, 2):
+            if p in (q, s):
+                continue
+            try:
+                classical_datum(p, q, s).branch()
+            except HypothesisViolation:
+                continue
+            admitted.append((p, q, s))
+    assert admitted == oracles.in_pattern_triples(120)
+    assert len(admitted) > 40
 
 
-def test_find_split_primes_takes_no_more_than_the_count():
-    assert find_split_primes(7, 19, 3, 0, 1000) == []
-    with pytest.raises(ValueError):
-        find_split_primes(7, 19, 3, -1, 1000)
+def test_first_split_primes():
+    assert list(itertools.islice(iter_split_primes(7, 19, 3, 1000), 2)) == [41, 89]
+    assert list(itertools.islice(iter_split_primes(7, 11, 43, 1000), 2)) == [23, 73]
+    assert list(itertools.islice(iter_split_primes(7, 3, 59, 1000), 3)) == [47, 79, 89]
 
 
 def test_enumerate_places_order_and_closure():
@@ -163,7 +170,8 @@ def test_reduce_mod_matches_the_per_coordinate_residue_at_every_place():
     comes exactly when t divides some coordinate's denominator."""
     rng = random.Random(43)
     O = OcticField(7, 19, 3)
-    primes = find_split_primes(7, 19, 3, 4)  # 41, 89, 167, 257
+    primes = list(itertools.islice(iter_split_primes(7, 19, 3), 4))
+    assert primes == [41, 89, 167, 257]
     dens = (1, 2, 3, 41, 2 * 41, 89, 3 * 89, 41 * 167)
     raised = 0
     for _ in range(60):

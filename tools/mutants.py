@@ -78,6 +78,14 @@ MUTANTS = (
            "(hh + dkk) * P_next + hk2 * d, hh + dkk + hk2 * P_next", "(hh + dkk) * P + hk2 * d, hh + dkk + hk2 * P"),
     Mutant("last-partial-leaf-dropped", "src/unitcert/pell.py",
            "        leaves.append((k * P + k_prev * Q, k, Q_u))", "        closed or leaves.append((k * P + k_prev * Q, k, Q_u))"),
+    # the supported-pattern check, the split-prime filter and the
+    # functional stream's Legendre bit
+    Mutant("branch-admits-a-third-pattern", "src/unitcert/residual.py",
+           "if br not in ALLOWED_BRANCHES:", "if br not in ALLOWED_BRANCHES + ((-1, 1, 1),):"),
+    Mutant("split-primes-admit-3-mod-8", "src/unitcert/residual.py",
+           "t % 8 in (1, 7)", "t % 8 in (1, 3, 7)"),
+    Mutant("functional-bit-flipped", "src/unitcert/certify.py",
+           "[0 if jacobi(r, t) == 1 else 1 for r in residues]", "[1 if jacobi(r, t) == 1 else 0 for r in residues]"),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
