@@ -25,11 +25,11 @@ from .fields import TowerElement, sqrt_exact
 from .residual import (
     DEFAULT_PRIME_BOUND,
     SplitPlace,
+    _residues_above,
     enumerate_places,
     iter_split_primes,
     reduce_mod,
     residue_at,
-    residue_from,
 )
 
 FUNCTIONAL_PRIMES = 64  # split primes the functional stream reads below the caller's bound
@@ -85,8 +85,9 @@ def _iter_functionals(tower, elements: list[TowerElement], bound: int):
     functional per place, each with its bits on `elements`. A place where
     one of them has a zero or non-invertible residue is left out.
 
-    The elements are reduced once per prime and their residues read off at
-    the eight places, as `TestFunctional.evaluate` would read them one by one.
+    The elements are reduced once per prime and `_residues_above` gives their
+    residues at the eight places, which `TestFunctional.evaluate` reads one by
+    one; a bit is Euler's criterion on the sieved t where `evaluate` takes `jacobi`.
     """
     p, q, s = tower.p, tower.q, tower.s
     for t in islice(iter_split_primes(p, q, s, bound), FUNCTIONAL_PRIMES):
@@ -94,10 +95,10 @@ def _iter_functionals(tower, elements: list[TowerElement], bound: int):
             reduced = [reduce_mod(x, t) for x in elements]
         except DenominatorNotInvertible:
             continue
-        for place in enumerate_places(t, p, q, s):
-            residues = [residue_from(v, place) for v in reduced]
+        places = enumerate_places(t, p, q, s)
+        for place, *residues in zip(places, *(_residues_above(v, places[0]) for v in reduced)):
             if 0 not in residues:
-                yield TestFunctional(place), [0 if jacobi(r, t) == 1 else 1 for r in residues]
+                yield TestFunctional(place), [0 if pow(r, t >> 1, t) == 1 else 1 for r in residues]
 
 
 def _independent(stream, width: int):
@@ -145,6 +146,8 @@ class AffineCertificate:
         r = len(self.functionals)
         if len(self.matrix) != r or any(len(row) != r for row in self.matrix) or len(self.base_bits) != r:
             raise ValueError(f"need an r x r bit matrix and r base bits, r = {r}")
+        if not {*self.base_bits, *(m for row in self.matrix for m in row)} <= {0, 1}:
+            raise ValueError(f"matrix entries and base bits must be 0 or 1, r = {r}")
 
     def _check_length(self, vector: tuple[int, ...], what: str) -> int:
         r = len(self.functionals)

@@ -93,8 +93,8 @@ def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
 class _computed_once:
     """An attribute computed on its first read and stored on the instance, where
     later reads find it directly: `functools.cached_property` without the lock
-    that CPython 3.11 takes on every first read, which a scan of thousands of
-    places would pay."""
+    that CPython 3.11 takes on every first read, which the scans would pay at
+    the canonical place of every split prime."""
 
     def __init__(self, func):
         self.func, self.name = func, func.__name__
@@ -113,7 +113,7 @@ class SplitPlace:
     `signs` and `residues` follow from the roots: a sign is +1 where the root
     is the canonical min(r, t - r) mod t, as `sqrt_mod` gives it, else -1.
     The roots are checked when the place is built; `residues` is computed on
-    first read, since a scan reads it only at the places it evaluates."""
+    first read, as a scan reads only the all-canonical place's (`_residues_above`)."""
 
     t: int
     p: int
@@ -125,50 +125,43 @@ class SplitPlace:
     signs: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
-        t, p = self.t, self.p
-        if (2 * self.p * self.q * self.s) % t == 0:
+        t, p, r2, rpq, rps = self.t, self.p, self.r2, self.rpq, self.rps
+        if (2 * p * self.q * self.s) % t == 0:
             raise ValueError(f"t = {t} divides 2pqs")
-        roots = (self.r2, self.rpq, self.rps)
-        for r, m in zip(roots, (2, p * self.q, p * self.s)):
-            if r * r % t != m % t:
+        for r, m in ((r2, 2), (rpq, p * self.q), (rps, p * self.s)):
+            if (r * r - m) % t:
                 raise ValueError(f"{r}^2 is not {m} mod {t}")
-        self.signs = tuple(1 if 2 * (r % t) < t else -1 for r in roots)
+        self.signs = (1 if 2 * (r2 % t) < t else -1, 1 if 2 * (rpq % t) < t else -1,
+                      1 if 2 * (rps % t) < t else -1)
 
     @_computed_once
     def residues(self) -> dict[int, int]:
-        """The residue mod t of the square root of each basis radicand."""
-        t, p, q, s = self.t, self.p, self.q, self.s
-        pinv = pow(p, -1, t)
-        return {
-            1: 1,
-            2: self.r2,
-            p * q: self.rpq,
-            2 * p * q: self.r2 * self.rpq % t,
-            p * s: self.rps,
-            2 * p * s: self.r2 * self.rps % t,
-            q * s: self.rpq * self.rps * pinv % t,
-            2 * q * s: self.r2 * self.rpq * self.rps * pinv % t,
-        }
+        """The residue mod t of the square root of each basis radicand, keyed
+        in the order 1, 2, pq, 2pq, ps, 2ps, qs, 2qs that `_residues_above` unpacks."""
+        t, p, q, s, r2, rpq, rps = self.t, self.p, self.q, self.s, self.r2, self.rpq, self.rps
+        rqs = rpq * rps * pow(p, -1, t) % t  # sqrt(qs) = sqrt(pq) * sqrt(ps) / p
+        return {1: 1, 2: r2, p * q: rpq, 2 * p * q: r2 * rpq % t, p * s: rps,
+                2 * p * s: r2 * rps % t, q * s: rqs, 2 * q * s: r2 * rqs % t}
 
 
 def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) -> Iterator[int]:
     """Odd primes t <= bound that split completely in Q(sqrt2, sqrt pq, sqrt ps),
     ascending: t = +-1 (mod 8), so that 2 is a square mod t, and
     (pq/t) = (ps/t) = 1, which also leaves out the t dividing pqs. The primes
-    come from the sieve of `arith.odd_primes`; no t is tested for primality.
-    The triple is taken to be validated, as `OcticField` and
-    `classical_datum` do, and is not validated again.
+    come from the sieve of `arith.odd_primes`; no t is tested for primality,
+    and each symbol is Euler's criterion a^((t-1)/2) mod t, not `jacobi`. The
+    triple is taken to be validated, as `OcticField` does, not validated again.
     """
     pq, ps = p * q, p * s
     for t in odd_primes(bound):
-        if t % 8 in (1, 7) and jacobi(pq, t) == 1 and jacobi(ps, t) == 1:
+        if t % 8 in (1, 7) and pow(pq, t >> 1, t) == 1 and pow(ps, t >> 1, t) == 1:
             yield t
 
 
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
     """The eight places above a split prime t, ordered lexicographically by the
-    sign choices on the canonical roots, all-canonical first; each place
-    reads its signs off its roots.
+    sign choices on the canonical roots, all-canonical first (whose table
+    `_residues_above` reads); each place reads its signs off its roots.
 
     t is taken to be an odd prime, as `iter_split_primes` yields them, and is
     not proven prime again; every root is checked by `SplitPlace`."""
@@ -189,12 +182,12 @@ def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
     """The nonzero coordinates of a unit, tower element or rational mod t, as
     (radicand, residue) pairs.
 
-    An element is reduced once per prime: its residue at each of the places
-    above t is then the sum of residue * place.residues[radicand], read off by
-    `residue_from`. The element's one denominator, the lcm of its reduced
-    coordinate denominators, is inverted once; for a prime t, t divides it,
-    and DenominatorNotInvertible is raised, exactly when t divides the
-    denominator of a nonzero coordinate.
+    An element is reduced once per prime: its residue at a place above t is
+    the sum of residue * place.residues[radicand] (`residue_from`), and its
+    residues at all eight come from one table (`_residues_above`). Its one
+    denominator, the lcm of its reduced coordinate denominators, is inverted
+    once; for a prime t, t divides it, and DenominatorNotInvertible is
+    raised, exactly when t divides the denominator of a nonzero coordinate.
     """
     if isinstance(x, QuadUnit):
         return ((1, x.x % t), (x.d, x.y % t))
@@ -220,6 +213,27 @@ def residue_from(reduced: tuple[tuple[int, int], ...], place: SplitPlace) -> int
             raise ValueError(f"sqrt({m}) has no residue at this place")
         total += c * residues[m]
     return total % place.t
+
+
+def _residues_above(reduced: tuple[tuple[int, int], ...], first: SplitPlace) -> list[int]:
+    """Residues at the eight places above first.t, in `enumerate_places` order,
+    of an element reduced by `reduce_mod`, from first's table alone (signs
+    (1, 1, 1)): at signs sigma, sqrt(m) has chi_m(sigma) * first.residues[m],
+    chi_m the product of the signs of the generators in m (qs: pq and ps), so
+    the eight are a Walsh-Hadamard transform, one butterfly per sign."""
+    table, t = first.residues, first.t
+    coeffs = dict.fromkeys(table, 0)
+    for m, c in reduced:
+        if m not in table:
+            raise ValueError(f"sqrt({m}) has no residue at this place")
+        coeffs[m] = c * table[m]
+    a1, a2, apq, a2pq, aps, a2ps, aqs, a2qs = coeffs.values()
+    b1, b2, bpq, b2pq = a1 + aps, a2 + a2ps, apq + aqs, a2pq + a2qs  # root of ps kept
+    n1, n2, npq, n2pq = a1 - aps, a2 - a2ps, apq - aqs, a2pq - a2qs  # and negated
+    bb1, bb2, bn1, bn2 = b1 + bpq, b2 + b2pq, n1 + npq, n2 + n2pq  # root of pq kept
+    nb1, nb2, nn1, nn2 = b1 - bpq, b2 - b2pq, n1 - npq, n2 - n2pq  # and negated
+    return [(bb1 + bb2) % t, (bn1 + bn2) % t, (nb1 + nb2) % t, (nn1 + nn2) % t,  # root of 2 kept
+            (bb1 - bb2) % t, (bn1 - bn2) % t, (nb1 - nb2) % t, (nn1 - nn2) % t]  # and negated
 
 
 def residue_at(x, place: SplitPlace) -> int:
@@ -388,27 +402,29 @@ def _scan_places(
     (Q/t) = -1. `residue_at` takes eps_pq's residue r at the first place; the
     places with the other root of pq have 1/r, as the norm is +1. Each factor
     of Theta, (f1, f2) or a caller's (Theta,), is reduced once per valid prime,
-    and Theta's residue is theirs multiplied mod t. A factor's denominator that
-    t divides, or a zero Theta residue, ends the places above t; the triple's
-    own factors have neither, so these exits only validate a caller's Theta.
+    and Theta's residue is theirs (`_residues_above`) multiplied mod t. A
+    factor's denominator that t divides, or a zero Theta residue, ends the
+    places above t; the triple's own factors have neither, so these exits only
+    validate a caller's Theta. (Q/t) and Theta's symbol are Euler's criterion.
     """
     Q = eps_pq.half[2]
     for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT):
         places = enumerate_places(t, p, q, s)
         r = residue_at(eps_pq, places[0])
         eps_res = {places[0].rpq: r, t - places[0].rpq: pow(r, -1, t)}
-        if jacobi(Q, t) == 1:
+        if pow(Q, t >> 1, t) == 1:
             yield from (PlaceDecision(pl, eps_res[pl.rpq], valid=False) for pl in places)
             continue
         try:
             reduced = [reduce_mod(f, t) for f in factors]
         except DenominatorNotInvertible:
             continue
-        for place in places:
-            r_theta = prod(residue_from(v, place) for v in reduced) % t
+        for place, *rs in zip(places, *(_residues_above(v, places[0]) for v in reduced)):
+            r_theta = prod(rs) % t
             if r_theta == 0:
                 break
-            yield PlaceDecision(place, eps_res[place.rpq], True, r_theta, jacobi(r_theta, t))
+            legendre = 1 if pow(r_theta, t >> 1, t) == 1 else -1
+            yield PlaceDecision(place, eps_res[place.rpq], True, r_theta, legendre)
 
 
 def survey_places(

@@ -121,6 +121,16 @@ def test_affine_certificate_refuses_a_matrix_of_the_wrong_shape():
         AffineCertificate(["f", "g"], [[1, 0], [0]], [0, 0])
 
 
+def test_affine_certificate_refuses_entries_and_base_bits_other_than_0_and_1():
+    # encode would read a matrix entry 2 as 0 and decode as a bit of the next column
+    for matrix, base_bits in [([[2]], [0]), ([[1]], [3])]:
+        with pytest.raises(ValueError, match="must be 0 or 1, r = 1"):
+            AffineCertificate(["f"], matrix, base_bits)
+    with pytest.raises(ValueError, match="must be 0 or 1, r = 2"):
+        AffineCertificate(["f", "g"], [[1, 0], [0, -1]], [0, 0])
+    assert AffineCertificate(["f"], [[1]], [1]).decode((0,)) == (1,)
+
+
 def test_affine_certificate_with_a_singular_matrix_does_not_decode():
     cert = AffineCertificate(["f", "g"], [[1, 1], [1, 1]], [0, 0])
     for bits in [(0, 1), (0, 0)]:

@@ -111,8 +111,13 @@ def test_enumerate_places_rejects_nonsplit_prime():
 
 
 def test_split_place_validates_roots():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="18\\^2 is not 2 mod 41"):
         SplitPlace(41, 7, 19, 3, 18, 16, 12)
+    # each root is checked, that of ps too
+    with pytest.raises(ValueError, match="15\\^2 is not 133 mod 41"):
+        SplitPlace(41, 7, 19, 3, 17, 15, 12)
+    with pytest.raises(ValueError, match="13\\^2 is not 21 mod 41"):
+        SplitPlace(41, 7, 19, 3, 17, 16, 13)
 
 
 def test_split_place_reads_its_signs_off_its_roots():
@@ -195,6 +200,44 @@ def test_reduce_mod_matches_the_per_coordinate_residue_at_every_place():
     assert residual.reduce_mod(0, 41) == () == residual.reduce_mod(O.zero(), 41)
     with pytest.raises(DenominatorNotInvertible):
         residual.reduce_mod(Fraction(1, 41), 41)
+
+
+@pytest.mark.parametrize("triple", [(7, 11, 43), (7, 19, 3), (7, 3, 59), oracles.LADDER_TRIPLES[0]])
+def test_residues_above_is_the_residue_at_each_of_the_eight_places(triple):
+    """The canonical place's table, signed by the characters of the places,
+    gives the residue `residue_from` reads at each place, over the first 50
+    split primes; the other places' tables are left unbuilt."""
+    p, q, s = triple
+    rng = random.Random(sum(triple))
+    O = OcticField(*triple)
+    elements = [
+        O.element([
+            Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice((1, 2, 3, 4, 15))) if rng.random() < 0.6 else 0
+            for _ in range(8)
+        ])
+        for _ in range(5)
+    ]
+    elements += [fundamental_pell(p * q), Fraction(-22, 5), O.zero()]
+    primes = list(itertools.islice(iter_split_primes(*triple), 50))
+    assert len(primes) == 50
+    for t in primes:
+        places = enumerate_places(t, *triple)
+        first = places[0]
+        reduced = [residual.reduce_mod(x, t) for x in elements]
+        above = [residual._residues_above(v, first) for v in reduced]
+        assert not any("residues" in vars(place) for place in places[1:])
+        assert above == [[residual.residue_from(v, place) for place in places] for v in reduced]
+        for outside in (p, q, 2 * s):
+            for read in (lambda: residual._residues_above(((1, 1), (outside, 2)), first),
+                         lambda: residual.residue_from(((1, 1), (outside, 2)), places[5])):
+                with pytest.raises(ValueError, match=rf"^sqrt\({outside}\) has no residue at this place$"):
+                    read()
+        # at signs sigma, sqrt(m) has chi_m(sigma) times its canonical residue
+        for place in places:
+            s2, spq, sps = place.signs
+            chi = {m: (s2 if m % 2 == 0 else 1) * (spq if m % q == 0 else 1) * (sps if m % s == 0 else 1)
+                   for m in O.radicands}
+            assert place.residues == {m: chi[m] * first.residues[m] % t for m in O.radicands}
 
 
 def test_delta_first_triple():

@@ -299,6 +299,20 @@ def test_survey_proves_only_the_triple_prime_and_reduces_theta_once_per_prime(mo
     assert len(eps_ts) == unitcert.residual.PRIME_COUNT == 50
 
 
+@pytest.mark.parametrize("triple", [*CORPUS[::200], oracles.LADDER_TRIPLES[2]])
+def test_streamed_bits_by_euler_are_the_evaluated_jacobi_bits(triple):
+    # two Legendre paths: the stream's Euler criterion on the eight residues
+    # of one table, `evaluate`'s residue_at and jacobi at each place alone
+    octic = OcticField(*triple)
+    elements = [octic.from_rational(-1)] + [g.element for g in fsu(*triple)] + [theta(*triple)]
+    streamed = ones = 0
+    for functional, bits in unitcert.certify._iter_functionals(octic, elements, 100_000):
+        assert bits == [functional.evaluate(x) for x in elements]
+        streamed += 1
+        ones += sum(bits)
+    assert streamed > 8 * unitcert.certify.FUNCTIONAL_PRIMES * 3 // 4 and ones > streamed
+
+
 def test_certify_reduces_each_element_once_per_prime_and_streams_only_t(monkeypatch):
     triple = (7, 11, 43)
     octic = OcticField(*triple)

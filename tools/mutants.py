@@ -62,7 +62,7 @@ MUTANTS = (
     # Theta travels as its two factors: its residue is the product of theirs,
     # and a difference class's bit the XOR of two candidate bits
     Mutant("scan-theta-reads-first-factor", "src/unitcert/residual.py",
-           "prod(residue_from(v, place) for v in reduced) % t", "residue_from(reduced[0], place)"),
+           "r_theta = prod(rs) % t", "r_theta = rs[0]"),
     Mutant("hilbert-theta-reads-f1", "src/unitcert/residual.py",
            "residue_at(f1, place) * residue_at(f2, place) % t", "residue_at(f1, place)"),
     Mutant("separation-drops-xor", "src/unitcert/certify.py",
@@ -85,7 +85,17 @@ MUTANTS = (
     Mutant("split-primes-admit-3-mod-8", "src/unitcert/residual.py",
            "t % 8 in (1, 7)", "t % 8 in (1, 3, 7)"),
     Mutant("functional-bit-flipped", "src/unitcert/certify.py",
-           "[0 if jacobi(r, t) == 1 else 1 for r in residues]", "[1 if jacobi(r, t) == 1 else 0 for r in residues]"),
+           "[0 if pow(r, t >> 1, t) == 1 else 1", "[1 if pow(r, t >> 1, t) == 1 else 0"),
+    Mutant("functional-euler-exponent-quartered", "src/unitcert/certify.py",
+           "[0 if pow(r, t >> 1, t) == 1", "[0 if pow(r, t >> 2, t) == 1"),
+    # the eight residues above t from the canonical table: qs's sign
+    # character, one butterfly, and the roots each place is built from
+    Mutant("qs-character-is-pq-alone", "src/unitcert/residual.py",
+           "a2 - a2ps, apq - aqs,", "a2 - a2ps, apq + aqs,"),
+    Mutant("butterfly-subtracts-backwards", "src/unitcert/residual.py",
+           "(nn1 - nn2) % t]", "(nn2 - nn1) % t]"),
+    Mutant("split-place-drops-rps-check", "src/unitcert/residual.py",
+           "(rpq, p * self.q), (rps, p * self.s)):", "(rpq, p * self.q)):"),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
