@@ -3,6 +3,7 @@ Jacobi symbols, square roots mod p, and quadratic Hilbert symbols."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator
@@ -46,26 +47,22 @@ def is_prime(n: int) -> bool:
     return all(_miller_rabin(n, b) for b in bases)
 
 
-# The sieve's first segment; each later one doubles the sieved range, so a scan
-# that stops after a few primes (delta's usually does) sieves only this one.
+# The sieve's first segment, whose primes are kept once sieved; each later
+# segment doubles the sieved range.
 _FIRST_SEGMENT = 4096
+_first_primes: tuple[int, ...] | None = None  # set by `_first_segment`
 
 
 def _strike(flags: bytearray, i: int, step: int) -> None:
     flags[i::step] = bytes(len(range(i, len(flags), step)))
 
 
-def odd_primes(bound: int) -> Iterator[int]:
-    """The odd primes up to bound, ascending, lazily.
-
-    A sieve of Eratosthenes over odd numbers in doubling segments [3, 4096],
-    [4097, 8192], [8193, 16384], ...: a segment is sieved by the primes of the
-    segments before it, and the first one also by its own primes as they are
-    reached. A caller that stops early has sieved at most twice as far as it
-    went.
-    """
-    base: list[int] = []  # primes found so far whose square is <= bound
-    lo, top = 3, _FIRST_SEGMENT
+def _sieve(base: list[int], lo: int, top: int, bound: int) -> Iterator[int]:
+    """The odd primes in [lo, bound], ascending, lazily: a sieve of
+    Eratosthenes over odd numbers in doubling segments [lo, top],
+    [top + 1, 2*top], .... A segment is sieved by base, the primes below lo
+    or at least those whose square is <= bound, and by its own primes as they
+    are reached; base gains those whose square is <= bound."""
     while lo <= bound:
         hi = min(top, bound)
         flags = bytearray([1]) * ((hi - lo) // 2 + 1)  # flags[i] stands for lo + 2i
@@ -84,6 +81,27 @@ def odd_primes(bound: int) -> Iterator[int]:
                 _strike(flags, (n * n - lo) // 2, n)
             yield n
         lo, top = top + 1, 2 * top
+
+
+def _first_segment() -> tuple[int, ...]:
+    """The odd primes up to _FIRST_SEGMENT, sieved on the first call in the
+    process and kept for every later scan: a local certification scans
+    three times, a corpus run once per `delta`."""
+    global _first_primes
+    if _first_primes is None:
+        _first_primes = tuple(_sieve([], 3, _FIRST_SEGMENT, _FIRST_SEGMENT))
+    return _first_primes
+
+
+def odd_primes(bound: int) -> Iterator[int]:
+    """The odd primes up to bound, ascending, lazily: those up to 4096 from
+    the table `_first_segment` keeps, the rest by `_sieve` in segments
+    [4097, 8192], [8193, 16384], .... A caller that stops early has sieved
+    at most twice as far as it went, or the first segment once per process.
+    """
+    primes = _first_segment()
+    yield from primes[:bisect_right(primes, bound)]
+    yield from _sieve(list(primes), _FIRST_SEGMENT + 1, 2 * _FIRST_SEGMENT, bound)
 
 
 def jacobi(a: int, n: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import prod
 from typing import ClassVar, Iterator, Sequence
 
@@ -48,6 +48,7 @@ ALLOWED_BRANCHES = ((1, 1, 1), (-1, -1, 1))
 
 DEFAULT_PRIME_BOUND = 100_000
 PRIME_COUNT = 50  # split primes a scan reads below the caller's bound
+_SIBLING_SIGNS = tuple(product((1, -1), repeat=3))[1:]  # enumerate_places order after (1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,10 @@ class SplitPlace:
     the tower into F_t given by compatible residues of the three radicals.
     `signs` and `residues` follow from the roots: a sign is +1 where the root
     is the canonical min(r, t - r) mod t, as `sqrt_mod` gives it, else -1.
-    The roots are checked when the place is built; `residues` is computed on
-    first read, as a scan reads only the all-canonical place's (`_residues_above`)."""
+    The roots are checked when the place is built; `enumerate_places` checks
+    one root triple per prime, that of the all-canonical place, and assigns
+    the other seven. `residues` is computed on first read, as a scan reads
+    only the all-canonical place's (`_residues_above`)."""
 
     t: int
     p: int
@@ -161,21 +164,26 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
     """The eight places above a split prime t, ordered lexicographically by the
     sign choices on the canonical roots, all-canonical first (whose table
-    `_residues_above` reads); each place reads its signs off its roots.
+    `_residues_above` reads).
 
     t is taken to be an odd prime, as `iter_split_primes` yields them, and is
-    not proven prime again; every root is checked by `SplitPlace`."""
+    not proven prime again. One root triple is checked per prime: the
+    all-canonical place is built by `SplitPlace`, which checks t and its
+    roots c. The other seven take roots t - c, which square to what c does,
+    with signs -1 there; they are assigned, not checked again."""
     c2 = _sqrt_mod_prime(2, t)
     cpq = _sqrt_mod_prime(p * q, t)
     cps = _sqrt_mod_prime(p * s, t)
     if not c2 or not cpq or not cps:
         raise ValueError(f"{t} does not split in the octic field for ({p}, {q}, {s})")
-    return [
-        SplitPlace(t, p, q, s, r2, rpq, rps)
-        for r2 in (c2, t - c2)
-        for rpq in (cpq, t - cpq)
-        for rps in (cps, t - cps)
-    ]
+    roots = product((c2, t - c2), (cpq, t - cpq), (cps, t - cps))
+    places = [SplitPlace(t, p, q, s, *next(roots))]
+    for signs, (r2, rpq, rps) in zip(_SIBLING_SIGNS, roots):
+        place = object.__new__(SplitPlace)
+        place.t, place.p, place.q, place.s, place.r2, place.rpq, place.rps, place.signs = (
+            t, p, q, s, r2, rpq, rps, signs)
+        places.append(place)
+    return places
 
 
 def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
@@ -352,7 +360,7 @@ class Certificate:
         return list(_scan_places(self.p, self.q, self.s, self.theta_factors, self.eps_pq, prime_bound))
 
 
-@dataclass
+@dataclass(slots=True)
 class PlaceDecision:
     """Evaluation of one (t, place) pair: validity and, when valid, the bit."""
 

@@ -142,6 +142,17 @@ def test_every_enumerated_place_carries_its_own_signs():
                 assert r == (c if sign > 0 else t - c)
 
 
+def test_enumerated_places_are_the_checked_places():
+    # enumerate_places checks one root triple per prime and assigns the
+    # other seven places: each must equal, signs included, and have the
+    # residue table of the place the checked constructor builds from its roots
+    for triple in oracles.in_pattern_triples(400)[::50]:
+        for t in iter_split_primes(*triple, 5000):
+            for place in enumerate_places(t, *triple):
+                checked = SplitPlace(t, *triple, place.r2, place.rpq, place.rps)
+                assert (place, place.residues) == (checked, checked.residues), (triple, t)
+
+
 def test_residue_at_worked_values():
     place = enumerate_places(41, 7, 19, 3)[0]
     assert residue_at(fundamental_pell(133), place) == 29

@@ -30,6 +30,7 @@ from unitcert import (
     survey_places,
     theta,
 )
+from unitcert import arith
 from unitcert.arith import odd_primes
 from unitcert.errors import Inseparable, NotASquareInBiquad, RankDeficient, SearchExhausted
 
@@ -47,6 +48,14 @@ def test_odd_primes_match_trial_division_below_1e5():
 @pytest.mark.parametrize("bound", [-1, 0, 1, 2, 3, 4, 5, 9, 25, 4095, 4096, 4097, 8192, 8193, 12289])
 def test_odd_primes_at_segment_edges(bound):
     assert list(odd_primes(bound)) == oracles.odd_primes_by_trial_division(bound)
+
+
+def test_odd_primes_when_a_small_bound_sieves_the_first_segment(monkeypatch):
+    # the first segment's primes are sieved once per process, on first use,
+    # and kept whatever bound that use asked for
+    monkeypatch.setattr(arith, "_first_primes", None)
+    for bound in (50, 100_000, 4097):
+        assert list(odd_primes(bound)) == oracles.odd_primes_by_trial_division(bound)
 
 
 def test_odd_primes_stopped_early_is_a_prefix():

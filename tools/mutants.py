@@ -96,6 +96,14 @@ MUTANTS = (
            "(nn1 - nn2) % t]", "(nn2 - nn1) % t]"),
     Mutant("split-place-drops-rps-check", "src/unitcert/residual.py",
            "(rpq, p * self.q), (rps, p * self.s)):", "(rpq, p * self.q)):"),
+    # one checked root triple per prime: the seven other places are assigned
+    # their roots t - c and signs -1, and the sieve's kept first segment
+    Mutant("sibling-sign-of-2-left-plus-1", "src/unitcert/residual.py",
+           "t, p, q, s, r2, rpq, rps, signs)", "t, p, q, s, r2, rpq, rps, (1, *signs[1:]))"),
+    Mutant("sibling-root-of-ps-left-c", "src/unitcert/residual.py",
+           "(cps, t - cps))", "(cps, cps))"),
+    Mutant("prime-table-yields-past-bound", "src/unitcert/arith.py",
+           "primes[:bisect_right(primes, bound)]", "primes[:bisect_right(primes, bound) + 1]"),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
