@@ -134,48 +134,50 @@ def sqrt_mod(a: int, t: int) -> int | None:
     t | a, and None when a is a nonresidue.
     """
     _check_odd_prime(t)
-    return _sqrt_mod_prime(a, t)
+    return _sqrt_mod_prime((a,), t)[0]
 
 
-def _sqrt_mod_prime(a: int, t: int) -> int | None:
-    """sqrt_mod for a t known to be an odd prime, such as a sieved one; t is
-    not proven prime here. For an odd composite t it still ends, with a
-    meaningless number or a ValueError."""
-    a %= t
-    if a == 0:
-        return 0
-    if jacobi(a, t) != 1:
-        return None
-    if t % 4 == 3:
-        r = pow(a, (t + 1) // 4, t)
-    else:
-        # Tonelli-Shanks
-        q, s = t - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
+def _sqrt_mod_prime(values: tuple[int, ...], t: int) -> list[int | None]:
+    """sqrt_mod of each value, for a t known to be an odd prime, such as a
+    sieved one, and not proven prime here; for an odd composite t it still
+    ends, with meaningless numbers or a ValueError."""
+    q, e = t - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    if e > 1:  # Tonelli-Shanks, with one nonresidue z for all the values
         z = 2
         while jacobi(z, t) != -1:
             z += 1
             if z == t:
                 raise ValueError(f"{t} has no quadratic nonresidue: not a prime")
-        c = pow(z, q, t)
-        r = pow(a, (q + 1) // 2, t)
-        w = pow(a, q, t)
-        m = s
-        while w != 1:
-            i, x = 0, w
-            while x != 1:
-                x = x * x % t
-                i += 1
-                if i == m:
-                    raise ValueError(f"{t} is not a prime: Tonelli-Shanks fails")
-            b = pow(c, 1 << (m - i - 1), t)
-            r = r * b % t
-            c = b * b % t
-            w = w * c % t
-            m = i
-    return min(r, t - r)
+        zq = pow(z, q, t)
+    roots = []
+    for a in values:
+        a %= t
+        if a == 0 or jacobi(a, t) != 1:
+            roots.append(None if a else 0)
+            continue
+        if e == 1:
+            r = pow(a, (t + 1) // 4, t)
+        else:
+            x = pow(a, q >> 1, t)  # then r = a^((q+1)/2) and w = a^q
+            r, c, m = x * a % t, zq, e
+            w = x * r % t
+            while w != 1:
+                i, x = 0, w
+                while x != 1:
+                    x = x * x % t
+                    i += 1
+                    if i == m:
+                        raise ValueError(f"{t} is not a prime: Tonelli-Shanks fails")
+                b = pow(c, 1 << (m - i - 1), t)
+                r = r * b % t
+                c = b * b % t
+                w = w * c % t
+                m = i
+        roots.append(min(r, t - r))
+    return roots
 
 
 def _padic_split(x: Fraction, p: int) -> tuple[int, Fraction]:

@@ -96,7 +96,7 @@ def _iter_functionals(tower, elements: list[TowerElement], bound: int):
         except DenominatorNotInvertible:
             continue
         places = enumerate_places(t, p, q, s)
-        for place, *residues in zip(places, *(_residues_above(v, places[0]) for v in reduced)):
+        for place, *residues in zip(places, *(_residues_above(v, places[0].prime) for v in reduced)):
             if 0 not in residues:
                 yield TestFunctional(place), [0 if pow(r, t >> 1, t) == 1 else 1 for r in residues]
 

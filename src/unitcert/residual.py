@@ -48,7 +48,7 @@ ALLOWED_BRANCHES = ((1, 1, 1), (-1, -1, 1))
 
 DEFAULT_PRIME_BOUND = 100_000
 PRIME_COUNT = 50  # split primes a scan reads below the caller's bound
-_SIBLING_SIGNS = tuple(product((1, -1), repeat=3))[1:]  # enumerate_places order after (1, 1, 1)
+_SIGNS = tuple(product((1, -1), repeat=3))  # the eight places above t, in enumerate_places order
 
 
 @dataclass(frozen=True)
@@ -91,60 +91,73 @@ def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
 # -- split places ----------------------------------------------------------
 
 
-class _computed_once:
-    """An attribute computed on its first read and stored on the instance, where
-    later reads find it directly: `functools.cached_property` without the lock
-    that CPython 3.11 takes on every first read, which the scans would pay at
-    the canonical place of every split prime."""
-
-    def __init__(self, func):
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
-@dataclass
-class SplitPlace:
-    """A place above an odd prime t split in the octic field: an embedding of
-    the tower into F_t given by compatible residues of the three radicals.
-    `signs` and `residues` follow from the roots: a sign is +1 where the root
-    is the canonical min(r, t - r) mod t, as `sqrt_mod` gives it, else -1.
-    The roots are checked when the place is built; `enumerate_places` checks
-    one root triple per prime, that of the all-canonical place, and assigns
-    the other seven. `residues` is computed on first read, as a scan reads
-    only the all-canonical place's (`_residues_above`)."""
+@dataclass(slots=True)
+class SplitPrime:
+    """An odd prime t split completely in the octic field of (p, q, s), with
+    the canonical roots c = min(r, t - r) of 2, pq and ps mod t, as
+    `sqrt_mod` gives them, checked once to square back, and their residue
+    table: the residue mod t of the square root of each basis radicand at
+    the all-canonical place, keyed in the order 1, 2, pq, 2pq, ps, 2ps, qs,
+    2qs that `_residues_above` unpacks. t is taken to be an odd prime, as
+    `iter_split_primes` yields them, and is not proven prime again."""
 
     t: int
     p: int
     q: int
     s: int
-    r2: int
-    rpq: int
-    rps: int
-    signs: tuple[int, int, int] = field(init=False)
+    roots: tuple[int, int, int] = field(init=False)
+    residues: dict[int, int] = field(init=False)
 
     def __post_init__(self):
-        t, p, r2, rpq, rps = self.t, self.p, self.r2, self.rpq, self.rps
-        if (2 * p * self.q * self.s) % t == 0:
+        t, p, q, s = self.t, self.p, self.q, self.s
+        if (2 * p * q * s) % t == 0:
             raise ValueError(f"t = {t} divides 2pqs")
-        for r, m in ((r2, 2), (rpq, p * self.q), (rps, p * self.s)):
+        radicands = (2, p * q, p * s)
+        c2, cpq, cps = self.roots = tuple(_sqrt_mod_prime(radicands, t))
+        if None in self.roots:
+            raise ValueError(f"{t} does not split in the octic field for ({p}, {q}, {s})")
+        for r, m in zip(self.roots, radicands):
             if (r * r - m) % t:
                 raise ValueError(f"{r}^2 is not {m} mod {t}")
-        self.signs = (1 if 2 * (r2 % t) < t else -1, 1 if 2 * (rpq % t) < t else -1,
-                      1 if 2 * (rps % t) < t else -1)
+        cqs = cpq * cps * pow(p, -1, t) % t  # sqrt(qs) = sqrt(pq) * sqrt(ps) / p
+        self.residues = {1: 1, 2: c2, p * q: cpq, 2 * p * q: c2 * cpq % t, p * s: cps,
+                         2 * p * s: c2 * cps % t, q * s: cqs, 2 * q * s: c2 * cqs % t}
 
-    @_computed_once
+
+@dataclass(slots=True)
+class SplitPlace:
+    """A place above a split prime: an embedding of the tower into F_t, the
+    view of its prime at `signs`, one sign per root of 2, pq and ps, +1 for
+    the prime's canonical root c and -1 for t - c. Roots and residues are
+    read off the prime's checked roots and table: sqrt(m) has the canonical
+    residue times chi_m(signs), the product of the signs of the generators
+    in m (qs: pq and ps). `enumerate_places` gives the eight views."""
+
+    prime: SplitPrime
+    signs: tuple[int, int, int]
+
+    def __post_init__(self):
+        if self.signs not in _SIGNS:
+            raise ValueError(f"signs must be a tuple of three of +-1, got {self.signs!r}")
+
+    t = property(lambda self: self.prime.t)
+    r2 = property(lambda self: self._root(0))
+    rpq = property(lambda self: self._root(1))
+    rps = property(lambda self: self._root(2))
+
+    def _root(self, i: int) -> int:
+        c = self.prime.roots[i]
+        return c if self.signs[i] > 0 else self.prime.t - c
+
+    @property
     def residues(self) -> dict[int, int]:
-        """The residue mod t of the square root of each basis radicand, keyed
-        in the order 1, 2, pq, 2pq, ps, 2ps, qs, 2qs that `_residues_above` unpacks."""
-        t, p, q, s, r2, rpq, rps = self.t, self.p, self.q, self.s, self.r2, self.rpq, self.rps
-        rqs = rpq * rps * pow(p, -1, t) % t  # sqrt(qs) = sqrt(pq) * sqrt(ps) / p
-        return {1: 1, 2: r2, p * q: rpq, 2 * p * q: r2 * rpq % t, p * s: rps,
-                2 * p * s: r2 * rps % t, q * s: rqs, 2 * q * s: r2 * rqs % t}
+        """The prime's table with each residue times its sign character."""
+        table = self.prime.residues
+        if self.signs == (1, 1, 1):
+            return table
+        t, (s2, spq, sps) = self.prime.t, self.signs
+        chi = (1, s2, spq, s2 * spq, sps, s2 * sps, spq * sps, s2 * spq * sps)
+        return {m: sign * r % t for sign, (m, r) in zip(chi, table.items())}
 
 
 def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) -> Iterator[int]:
@@ -162,28 +175,12 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
 
 
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
-    """The eight places above a split prime t, ordered lexicographically by the
-    sign choices on the canonical roots, all-canonical first (whose table
-    `_residues_above` reads).
-
-    t is taken to be an odd prime, as `iter_split_primes` yields them, and is
-    not proven prime again. One root triple is checked per prime: the
-    all-canonical place is built by `SplitPlace`, which checks t and its
-    roots c. The other seven take roots t - c, which square to what c does,
-    with signs -1 there; they are assigned, not checked again."""
-    c2 = _sqrt_mod_prime(2, t)
-    cpq = _sqrt_mod_prime(p * q, t)
-    cps = _sqrt_mod_prime(p * s, t)
-    if not c2 or not cpq or not cps:
-        raise ValueError(f"{t} does not split in the octic field for ({p}, {q}, {s})")
-    roots = product((c2, t - c2), (cpq, t - cpq), (cps, t - cps))
-    places = [SplitPlace(t, p, q, s, *next(roots))]
-    for signs, (r2, rpq, rps) in zip(_SIBLING_SIGNS, roots):
-        place = object.__new__(SplitPlace)
-        place.t, place.p, place.q, place.s, place.r2, place.rpq, place.rps, place.signs = (
-            t, p, q, s, r2, rpq, rps, signs)
-        places.append(place)
-    return places
+    """The eight places above a split prime t, views of one `SplitPrime`,
+    ordered lexicographically by their signs, all-canonical first. The
+    prime's roots are checked once, when its record is built; a view only
+    signs them."""
+    prime = SplitPrime(t, p, q, s)
+    return [SplitPlace(prime, signs) for signs in _SIGNS]
 
 
 def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
@@ -192,7 +189,7 @@ def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
 
     An element is reduced once per prime: its residue at a place above t is
     the sum of residue * place.residues[radicand] (`residue_from`), and its
-    residues at all eight come from one table (`_residues_above`). Its one
+    residues at all eight come from the prime's table (`_residues_above`). Its one
     denominator, the lcm of its reduced coordinate denominators, is inverted
     once; for a prime t, t divides it, and DenominatorNotInvertible is
     raised, exactly when t divides the denominator of a nonzero coordinate.
@@ -223,13 +220,12 @@ def residue_from(reduced: tuple[tuple[int, int], ...], place: SplitPlace) -> int
     return total % place.t
 
 
-def _residues_above(reduced: tuple[tuple[int, int], ...], first: SplitPlace) -> list[int]:
-    """Residues at the eight places above first.t, in `enumerate_places` order,
-    of an element reduced by `reduce_mod`, from first's table alone (signs
-    (1, 1, 1)): at signs sigma, sqrt(m) has chi_m(sigma) * first.residues[m],
-    chi_m the product of the signs of the generators in m (qs: pq and ps), so
+def _residues_above(reduced: tuple[tuple[int, int], ...], prime: SplitPrime) -> list[int]:
+    """Residues at the eight places above prime.t, in `enumerate_places`
+    order, of an element reduced by `reduce_mod`, from the prime's table
+    alone: at signs sigma, sqrt(m) has chi_m(sigma) * prime.residues[m], so
     the eight are a Walsh-Hadamard transform, one butterfly per sign."""
-    table, t = first.residues, first.t
+    table, t = prime.residues, prime.t
     coeffs = dict.fromkeys(table, 0)
     for m, c in reduced:
         if m not in table:
@@ -339,10 +335,10 @@ class Certificate:
                 "r2": str(place.r2),
                 "rpq": str(place.rpq),
                 "rps": str(place.rps),
-                "r2pq": str(place.residues[2 * place.p * place.q]),
-                "r2ps": str(place.residues[2 * place.p * place.s]),
-                "rqs": str(place.residues[place.q * place.s]),
-                "r2qs": str(place.residues[2 * place.q * place.s]),
+                "r2pq": str(place.residues[2 * self.p * self.q]),
+                "r2ps": str(place.residues[2 * self.p * self.s]),
+                "rqs": str(place.residues[self.q * self.s]),
+                "r2qs": str(place.residues[2 * self.q * self.s]),
             },
             "theta_residue": str(self.theta_residue),
             "eps_pq_residue": str(self.eps_pq_residue),
@@ -408,7 +404,7 @@ def _scan_places(
     eps_pq = (h + k*sqrt(pq))^2/Q by its half unit, so at every place above t
     its Legendre symbol is (Q/t): the eight places are valid exactly when
     (Q/t) = -1. `residue_at` takes eps_pq's residue r at the first place; the
-    places with the other root of pq have 1/r, as the norm is +1. Each factor
+    places with the other root of pq, sign -1, have 1/r, as the norm is +1. Each factor
     of Theta, (f1, f2) or a caller's (Theta,), is reduced once per valid prime,
     and Theta's residue is theirs (`_residues_above`) multiplied mod t. A
     factor's denominator that t divides, or a zero Theta residue, ends the
@@ -419,20 +415,20 @@ def _scan_places(
     for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT):
         places = enumerate_places(t, p, q, s)
         r = residue_at(eps_pq, places[0])
-        eps_res = {places[0].rpq: r, t - places[0].rpq: pow(r, -1, t)}
+        eps_res = {1: r, -1: pow(r, -1, t)}  # by the sign of pq's root
         if pow(Q, t >> 1, t) == 1:
-            yield from (PlaceDecision(pl, eps_res[pl.rpq], valid=False) for pl in places)
+            yield from (PlaceDecision(pl, eps_res[pl.signs[1]], valid=False) for pl in places)
             continue
         try:
             reduced = [reduce_mod(f, t) for f in factors]
         except DenominatorNotInvertible:
             continue
-        for place, *rs in zip(places, *(_residues_above(v, places[0]) for v in reduced)):
+        for place, *rs in zip(places, *(_residues_above(v, places[0].prime) for v in reduced)):
             r_theta = prod(rs) % t
             if r_theta == 0:
                 break
             legendre = 1 if pow(r_theta, t >> 1, t) == 1 else -1
-            yield PlaceDecision(place, eps_res[place.rpq], True, r_theta, legendre)
+            yield PlaceDecision(place, eps_res[place.signs[1]], True, r_theta, legendre)
 
 
 def survey_places(

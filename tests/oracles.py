@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import isqrt, lcm
+from typing import NamedTuple
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -520,16 +521,33 @@ def in_pattern_triples(limit: int) -> list[tuple[int, int, int]]:
 # must give the same decisions, certificates and errors.
 
 
-def places_by_sqrt_mod(t: int, p: int, q: int, s: int) -> list:
-    """The eight places above t from the canonical roots, signs in
-    lexicographic order with +1 first."""
-    from unitcert import SplitPlace, sqrt_mod
+class Place(NamedTuple):
+    """A place above t by its roots of 2, pq and ps, their signs against the
+    canonical roots, and the residue of each basis root sqrt(m)."""
 
-    roots = [sqrt_mod(a, t) for a in (2, p * q, p * s)]
-    return [
-        SplitPlace(t, p, q, s, *(r if sg > 0 else t - r for r, sg in zip(roots, signs)))
-        for signs in product((1, -1), repeat=3)
-    ]
+    t: int
+    signs: tuple[int, int, int]
+    r2: int
+    rpq: int
+    rps: int
+    residues: dict[int, int]
+
+
+def places_by_sqrt_mod(t: int, p: int, q: int, s: int) -> list[Place]:
+    """The eight places above t from sqrt_mod's canonical roots, signs in
+    lexicographic order with +1 first, each with its residues computed from
+    its own roots, sqrt(qs) as sqrt(pq) * sqrt(ps) / p."""
+    from unitcert import sqrt_mod
+
+    canonical = [sqrt_mod(a, t) for a in (2, p * q, p * s)]
+    places = []
+    for signs in product((1, -1), repeat=3):
+        r2, rpq, rps = (c if sg > 0 else t - c for c, sg in zip(canonical, signs))
+        rqs = rpq * rps * pow(p, -1, t) % t
+        residues = {1: 1, 2: r2, p * q: rpq, 2 * p * q: r2 * rpq % t, p * s: rps,
+                    2 * p * s: r2 * rps % t, q * s: rqs, 2 * q * s: r2 * rqs % t}
+        places.append(Place(t, signs, r2, rpq, rps, residues))
+    return places
 
 
 def residue_by_place(x, place) -> int | None:

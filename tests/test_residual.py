@@ -110,24 +110,38 @@ def test_enumerate_places_rejects_nonsplit_prime():
         enumerate_places(7, 7, 19, 3)  # divides pqs
 
 
-def test_split_place_validates_roots():
-    with pytest.raises(ValueError, match="18\\^2 is not 2 mod 41"):
-        SplitPlace(41, 7, 19, 3, 18, 16, 12)
-    # each root is checked, that of ps too
-    with pytest.raises(ValueError, match="15\\^2 is not 133 mod 41"):
-        SplitPlace(41, 7, 19, 3, 17, 15, 12)
-    with pytest.raises(ValueError, match="13\\^2 is not 21 mod 41"):
-        SplitPlace(41, 7, 19, 3, 17, 16, 13)
+@pytest.mark.parametrize("t, triple, message", [
+    (15, (7, 11, 43), r"^1\^2 is not 2 mod 15$"),
+    # 2047 = 23 * 89 is a pseudoprime to base 2, so its root of 2 squares back
+    (2047, (3, 5, 11), r"^470\^2 is not 15 mod 2047$"),
+    (2047, (3, 13, 11), r"^615\^2 is not 33 mod 2047$"),  # and so does its root of pq = 39
+], ids=["2", "pq", "ps"])
+def test_split_prime_checks_each_root(t, triple, message):
+    # t is not proven prime: at an odd composite t = 3 (mod 4) whose Jacobi
+    # symbols pass, the power a^((t+1)/4) need not square back to a, and the
+    # prime's record refuses such a root, each of the three once
+    with pytest.raises(ValueError, match=message):
+        enumerate_places(t, *triple)
 
 
-def test_split_place_reads_its_signs_off_its_roots():
-    # 24 = 41 - 17 is the other root of 2 mod 41
-    place = SplitPlace(41, 7, 19, 3, 24, 16, 12)
-    assert place.signs == (-1, 1, 1)
-    assert SplitPlace(41, 7, 19, 3, 17 + 41, 41 - 16, 12).signs == (1, -1, 1)
-    for keyword in ({"signs": (1, 1, 1)}, {"residues": {}}):
+def test_split_place_reads_its_roots_off_its_signs():
+    prime = residual.SplitPrime(41, 7, 19, 3)
+    assert prime.roots == (17, 16, 12)
+    place = SplitPlace(prime, (-1, 1, 1))
+    assert (place.t, place.r2, place.rpq, place.rps) == (41, 41 - 17, 16, 12)
+    place = SplitPlace(prime, (1, -1, -1))
+    assert (place.r2, place.rpq, place.rps) == (17, 41 - 16, 41 - 12)
+    assert SplitPlace(prime, (1, 1, 1)).residues is prime.residues
+    for keyword in ({"roots": (17, 16, 12)}, {"residues": {}}):
         with pytest.raises(TypeError):
-            SplitPlace(41, 7, 19, 3, 24, 16, 12, **keyword)
+            residual.SplitPrime(41, 7, 19, 3, **keyword)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 0), (2, 1, 1), (1, -1), (1, 1, 1, 1), [1, 1, 1], None])
+def test_split_place_refuses_signs_outside_plus_minus_one(signs):
+    prime = residual.SplitPrime(41, 7, 19, 3)
+    with pytest.raises(ValueError, match="^signs must be a tuple of three of"):
+        SplitPlace(prime, signs)
 
 
 def test_every_enumerated_place_carries_its_own_signs():
@@ -143,14 +157,13 @@ def test_every_enumerated_place_carries_its_own_signs():
 
 
 def test_enumerated_places_are_the_checked_places():
-    # enumerate_places checks one root triple per prime and assigns the
-    # other seven places: each must equal, signs included, and have the
-    # residue table of the place the checked constructor builds from its roots
+    # the eight views of one checked record: the signs, roots and residue
+    # table of each are those of the place built from sqrt_mod's roots alone
     for triple in oracles.in_pattern_triples(400)[::50]:
         for t in iter_split_primes(*triple, 5000):
-            for place in enumerate_places(t, *triple):
-                checked = SplitPlace(t, *triple, place.r2, place.rpq, place.rps)
-                assert (place, place.residues) == (checked, checked.residues), (triple, t)
+            places = enumerate_places(t, *triple)
+            assert [(pl.t, pl.signs, pl.r2, pl.rpq, pl.rps, pl.residues) for pl in places] == [
+                tuple(place) for place in oracles.places_by_sqrt_mod(t, *triple)], (triple, t)
 
 
 def test_residue_at_worked_values():
@@ -215,9 +228,9 @@ def test_reduce_mod_matches_the_per_coordinate_residue_at_every_place():
 
 @pytest.mark.parametrize("triple", [(7, 11, 43), (7, 19, 3), (7, 3, 59), oracles.LADDER_TRIPLES[0]])
 def test_residues_above_is_the_residue_at_each_of_the_eight_places(triple):
-    """The canonical place's table, signed by the characters of the places,
-    gives the residue `residue_from` reads at each place, over the first 50
-    split primes; the other places' tables are left unbuilt."""
+    """The prime's table, signed by the characters of the places, gives the
+    residue `residue_from` reads at each place, over the first 50 split
+    primes."""
     p, q, s = triple
     rng = random.Random(sum(triple))
     O = OcticField(*triple)
@@ -235,11 +248,10 @@ def test_residues_above_is_the_residue_at_each_of_the_eight_places(triple):
         places = enumerate_places(t, *triple)
         first = places[0]
         reduced = [residual.reduce_mod(x, t) for x in elements]
-        above = [residual._residues_above(v, first) for v in reduced]
-        assert not any("residues" in vars(place) for place in places[1:])
+        above = [residual._residues_above(v, first.prime) for v in reduced]
         assert above == [[residual.residue_from(v, place) for place in places] for v in reduced]
         for outside in (p, q, 2 * s):
-            for read in (lambda: residual._residues_above(((1, 1), (outside, 2)), first),
+            for read in (lambda: residual._residues_above(((1, 1), (outside, 2)), first.prime),
                          lambda: residual.residue_from(((1, 1), (outside, 2)), places[5])):
                 with pytest.raises(ValueError, match=rf"^sqrt\({outside}\) has no residue at this place$"):
                     read()

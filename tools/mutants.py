@@ -94,16 +94,25 @@ MUTANTS = (
            "a2 - a2ps, apq - aqs,", "a2 - a2ps, apq + aqs,"),
     Mutant("butterfly-subtracts-backwards", "src/unitcert/residual.py",
            "(nn1 - nn2) % t]", "(nn2 - nn1) % t]"),
-    Mutant("split-place-drops-rps-check", "src/unitcert/residual.py",
-           "(rpq, p * self.q), (rps, p * self.s)):", "(rpq, p * self.q)):"),
-    # one checked root triple per prime: the seven other places are assigned
-    # their roots t - c and signs -1, and the sieve's kept first segment
-    Mutant("sibling-sign-of-2-left-plus-1", "src/unitcert/residual.py",
-           "t, p, q, s, r2, rpq, rps, signs)", "t, p, q, s, r2, rpq, rps, (1, *signs[1:]))"),
-    Mutant("sibling-root-of-ps-left-c", "src/unitcert/residual.py",
-           "(cps, t - cps))", "(cps, cps))"),
+    # one checked record per split prime, its places views (prime, signs)
+    # that sign its roots and table, and the sieve's kept first segment
+    Mutant("split-prime-drops-ps-check", "src/unitcert/residual.py",
+           "for r, m in zip(self.roots, radicands):", "for r, m in zip(self.roots[:2], radicands):"),
+    Mutant("view-drops-sign-character-of-2", "src/unitcert/residual.py",
+           "chi = (1, s2, spq,", "chi = (1, 1, spq,"),
+    Mutant("view-root-of-ps-left-c", "src/unitcert/residual.py",
+           "rps = property(lambda self: self._root(2))", "rps = property(lambda self: self.prime.roots[2])"),
     Mutant("prime-table-yields-past-bound", "src/unitcert/arith.py",
            "primes[:bisect_right(primes, bound)]", "primes[:bisect_right(primes, bound) + 1]"),
+    # the paper's place, the first valid one; the exact sign of a tower
+    # element; the content division that makes equal elements equal
+    Mutant("certify-at-second-valid-place", "src/unitcert/residual.py",
+           "(d for d in _scan_places(p, q, s, (f1, f2), eps_pq, prime_bound) if d.valid),",
+           "islice((d for d in _scan_places(p, q, s, (f1, f2), eps_pq, prime_bound) if d.valid), 1, None),"),
+    Mutant("sign-of-mixed-halves-negated", "src/unitcert/fields.py",
+           "return sx * _sign(_rel_norm(z, table), table)", "return -sx * _sign(_rel_norm(z, table), table)"),
+    Mutant("reduced-drops-content-division", "src/unitcert/fields.py",
+           "g, out = abs(den), []", "g, out = 1, []"),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
