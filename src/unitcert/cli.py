@@ -12,7 +12,6 @@ import json
 import re
 import sys
 
-from . import golden
 from .certify import SeparationCertificate, separate_candidates
 from .errors import (
     HypothesisViolation,
@@ -181,6 +180,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from . import golden  # the paper's tables, imported by this command alone
     items = golden.run_checks(prime_bound=args.prime_bound)
     failed = [item for item in items if not item.ok]
     if args.json:

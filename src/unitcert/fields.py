@@ -12,10 +12,10 @@ sqrt(2*gamma*D); with eps_pq = (h + k*sqrt pq)^2/Q it gives xi, the root of
 mu*Theta), and the biquadratic unit-index square test. The descent is the
 general root, for `unitcert sqrt`, the unit index and `separate_candidates`;
 no root that `delta` takes needs it. A Pell-unit root is proved binomial by
-binomial from its half units' identities, xi one factor at a time, and no
-octic product but xi is formed. Signs at the distinguished (all positive)
-real embedding are decided exactly, by the descent's own recursion, so
-nothing here approximates a real number.
+binomial from the half units' identities, which `QuadUnit` proves, xi one
+factor at a time, and no octic product but xi is formed. Signs at the
+distinguished (all positive) real embedding are decided exactly, by the
+descent's own recursion, so nothing here approximates a real number.
 
 An element has one format, the integer kernel's: integer numerators over one
 positive denominator, with their common content removed, so equal values
@@ -44,21 +44,23 @@ class Tower:
         for g in gens:
             if g <= 1 or not is_squarefree(g):
                 raise ValueError(f"generator {g} must be a squarefree integer > 1")
+        self._build(gens)
+        if len(self._index) != self.degree:
+            raise ValueError(f"generators {gens} are not independent modulo squares")
+
+    def _build(self, gens: tuple[int, ...]) -> None:
+        """The basis and its table, for generators proved squarefree and independent."""
         # r * g / gcd(r, g)^2 is the squarefree part of r * g for squarefree r, g
         radicands = [1]
         for g in gens:
             radicands += [r * g // gcd(r, g) ** 2 for r in radicands]
-        if len(set(radicands)) != len(radicands):
-            raise ValueError(f"generators {gens} are not independent modulo squares")
         self.generators = gens
         self.radicands = tuple(radicands)
         self.degree = 1 << len(gens)
         self._index = {m: i for i, m in enumerate(radicands)}
-        # sqrt(m_i) * sqrt(m_j) = sqrt(m_i * m_j / m_(i xor j)) * sqrt(m_(i xor j))
-        self._table = tuple(
-            tuple((isqrt(mi * mj // radicands[i ^ j]), i ^ j) for j, mj in enumerate(radicands))
-            for i, mi in enumerate(radicands)
-        )
+        # sqrt(m_i) * sqrt(m_j) = gcd(m_i, m_j) * sqrt(m_(i xor j)), as in `_times_radicals`
+        self._table = tuple(tuple((gcd(mi, mj), i ^ j) for j, mj in enumerate(radicands))
+                            for i, mi in enumerate(radicands))
         self.tokens = tuple("1" if m == 1 else f"r{m}" for m in radicands)
 
     def __eq__(self, other) -> bool:
@@ -218,7 +220,7 @@ class OcticField(Tower):
 
     def __init__(self, p: int, q: int, s: int):
         _check_triple(p, q, s)
-        super().__init__((2, p * q, p * s))
+        self._build((2, p * q, p * s))  # squarefree and independent for distinct odd primes
         self.p, self.q, self.s = p, q, s
         self.tokens = ("1", "r2", "rpq", "r2pq", "rps", "r2ps", "rqs", "r2qs")
 
@@ -464,19 +466,18 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     product is not a square there.
 
     A unit of norm +1 from `fundamental_pell` keeps its half unit (h, k, Q),
-    checked here: h, k > 0, h^2 + d*k^2 = Q*x and 2hk = Q*y, so eps =
-    (h + k*sqrt(d))^2/Q, and Q | 2d, 4 not dividing Q, so Q is squarefree.
-    Then sqrt(eps) = (h*sqrt(Q) + k*g*sqrt(n))/Q, g = gcd(d, Q) and n =
-    d*Q/g^2 squarefree, which squares to (h^2 + d*k^2 + 2hk*sqrt(d))/Q = eps
-    as g^2*n = d*Q and sqrt(Q*n) = (Q/g)*sqrt(d). The root is the product of
-    these binomials over the product of the Q, multiplied out exactly by
-    sqrt(r)*sqrt(m) = g*sqrt(r*m/g^2): the identities prove it, and no square
-    is formed, no number of the size of a unit divided or rooted. Every
-    coefficient is positive, so the root is positive at the distinguished
-    embedding, and a monomial whose radicand is not in the tower puts the root
-    outside it. A unit of norm -1 is negative at an embedding that flips its
-    sqrt(d) and keeps the other unit's, so then the product is no square. A
-    half unit that fails a check raises ArithmeticError.
+    which `QuadUnit`'s constructor proved: eps = (h + k*sqrt(d))^2/Q, h, k > 0,
+    and Q | 2d, 4 not dividing Q, so Q is squarefree. Then sqrt(eps) =
+    (h*sqrt(Q) + k*g*sqrt(n))/Q, g = gcd(d, Q) and n = d*Q/g^2 squarefree,
+    which squares to (h^2 + d*k^2 + 2hk*sqrt(d))/Q = eps as g^2*n = d*Q and
+    sqrt(Q*n) = (Q/g)*sqrt(d). The root is the product of these binomials
+    over the product of the Q, multiplied out exactly by sqrt(r)*sqrt(m) =
+    g*sqrt(r*m/g^2): the identities prove it, and no square is formed, no
+    number of the size of a unit divided or rooted. Every coefficient is
+    positive, so the root is positive at the distinguished embedding, and a
+    monomial whose radicand is not in the tower puts the root outside it. A
+    unit of norm -1 is negative at an embedding that flips its sqrt(d) and
+    keeps the other unit's, so then the product is no square.
     """
     if any(u.norm != 1 for u in units):
         return None
@@ -485,9 +486,6 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
         if u.half is None:
             raise ValueError(f"the unit of Z[sqrt({u.d})] has no half unit; take it from fundamental_pell")
         h, k, Q = u.half
-        if not (h > 0 < k and Q > 0 and 2 * u.d % Q == 0 and Q % 4
-                and h * h + u.d * (k * k) == Q * u.x and 2 * h * k == Q * u.y):
-            raise ArithmeticError(f"the half unit of Z[sqrt({u.d})] does not square back to the unit over Q | 2d")
         g = gcd(u.d, Q)
         terms = _times_radicals(terms, ((h, Q), (k * g, u.d // g * (Q // g))))
         den *= Q
@@ -582,7 +580,7 @@ def _sqrt_mu_product(
     factors f1^2 = eps_pq*eps_2pq, which `sqrt_unit_product` proves from the
     half units' identities, gives it), whose signs `_norm_sign` reads; mu =
     (h + k*sqrt(pq))^2/Q with h > 0, k >= 0, Q | 2pq and (h, k, Q) =
-    (1, 0, 1) or eps_pq's half unit, which `sqrt_unit_product` checks.
+    (1, 0, 1) or eps_pq's half unit, which `QuadUnit` proved.
 
     Each factor x = v/D in Q(sqrt2, sqrt m), m = pq or ps, has a relative
     half-root over Z[sqrt2], sqrt(x) = B/sqrt(g), whose g = 2*D*gamma comes

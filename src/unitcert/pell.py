@@ -4,9 +4,10 @@ One walk over the complete quotients stops halfway through the palindromic
 period, keeping one continuant row per step, and closes each block of
 quotients as a relative generator (A + B*sqrt(d))/Q; a balanced tree of
 three-product nodes multiplies them into the convergent that closes the unit
-exactly, and a norm +1 is proved on the half unit (Jacobson and Williams,
-Solving the Pell Equation, 2009). Nothing is memoized: every call walks the
-continued fraction, and a caller that needs a unit twice keeps it.
+exactly; `QuadUnit`'s constructor proves a norm +1 on the half unit
+(Jacobson and Williams, Solving the Pell Equation, 2009). Nothing is
+memoized: every call walks the continued fraction, and a caller that needs
+a unit twice keeps it.
 """
 
 from __future__ import annotations
@@ -50,22 +51,32 @@ def is_squarefree(n: int) -> bool:
 class QuadUnit:
     """The fundamental Pell unit x + y*sqrt(d) of Z[sqrt(d)], with its norm sign.
 
-    `half` is (h, k, Q) with x + y*sqrt(d) = (h + k*sqrt(d))^2/Q, h, k > 0 and
-    Q | 2d, the half unit at which `fundamental_pell` stopped its walk for a
-    unit of norm +1, whose norm it proved on (h, k, Q); it is None for a unit
-    of norm -1 or one built by hand, whose norm is checked on x and y.
+    `half` is (h, k, Q), or None: x + y*sqrt(d) = (h + k*sqrt(d))^2/Q, the
+    half unit at which `fundamental_pell` stopped its walk for norm +1. The
+    constructor is the one proof: h, k > 0, 0 < Q | 2d, 4 not dividing Q,
+    h^2 + d*k^2 = Q*x, 2hk = Q*y and h^2 - d*k^2 = +-Q, which gives
+    x^2 - d*y^2 = 1 (Q^2*(x^2 - d*y^2) = (h^2 - d*k^2)^2), or ArithmeticError;
+    without a half, x^2 - d*y^2 = norm = +-1, or ValueError.
     """
 
     d: int
     x: int
     y: int
     norm: int
-    half: tuple[int, int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    half: tuple[int, int, int] | None = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.norm not in (1, -1) or self.x * self.x - self.d * self.y * self.y != self.norm:
-            raise ValueError(f"not a unit of Z[sqrt({self.d})]: {self.x}, {self.y}")
-        if self.x <= 0 or self.y <= 0:
+        d, x, y, norm = self.d, self.x, self.y, self.norm
+        if self.half is not None:
+            h, k, Q = self.half
+            hh, dkk = h * h, d * (k * k)
+            if not (norm == 1 and h > 0 < k and Q > 0 and 2 * d % Q == 0 and Q % 4
+                    and hh + dkk == Q * x and 2 * h * k == Q * y and abs(hh - dkk) == Q):
+                raise ArithmeticError(f"the half unit of Z[sqrt({d})] does not square back to the unit "
+                                      "with h, k > 0, Q | 2d, 4 not dividing Q and h^2 - d*k^2 = +-Q")
+        elif norm not in (1, -1) or x * x - d * y * y != norm:
+            raise ValueError(f"not a unit of Z[sqrt({d})]: {x}, {y}")
+        if x <= 0 or y <= 0:
             raise ValueError("expected the positive fundamental solution")
 
     def __str__(self) -> str:
@@ -78,12 +89,7 @@ def fundamental_pell(d: int) -> QuadUnit:
     """
     if d <= 1 or not is_squarefree(d):
         raise ValueError(f"d must be a squarefree integer > 1, got {d}")
-    x, y, norm, half = _half_period(d)
-    if half is None:
-        return QuadUnit(d, x, y, norm)
-    unit = object.__new__(QuadUnit)  # the walk proved the norm: skip __post_init__
-    unit.__dict__.update(d=d, x=x, y=y, norm=norm, half=half)
-    return unit
+    return QuadUnit(d, *_half_period(d))
 
 
 def _half_period(d: int) -> tuple[int, int, int, tuple[int, int, int] | None]:
@@ -99,9 +105,8 @@ def _half_period(d: int) -> tuple[int, int, int, tuple[int, int, int] | None]:
     theta_m = h + k*sqrt(d) of them. The first m with Q_m == Q_(m+1) gives an
     odd period and eps = theta_m^2*(P_(m+1) + sqrt(d))/Q_m^2 of norm -1; the
     first m >= 1 with P_m == P_(m+1) an even one and eps = theta_m^2/Q_m of
-    norm +1, Q_m | 2d. There h^2 - d*k^2 = +-Q_m, and Q_m divides h^2 + d*k^2
-    and 2hk, which proves x^2 - d*y^2 = 1 from the squares that build x and
-    y; a failure raises ArithmeticError.
+    norm +1, Q_m | 2d, whose x and y are h^2 + d*k^2 and 2hk over Q_m: the
+    unit's constructor proves the half unit, and so the norm, on them.
     """
     a0 = isqrt(d)
     P, Q, Q_prev = 0, 1, d
@@ -124,10 +129,7 @@ def _half_period(d: int) -> tuple[int, int, int, tuple[int, int, int] | None]:
     if Q_next == Q:
         x, y = (hh + dkk) * P_next + hk2 * d, hh + dkk + hk2 * P_next
         return x // (Q * Q), y // (Q * Q), -1, None
-    (x, rx), (y, ry) = divmod(hh + dkk, Q), divmod(hk2, Q)
-    if rx or ry or abs(hh - dkk) != Q:
-        raise ArithmeticError(f"the half unit of Z[sqrt({d})] fails h^2 - d*k^2 = +-Q")
-    return x, y, 1, (h, k, Q)
+    return (hh + dkk) // Q, hk2 // Q, 1, (h, k, Q)
 
 
 def _tree(leaves: list[tuple[int, int, int]], d: int) -> tuple[int, int, int]:

@@ -234,7 +234,7 @@ def test_verify_paper_reports_a_wrong_unit_and_exits_1(monkeypatch):
     # (55 + 12 sqrt21)^2 satisfies the norm identity without being the
     # fundamental unit; the replay shows it as a diff on the printed unit
     walk = golden.fundamental_pell
-    squared = QuadUnit(21, 6049, 1320, 1)
+    squared = QuadUnit(21, 6049, 1320, 1, None)
     monkeypatch.setattr(golden, "fundamental_pell", lambda d: squared if d == 21 else walk(d))
     code, out = _main_in_process(monkeypatch, ["verify-paper"])
     assert code == 1

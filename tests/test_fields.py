@@ -487,18 +487,17 @@ def test_closed_form_half_integer_root_and_refusals():
 
 
 def _with_half(u, half):
-    """A copy of the unit u that carries the half unit `half` instead."""
-    copy = fields.QuadUnit(u.d, u.x, u.y, u.norm)
-    object.__setattr__(copy, "half", half)
-    return copy
+    """The unit u built again with the half unit `half`."""
+    return fields.QuadUnit(u.d, u.x, u.y, u.norm, half)
 
 
 def test_closed_form_root_checks_the_half_units():
     B = BiquadField(2, 133)
     units = (fundamental_pell(133), fundamental_pell(266))
     h, k, Q = units[0].half
-    # the scaled halves and the negated one satisfy h^2 + d*k^2 = Q*x and
-    # 2hk = Q*y; only Q | 2d with 4 not dividing Q, and h, k > 0, refuse them
+    # the scaled halves and the negated one satisfy h^2 + d*k^2 = Q*x,
+    # 2hk = Q*y and h^2 - d*k^2 = +-Q; only Q | 2d with 4 not dividing Q, and
+    # h, k > 0, refuse them, when the unit is built
     forged = [(2 * h, 2 * k, 4 * Q), (3 * h, 3 * k, 9 * Q), (-h, -k, Q)]
     for half in [(h + 1, k, Q), (h, k + 1, Q), (h, k, 2 * Q), (h, k, 3 * Q), (k, h, Q), *forged]:
         with pytest.raises(ArithmeticError, match="does not square back"):

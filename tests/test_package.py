@@ -152,3 +152,17 @@ def test_every_module_level_definition_and_import_is_read():
                     if name not in used:
                         unread.append((module, name))
     assert sorted(set(unread)) == sorted(UNREAD_BUT_HOOKED)
+
+
+def test_no_record_is_built_past_its_constructor():
+    # every record proves its invariant in its constructor: nothing in src/
+    # allocates one with object.__new__ or reaches into an instance's __dict__
+    bypasses = []
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "__dict__"
+                or (node.attr == "__new__" and isinstance(node.value, ast.Name) and node.value.id == "object")
+            ):
+                bypasses.append(f"{module}.py:{node.lineno}")
+    assert bypasses == []

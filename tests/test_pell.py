@@ -78,9 +78,18 @@ def test_is_squarefree_at_the_cube_root_boundary():
 
 def test_quadunit_validates():
     with pytest.raises(ValueError):
-        QuadUnit(5, 2, 1, 1)
+        QuadUnit(5, 2, 1, 1, None)
     with pytest.raises(ValueError):
-        QuadUnit(5, -9, 4, 1)
+        QuadUnit(5, -9, 4, 1, None)
+
+
+def test_quadunit_proves_its_half_unit():
+    assert QuadUnit(21, 55, 12, 1, (9, 2, 3)) == fundamental_pell(21)
+    # (3 + sqrt2)^2 = 11 + 6*sqrt2 meets every conjunct but h^2 - d*k^2 = +-Q,
+    # and 11^2 - 2*6^2 = 49; eps_21's true half with a wrong y fails 2hk = Q*y
+    for unit in ((2, 11, 6, 1, (3, 1, 1)), (21, 55, 13, 1, (9, 2, 3))):
+        with pytest.raises(ArithmeticError, match=r"does not square back.*h\^2 - d\*k\^2 = \+-Q"):
+            QuadUnit(*unit)
 
 
 def test_minimality_all_squarefree_d_to_150():
@@ -188,7 +197,7 @@ def test_half_units_of_every_even_period_corpus_radicand():
 
 
 def test_a_unit_built_by_hand_has_no_half_unit():
-    u = QuadUnit(21, 55, 12, 1)
+    u = QuadUnit(21, 55, 12, 1, None)
     assert u.half is None and u == fundamental_pell(21)
     assert fundamental_pell(21).half == (9, 2, 3)  # (9 + 2*sqrt21)^2 = 3*(55 + 12*sqrt21)
 

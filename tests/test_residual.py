@@ -531,14 +531,15 @@ def test_survey_and_hilbert_walk_each_pell_continued_fraction_once(monkeypatch):
 def test_delta_calls_fundamental_pell_once_per_walk(monkeypatch):
     # no call is a memo hit: the seven units are asked for once each, and
     # the squarefree test runs once for each of them and once for each of
-    # the seven tower generators (Q(sqrt2, sqrt pq), Q(sqrt2, sqrt ps), octic)
+    # the four biquadratic generators (Q(sqrt2, sqrt pq), Q(sqrt2, sqrt ps));
+    # the octic field's generators follow from its one proof of the triple
     units, squarefree = [], []
     _count_calls(monkeypatch, unitcert.pell.fundamental_pell, units)
     _count_calls(monkeypatch, unitcert.pell.is_squarefree, squarefree)
     p, q, s = 7, 19, 3
     delta(p, q, s, oracle=True)
     assert sorted(d for (d,) in units) == sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})
-    assert len(squarefree) == 14
+    assert len(squarefree) == 11
 
 
 def test_delta_runs_no_descent_with_the_oracle_or_the_fsu(monkeypatch):

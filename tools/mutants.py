@@ -53,12 +53,24 @@ MUTANTS = (
            "        den *= Q\n", ""),
     Mutant("binomial-doubles-h", "src/unitcert/fields.py",
            "((h, Q), (k * g, u.d", "((2 * h, Q), (k * g, u.d"),
-    # only the forged half units of test_closed_form_root_checks_the_half_units
-    # reach these guards
-    Mutant("half-unit-Q-guard-removed", "src/unitcert/fields.py",
-           "Q > 0 and 2 * u.d % Q == 0 and Q % 4\n", "Q > 0\n"),
-    Mutant("half-unit-sign-guard-removed", "src/unitcert/fields.py",
-           "if not (h > 0 < k and Q > 0", "if not (Q > 0"),
+    # QuadUnit's constructor is the one proof of a half unit: the forged halves
+    # of test_closed_form_root_checks_the_half_units reach its guards, and the
+    # units of test_quadunit_proves_its_half_unit its norm and y conjuncts
+    Mutant("half-unit-Q-guard-removed", "src/unitcert/pell.py",
+           "Q > 0 and 2 * d % Q == 0 and Q % 4\n", "Q > 0\n"),
+    Mutant("half-unit-sign-guard-removed", "src/unitcert/pell.py",
+           "if not (norm == 1 and h > 0 < k and Q > 0", "if not (norm == 1 and Q > 0"),
+    Mutant("half-unit-norm-conjunct-dropped", "src/unitcert/pell.py",
+           " and abs(hh - dkk) == Q):", "):"),
+    Mutant("half-unit-2hk-conjunct-dropped", "src/unitcert/pell.py",
+           " and 2 * h * k == Q * y", ""),
+    # the octic field proves its triple once, and a tower its generators
+    Mutant("octic-skips-check-triple", "src/unitcert/fields.py",
+           "        _check_triple(p, q, s)\n", ""),
+    Mutant("tower-skips-independence", "src/unitcert/fields.py",
+           "if len(self._index) != self.degree:", "if False:"),
+    Mutant("table-drops-gcd", "src/unitcert/fields.py",
+           "tuple((gcd(mi, mj), i ^ j)", "tuple((1, i ^ j)"),
     # Theta travels as its two factors: its residue is the product of theirs,
     # and a difference class's bit the XOR of two candidate bits
     Mutant("scan-theta-reads-first-factor", "src/unitcert/residual.py",
@@ -113,6 +125,21 @@ MUTANTS = (
            "return sx * _sign(_rel_norm(z, table), table)", "return -sx * _sign(_rel_norm(z, table), table)"),
     Mutant("reduced-drops-content-division", "src/unitcert/fields.py",
            "g, out = abs(den), []", "g, out = 1, []"),
+    # xi's closed form: the four r, the norm-sign test and its modulus, the
+    # relative half-root's gcd; eps_pq's residue by the sign of pq's root; the
+    # Q of the half unit that delta hands to xi
+    Mutant("xi-searches-r-1-only", "src/unitcert/fields.py",
+           "for r in (1, q * s, p * q, p * s):", "for r in (1,):"),
+    Mutant("xi-drops-norm-sign-test", "src/unitcert/fields.py",
+           "    if _norm_sign(a) < 0 or _norm_sign(b) < 0:\n        return None\n", ""),
+    Mutant("norm-sign-modulus-2D2", "src/unitcert/fields.py",
+           "M = 2 * D2 + 1", "M = 2 * D2"),
+    Mutant("half-root-gcd-drops-m", "src/unitcert/fields.py",
+           "_sqrt2_gcd(T, 2 * D * m)", "_sqrt2_gcd(T, 2 * D)"),
+    Mutant("eps-residue-ignores-pq-sign", "src/unitcert/residual.py",
+           "eps_res = {1: r, -1: pow(r, -1, t)}", "eps_res = {1: r, -1: r}"),
+    Mutant("delta-hands-xi-Q-1", "src/unitcert/residual.py",
+           "*(eps_pq.half if cert.delta else (1, 0, 1))", "*((*eps_pq.half[:2], 1) if cert.delta else (1, 0, 1))"),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
