@@ -35,14 +35,15 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic below 2^64 and 40-round Miller-Rabin above."""
+    """Primality test: trial division by the primes to 37 decides n < 41^2;
+    Miller-Rabin above, deterministic below 2^64 and 40 rounds beyond."""
     if n < 2:
         return False
     for p in _MR_BASES_64:
-        if n == p:
-            return True
         if n % p == 0:
-            return False
+            return n == p
+    if n < 41 * 41:
+        return True
     bases = _MR_BASES_64 if n < 1 << 64 else _MR_BASES_BIG
     return all(_miller_rabin(n, b) for b in bases)
 
@@ -139,8 +140,9 @@ def sqrt_mod(a: int, t: int) -> int | None:
 
 def _sqrt_mod_prime(values: tuple[int, ...], t: int) -> list[int | None]:
     """sqrt_mod of each value, for a t known to be an odd prime, such as a
-    sieved one, and not proven prime here; for an odd composite t it still
-    ends, with meaningless numbers or a ValueError."""
+    sieved one, and not proven prime here. A root it returns squares back for
+    any odd t: Tonelli-Shanks keeps r^2 = a*w and ends at w = 1, and the power
+    a^((t+1)/4) is checked; at a composite t, a None may be wrong."""
     q, e = t - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -160,6 +162,8 @@ def _sqrt_mod_prime(values: tuple[int, ...], t: int) -> list[int | None]:
             continue
         if e == 1:
             r = pow(a, (t + 1) // 4, t)
+            if r * r % t != a:
+                raise ValueError(f"{t} is not a prime: {min(r, t - r)}^2 is not {a} mod {t}")
         else:
             x = pow(a, q >> 1, t)  # then r = a^((q+1)/2) and w = a^q
             r, c, m = x * a % t, zq, e

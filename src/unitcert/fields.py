@@ -47,6 +47,7 @@ class Tower:
         self._build(gens)
         if len(self._index) != self.degree:
             raise ValueError(f"generators {gens} are not independent modulo squares")
+        self.tokens = tuple("1" if m == 1 else f"r{m}" for m in self.radicands)
 
     def _build(self, gens: tuple[int, ...]) -> None:
         """The basis and its table, for generators proved squarefree and independent."""
@@ -58,10 +59,8 @@ class Tower:
         self.radicands = tuple(radicands)
         self.degree = 1 << len(gens)
         self._index = {m: i for i, m in enumerate(radicands)}
-        # sqrt(m_i) * sqrt(m_j) = gcd(m_i, m_j) * sqrt(m_(i xor j)), as in `_times_radicals`
-        self._table = tuple(tuple((gcd(mi, mj), i ^ j) for j, mj in enumerate(radicands))
-                            for i, mi in enumerate(radicands))
-        self.tokens = tuple("1" if m == 1 else f"r{m}" for m in radicands)
+        # sqrt(m_i) * sqrt(m_j) = gcd(m_i, m_j) * sqrt(m_(i xor j)): the table keeps the gcd
+        self._table = tuple(tuple(gcd(mi, mj) for mj in radicands) for mi in radicands)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tower) and self.generators == other.generators
@@ -242,27 +241,25 @@ class OcticField(Tower):
 
 def _mul(a: list[int], b: list[int], table) -> list[int]:
     """Product of two integer coordinate lists of one length through the basis
-    table, skipping zero coordinates; the same list twice is squared over the
-    pairs i <= j, with the cross terms doubled."""
+    table of gcds, sqrt(m_i)*sqrt(m_j) landing on index i xor j, skipping zero
+    coordinates; the same list twice is squared over the pairs i <= j, with
+    the cross terms doubled and the diagonal on index 0."""
     out = [0] * len(a)
     if a is b:
         nz = [(i, c) for i, c in enumerate(a) if c]
         for n, (i, ai) in enumerate(nz):
             row = table[i]
-            g, k = row[i]
-            out[k] += g * (ai * ai)
+            out[0] += row[i] * (ai * ai)
             ai2 = 2 * ai
             for j, aj in nz[n + 1:]:
-                g, k = row[j]
-                out[k] += g * ai2 * aj
+                out[i ^ j] += row[j] * ai2 * aj
         return out
     nzb = [(j, c) for j, c in enumerate(b) if c]
     for i, ai in enumerate(a):
         if ai:
             row = table[i]
             for j, bj in nzb:
-                g, k = row[j]
-                out[k] += g * ai * bj
+                out[i ^ j] += row[j] * ai * bj
     return out
 
 
@@ -346,7 +343,7 @@ def _sqrt(z: list[int], table) -> tuple[list[int], int] | None:
         return ([r], 1) if r * r == a else None
     if len(z) == 2 and z[1]:
         x, w = z
-        b = table[1][1][0]
+        b = table[1][1]
         return _root_quadratic(x, w, b, x * x - b * (w * w))
     half = len(z) // 2
     x, w = z[:half], z[half:]
@@ -354,7 +351,7 @@ def _sqrt(z: list[int], table) -> tuple[list[int], int] | None:
         root = _sqrt(x, table)
         if root is not None:
             return root[0] + [0] * half, root[1]
-        b = table[half][half][0]
+        b = table[half][half]
         root = _sqrt([b * c for c in x], table)
         if root is None:
             return None

@@ -95,11 +95,11 @@ def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
 class SplitPrime:
     """An odd prime t split completely in the octic field of (p, q, s), with
     the canonical roots c = min(r, t - r) of 2, pq and ps mod t, as
-    `sqrt_mod` gives them, checked once to square back, and their residue
-    table: the residue mod t of the square root of each basis radicand at
-    the all-canonical place, keyed in the order 1, 2, pq, 2pq, ps, 2ps, qs,
-    2qs that `_residues_above` unpacks. t is taken to be an odd prime, as
-    `iter_split_primes` yields them, and is not proven prime again."""
+    `sqrt_mod` gives them, and their residue table: the residue mod t of the
+    square root of each basis radicand at the all-canonical place, keyed in
+    the order 1, 2, pq, 2pq, ps, 2ps, qs, 2qs that `_residues_above` unpacks.
+    t >= 3 is taken to be prime, as `iter_split_primes` yields them; no root
+    is checked, as `_sqrt_mod_prime`'s roots square back for any odd t."""
 
     t: int
     p: int
@@ -110,15 +110,11 @@ class SplitPrime:
 
     def __post_init__(self):
         t, p, q, s = self.t, self.p, self.q, self.s
-        if (2 * p * q * s) % t == 0:
-            raise ValueError(f"t = {t} divides 2pqs")
-        radicands = (2, p * q, p * s)
-        c2, cpq, cps = self.roots = tuple(_sqrt_mod_prime(radicands, t))
+        if t < 3 or (2 * p * q * s) % t == 0:
+            raise ValueError(f"t = {t} is below 3 or divides 2pqs")
+        c2, cpq, cps = self.roots = tuple(_sqrt_mod_prime((2, p * q, p * s), t))
         if None in self.roots:
             raise ValueError(f"{t} does not split in the octic field for ({p}, {q}, {s})")
-        for r, m in zip(self.roots, radicands):
-            if (r * r - m) % t:
-                raise ValueError(f"{r}^2 is not {m} mod {t}")
         cqs = cpq * cps * pow(p, -1, t) % t  # sqrt(qs) = sqrt(pq) * sqrt(ps) / p
         self.residues = {1: 1, 2: c2, p * q: cpq, 2 * p * q: c2 * cpq % t, p * s: cps,
                          2 * p * s: c2 * cps % t, q * s: cqs, 2 * q * s: c2 * cqs % t}
@@ -129,7 +125,7 @@ class SplitPlace:
     """A place above a split prime: an embedding of the tower into F_t, the
     view of its prime at `signs`, one sign per root of 2, pq and ps, +1 for
     the prime's canonical root c and -1 for t - c. Roots and residues are
-    read off the prime's checked roots and table: sqrt(m) has the canonical
+    read off the prime's roots and table: sqrt(m) has the canonical
     residue times chi_m(signs), the product of the signs of the generators
     in m (qs: pq and ps). `enumerate_places` gives the eight views."""
 
@@ -177,8 +173,7 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
 def enumerate_places(t: int, p: int, q: int, s: int) -> list[SplitPlace]:
     """The eight places above a split prime t, views of one `SplitPrime`,
     ordered lexicographically by their signs, all-canonical first. The
-    prime's roots are checked once, when its record is built; a view only
-    signs them."""
+    prime's record takes the roots once; a view only signs them."""
     prime = SplitPrime(t, p, q, s)
     return [SplitPlace(prime, signs) for signs in _SIGNS]
 

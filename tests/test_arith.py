@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 import oracles
-from unitcert import hilbert_symbol, is_prime, jacobi, sqrt_mod
+from unitcert import arith, hilbert_symbol, is_prime, jacobi, sqrt_mod
 
 
 def test_jacobi_fixed_values():
@@ -83,6 +83,18 @@ def test_sqrt_mod_rejects_composite_or_even():
         sqrt_mod(3, 2)
 
 
+def test_sqrt_mod_prime_roots_square_back_at_any_odd_t():
+    # t is not proven prime there: at a composite t it may refuse or find no
+    # root, but a root it returns squares back
+    for t in range(3, 400, 2):
+        for a in range(t):
+            try:
+                (r,) = arith._sqrt_mod_prime((a,), t)
+            except ValueError:
+                continue
+            assert r is None or r * r % t == a, (t, a, r)
+
+
 def test_is_prime_small_against_trial_division():
     for n in range(0, 2000):
         assert is_prime(n) == oracles.trial_division_is_prime(n)
@@ -91,9 +103,22 @@ def test_is_prime_small_against_trial_division():
 def test_is_prime_fixed_values():
     assert is_prime(41)
     assert not is_prime(1)
+    # around 41^2, where trial division by the primes up to 37 stops deciding
+    assert is_prime(1669)
+    assert not any(map(is_prime, (1681, 1763, 1849)))  # 41^2, 41 * 43, 43^2
     # 2588599 = 13 * 199123, found by the trial-division oracle
     assert oracles.trial_division_is_prime(2588599) is False
     assert not is_prime(2588599)
+
+
+def test_is_prime_below_41_squared_runs_no_miller_rabin(monkeypatch):
+    calls = []
+    real = arith._miller_rabin
+    monkeypatch.setattr(arith, "_miller_rabin", lambda n, b: calls.append(n) or real(n, b))
+    for n in range(41 * 41):
+        is_prime(n)
+    assert calls == []
+    assert not is_prime(41 * 41) and calls == [41 * 41]  # base 2 already witnesses it
 
 
 def test_is_prime_beyond_64_bits():

@@ -108,18 +108,20 @@ def test_enumerate_places_rejects_nonsplit_prime():
         enumerate_places(43, 7, 19, 3)  # 2 is a nonresidue mod 43
     with pytest.raises(ValueError):
         enumerate_places(7, 7, 19, 3)  # divides pqs
+    with pytest.raises(ValueError):
+        enumerate_places(0, 7, 19, 3)  # no odd prime
 
 
 @pytest.mark.parametrize("t, triple, message", [
-    (15, (7, 11, 43), r"^1\^2 is not 2 mod 15$"),
+    (15, (7, 11, 43), r"^15 is not a prime: 1\^2 is not 2 mod 15$"),
     # 2047 = 23 * 89 is a pseudoprime to base 2, so its root of 2 squares back
-    (2047, (3, 5, 11), r"^470\^2 is not 15 mod 2047$"),
-    (2047, (3, 13, 11), r"^615\^2 is not 33 mod 2047$"),  # and so does its root of pq = 39
+    (2047, (3, 5, 11), r"^2047 is not a prime: 470\^2 is not 15 mod 2047$"),
+    (2047, (3, 13, 11), r"^2047 is not a prime: 615\^2 is not 33 mod 2047$"),  # and so does its root of pq = 39
 ], ids=["2", "pq", "ps"])
 def test_split_prime_checks_each_root(t, triple, message):
     # t is not proven prime: at an odd composite t = 3 (mod 4) whose Jacobi
     # symbols pass, the power a^((t+1)/4) need not square back to a, and the
-    # prime's record refuses such a root, each of the three once
+    # root's own check refuses it, for each of the three roots
     with pytest.raises(ValueError, match=message):
         enumerate_places(t, *triple)
 

@@ -69,8 +69,14 @@ MUTANTS = (
            "        _check_triple(p, q, s)\n", ""),
     Mutant("tower-skips-independence", "src/unitcert/fields.py",
            "if len(self._index) != self.degree:", "if False:"),
+    # the basis table keeps only gcd(m_i, m_j); the product's index i xor j
+    # and the squaring diagonal's index 0 come from the product loops
     Mutant("table-drops-gcd", "src/unitcert/fields.py",
-           "tuple((gcd(mi, mj), i ^ j)", "tuple((1, i ^ j)"),
+           "tuple(gcd(mi, mj) for mj in radicands)", "tuple(1 for mj in radicands)"),
+    Mutant("product-index-or", "src/unitcert/fields.py",
+           "out[i ^ j] += row[j] * ai * bj", "out[i | j] += row[j] * ai * bj"),
+    Mutant("square-diagonal-off-index-0", "src/unitcert/fields.py",
+           "out[0] += row[i] * (ai * ai)", "out[i] += row[i] * (ai * ai)"),
     # Theta travels as its two factors: its residue is the product of theirs,
     # and a difference class's bit the XOR of two candidate bits
     Mutant("scan-theta-reads-first-factor", "src/unitcert/residual.py",
@@ -106,10 +112,16 @@ MUTANTS = (
            "a2 - a2ps, apq - aqs,", "a2 - a2ps, apq + aqs,"),
     Mutant("butterfly-subtracts-backwards", "src/unitcert/residual.py",
            "(nn1 - nn2) % t]", "(nn2 - nn1) % t]"),
-    # one checked record per split prime, its places views (prime, signs)
-    # that sign its roots and table, and the sieve's kept first segment
-    Mutant("split-prime-drops-ps-check", "src/unitcert/residual.py",
-           "for r, m in zip(self.roots, radicands):", "for r, m in zip(self.roots[:2], radicands):"),
+    # a root mod t is checked only where it can fail, the power a^((t+1)/4);
+    # trial division decides n < 41^2; one record per split prime, t >= 3,
+    # its places views (prime, signs) that sign its roots and table, and the
+    # sieve's kept first segment
+    Mutant("power-root-check-dropped", "src/unitcert/arith.py",
+           "            if r * r % t != a:\n", "            if False:\n"),
+    Mutant("trial-division-decides-below-43-squared", "src/unitcert/arith.py",
+           "if n < 41 * 41:", "if n < 43 * 43:"),
+    Mutant("split-prime-admits-t-below-3", "src/unitcert/residual.py",
+           "if t < 3 or (2 * p * q * s) % t == 0:", "if (2 * p * q * s) % t == 0:"),
     Mutant("view-drops-sign-character-of-2", "src/unitcert/residual.py",
            "chi = (1, s2, spq,", "chi = (1, 1, spq,"),
     Mutant("view-root-of-ps-left-c", "src/unitcert/residual.py",
