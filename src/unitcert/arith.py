@@ -1,8 +1,9 @@
-"""Arbitrary-precision modular arithmetic: primality, a segmented prime sieve,
-Jacobi symbols, square roots mod p, and quadratic Hilbert symbols."""
+"""Arbitrary-precision modular arithmetic: primality, a kept table of sieved
+primes, Jacobi symbols, square roots mod p, and quadratic Hilbert symbols."""
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
@@ -48,61 +49,52 @@ def is_prime(n: int) -> bool:
     return all(_miller_rabin(n, b) for b in bases)
 
 
-# The sieve's first segment, whose primes are kept once sieved; each later
-# segment doubles the sieved range.
-_FIRST_SEGMENT = 4096
-_first_primes: tuple[int, ...] | None = None  # set by `_first_segment`
+# The odd primes sieved so far, ascending, kept per process: the first use
+# sieves [3, 4097], and a read past the end doubles the sieved range.
+_FIRST_RANGE = 4097
+_primes = array("L")
+_sieved = 1  # the odd numbers up to _sieved are sieved
 
 
 def _strike(flags: bytearray, i: int, step: int) -> None:
     flags[i::step] = bytes(len(range(i, len(flags), step)))
 
 
-def _sieve(base: list[int], lo: int, top: int, bound: int) -> Iterator[int]:
-    """The odd primes in [lo, bound], ascending, lazily: a sieve of
-    Eratosthenes over odd numbers in doubling segments [lo, top],
-    [top + 1, 2*top], .... A segment is sieved by base, the primes below lo
-    or at least those whose square is <= bound, and by its own primes as they
-    are reached; base gains those whose square is <= bound."""
-    while lo <= bound:
-        hi = min(top, bound)
-        flags = bytearray([1]) * ((hi - lo) // 2 + 1)  # flags[i] stands for lo + 2i
-        for p in base:
-            if p * p > hi:
-                break
-            first = max(p * p, -(-lo // p) * p)
-            if first % 2 == 0:
-                first += p
-            _strike(flags, (first - lo) // 2, p)
-        # the bytearray iterator reads flags as they are, so a prime of this
-        # segment strikes its own multiples before they are reached
-        for n in compress(range(lo, hi + 1, 2), flags):
-            if n * n <= bound:
-                base.append(n)
-                _strike(flags, (n * n - lo) // 2, n)
-            yield n
-        lo, top = top + 1, 2 * top
-
-
-def _first_segment() -> tuple[int, ...]:
-    """The odd primes up to _FIRST_SEGMENT, sieved on the first call in the
-    process and kept for every later scan: a local certification scans
-    three times, a corpus run once per `delta`."""
-    global _first_primes
-    if _first_primes is None:
-        _first_primes = tuple(_sieve([], 3, _FIRST_SEGMENT, _FIRST_SEGMENT))
-    return _first_primes
+def _extend(top: int) -> None:
+    """Sieve of Eratosthenes over the odd numbers in (_sieved, top], by the
+    kept primes and, in the first range, by each new prime as it is reached;
+    the primes found join the table."""
+    global _sieved
+    lo = _sieved + 1 | 1
+    flags = bytearray([1]) * ((top - lo) // 2 + 1)  # flags[i] stands for lo + 2i
+    for p in _primes:
+        if p * p > top:
+            break
+        first = max(p * p, -(-lo // p) * p)
+        if first % 2 == 0:
+            first += p
+        _strike(flags, (first - lo) // 2, p)
+    # the bytearray iterator reads flags as they are, so a prime of this
+    # range strikes its own multiples before they are reached
+    for n in compress(range(lo, top + 1, 2), flags):
+        if n * n <= top:
+            _strike(flags, (n * n - lo) // 2, n)
+        _primes.append(n)
+    _sieved = top
 
 
 def odd_primes(bound: int) -> Iterator[int]:
-    """The odd primes up to bound, ascending, lazily: those up to 4096 from
-    the table `_first_segment` keeps, the rest by `_sieve` in segments
-    [4097, 8192], [8193, 16384], .... A caller that stops early has sieved
-    at most twice as far as it went, or the first segment once per process.
-    """
-    primes = _first_segment()
-    yield from primes[:bisect_right(primes, bound)]
-    yield from _sieve(list(primes), _FIRST_SEGMENT + 1, 2 * _FIRST_SEGMENT, bound)
+    """The odd primes up to bound, ascending, lazily, from the per-process
+    table; a read that reaches the table's end below bound doubles the sieved
+    range. The table keeps every prime sieved, one unsigned long each: a
+    caller that reads the primes to 10^7 leaves it near 10 MB."""
+    i = 0
+    while i < len(_primes) and _primes[i] <= bound or _sieved < bound:
+        if i == len(_primes):
+            _extend(max(_FIRST_RANGE, 2 * _sieved))
+        j = bisect_right(_primes, bound, i)
+        yield from _primes[i:j]
+        i = j
 
 
 def jacobi(a: int, n: int) -> int:

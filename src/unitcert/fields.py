@@ -27,6 +27,7 @@ coordinates in and `TowerElement.coords` reads them out.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm, prod
 
 from .arith import is_prime
@@ -658,9 +659,7 @@ def theta(p: int, q: int, s: int) -> TowerElement:
     return octic.lift(f1) * octic.lift(f2)
 
 
-_INDEX_EXPONENTS = (
-    (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
-)
+_INDEX_EXPONENTS = tuple(product((0, 1), repeat=3))[1:]  # every nonzero vector, ascending
 
 
 def biquad_unit_index(a: int, b: int) -> tuple[int, tuple[int, int, int] | None]:

@@ -17,6 +17,7 @@ from decimal import Decimal
 from math import isqrt
 
 _BLOCK = 32  # partial quotients per tree leaf, walked one continuant at a time
+_TRIAL_BOUND = 10 ** 6  # is_squarefree's last trial divisor: every n < 10^18 is decided
 
 
 def _decimal(n: int) -> str:
@@ -32,19 +33,22 @@ def _decimal(n: int) -> str:
 def is_squarefree(n: int) -> bool:
     """Trial division by 2 and the odd k up to the cube root: the cofactor
     left has no prime factor below k and is below k^3, so it has at most two
-    prime factors and is squarefree unless it is the square of a prime."""
+    prime factors and is squarefree unless it is the square of a prime. A
+    cofactor whose cube root lies past _TRIAL_BOUND is refused (ValueError)."""
     if n < 1 or n % 4 == 0:
         return False
-    if n % 2 == 0:
-        n //= 2
+    m = n // 2 if n % 2 == 0 else n
     k = 3
-    while k * k * k <= n:
-        if n % k == 0:
-            n //= k
-            if n % k == 0:
+    while k * k * k <= m:
+        if k > _TRIAL_BOUND:
+            raise ValueError(f"cannot decide whether {n} is squarefree: trial division "
+                             f"stops at {_TRIAL_BOUND}, which decides every n below 10^18")
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
                 return False
         k += 2
-    return n == 1 or isqrt(n) ** 2 != n
+    return m == 1 or isqrt(m) ** 2 != m
 
 
 @dataclass(frozen=True)

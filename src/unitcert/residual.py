@@ -12,7 +12,7 @@ descent runs here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
@@ -58,19 +58,19 @@ class ClassicalDatum:
     p_mod8: int
     q_mod8: int
     s_mod8: int
-    leg_q_p: int
-    leg_s_p: int
-    leg_q_s: int
+    legendre_q_p: int
+    legendre_s_p: int
+    legendre_q_s: int
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.p_mod8, self.q_mod8, self.s_mod8, self.leg_q_p, self.leg_s_p, self.leg_q_s)
+        return astuple(self)
 
     def branch(self) -> tuple[int, int, int]:
         """The Legendre pattern of a supported triple; HypothesisViolation otherwise."""
         mods = (self.p_mod8, self.q_mod8, self.s_mod8)
         if mods != (7, 3, 3):
             raise HypothesisViolation(f"need p = 7 and q = s = 3 mod 8, got {mods}")
-        br = (self.leg_q_p, self.leg_s_p, self.leg_q_s)
+        br = (self.legendre_q_p, self.legendre_s_p, self.legendre_q_s)
         if br not in ALLOWED_BRANCHES:
             raise HypothesisViolation(
                 f"Legendre pattern {br} is outside the supported branches {ALLOWED_BRANCHES}"
@@ -183,7 +183,7 @@ def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
     (radicand, residue) pairs.
 
     An element is reduced once per prime: its residue at a place above t is
-    the sum of residue * place.residues[radicand] (`residue_from`), and its
+    the sum of residue * place.residues[radicand] (`residue_at`), and its
     residues at all eight come from the prime's table (`_residues_above`). Its one
     denominator, the lcm of its reduced coordinate denominators, is inverted
     once; for a prime t, t divides it, and DenominatorNotInvertible is
@@ -204,11 +204,11 @@ def reduce_mod(x, t: int) -> tuple[tuple[int, int], ...]:
     return tuple((m, c * inv % t) for m, c in pairs if c)
 
 
-def residue_from(reduced: tuple[tuple[int, int], ...], place: SplitPlace) -> int:
-    """Residue at a place of an element reduced mod place.t by `reduce_mod`."""
+def residue_at(x, place: SplitPlace) -> int:
+    """Residue of a unit, biquadratic, or octic element at a split place."""
     residues = place.residues
     total = 0
-    for m, c in reduced:
+    for m, c in reduce_mod(x, place.t):
         if m not in residues:
             raise ValueError(f"sqrt({m}) has no residue at this place")
         total += c * residues[m]
@@ -233,11 +233,6 @@ def _residues_above(reduced: tuple[tuple[int, int], ...], prime: SplitPrime) -> 
     nb1, nb2, nn1, nn2 = b1 - bpq, b2 - b2pq, n1 - npq, n2 - n2pq  # and negated
     return [(bb1 + bb2) % t, (bn1 + bn2) % t, (nb1 + nb2) % t, (nn1 + nn2) % t,  # root of 2 kept
             (bb1 - bb2) % t, (bn1 - bn2) % t, (nb1 - nb2) % t, (nn1 - nn2) % t]  # and negated
-
-
-def residue_at(x, place: SplitPlace) -> int:
-    """Residue of a unit, biquadratic, or octic element at a split place."""
-    return residue_from(reduce_mod(x, place.t), place)
 
 
 # -- certificates ----------------------------------------------------------
@@ -314,14 +309,7 @@ class Certificate:
         place = self.place
         return {
             "triple": {"p": str(self.p), "q": str(self.q), "s": str(self.s)},
-            "datum": {
-                "p_mod8": self.datum.p_mod8,
-                "q_mod8": self.datum.q_mod8,
-                "s_mod8": self.datum.s_mod8,
-                "legendre_q_p": self.datum.leg_q_p,
-                "legendre_s_p": self.datum.leg_s_p,
-                "legendre_q_s": self.datum.leg_q_s,
-            },
+            "datum": asdict(self.datum),
             "eps_convention": self.eps_convention,
             "hypotheses_verified": self.hypotheses_verified,
             "place": {

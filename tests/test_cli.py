@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import oracles
@@ -118,6 +119,20 @@ def test_pell():
 
 def test_pell_invalid_d():
     assert run_cli("pell", "12").returncode == 1
+
+
+OUT_OF_REACH = "99999999999999999999999999999999999999991"  # 41 digits, no square factor below 10^6
+
+
+@pytest.mark.parametrize("argv", [("pell", OUT_OF_REACH), ("sqrt", f"biquad:{OUT_OF_REACH},2", "1,0,0,0")])
+def test_an_out_of_reach_squarefree_test_exits_1_naming_the_bound(argv):
+    # is_squarefree's trial division stops at 10^6 instead of running on
+    start = time.perf_counter()
+    r = run_cli(*argv)
+    assert time.perf_counter() - start < 2
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == (f"error: cannot decide whether {OUT_OF_REACH} is squarefree: trial division "
+                        "stops at 1000000, which decides every n below 10^18\n")
 
 
 def test_sqrt_biquad_and_octic():

@@ -76,6 +76,16 @@ def test_is_squarefree_at_the_cube_root_boundary():
     assert is_squarefree(30011 * 30013)
 
 
+def test_is_squarefree_decides_below_1e18_and_refuses_past_its_trial_bound():
+    assert is_squarefree(10 ** 18 - 11)  # the largest prime below 10^18
+    assert not is_squarefree(1000003 ** 2)  # a prime square past the bound, decided by the cofactor
+    big = 99999999999999999999999999999999999999991
+    with pytest.raises(ValueError, match=rf"^cannot decide whether {big} is squarefree: trial division "
+                                         r"stops at 1000000, which decides every n below 10\^18$"):
+        is_squarefree(big)
+    assert not is_squarefree(9 * big)  # a square factor below the bound still decides
+
+
 def test_quadunit_validates():
     with pytest.raises(ValueError):
         QuadUnit(5, 2, 1, 1, None)

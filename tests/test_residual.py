@@ -219,8 +219,7 @@ def test_reduce_mod_matches_the_per_coordinate_residue_at_every_place():
                     residual.reduce_mod(x, t)
                 raised += 1
             else:
-                reduced = residual.reduce_mod(x, t)
-                assert [residual.residue_from(reduced, place) for place in places] == expected
+                assert [residue_at(x, place) for place in places] == expected
     assert raised >= 20
     assert residual.reduce_mod(Fraction(3, 2), 41) == ((1, 3 * 21 % 41),)
     assert residual.reduce_mod(0, 41) == () == residual.reduce_mod(O.zero(), 41)
@@ -231,7 +230,7 @@ def test_reduce_mod_matches_the_per_coordinate_residue_at_every_place():
 @pytest.mark.parametrize("triple", [(7, 11, 43), (7, 19, 3), (7, 3, 59), oracles.LADDER_TRIPLES[0]])
 def test_residues_above_is_the_residue_at_each_of_the_eight_places(triple):
     """The prime's table, signed by the characters of the places, gives the
-    residue `residue_from` reads at each place, over the first 50 split
+    residue `residue_at` reads at each place, over the first 50 split
     primes."""
     p, q, s = triple
     rng = random.Random(sum(triple))
@@ -244,6 +243,7 @@ def test_residues_above_is_the_residue_at_each_of_the_eight_places(triple):
         for _ in range(5)
     ]
     elements += [fundamental_pell(p * q), Fraction(-22, 5), O.zero()]
+    outside_units = {m: fundamental_pell(m) for m in (p, q, 2 * s)}
     primes = list(itertools.islice(iter_split_primes(*triple), 50))
     assert len(primes) == 50
     for t in primes:
@@ -251,10 +251,10 @@ def test_residues_above_is_the_residue_at_each_of_the_eight_places(triple):
         first = places[0]
         reduced = [residual.reduce_mod(x, t) for x in elements]
         above = [residual._residues_above(v, first.prime) for v in reduced]
-        assert above == [[residual.residue_from(v, place) for place in places] for v in reduced]
-        for outside in (p, q, 2 * s):
+        assert above == [[residue_at(x, place) for place in places] for x in elements]
+        for outside, unit in outside_units.items():
             for read in (lambda: residual._residues_above(((1, 1), (outside, 2)), first.prime),
-                         lambda: residual.residue_from(((1, 1), (outside, 2)), places[5])):
+                         lambda: residue_at(unit, places[5])):
                 with pytest.raises(ValueError, match=rf"^sqrt\({outside}\) has no residue at this place$"):
                     read()
         # at signs sigma, sqrt(m) has chi_m(sigma) times its canonical residue
@@ -450,6 +450,9 @@ def test_noncollapse_pairs():
     assert report["datum_equal"] and report["delta_differs"]
     assert not noncollapse_check((7, 19, 3), (7, 19, 3))[0]
     assert not noncollapse_check((7, 19, 3), (7, 11, 43))[0]
+    # opposite bits under different data are no collapse either
+    ok, report = noncollapse_check((7, 11, 43), (7, 3, 59))
+    assert not ok and not report["datum_equal"] and report["delta_differs"]
 
 
 def test_certificate_json_shape():

@@ -8,6 +8,7 @@ which `oracles.py` keeps (residues afresh at every place, Hilbert symbols,
 """
 
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -51,11 +52,25 @@ def test_odd_primes_at_segment_edges(bound):
 
 
 def test_odd_primes_when_a_small_bound_sieves_the_first_segment(monkeypatch):
-    # the first segment's primes are sieved once per process, on first use,
-    # and kept whatever bound that use asked for
-    monkeypatch.setattr(arith, "_first_primes", None)
-    for bound in (50, 100_000, 4097):
+    # the table is sieved on first use to 4097, whatever bound that use asked
+    # for, and a read past its end doubles the sieved range
+    monkeypatch.setattr(arith, "_primes", array("L"))
+    monkeypatch.setattr(arith, "_sieved", 1)
+    tops = []
+    extend = arith._extend
+    monkeypatch.setattr(arith, "_extend", lambda top: (tops.append(top), extend(top)))
+    assert list(odd_primes(50)) == oracles.odd_primes_by_trial_division(50)
+    assert (tops, arith._sieved) == ([4097], 4097)
+    for bound in (4097, 100, 8193):
         assert list(odd_primes(bound)) == oracles.odd_primes_by_trial_division(bound)
+    assert (tops, arith._sieved) == ([4097, 8194], 8194)
+    # one reader suspended inside the kept range while another extends it
+    inside, beyond = odd_primes(20_000), odd_primes(40_000)
+    head = list(islice(inside, 100))
+    assert list(beyond) == oracles.odd_primes_by_trial_division(40_000)
+    assert head + list(inside) == oracles.odd_primes_by_trial_division(20_000)
+    assert tops == [4097, 8194, 16388, 32776, 65552]
+    assert list(arith._primes) == oracles.odd_primes_by_trial_division(65552)
 
 
 def test_odd_primes_stopped_early_is_a_prefix():

@@ -114,8 +114,7 @@ MUTANTS = (
            "(nn1 - nn2) % t]", "(nn2 - nn1) % t]"),
     # a root mod t is checked only where it can fail, the power a^((t+1)/4);
     # trial division decides n < 41^2; one record per split prime, t >= 3,
-    # its places views (prime, signs) that sign its roots and table, and the
-    # sieve's kept first segment
+    # its places views (prime, signs) that sign its roots and table
     Mutant("power-root-check-dropped", "src/unitcert/arith.py",
            "            if r * r % t != a:\n", "            if False:\n"),
     Mutant("trial-division-decides-below-43-squared", "src/unitcert/arith.py",
@@ -126,8 +125,18 @@ MUTANTS = (
            "chi = (1, s2, spq,", "chi = (1, 1, spq,"),
     Mutant("view-root-of-ps-left-c", "src/unitcert/residual.py",
            "rps = property(lambda self: self._root(2))", "rps = property(lambda self: self.prime.roots[2])"),
+    # the kept prime table: a read stops at its bound, and a later range
+    # strikes each kept prime from its first odd multiple
     Mutant("prime-table-yields-past-bound", "src/unitcert/arith.py",
-           "primes[:bisect_right(primes, bound)]", "primes[:bisect_right(primes, bound) + 1]"),
+           "j = bisect_right(_primes, bound, i)", "j = bisect_right(_primes, bound + 2, i)"),
+    Mutant("sieve-strike-drops-odd-start", "src/unitcert/arith.py",
+           "        if first % 2 == 0:\n            first += p\n", ""),
+    # one single-place reader signs the prime's table by the place; the
+    # datum's entries are named once, in the certificate's order
+    Mutant("residue-at-reads-the-prime-table", "src/unitcert/residual.py",
+           "    residues = place.residues\n    total = 0\n", "    residues = place.prime.residues\n    total = 0\n"),
+    Mutant("datum-legendre-fields-swapped", "src/unitcert/residual.py",
+           "    legendre_q_p: int\n    legendre_s_p: int\n", "    legendre_s_p: int\n    legendre_q_p: int\n"),
     # the paper's place, the first valid one; the exact sign of a tower
     # element; the content division that makes equal elements equal
     Mutant("certify-at-second-valid-place", "src/unitcert/residual.py",
@@ -152,6 +161,29 @@ MUTANTS = (
            "eps_res = {1: r, -1: pow(r, -1, t)}", "eps_res = {1: r, -1: r}"),
     Mutant("delta-hands-xi-Q-1", "src/unitcert/residual.py",
            "*(eps_pq.half if cert.delta else (1, 0, 1))", "*((*eps_pq.half[:2], 1) if cert.delta else (1, 0, 1))"),
+    # one mutant for each public decision function: the datum's
+    # (q/s), the pair check's same-datum conjunct, the Hilbert symbol's
+    # (-1)^(alpha*beta*(p-1)/2), jacobi's (2/n), the squarefree cofactor and
+    # trial bound, the F2 back-substitution, the index search's exponent
+    # order and the Tonelli-Shanks update
+    Mutant("datum-reads-s-over-q", "src/unitcert/residual.py",
+           "jacobi(s, p), jacobi(q, s))", "jacobi(s, p), jacobi(s, q))"),
+    Mutant("noncollapse-ignores-the-datum", "src/unitcert/residual.py",
+           "return same_datum and differs, report", "return differs, report"),
+    Mutant("hilbert-drops-the-uniformizer-sign", "src/unitcert/arith.py",
+           "if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:", "if alpha % 2 and beta % 2:"),
+    Mutant("jacobi-two-flips-at-3-mod-8-only", "src/unitcert/arith.py",
+           "if n % 8 in (3, 5):", "if n % 8 == 3:"),
+    Mutant("squarefree-accepts-a-square-cofactor", "src/unitcert/pell.py",
+           "return m == 1 or isqrt(m) ** 2 != m", "return True"),
+    Mutant("squarefree-bound-below-a-rung", "src/unitcert/pell.py",
+           "_TRIAL_BOUND = 10 ** 6", "_TRIAL_BOUND = 10 ** 3"),
+    Mutant("gf2-solve-skips-back-substitution", "src/unitcert/certify.py",
+           "if i != col and aug[i] & colbit:", "if i > col and aug[i] & colbit:"),
+    Mutant("unit-index-reverses-exponents", "src/unitcert/fields.py",
+           "zip(units, exps) if e)", "zip(units, exps[::-1]) if e)"),
+    Mutant("tonelli-shanks-update-squares-once-more", "src/unitcert/arith.py",
+           "b = pow(c, 1 << (m - i - 1), t)", "b = pow(c, 1 << (m - i), t)"),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
