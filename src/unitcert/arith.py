@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import compress
-from typing import Iterator
 
 # Witnesses proven deterministic for n < 3.3 * 10^24 (covers all 64-bit inputs).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -133,15 +133,17 @@ def sqrt_mod(a: int, t: int) -> int | None:
 def _sqrt_mod_prime(values: tuple[int, ...], t: int) -> list[int | None]:
     """sqrt_mod of each value, for a t known to be an odd prime, such as a
     sieved one, and not proven prime here. A root it returns squares back for
-    any odd t: Tonelli-Shanks keeps r^2 = a*w and ends at w = 1, and the power
-    a^((t+1)/4) is checked; at a composite t, a None may be wrong."""
+    any odd t: each Legendre symbol is Euler's criterion a^((t-1)/2) mod t,
+    not `jacobi`, so the power r = a^((t+1)/4) squares to a*a^((t-1)/2) = a,
+    and Tonelli-Shanks keeps r^2 = a*w and ends at w = 1; at a composite t,
+    a None may be wrong."""
     q, e = t - 1, 0
     while q % 2 == 0:
         q //= 2
         e += 1
     if e > 1:  # Tonelli-Shanks, with one nonresidue z for all the values
         z = 2
-        while jacobi(z, t) != -1:
+        while pow(z, t >> 1, t) != t - 1:
             z += 1
             if z == t:
                 raise ValueError(f"{t} has no quadratic nonresidue: not a prime")
@@ -149,13 +151,11 @@ def _sqrt_mod_prime(values: tuple[int, ...], t: int) -> list[int | None]:
     roots = []
     for a in values:
         a %= t
-        if a == 0 or jacobi(a, t) != 1:
+        if a == 0 or pow(a, t >> 1, t) != 1:
             roots.append(None if a else 0)
             continue
         if e == 1:
             r = pow(a, (t + 1) // 4, t)
-            if r * r % t != a:
-                raise ValueError(f"{t} is not a prime: {min(r, t - r)}^2 is not {a} mod {t}")
         else:
             x = pow(a, q >> 1, t)  # then r = a^((q+1)/2) and w = a^q
             r, c, m = x * a % t, zq, e

@@ -10,7 +10,6 @@ one incremental echelon basis decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .arith import jacobi
@@ -22,6 +21,7 @@ from .errors import (
     SearchExhausted,
 )
 from .fields import TowerElement, sqrt_exact
+from .pell import _Frozen, _Record
 from .residual import (
     DEFAULT_PRIME_BOUND,
     SplitPlace,
@@ -35,8 +35,7 @@ from .residual import (
 FUNCTIONAL_PRIMES = 64  # split primes the functional stream reads below the caller's bound
 
 
-@dataclass(frozen=True)
-class TestFunctional:
+class TestFunctional(_Frozen):
     """F2-valued functional x -> Legendre bit of x's residue at a place above t.
 
     This is the Hilbert symbol (x, t) at the place: on a t-adic unit r,
@@ -45,7 +44,10 @@ class TestFunctional:
     give. The JSON names it as basis "t" with value t.
     """
 
-    place: SplitPlace
+    __slots__ = _key = ("place",)
+
+    def __init__(self, place: SplitPlace):
+        self._set(place)
 
     def evaluate(self, x) -> int:
         t = self.place.t
@@ -133,21 +135,20 @@ def _gf2_solve(matrix_rows: list[int], rhs_bits: list[int], r: int) -> tuple[int
     return tuple(aug[i] & 1 for i in range(r))
 
 
-@dataclass
-class AffineCertificate:
+class AffineCertificate(_Record):
     """Functionals whose bit matrix on the generators is invertible over F2,
-    plus the image of the base point: every coset member decodes from r bits."""
+    plus the image of the base point: every coset member decodes from r bits.
+    matrix[i][j] is functional i on generator j."""
 
-    functionals: list[TestFunctional]
-    matrix: list[list[int]]  # matrix[i][j] = functional i on generator j
-    base_bits: list[int]
+    __slots__ = _key = ("functionals", "matrix", "base_bits")
 
-    def __post_init__(self):
-        r = len(self.functionals)
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix) or len(self.base_bits) != r:
+    def __init__(self, functionals: list[TestFunctional], matrix: list[list[int]], base_bits: list[int]):
+        r = len(functionals)
+        if len(matrix) != r or any(len(row) != r for row in matrix) or len(base_bits) != r:
             raise ValueError(f"need an r x r bit matrix and r base bits, r = {r}")
-        if not {*self.base_bits, *(m for row in self.matrix for m in row)} <= {0, 1}:
+        if not {*base_bits, *(m for row in matrix for m in row)} <= {0, 1}:
             raise ValueError(f"matrix entries and base bits must be 0 or 1, r = {r}")
+        self.functionals, self.matrix, self.base_bits = functionals, matrix, base_bits
 
     def _check_length(self, vector: tuple[int, ...], what: str) -> int:
         r = len(self.functionals)
@@ -209,17 +210,16 @@ def certify_affine(
     )
 
 
-@dataclass
-class SeparationCertificate:
+class SeparationCertificate(_Record):
     """Functionals whose combined bit rows are pairwise distinct on the family."""
 
-    candidates: list[TowerElement]
-    functionals: list[TestFunctional]
-    table: list[tuple[int, ...]]
+    __slots__ = _key = ("candidates", "functionals", "table")
 
-    def __post_init__(self):
-        if len(set(self.table)) != len(self.table):
+    def __init__(self, candidates: list[TowerElement], functionals: list[TestFunctional],
+                 table: list[tuple[int, ...]]):
+        if len(set(table)) != len(table):
             raise ValueError("separation table has duplicate rows")
+        self.candidates, self.functionals, self.table = candidates, functionals, table
 
     def to_json_dict(self) -> dict:
         return {

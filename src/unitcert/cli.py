@@ -12,7 +12,6 @@ import json
 import re
 import sys
 
-from .certify import SeparationCertificate, separate_candidates
 from .errors import (
     HypothesisViolation,
     Inseparable,
@@ -149,6 +148,7 @@ def _family_value(value, fraction_string: bool = False):
 
 
 def cmd_separate(args) -> int:
+    from .certify import separate_candidates  # imported by this command alone
     with open(args.input) as fh:
         payload = json.load(fh)
     try:
@@ -166,7 +166,7 @@ def cmd_separate(args) -> int:
         ) from exc
     if bound <= 0:
         raise ValueError("bounds must be positive")
-    cert: SeparationCertificate = separate_candidates(candidates, bound=bound)
+    cert = separate_candidates(candidates, bound=bound)
     out = cert.to_json_dict()
     if args.json:
         sys.stdout.write(_dump(out))

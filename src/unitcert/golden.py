@@ -5,11 +5,9 @@ canonical roots, residues, Legendre bits, delta, mu, and the non-collapse pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import jacobi
 from .fields import theta_factors
-from .pell import QuadUnit, fundamental_pell
+from .pell import QuadUnit, _Frozen, _Record, fundamental_pell
 from .residual import classical_datum, delta, noncollapse_check, residue_at
 
 # Pell units (x, y, norm) of Z[sqrt d] for every d entering the examples.
@@ -37,22 +35,20 @@ ROOTS = {
 }
 
 
-@dataclass(frozen=True)
-class ExampleValues:
-    label: str
-    triple: tuple[int, int, int]
-    datum: tuple[int, int, int, int, int, int]
-    t: int
-    place_roots: tuple[int, int, int]
-    factor_pq_residue: int
-    factor_ps_residue: int
-    theta_residue: int
-    legendre_theta: int
-    eps_pq_residue: int
-    delta: int
-    mu: str
-    # delta = 1 case only: residue of eps_pq * Theta and its Legendre symbol
-    eps_theta_residue: int | None = None
+class ExampleValues(_Frozen):
+    """One worked triple's reference values; eps_theta_residue, the residue
+    of eps_pq * Theta, is given in the delta = 1 case only."""
+
+    __slots__ = _key = ("label", "triple", "datum", "t", "place_roots", "factor_pq_residue",
+                        "factor_ps_residue", "theta_residue", "legendre_theta", "eps_pq_residue",
+                        "delta", "mu", "eps_theta_residue")
+
+    def __init__(self, label: str, triple: tuple[int, int, int], datum: tuple[int, ...], t: int,
+                 place_roots: tuple[int, int, int], factor_pq_residue: int, factor_ps_residue: int,
+                 theta_residue: int, legendre_theta: int, eps_pq_residue: int, delta: int, mu: str,
+                 eps_theta_residue: int | None = None):
+        self._set(label, triple, datum, t, place_roots, factor_pq_residue, factor_ps_residue,
+                  theta_residue, legendre_theta, eps_pq_residue, delta, mu, eps_theta_residue)
 
 
 EXAMPLES = (
@@ -83,11 +79,13 @@ EXAMPLES = (
 NONCOLLAPSE_PAIR = ((7, 19, 3), (7, 3, 59))
 
 
-@dataclass
-class CheckItem:
-    name: str
-    expected: str
-    actual: str
+class CheckItem(_Record):
+    """One replayed value: its name, the reference and the recomputed value, as text."""
+
+    __slots__ = _key = ("name", "expected", "actual")
+
+    def __init__(self, name: str, expected: str, actual: str):
+        self.name, self.expected, self.actual = name, expected, actual
 
     @property
     def ok(self) -> bool:

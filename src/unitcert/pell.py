@@ -7,17 +7,23 @@ three-product nodes multiplies them into the convergent that closes the unit
 exactly; `QuadUnit`'s constructor proves a norm +1 on the half unit
 (Jacobson and Williams, Solving the Pell Equation, 2009). Nothing is
 memoized: every call walks the continued fraction, and a caller that needs
-a unit twice keeps it.
+a unit twice keeps it. A walk stops after _WALK_BOUND partial quotients.
+
+The package's records (`QuadUnit` here, and those of `residual`, `certify`
+and `golden`) are plain __slots__ classes on the two bases below, with no
+`dataclasses`, whose import every command would pay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from math import isqrt
 
+from .errors import SearchExhausted
+
 _BLOCK = 32  # partial quotients per tree leaf, walked one continuant at a time
 _TRIAL_BOUND = 10 ** 6  # is_squarefree's last trial divisor: every n < 10^18 is decided
+_WALK_BOUND = 2 ** 20  # partial quotients a walk takes before SearchExhausted, a multiple of _BLOCK
 
 
 def _decimal(n: int) -> str:
@@ -51,28 +57,69 @@ def is_squarefree(n: int) -> bool:
     return m == 1 or isqrt(m) ** 2 != m
 
 
-@dataclass(frozen=True)
-class QuadUnit:
+class _Record:
+    """Base of the package's records, plain __slots__ classes whose own
+    __init__ sets and proves their fields. `_key` names the fields that
+    equality compares, `as_tuple` gives and the repr shows, in order."""
+
+    __slots__ = ()
+
+    def as_tuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._key)})"
+
+
+class _Frozen(_Record):
+    """A record that is hashed by its `_key` fields and refuses assignment
+    (AttributeError); its __init__ takes its fields in __slots__ order and
+    sets each once, by object.__setattr__, and a copy or pickle goes through
+    it again."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _set(self, *values) -> None:
+        """Set the fields, in __slots__ order, to values."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class QuadUnit(_Frozen):
     """The fundamental Pell unit x + y*sqrt(d) of Z[sqrt(d)], with its norm sign.
 
     `half` is (h, k, Q), or None: x + y*sqrt(d) = (h + k*sqrt(d))^2/Q, the
-    half unit at which `fundamental_pell` stopped its walk for norm +1. The
-    constructor is the one proof: h, k > 0, 0 < Q | 2d, 4 not dividing Q,
-    h^2 + d*k^2 = Q*x, 2hk = Q*y and h^2 - d*k^2 = +-Q, which gives
-    x^2 - d*y^2 = 1 (Q^2*(x^2 - d*y^2) = (h^2 - d*k^2)^2), or ArithmeticError;
-    without a half, x^2 - d*y^2 = norm = +-1, or ValueError.
+    half unit at which `fundamental_pell` stopped its walk for norm +1; it is
+    left out of equality, the hash and the repr. The constructor is the one
+    proof: h, k > 0, 0 < Q | 2d, 4 not dividing Q, h^2 + d*k^2 = Q*x,
+    2hk = Q*y and h^2 - d*k^2 = +-Q, which gives x^2 - d*y^2 = 1
+    (Q^2*(x^2 - d*y^2) = (h^2 - d*k^2)^2), or ArithmeticError; without a
+    half, x^2 - d*y^2 = norm = +-1, or ValueError.
     """
 
-    d: int
-    x: int
-    y: int
-    norm: int
-    half: tuple[int, int, int] | None = field(repr=False, compare=False)
+    __slots__ = ("d", "x", "y", "norm", "half")
+    _key = ("d", "x", "y", "norm")
 
-    def __post_init__(self):
-        d, x, y, norm = self.d, self.x, self.y, self.norm
-        if self.half is not None:
-            h, k, Q = self.half
+    def __init__(self, d: int, x: int, y: int, norm: int, half: tuple[int, int, int] | None):
+        if half is not None:
+            h, k, Q = half
             hh, dkk = h * h, d * (k * k)
             if not (norm == 1 and h > 0 < k and Q > 0 and 2 * d % Q == 0 and Q % 4
                     and hh + dkk == Q * x and 2 * h * k == Q * y and abs(hh - dkk) == Q):
@@ -82,6 +129,12 @@ class QuadUnit:
             raise ValueError(f"not a unit of Z[sqrt({d})]: {x}, {y}")
         if x <= 0 or y <= 0:
             raise ValueError("expected the positive fundamental solution")
+        set_field = object.__setattr__  # one call per field, not `_set`'s loop: every walk builds a unit
+        set_field(self, "d", d)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "norm", norm)
+        set_field(self, "half", half)
 
     def __str__(self) -> str:
         return f"{_decimal(self.x)} + {_decimal(self.y)}*sqrt({self.d})  (norm {self.norm:+d})"
@@ -90,6 +143,7 @@ class QuadUnit:
 def fundamental_pell(d: int) -> QuadUnit:
     """Smallest unit > 1 of Z[sqrt(d)], from the continued fraction of sqrt(d),
     walked on every call. The norm is -1 exactly when the period length is odd.
+    A walk stops after _WALK_BOUND partial quotients with SearchExhausted.
     """
     if d <= 1 or not is_squarefree(d):
         raise ValueError(f"d must be a squarefree integer > 1, got {d}")
@@ -115,7 +169,7 @@ def _half_period(d: int) -> tuple[int, int, int, tuple[int, int, int] | None]:
     a0 = isqrt(d)
     P, Q, Q_prev = 0, 1, d
     leaves, closed = [], False
-    while not closed:
+    for _ in range(_WALK_BOUND // _BLOCK):  # the bound, read once per block
         Q_u, k, k_prev = Q, 0, 1
         for _ in range(_BLOCK):
             a = (a0 + P) // Q
@@ -127,6 +181,11 @@ def _half_period(d: int) -> tuple[int, int, int, tuple[int, int, int] | None]:
             k, k_prev = a * k + k_prev, k
             P, Q, Q_prev = P_next, Q_next, Q
         leaves.append((k * P + k_prev * Q, k, Q_u))
+        if closed:
+            break
+    else:
+        raise SearchExhausted(f"the continued fraction of sqrt({_decimal(d)}) did not close its half "
+                              f"period in {len(leaves) * _BLOCK} partial quotients, the walk's bound")
     h, k, _ = _tree(leaves, d)
     s, hh, kk = h + k, h * h, k * k  # 2hk = s^2 - h^2 - k^2: squares only
     hk2, dkk = s * s - hh - kk, d * kk

@@ -12,11 +12,10 @@ descent runs here.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, field
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
-from typing import ClassVar, Iterator, Sequence
 
 from .arith import _sqrt_mod_prime, hilbert_symbol, jacobi, odd_primes
 from .errors import (
@@ -37,7 +36,7 @@ from .fields import (
     sqrt_octic,  # no longer called here; bench/tracer.py hooks this name as the oracle layer
     sqrt_unit_product,
 )
-from .pell import QuadUnit, fundamental_pell
+from .pell import QuadUnit, _Frozen, _Record, fundamental_pell
 
 # Pell-unit convention recorded in every certificate: the smallest unit > 1 of
 # Z[sqrt(d)], from the continued fraction of sqrt(d). A maximal-order
@@ -51,19 +50,15 @@ PRIME_COUNT = 50  # split primes a scan reads below the caller's bound
 _SIGNS = tuple(product((1, -1), repeat=3))  # the eight places above t, in enumerate_places order
 
 
-@dataclass(frozen=True)
-class ClassicalDatum:
-    """Residues mod 8 and the three Legendre symbols attached to (p, q, s)."""
+class ClassicalDatum(_Frozen):
+    """Residues mod 8 and the three Legendre symbols attached to (p, q, s),
+    named as the certificate's JSON names them, in its order."""
 
-    p_mod8: int
-    q_mod8: int
-    s_mod8: int
-    legendre_q_p: int
-    legendre_s_p: int
-    legendre_q_s: int
+    __slots__ = _key = ("p_mod8", "q_mod8", "s_mod8", "legendre_q_p", "legendre_s_p", "legendre_q_s")
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return astuple(self)
+    def __init__(self, p_mod8: int, q_mod8: int, s_mod8: int,
+                 legendre_q_p: int, legendre_s_p: int, legendre_q_s: int):
+        self._set(p_mod8, q_mod8, s_mod8, legendre_q_p, legendre_s_p, legendre_q_s)
 
     def branch(self) -> tuple[int, int, int]:
         """The Legendre pattern of a supported triple; HypothesisViolation otherwise."""
@@ -91,8 +86,7 @@ def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
 # -- split places ----------------------------------------------------------
 
 
-@dataclass(slots=True)
-class SplitPrime:
+class SplitPrime(_Record):
     """An odd prime t split completely in the octic field of (p, q, s), with
     the canonical roots c = min(r, t - r) of 2, pq and ps mod t, as
     `sqrt_mod` gives them, and their residue table: the residue mod t of the
@@ -101,15 +95,10 @@ class SplitPrime:
     t >= 3 is taken to be prime, as `iter_split_primes` yields them; no root
     is checked, as `_sqrt_mod_prime`'s roots square back for any odd t."""
 
-    t: int
-    p: int
-    q: int
-    s: int
-    roots: tuple[int, int, int] = field(init=False)
-    residues: dict[int, int] = field(init=False)
+    __slots__ = _key = ("t", "p", "q", "s", "roots", "residues")
 
-    def __post_init__(self):
-        t, p, q, s = self.t, self.p, self.q, self.s
+    def __init__(self, t: int, p: int, q: int, s: int):
+        self.t, self.p, self.q, self.s = t, p, q, s
         if t < 3 or (2 * p * q * s) % t == 0:
             raise ValueError(f"t = {t} is below 3 or divides 2pqs")
         c2, cpq, cps = self.roots = tuple(_sqrt_mod_prime((2, p * q, p * s), t))
@@ -120,8 +109,7 @@ class SplitPrime:
                          2 * p * s: c2 * cps % t, q * s: cqs, 2 * q * s: c2 * cqs % t}
 
 
-@dataclass(slots=True)
-class SplitPlace:
+class SplitPlace(_Record):
     """A place above a split prime: an embedding of the tower into F_t, the
     view of its prime at `signs`, one sign per root of 2, pq and ps, +1 for
     the prime's canonical root c and -1 for t - c. Roots and residues are
@@ -129,12 +117,12 @@ class SplitPlace:
     residue times chi_m(signs), the product of the signs of the generators
     in m (qs: pq and ps). `enumerate_places` gives the eight views."""
 
-    prime: SplitPrime
-    signs: tuple[int, int, int]
+    __slots__ = _key = ("prime", "signs")
 
-    def __post_init__(self):
-        if self.signs not in _SIGNS:
-            raise ValueError(f"signs must be a tuple of three of +-1, got {self.signs!r}")
+    def __init__(self, prime: SplitPrime, signs: tuple[int, int, int]):
+        if signs not in _SIGNS:
+            raise ValueError(f"signs must be a tuple of three of +-1, got {signs!r}")
+        self.prime, self.signs = prime, signs
 
     t = property(lambda self: self.prime.t)
     r2 = property(lambda self: self._root(0))
@@ -238,15 +226,15 @@ def _residues_above(reduced: tuple[tuple[int, int], ...], prime: SplitPrime) -> 
 # -- certificates ----------------------------------------------------------
 
 
-@dataclass
-class Generator:
+class Generator(_Record):
     """One member of the unit system: a symbolic name plus the exact element
     when its square root was computed; `exact` and `warning` follow from
     whether there is one."""
 
-    name: str
-    element: TowerElement | None
-    mu: str | None = None
+    __slots__ = _key = ("name", "element", "mu")
+
+    def __init__(self, name: str, element: TowerElement | None, mu: str | None = None):
+        self.name, self.element, self.mu = name, element, mu
 
     @property
     def exact(self) -> bool:
@@ -271,29 +259,29 @@ class Generator:
         return d
 
 
-@dataclass
-class Certificate:
+class Certificate(_Record):
     """Complete audit trail of one residual-bit decision. Its place is valid
     by construction: eps_pq is a local nonsquare there (`legendre_eps`), and
-    delta and mu follow from the bit of Theta, kept as its factors (f1, f2)."""
+    delta and mu follow from the bit of Theta, kept as its factors (f1, f2).
+    Theta's factors and eps_pq are kept for `survey`, and left out of the
+    JSON, equality and the repr."""
 
-    eps_convention: ClassVar[str] = EPS_CONVENTION
-    legendre_eps: ClassVar[int] = -1
+    eps_convention = EPS_CONVENTION
+    legendre_eps = -1
 
-    p: int
-    q: int
-    s: int
-    datum: ClassicalDatum
-    hypotheses_verified: bool
-    place: SplitPlace
-    theta_residue: int
-    eps_pq_residue: int
-    legendre_theta: int
-    fsu: list[Generator] | None
-    oracle_checked: bool
-    # Theta's two factors and eps_pq of the decision, kept for `survey`; not in the JSON
-    theta_factors: tuple[TowerElement, TowerElement] = field(repr=False, compare=False)
-    eps_pq: QuadUnit = field(repr=False, compare=False)
+    _key = ("p", "q", "s", "datum", "hypotheses_verified", "place", "theta_residue",
+            "eps_pq_residue", "legendre_theta", "fsu", "oracle_checked")
+    __slots__ = (*_key, "theta_factors", "eps_pq")
+
+    def __init__(self, p: int, q: int, s: int, datum: ClassicalDatum, hypotheses_verified: bool,
+                 place: SplitPlace, theta_residue: int, eps_pq_residue: int, legendre_theta: int,
+                 fsu: list[Generator] | None, oracle_checked: bool,
+                 theta_factors: tuple[TowerElement, TowerElement], eps_pq: QuadUnit):
+        self.p, self.q, self.s, self.datum = p, q, s, datum
+        self.hypotheses_verified, self.place = hypotheses_verified, place
+        self.theta_residue, self.eps_pq_residue = theta_residue, eps_pq_residue
+        self.legendre_theta, self.fsu, self.oracle_checked = legendre_theta, fsu, oracle_checked
+        self.theta_factors, self.eps_pq = theta_factors, eps_pq
 
     @property
     def delta(self) -> int:
@@ -306,10 +294,10 @@ class Certificate:
         return "1" if self.delta == 0 else "eps_pq"
 
     def to_json_dict(self) -> dict:
-        place = self.place
+        place, datum = self.place, self.datum
         return {
             "triple": {"p": str(self.p), "q": str(self.q), "s": str(self.s)},
-            "datum": asdict(self.datum),
+            "datum": dict(zip(datum._key, datum.as_tuple())),
             "eps_convention": self.eps_convention,
             "hypotheses_verified": self.hypotheses_verified,
             "place": {
@@ -339,15 +327,15 @@ class Certificate:
         return list(_scan_places(self.p, self.q, self.s, self.theta_factors, self.eps_pq, prime_bound))
 
 
-@dataclass(slots=True)
-class PlaceDecision:
+class PlaceDecision(_Record):
     """Evaluation of one (t, place) pair: validity and, when valid, the bit."""
 
-    place: SplitPlace
-    eps_residue: int
-    valid: bool
-    theta_residue: int | None = None
-    legendre_theta: int | None = None
+    __slots__ = _key = ("place", "eps_residue", "valid", "theta_residue", "legendre_theta")
+
+    def __init__(self, place: SplitPlace, eps_residue: int, valid: bool,
+                 theta_residue: int | None = None, legendre_theta: int | None = None):
+        self.place, self.eps_residue, self.valid = place, eps_residue, valid
+        self.theta_residue, self.legendre_theta = theta_residue, legendre_theta
 
     @property
     def legendre_eps(self) -> int:

@@ -135,6 +135,21 @@ def test_an_out_of_reach_squarefree_test_exits_1_naming_the_bound(argv):
                         "stops at 1000000, which decides every n below 10^18\n")
 
 
+@pytest.mark.parametrize("argv, d", [
+    (("pell", "999999999999999989"), "999999999999999989"),  # 10^18 - 11, a prime
+    # primes near 10^8, out of the pattern: the walk of eps_pq stops first
+    (("delta", "100000007", "100000123", "100000259", "--force"), "10000013000000861"),
+])
+def test_a_walk_past_its_bound_exits_3_naming_d(argv, d):
+    # the continued fraction stops after 2^20 partial quotients instead of running on
+    start = time.perf_counter()
+    r = run_cli(*argv)
+    assert time.perf_counter() - start < 5
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == (f"search exhausted: the continued fraction of sqrt({d}) did not close its half "
+                        "period in 1048576 partial quotients, the walk's bound\n")
+
+
 def test_sqrt_biquad_and_octic():
     r = run_cli("sqrt", "biquad:2,21", "715,504,156,110")
     assert r.stdout.strip() == "14 + 9*r2 + 3*r21 + 2*r42"

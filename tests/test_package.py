@@ -1,10 +1,20 @@
 import ast
+import copy
+import importlib
 import inspect
+import os
+import pickle
+import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import unitcert
+from unitcert import golden
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_all_is_exactly_the_public_names_of_the_package():
@@ -58,23 +68,134 @@ def test_every_optional_parameter_of_the_public_api_is_pinned():
     assert sum(map(len, found.values())) == 14
 
 
+def _imports(tree: ast.Module) -> list[str]:
+    """The absolute module names that a module's import statements name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return names
+
+
 def test_the_package_imports_only_itself_and_the_standard_library():
-    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "unitcert").glob("*.py"))
-    assert sources
-    outside = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            outside += [
-                f"{path.name}: {name}" for name in names
-                if name.partition(".")[0] not in sys.stdlib_module_names
-            ]
+    trees = _module_trees()
+    assert trees
+    outside = [
+        f"{module}.py: {name}" for module, tree in trees.items() for name in _imports(tree)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # records are plain __slots__ classes and annotations name collections.abc:
+    # either module would cost every command its import
+    found = [
+        f"{module}.py: {name}" for module, tree in _module_trees().items() for name in _imports(tree)
+        if name.partition(".")[0] in ("dataclasses", "typing")
+    ]
+    assert found == []
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded in a child interpreter started with -S (no site,
+    so nothing but what code imports) once it has run code."""
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    return set(run.stderr.split())
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    package = {"unitcert.arith", "unitcert.errors", "unitcert.pell", "unitcert.fields",
+               "unitcert.residual", "unitcert.cli"}
+    assert {m for m in _modules_after("import unitcert") if m.startswith("unitcert.")} == set()
+    loaded = _modules_after("from unitcert import cli\ncli.main(['delta', '7', '19', '3', '--json'])")
+    assert {m for m in loaded if m.startswith("unitcert.")} == package
+    # a module the standard library that src/ names loads by itself, on some
+    # Python version, does not count against the package
+    stdlib = sorted({name for tree in _module_trees().values() for name in _imports(tree)})
+    alone = _modules_after("import " + ", ".join(stdlib))
+    assert {"dataclasses", "inspect", "typing"} & loaded <= alone
+
+
+def test_each_export_is_its_home_modules_object_and_an_unknown_name_is_refused():
+    for name in unitcert.__all__:
+        value = getattr(unitcert, name)
+        home = f"unitcert.{unitcert._HOME[name]}"
+        assert value.__module__ == home, name  # the module that defines it, not one that imports it
+        assert value is getattr(importlib.import_module(home), name)
+        assert vars(unitcert)[name] is value  # kept after the first access
+    with pytest.raises(AttributeError, match=r"^module 'unitcert' has no attribute 'no_such_name'$"):
+        unitcert.no_such_name
+    assert set(unitcert.__all__) <= set(dir(unitcert))
+
+
+# The fields each record's equality compares, in order; any other field it
+# keeps is left out of equality, the hash and the repr.
+RECORD_FIELDS = {
+    "QuadUnit": ("d", "x", "y", "norm"),
+    "ClassicalDatum": ("p_mod8", "q_mod8", "s_mod8", "legendre_q_p", "legendre_s_p", "legendre_q_s"),
+    "SplitPrime": ("t", "p", "q", "s", "roots", "residues"),
+    "SplitPlace": ("prime", "signs"),
+    "Generator": ("name", "element", "mu"),
+    "Certificate": ("p", "q", "s", "datum", "hypotheses_verified", "place", "theta_residue",
+                    "eps_pq_residue", "legendre_theta", "fsu", "oracle_checked"),
+    "PlaceDecision": ("place", "eps_residue", "valid", "theta_residue", "legendre_theta"),
+    "TestFunctional": ("place",),
+    "AffineCertificate": ("functionals", "matrix", "base_bits"),
+    "SeparationCertificate": ("candidates", "functionals", "table"),
+    "ExampleValues": ("label", "triple", "datum", "t", "place_roots", "factor_pq_residue",
+                      "factor_ps_residue", "theta_residue", "legendre_theta", "eps_pq_residue",
+                      "delta", "mu", "eps_theta_residue"),
+    "CheckItem": ("name", "expected", "actual"),
+}
+FROZEN_RECORDS = {"QuadUnit", "ClassicalDatum", "TestFunctional", "ExampleValues"}
+
+
+def test_records_compare_hash_and_refuse_assignment_by_their_fields():
+    cert = unitcert.delta(7, 19, 3)
+    octic = unitcert.OcticField(7, 19, 3)
+    candidates = [octic.one(), octic.from_quad_unit(cert.eps_pq)]
+    separation = unitcert.separate_candidates(candidates)
+    records = [
+        cert.eps_pq, cert.datum, cert.place.prime, cert.place, cert.fsu[0], cert,
+        unitcert.survey_places(7, 19, 3)[0], separation.functionals[0],
+        unitcert.certify_affine(candidates[0], candidates[1:]), separation,
+        golden.EXAMPLES[0], golden.CheckItem("x", "1", "1"),
+    ]
+    assert sorted(type(r).__name__ for r in records) == sorted(RECORD_FIELDS)
+    for record in records:
+        kind, compared = type(record).__name__, RECORD_FIELDS[type(record).__name__]
+        assert not hasattr(record, "__dict__"), kind
+        twin = copy.copy(record)
+        assert twin == record and twin is not record, kind
+        # a field replaced by a fresh object makes the twin unequal exactly
+        # when equality compares it (half, theta_factors and eps_pq: never)
+        for name in type(record).__slots__:
+            value = getattr(record, name)
+            object.__setattr__(twin, name, object())
+            assert (twin != record) == (name in compared), (kind, name)
+            object.__setattr__(twin, name, value)
+        assert set(compared) <= set(type(record).__slots__), kind
+        if kind in FROZEN_RECORDS:
+            assert pickle.loads(pickle.dumps(record)) == record
+            # hashed by the compared fields; a TestFunctional's place, a SplitPlace, has no hash
+            if kind != "TestFunctional":
+                assert hash(twin) == hash(record)
+            for name in type(record).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+    assert cert.eps_pq.half is not None and repr(cert.eps_pq) == "QuadUnit(d=133, x=2588599, y=224460, norm=1)"
 
 
 # Names the guard below allows although nothing in src/ reads them: the
@@ -87,8 +208,7 @@ UNREAD_BUT_HOOKED = {
 
 
 def _module_trees() -> dict[str, ast.Module]:
-    src = Path(__file__).resolve().parents[1] / "src" / "unitcert"
-    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted((SRC / "unitcert").glob("*.py"))}
 
 
 def _defined(statement) -> list[str]:

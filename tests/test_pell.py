@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 import oracles
-from unitcert import QuadUnit, fundamental_pell, is_squarefree, pell
+from unitcert import QuadUnit, SearchExhausted, fundamental_pell, is_squarefree, pell
 
 PRINTED_UNITS = {
     133: (2588599, 224460, 1),
@@ -84,6 +84,20 @@ def test_is_squarefree_decides_below_1e18_and_refuses_past_its_trial_bound():
                                          r"stops at 1000000, which decides every n below 10\^18$"):
         is_squarefree(big)
     assert not is_squarefree(9 * big)  # a square factor below the bound still decides
+
+
+def test_the_walk_stops_at_its_bound_a_block_at_a_time(monkeypatch):
+    # the bound is read once per block of _BLOCK partial quotients: sqrt(3931)
+    # closes its half period at quotient 65, in the third block, so a bound
+    # of three blocks decides it and a bound of two stops it, naming d and
+    # the quotients walked
+    unit = fundamental_pell(3931)
+    monkeypatch.setattr(pell, "_WALK_BOUND", 3 * pell._BLOCK)
+    assert fundamental_pell(3931) == unit
+    monkeypatch.setattr(pell, "_WALK_BOUND", 2 * pell._BLOCK)
+    with pytest.raises(SearchExhausted, match=r"^the continued fraction of sqrt\(3931\) did not close its "
+                                              r"half period in 64 partial quotients, the walk's bound$"):
+        fundamental_pell(3931)
 
 
 def test_quadunit_validates():

@@ -1,6 +1,6 @@
 import collections
-import dataclasses
 import hashlib
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +10,7 @@ import pytest
 from test_scan import _count_calls
 
 import unitcert
-from unitcert import pell, residual
+from unitcert import arith, pell, residual
 from unitcert import (
     OcticField,
     PlaceDecision,
@@ -112,17 +112,23 @@ def test_enumerate_places_rejects_nonsplit_prime():
         enumerate_places(0, 7, 19, 3)  # no odd prime
 
 
-@pytest.mark.parametrize("t, triple, message", [
-    (15, (7, 11, 43), r"^15 is not a prime: 1\^2 is not 2 mod 15$"),
-    # 2047 = 23 * 89 is a pseudoprime to base 2, so its root of 2 squares back
-    (2047, (3, 5, 11), r"^2047 is not a prime: 470\^2 is not 15 mod 2047$"),
-    (2047, (3, 13, 11), r"^2047 is not a prime: 615\^2 is not 33 mod 2047$"),  # and so does its root of pq = 39
+@pytest.mark.parametrize("t, triple, refused", [
+    (15, (7, 11, 43), 0),
+    # 2047 = 23 * 89 is an Euler pseudoprime to base 2, so its root of 2 is taken
+    (2047, (3, 5, 11), 1),
+    (2047, (3, 13, 11), 2),  # and so is its root of pq = 39
 ], ids=["2", "pq", "ps"])
-def test_split_prime_checks_each_root(t, triple, message):
-    # t is not proven prime: at an odd composite t = 3 (mod 4) whose Jacobi
-    # symbols pass, the power a^((t+1)/4) need not square back to a, and the
-    # root's own check refuses it, for each of the three roots
-    with pytest.raises(ValueError, match=message):
+def test_split_prime_checks_each_root(t, triple, refused):
+    # t is not proven prime: at an odd composite t = 3 (mod 4), Euler's
+    # criterion refuses the radicand `refused` of 2, pq and ps, and the record
+    # refuses t as not split; a root the criterion takes, the power
+    # a^((t+1)/4), squares back to a
+    p, q, s = triple
+    values = (2, p * q, p * s)
+    roots = arith._sqrt_mod_prime(values, t)
+    assert roots[refused] is None
+    assert [r * r % t for r in roots[:refused]] == list(values[:refused])
+    with pytest.raises(ValueError, match=rf"^{t} does not split in the octic field for \({p}, {q}, {s}\)$"):
         enumerate_places(t, *triple)
 
 
@@ -473,12 +479,14 @@ def test_certificate_json_shape():
 
 def test_certificate_derives_delta_and_mu_from_the_legendre_bit():
     cert = delta(7, 19, 3, with_fsu=False)
+    # the constructor's arguments, read back off the certificate
+    args = {name: getattr(cert, name) for name in inspect.signature(residual.Certificate).parameters}
     for name, value in (("delta", 0), ("mu", "1"), ("legendre_eps", -1),
                         ("eps_convention", residual.EPS_CONVENTION)):
         assert getattr(cert, name) == value
         with pytest.raises(TypeError):
-            dataclasses.replace(cert, **{name: value})
-    flipped = dataclasses.replace(cert, legendre_theta=-1)
+            residual.Certificate(**args, **{name: value})
+    flipped = residual.Certificate(**args | {"legendre_theta": -1})
     assert (flipped.delta, flipped.mu) == (1, "eps_pq")
     doc = flipped.to_json_dict()
     assert (doc["legendre_theta"], doc["delta"], doc["mu"]) == (-1, 1, "eps_pq")
@@ -618,7 +626,7 @@ def test_oracle_rejects_a_flipped_bit(monkeypatch):
     def flipped(*args):
         for d in scan(*args):
             if d.valid:
-                d = dataclasses.replace(d, legendre_theta=-d.legendre_theta)
+                d = PlaceDecision(d.place, d.eps_residue, d.valid, d.theta_residue, -d.legendre_theta)
             yield d
 
     monkeypatch.setattr(residual, "_scan_places", flipped)

@@ -112,11 +112,11 @@ MUTANTS = (
            "a2 - a2ps, apq - aqs,", "a2 - a2ps, apq + aqs,"),
     Mutant("butterfly-subtracts-backwards", "src/unitcert/residual.py",
            "(nn1 - nn2) % t]", "(nn2 - nn1) % t]"),
-    # a root mod t is checked only where it can fail, the power a^((t+1)/4);
-    # trial division decides n < 41^2; one record per split prime, t >= 3,
-    # its places views (prime, signs) that sign its roots and table
-    Mutant("power-root-check-dropped", "src/unitcert/arith.py",
-           "            if r * r % t != a:\n", "            if False:\n"),
+    # a root mod t takes Euler's criterion for its Legendre symbol; trial
+    # division decides n < 41^2; one record per split prime, t >= 3, its
+    # places views (prime, signs) that sign its roots and table
+    Mutant("sqrt-mod-euler-test-flipped", "src/unitcert/arith.py",
+           "if a == 0 or pow(a, t >> 1, t) != 1:", "if a == 0 or pow(a, t >> 1, t) == 1:"),
     Mutant("trial-division-decides-below-43-squared", "src/unitcert/arith.py",
            "if n < 41 * 41:", "if n < 43 * 43:"),
     Mutant("split-prime-admits-t-below-3", "src/unitcert/residual.py",
@@ -136,7 +136,8 @@ MUTANTS = (
     Mutant("residue-at-reads-the-prime-table", "src/unitcert/residual.py",
            "    residues = place.residues\n    total = 0\n", "    residues = place.prime.residues\n    total = 0\n"),
     Mutant("datum-legendre-fields-swapped", "src/unitcert/residual.py",
-           "    legendre_q_p: int\n    legendre_s_p: int\n", "    legendre_s_p: int\n    legendre_q_p: int\n"),
+           "legendre_q_p: int, legendre_s_p: int, legendre_q_s: int):",
+           "legendre_s_p: int, legendre_q_p: int, legendre_q_s: int):"),
     # the paper's place, the first valid one; the exact sign of a tower
     # element; the content division that makes equal elements equal
     Mutant("certify-at-second-valid-place", "src/unitcert/residual.py",
@@ -185,9 +186,19 @@ MUTANTS = (
     Mutant("tonelli-shanks-update-squares-once-more", "src/unitcert/arith.py",
            "b = pow(c, 1 << (m - i - 1), t)", "b = pow(c, 1 << (m - i), t)"),
     # the walk never meets its stopping condition: the conftest watchdog
-    # stops the hung test
+    # stops the hung test, or the walk's bound ends it
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
            "P, Q, Q_prev = 0, 1, d", "P, Q, Q_prev = 0, 1, 0"),
+    # the walk's bound is read once per block, before the block is walked
+    Mutant("walk-bound-one-block-late", "src/unitcert/pell.py",
+           "for _ in range(_WALK_BOUND // _BLOCK):", "for _ in range(_WALK_BOUND // _BLOCK + 1):"),
+    # the package resolves each export from the module that defines it, and a
+    # record's equality compares every field it names
+    Mutant("export-read-from-an-importing-module", "src/unitcert/__init__.py",
+           '("pell", "QuadUnit fundamental_pell is_squarefree"),',
+           '("residual", "QuadUnit"), ("pell", "fundamental_pell is_squarefree"),'),
+    Mutant("quadunit-equality-drops-norm", "src/unitcert/pell.py",
+           '_key = ("d", "x", "y", "norm")', '_key = ("d", "x", "y")'),
 )
 
 
