@@ -10,22 +10,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineCertificate", "BiquadField", "Certificate", "ClassicalDatum",
-    "DenominatorNotInvertible", "Generator", "HypothesisViolation",
-    "Inseparable", "InvalidPlace", "NonUnitResidue", "NotASquareInBiquad",
-    "OcticField", "OracleDisagreement", "PlaceDecision", "QuadUnit",
-    "RankDeficient", "SearchExhausted", "SeparationCertificate",
-    "SplitPlace", "TestFunctional", "Tower", "TowerElement",
-    "UnitCertError", "biquad_unit_index", "certify_affine",
-    "classical_datum", "decide_mu_hilbert", "delta", "enumerate_places",
-    "fsu", "fundamental_pell", "hilbert_symbol", "is_prime",
-    "is_squarefree", "iter_split_primes", "jacobi", "noncollapse_check",
-    "residue_at", "separate_candidates", "sqrt_exact",
-    "sqrt_mod", "sqrt_octic", "survey_places", "theta", "theta_factors",
-]
-
-_HOME = {  # each export's home module
+_HOME = {  # each export's home module, the one list of the exports
     name: module
     for module, names in (
         ("arith", "hilbert_symbol is_prime jacobi sqrt_mod"),
@@ -43,6 +28,7 @@ _HOME = {  # each export's home module
     )
     for name in names.split()
 }
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -20,8 +20,6 @@ _MR_BASES_BIG = (
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    if base % n == 0:
-        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -115,18 +113,14 @@ def jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-def _check_odd_prime(t: int) -> None:
-    if t < 3 or t % 2 == 0 or not is_prime(t):
-        raise ValueError(f"{t} is not an odd prime")
-
-
 def sqrt_mod(a: int, t: int) -> int | None:
     """Canonical square root of a mod the odd prime t.
 
     Returns the root r with r = min(r, t - r) when (a/t) = 1, the value 0 when
     t | a, and None when a is a nonresidue.
     """
-    _check_odd_prime(t)
+    if t < 3 or t % 2 == 0 or not is_prime(t):
+        raise ValueError(f"{t} is not an odd prime")
     return _sqrt_mod_prime((a,), t)[0]
 
 

@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_EXHAUSTED = 3
 EXIT_ORACLE = 4
+EXIT_USAGE = 64  # EX_USAGE of BSD sysexits.h, so that 2 means a hypothesis violation alone
 
 
 def _dump(obj) -> str:
@@ -201,8 +202,17 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if not failed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, exiting EXIT_USAGE on a usage error; the
+    subcommands' parsers are of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unitcert",
         description="Exact certification of the residual unit-group bit of "
                     "Q(sqrt2, sqrt pq, sqrt ps), with local separation tools.",

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .arith import jacobi
 from .fields import theta_factors
-from .pell import QuadUnit, _Frozen, _Record, fundamental_pell
+from .pell import _Frozen, _Record, fundamental_pell
 from .residual import classical_datum, delta, noncollapse_check, residue_at
 
 # Pell units (x, y, norm) of Z[sqrt d] for every d entering the examples.
@@ -95,10 +95,6 @@ class CheckItem(_Record):
         return {"name": self.name, "expected": self.expected, "actual": self.actual, "ok": self.ok}
 
 
-def _unit_str(u: QuadUnit) -> str:
-    return f"({u.x}, {u.y}, {u.norm:+d})"
-
-
 def _expected(ex: ExampleValues) -> dict[str, object]:
     """The reference value of each of the example's items after its units,
     by name, in the order the checklist reports them."""
@@ -155,7 +151,8 @@ def run_checks(prime_bound: int) -> list[CheckItem]:
         for d in sorted({p * q, 2 * p * q, p * s, 2 * p * s}):
             x, y, norm = UNITS[d]
             try:
-                actual = _unit_str(fundamental_pell(d))
+                u = fundamental_pell(d)
+                actual = f"({u.x}, {u.y}, {u.norm:+d})"
             except Exception as exc:
                 actual = f"error: {exc}"
             add(f"{ex.label}.unit_{d}", f"({x}, {y}, {norm:+d})", actual)

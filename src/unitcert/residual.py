@@ -229,7 +229,8 @@ def _residues_above(reduced: tuple[tuple[int, int], ...], prime: SplitPrime) -> 
 class Generator(_Record):
     """One member of the unit system: a symbolic name plus the exact element
     when its square root was computed; `exact` and `warning` follow from
-    whether there is one."""
+    whether there is one. Only a forced run keeps a generator with no root:
+    on a triple inside the pattern `delta` raises OracleDisagreement."""
 
     __slots__ = _key = ("name", "element", "mu")
 
@@ -487,8 +488,10 @@ def delta(
     place by Euler's criterion, recomputed from its coordinates. xi, for the
     oracle or the FSU, is (h + k*sqrt(pq))^delta*sqrt(Q^delta*f1*f2), with
     eps_pq = (h + k*sqrt(pq))^2/Q and Theta = f1*f2, its factors rooted and
-    checked alone, without descent. The triple is validated once, by building
-    its octic field, and each Pell unit is walked once per call.
+    checked alone, without descent. Inside the pattern every generator of
+    the FSU has its root, so one without, xi included, raises
+    OracleDisagreement with the oracle off too. The triple is validated once,
+    by building its octic field, and each Pell unit is walked once per call.
     """
     octic = OcticField(p, q, s)
     datum = _datum(p, q, s)
@@ -541,11 +544,16 @@ def delta(
             )
     if with_fsu:
         cert.fsu = _fsu_generators(octic, cert.mu, xi, octic.lift(f1), eps)
+        missing = [g.name for g in cert.fsu if g.element is None]
+        if missing and hypotheses_verified:  # with the oracle off, xi is checked here
+            raise OracleDisagreement(
+                f"{', '.join(missing)}: no exact root, though ({p}, {q}, {s}) is inside the pattern"
+            )
     return cert
 
 
 def fsu(p: int, q: int, s: int) -> list[Generator]:
-    """The seven-generator unit system of the octic field, exact where possible."""
+    """The seven-generator unit system of the octic field, every generator exact."""
     return delta(p, q, s).fsu
 
 

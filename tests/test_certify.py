@@ -6,7 +6,9 @@ import pytest
 
 from unitcert import (
     AffineCertificate,
+    BiquadField,
     OcticField,
+    SeparationCertificate,
     certify_affine,
     delta,
     fundamental_pell,
@@ -239,3 +241,21 @@ def test_echelon_basis_keeps_a_row_exactly_when_the_rank_rises():
         ranks = [oracles._rank(masks[:i]) for i in range(len(masks) + 1)]
         rises = [i for i in range(len(masks)) if ranks[i + 1] > ranks[i]]
         assert kept == rises, (trial, masks)
+
+
+def test_certify_affine_refuses_elements_of_two_towers_or_of_a_biquadratic_one(ex1):
+    O, th, place, units = ex1
+    other = OcticField(7, 11, 43)
+    with pytest.raises(ValueError) as refused:
+        certify_affine(O.one(), [other.from_quad_unit(fundamental_pell(77))])
+    assert str(refused.value) == "all elements must live in one octic field"
+    biquad = BiquadField(2, 21)
+    with pytest.raises(ValueError) as refused:
+        certify_affine(biquad.one(), [biquad.from_quad_unit(fundamental_pell(21))])
+    assert str(refused.value) == "local certification requires octic-field elements"
+
+
+def test_separation_certificate_refuses_duplicate_rows():
+    with pytest.raises(ValueError) as refused:
+        SeparationCertificate([], [], [(0,), (0,)])
+    assert str(refused.value) == "separation table has duplicate rows"

@@ -13,7 +13,7 @@ import oracles
 import pytest
 from test_scan import _count_calls
 
-from unitcert import QuadUnit, cli, delta, fields, golden, pell
+from unitcert import QuadUnit, cli, delta, fields, golden, pell, residual
 from unitcert.errors import SearchExhausted
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -97,11 +97,13 @@ def test_datum():
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (["fsu", "7", "19", "3", "--places", "all"], 2, "unrecognized arguments: --places all"),
-    (["datum", "7", "19", "3", "--prime-bound", "5"], 2, "unrecognized arguments: --prime-bound 5"),
+    (["fsu", "7", "19", "3", "--places", "all"], 64, "unrecognized arguments: --places all"),
+    (["datum", "7", "19", "3", "--prime-bound", "5"], 64, "unrecognized arguments: --prime-bound 5"),
     (["delta", "7", "19", "3", "--prime-bound", "0"], 1, "error: bounds must be positive"),
     (["separate", str(DATA / "separate_7_19_3.json"), "--prime-bound", "0"], 1,
      "error: bounds must be positive"),
+    (["delta", "5", "7", "11", "--json"], 2,
+     "hypothesis violation: need p = 7 and q = s = 3 mod 8, got (5, 7, 3)"),
 ])
 def test_flags_only_on_the_subcommands_that_read_them(argv, code, message):
     r = run_cli(*argv)
@@ -360,6 +362,26 @@ def test_a_failed_exact_check_is_an_internal_verification_failure(monkeypatch, c
     err = capsys.readouterr().err
     assert code == cli.EXIT_ORACLE == 4 and out == ""
     assert err == "internal verification failure: the closed-form root does not square back\n"
+
+
+@pytest.mark.parametrize("command", ["delta", "fsu"])
+def test_a_flipped_bit_fails_the_exact_xi_with_the_oracle_off(monkeypatch, capsys, command):
+    # the scan's chosen bit flipped: mu*Theta then has no root xi, which the
+    # FSU of an in-pattern triple computes, so the command exits 4 naming xi
+    # rather than print the wrong bit with xi's element null
+    scan = residual._scan_places
+
+    def flipped(*args):
+        for d in scan(*args):
+            if d.valid:
+                d = residual.PlaceDecision(d.place, d.eps_residue, d.valid, d.theta_residue, -d.legendre_theta)
+            yield d
+
+    monkeypatch.setattr(residual, "_scan_places", flipped)
+    code, out = _main_in_process(monkeypatch, [command, "7", "3", "59", "--json"])
+    assert (code, out) == (cli.EXIT_ORACLE, "")
+    assert capsys.readouterr().err == (
+        "internal verification failure: xi: no exact root, though (7, 3, 59) is inside the pattern\n")
 
 
 # sha256 of the standard output of ten commands. Answers and certificates are

@@ -876,3 +876,24 @@ def test_closed_form_roots_are_canonical():
     for x in (f_pq, f_ps, xi, theta(7, 19, 3)):
         _assert_canonical(x)
     assert xi.den == 2 and f_pq.den == 1
+
+
+@pytest.mark.parametrize("coords, message", [
+    (["1/0", 0, 0, 0], "coordinate 0 ('1/0') has a zero denominator"),
+    ([1, 0, 0], "expected 4 coordinates, got 3"),
+], ids=["zero-denominator", "three-coordinates"])
+def test_tower_element_refuses_bad_coordinates(coords, message):
+    with pytest.raises(ValueError) as refused:
+        BiquadField(2, 21).element(coords)
+    assert str(refused.value) == message
+
+
+def test_from_quad_unit_refuses_a_unit_outside_the_tower():
+    with pytest.raises(ValueError) as refused:
+        BiquadField(2, 21).from_quad_unit(fundamental_pell(133))
+    assert str(refused.value) == "sqrt(133) does not lie in Q(sqrt2, sqrt21)"
+
+
+def test_tower_element_repr_names_its_coordinates_and_tower():
+    element = BiquadField(2, 21).element([1, "1/2", 0, -3])
+    assert repr(element) == "<1 + 1/2*r2 + 0*r21 + -3*r42 in Q(sqrt2, sqrt21)>"

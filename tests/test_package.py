@@ -28,6 +28,39 @@ def test_all_is_exactly_the_public_names_of_the_package():
     assert sorted(unitcert.__all__) == sorted(public)
 
 
+# Each export, by its home module. `_HOME` in the package is the one list of
+# the exports; a name added there or dropped from it must be pinned here on purpose.
+EXPORTS = {
+    "arith": ["hilbert_symbol", "is_prime", "jacobi", "sqrt_mod"],
+    "certify": ["AffineCertificate", "SeparationCertificate", "TestFunctional", "certify_affine",
+                "separate_candidates"],
+    "errors": ["DenominatorNotInvertible", "HypothesisViolation", "Inseparable", "InvalidPlace",
+               "NonUnitResidue", "NotASquareInBiquad", "OracleDisagreement", "RankDeficient",
+               "SearchExhausted", "UnitCertError"],
+    "fields": ["BiquadField", "OcticField", "Tower", "TowerElement", "biquad_unit_index",
+               "sqrt_exact", "sqrt_octic", "theta", "theta_factors"],
+    "pell": ["QuadUnit", "fundamental_pell", "is_squarefree"],
+    "residual": ["Certificate", "ClassicalDatum", "Generator", "PlaceDecision", "SplitPlace",
+                 "classical_datum", "decide_mu_hilbert", "delta", "enumerate_places", "fsu",
+                 "iter_split_primes", "noncollapse_check", "residue_at", "survey_places"],
+}
+
+
+def exports() -> dict[str, list[str]]:
+    """The names of `unitcert.__all__` by home module; CI prints their total
+    in the job summary."""
+    found = {}
+    for name in unitcert.__all__:
+        found.setdefault(unitcert._HOME[name], []).append(name)
+    return found
+
+
+def test_every_export_is_pinned_by_its_home_module():
+    assert unitcert.__all__ == sorted(unitcert._HOME)
+    assert exports() == EXPORTS
+    assert sum(map(len, EXPORTS.values())) == 45
+
+
 # Every value a caller can set on the public API: parameters with a default,
 # and keyword bags (none). A new knob must be added here on purpose.
 OPTIONAL_PARAMETERS = {

@@ -341,3 +341,7 @@ def test_a_wrong_half_unit_from_the_tree_is_refused(monkeypatch):
         with pytest.raises(ArithmeticError, match=r"h\^2 - d\*k\^2 = \+-Q"):
             fundamental_pell(d)
         assert calls[0] == leaves, d
+
+
+def test_quadunit_str_is_the_unit_and_its_norm():
+    assert str(fundamental_pell(133)) == "2588599 + 224460*sqrt(133)  (norm +1)"

@@ -647,3 +647,9 @@ def test_oracle_rejects_a_place_where_eps_pq_is_a_local_square(monkeypatch):
     assert delta(7, 3, 59, with_fsu=False).place.t == 47  # the scan alone is trusted
     with pytest.raises(OracleDisagreement, match="not a nonresidue at the place above t = 47"):
         delta(7, 3, 59, oracle=True, with_fsu=False)
+
+
+def test_reduce_mod_refuses_a_value_that_is_no_unit_element_or_rational():
+    with pytest.raises(TypeError) as refused:
+        residual.reduce_mod("1", 41)
+    assert str(refused.value) == "cannot reduce str at a place"

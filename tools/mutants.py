@@ -185,6 +185,13 @@ MUTANTS = (
            "zip(units, exps) if e)", "zip(units, exps[::-1]) if e)"),
     Mutant("tonelli-shanks-update-squares-once-more", "src/unitcert/arith.py",
            "b = pow(c, 1 << (m - i - 1), t)", "b = pow(c, 1 << (m - i), t)"),
+    # a wrong bit at the chosen place fails the exact xi of the FSU with the
+    # oracle off, and a usage error has its own exit code
+    Mutant("chosen-bit-flipped", "src/unitcert/residual.py",
+           "legendre = 1 if pow(r_theta, t >> 1, t) == 1 else -1",
+           "legendre = -1 if pow(r_theta, t >> 1, t) == 1 else 1"),
+    Mutant("usage-exits-2", "src/unitcert/cli.py",
+           "EXIT_USAGE = 64", "EXIT_USAGE = 2"),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test, or the walk's bound ends it
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
@@ -192,11 +199,15 @@ MUTANTS = (
     # the walk's bound is read once per block, before the block is walked
     Mutant("walk-bound-one-block-late", "src/unitcert/pell.py",
            "for _ in range(_WALK_BOUND // _BLOCK):", "for _ in range(_WALK_BOUND // _BLOCK + 1):"),
-    # the package resolves each export from the module that defines it, and a
-    # record's equality compares every field it names
+    # the package resolves each export from the module that defines it, its
+    # one list of exports is pinned, and a record's equality compares every
+    # field it names
     Mutant("export-read-from-an-importing-module", "src/unitcert/__init__.py",
            '("pell", "QuadUnit fundamental_pell is_squarefree"),',
            '("residual", "QuadUnit"), ("pell", "fundamental_pell is_squarefree"),'),
+    Mutant("export-dropped", "src/unitcert/__init__.py",
+           '"DenominatorNotInvertible HypothesisViolation Inseparable InvalidPlace "',
+           '"DenominatorNotInvertible HypothesisViolation InvalidPlace "'),
     Mutant("quadunit-equality-drops-norm", "src/unitcert/pell.py",
            '_key = ("d", "x", "y", "norm")', '_key = ("d", "x", "y")'),
 )
