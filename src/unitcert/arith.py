@@ -8,6 +8,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import compress
+from operator import index
 
 # Witnesses proven deterministic for n < 3.3 * 10^24 (covers all 64-bit inputs).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -36,6 +37,7 @@ def _miller_rabin(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: trial division by the primes to 37 decides n < 41^2;
     Miller-Rabin above, deterministic below 2^64 and 40 rounds beyond."""
+    n = index(n)
     if n < 2:
         return False
     for p in _MR_BASES_64:
@@ -97,6 +99,7 @@ def odd_primes(bound: int) -> Iterator[int]:
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1; the Legendre symbol when n is prime."""
+    a, n = index(a), index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"Jacobi symbol needs odd n >= 1, got {n}")
     a %= n
@@ -194,6 +197,8 @@ def hilbert_symbol(a, b, p) -> int:
     unit parts for odd p, and the mod-8 characters for p = 2. Pass p="real" for
     the archimedean place (symbol is -1 iff both arguments are negative).
     """
+    if isinstance(a, float) or isinstance(b, float):
+        raise TypeError(f"Hilbert symbol arguments must be exact rationals, got {a!r} and {b!r}")
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol is defined for nonzero arguments")

@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
+from operator import index
 
 from .arith import is_prime
 from .errors import NotASquareInBiquad
@@ -41,7 +42,7 @@ class Tower:
     in subset-binary order."""
 
     def __init__(self, generators: tuple[int, ...]):
-        gens = tuple(int(g) for g in generators)
+        gens = tuple(index(g) for g in generators)
         for g in gens:
             if g <= 1 or not is_squarefree(g):
                 raise ValueError(f"generator {g} must be a squarefree integer > 1")
@@ -76,10 +77,12 @@ class Tower:
     # -- elements ---------------------------------------------------------
 
     def element(self, coords) -> TowerElement:
-        """The element with coordinates that `Fraction` reads (ints, strings);
-        a coordinate with a zero denominator raises ValueError."""
+        """The element with coordinates that `Fraction` reads exactly (ints,
+        strings); a float raises TypeError, a zero denominator ValueError."""
         cs = []
         for i, c in enumerate(coords):
+            if isinstance(c, float):
+                raise TypeError(f"coordinate {i} ({c!r}) is a float, not an exact rational")
             try:
                 cs.append(Fraction(c))
             except ZeroDivisionError:

@@ -22,7 +22,6 @@ from .errors import (
     DenominatorNotInvertible,
     HypothesisViolation,
     InvalidPlace,
-    NonUnitResidue,
     NotASquareInBiquad,
     OracleDisagreement,
     SearchExhausted,
@@ -88,21 +87,21 @@ def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
 
 class SplitPrime(_Record):
     """An odd prime t split completely in the octic field of (p, q, s), with
-    the canonical roots c = min(r, t - r) of 2, pq and ps mod t, as
-    `sqrt_mod` gives them, and their residue table: the residue mod t of the
-    square root of each basis radicand at the all-canonical place, keyed in
-    the order 1, 2, pq, 2pq, ps, 2ps, qs, 2qs that `_residues_above` unpacks.
-    t >= 3 is taken to be prime, as `iter_split_primes` yields them; no root
-    is checked, as `_sqrt_mod_prime`'s roots square back for any odd t."""
+    its residue table: the residue mod t of the square root of each basis
+    radicand at the all-canonical place, keyed in the order 1, 2, pq, 2pq, ps,
+    2ps, qs, 2qs that `_residues_above` unpacks; at 2, pq and ps, the canonical
+    roots c = min(r, t - r) that `sqrt_mod` gives. t >= 3 is taken to be prime,
+    as `iter_split_primes` yields them; no root is checked, as
+    `_sqrt_mod_prime`'s roots square back for any odd t."""
 
-    __slots__ = _key = ("t", "p", "q", "s", "roots", "residues")
+    __slots__ = _key = ("t", "p", "q", "s", "residues")
 
     def __init__(self, t: int, p: int, q: int, s: int):
         self.t, self.p, self.q, self.s = t, p, q, s
         if t < 3 or (2 * p * q * s) % t == 0:
             raise ValueError(f"t = {t} is below 3 or divides 2pqs")
-        c2, cpq, cps = self.roots = tuple(_sqrt_mod_prime((2, p * q, p * s), t))
-        if None in self.roots:
+        c2, cpq, cps = roots = _sqrt_mod_prime((2, p * q, p * s), t)
+        if None in roots:
             raise ValueError(f"{t} does not split in the octic field for ({p}, {q}, {s})")
         cqs = cpq * cps * pow(p, -1, t) % t  # sqrt(qs) = sqrt(pq) * sqrt(ps) / p
         self.residues = {1: 1, 2: c2, p * q: cpq, 2 * p * q: c2 * cpq % t, p * s: cps,
@@ -113,9 +112,9 @@ class SplitPlace(_Record):
     """A place above a split prime: an embedding of the tower into F_t, the
     view of its prime at `signs`, one sign per root of 2, pq and ps, +1 for
     the prime's canonical root c and -1 for t - c. Roots and residues are
-    read off the prime's roots and table: sqrt(m) has the canonical
-    residue times chi_m(signs), the product of the signs of the generators
-    in m (qs: pq and ps). `enumerate_places` gives the eight views."""
+    read off the prime's table: sqrt(m) has the canonical residue times
+    chi_m(signs), the product of the signs of the generators in m (qs: pq
+    and ps). `enumerate_places` gives the eight views."""
 
     __slots__ = _key = ("prime", "signs")
 
@@ -125,13 +124,9 @@ class SplitPlace(_Record):
         self.prime, self.signs = prime, signs
 
     t = property(lambda self: self.prime.t)
-    r2 = property(lambda self: self._root(0))
-    rpq = property(lambda self: self._root(1))
-    rps = property(lambda self: self._root(2))
-
-    def _root(self, i: int) -> int:
-        c = self.prime.roots[i]
-        return c if self.signs[i] > 0 else self.prime.t - c
+    r2 = property(lambda self: self.residues[2])
+    rpq = property(lambda self: self.residues[self.prime.p * self.prime.q])
+    rps = property(lambda self: self.residues[self.prime.p * self.prime.s])
 
     @property
     def residues(self) -> dict[int, int]:
@@ -561,18 +556,15 @@ def decide_mu_hilbert(p: int, q: int, s: int, place: SplitPlace) -> str:
     """Alternate decision path through the Hilbert symbol at one place.
 
     mu = "1" exactly when (Theta, t) is trivial at the valid place above t.
-    The residue of Theta is a t-adic unit, so its symbol against the local
-    nonresidue u is always trivial and the uniformizer's is the only bit;
-    agreement with the Legendre path is an invariant.
+    Theta's factors are units over denominators prime to t, so its residue
+    is a t-adic unit, never 0: its symbol against the local nonresidue u is
+    trivial, and the uniformizer's is the only bit; it agrees with delta's.
     """
     t = place.t
     eps, f1, f2 = _theta_parts(OcticField(p, q, s))
     if jacobi(residue_at(eps[p * q], place), t) != -1:
         raise InvalidPlace(f"eps_pq is a square at the place above {t}")
-    r_theta = residue_at(f1, place) * residue_at(f2, place) % t
-    if r_theta == 0:
-        raise NonUnitResidue("Theta has zero residue at the place")
-    return "1" if hilbert_symbol(r_theta, t, t) == 1 else "eps_pq"
+    return "1" if hilbert_symbol(residue_at(f1, place) * residue_at(f2, place) % t, t, t) == 1 else "eps_pq"
 
 
 def noncollapse_check(

@@ -126,6 +126,34 @@ def test_is_prime_beyond_64_bits():
     assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
 
 
+@pytest.mark.parametrize("function, args", [
+    (is_prime, (7.5,)), (is_prime, (7.0,)), (jacobi, (3, 7.5)), (jacobi, (3.5, 7)),
+], ids=["is_prime-7.5", "is_prime-7.0", "jacobi-n-7.5", "jacobi-a-3.5"])
+def test_integer_arguments_refuse_a_float(function, args):
+    # a float would pass through `%` and `<` as if it were an integer:
+    # is_prime(7.5) would read True and jacobi(3, 7.5) 0
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        function(*args)
+
+
+def test_integer_arguments_take_ints_and_bools():
+    assert (is_prime(7), is_prime(True), is_prime(False)) == (True, False, False)
+    assert (jacobi(3, 7), jacobi(True, 7), jacobi(False, 7), jacobi(3, True)) == (-1, 1, 0, 1)
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 3), (3, 0.5)])
+def test_hilbert_refuses_a_float(a, b):
+    # 0.1 would be read as its binary value 3602879701896397/2^55
+    with pytest.raises(TypeError) as refused:
+        hilbert_symbol(a, b, 5)
+    assert str(refused.value) == f"Hilbert symbol arguments must be exact rationals, got {a!r} and {b!r}"
+
+
+def test_hilbert_takes_ints_bools_fractions_and_fraction_strings():
+    assert [hilbert_symbol(a, 3, 5) for a in (Fraction(1, 10), "1/10", 10, True)] == [-1, -1, -1, 1]
+    assert hilbert_symbol("3/4", 7, 7) == hilbert_symbol(3, 7, 7) == -1
+
+
 def test_hilbert_trivial_cases():
     for p in (2, 3, 41, "real"):
         for b in (Fraction(5, 7), -3, 2):

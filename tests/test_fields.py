@@ -888,6 +888,38 @@ def test_tower_element_refuses_bad_coordinates(coords, message):
     assert str(refused.value) == message
 
 
+def test_tower_element_refuses_a_float_coordinate():
+    # 0.1 would become its binary value 3602879701896397/36028797018963968
+    with pytest.raises(TypeError) as refused:
+        BiquadField(2, 3).element([1, 0.1, 0, 0])
+    assert str(refused.value) == "coordinate 1 (0.1) is a float, not an exact rational"
+
+
+def test_tower_element_takes_ints_bools_fractions_and_fraction_strings():
+    element = BiquadField(2, 3).element([Fraction(1, 10), "3/4", True, 2])
+    assert element.coords == (Fraction(1, 10), Fraction(3, 4), 1, 2)
+
+
+@pytest.mark.parametrize("generators", [(2.9, 3), (2.0, 3), ("2", 3)], ids=["2.9", "2.0", "str"])
+def test_tower_refuses_a_generator_that_is_no_integer(generators):
+    # int() would make (2.9, 3) the tower Q(sqrt2, sqrt3)
+    with pytest.raises(TypeError, match="object cannot be interpreted as an integer$"):
+        Tower(generators)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda e: e + "x", lambda e: e - None, lambda e: e * 1.5,
+], ids=["add-str", "sub-None", "mul-float"])
+def test_element_operators_refuse_what_is_no_element_or_rational(operation):
+    with pytest.raises(TypeError):
+        operation(BiquadField(2, 21).element([1, 2, 3, 4]))
+
+
+def test_element_operators_refuse_an_element_of_another_tower():
+    with pytest.raises(ValueError, match="^elements live in different towers$"):
+        BiquadField(2, 21).one() + BiquadField(2, 3).one()
+
+
 def test_from_quad_unit_refuses_a_unit_outside_the_tower():
     with pytest.raises(ValueError) as refused:
         BiquadField(2, 21).from_quad_unit(fundamental_pell(133))

@@ -173,7 +173,7 @@ def test_each_export_is_its_home_modules_object_and_an_unknown_name_is_refused()
 RECORD_FIELDS = {
     "QuadUnit": ("d", "x", "y", "norm"),
     "ClassicalDatum": ("p_mod8", "q_mod8", "s_mod8", "legendre_q_p", "legendre_s_p", "legendre_q_s"),
-    "SplitPrime": ("t", "p", "q", "s", "roots", "residues"),
+    "SplitPrime": ("t", "p", "q", "s", "residues"),
     "SplitPlace": ("prime", "signs"),
     "Generator": ("name", "element", "mu"),
     "Certificate": ("p", "q", "s", "datum", "hypotheses_verified", "place", "theta_residue",

@@ -45,6 +45,12 @@ def test_classical_datum_values():
     assert classical_datum(7, 11, 43).as_tuple() == (7, 3, 3, 1, 1, 1)
 
 
+def test_classical_datum_refuses_a_float_prime():
+    # a datum would keep the float: p_mod8 = 7.0
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        classical_datum(7.0, 19, 3)
+
+
 def test_classical_datum_rejects_bad_triples():
     with pytest.raises(ValueError):
         classical_datum(7, 9, 3)
@@ -134,7 +140,7 @@ def test_split_prime_checks_each_root(t, triple, refused):
 
 def test_split_place_reads_its_roots_off_its_signs():
     prime = residual.SplitPrime(41, 7, 19, 3)
-    assert prime.roots == (17, 16, 12)
+    assert (prime.residues[2], prime.residues[133], prime.residues[21]) == (17, 16, 12)
     place = SplitPlace(prime, (-1, 1, 1))
     assert (place.t, place.r2, place.rpq, place.rps) == (41, 41 - 17, 16, 12)
     place = SplitPlace(prime, (1, -1, -1))

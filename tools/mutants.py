@@ -114,7 +114,7 @@ MUTANTS = (
            "(nn1 - nn2) % t]", "(nn2 - nn1) % t]"),
     # a root mod t takes Euler's criterion for its Legendre symbol; trial
     # division decides n < 41^2; one record per split prime, t >= 3, its
-    # places views (prime, signs) that sign its roots and table
+    # places views (prime, signs) that read their roots off its signed table
     Mutant("sqrt-mod-euler-test-flipped", "src/unitcert/arith.py",
            "if a == 0 or pow(a, t >> 1, t) != 1:", "if a == 0 or pow(a, t >> 1, t) == 1:"),
     Mutant("trial-division-decides-below-43-squared", "src/unitcert/arith.py",
@@ -124,7 +124,8 @@ MUTANTS = (
     Mutant("view-drops-sign-character-of-2", "src/unitcert/residual.py",
            "chi = (1, s2, spq,", "chi = (1, 1, spq,"),
     Mutant("view-root-of-ps-left-c", "src/unitcert/residual.py",
-           "rps = property(lambda self: self._root(2))", "rps = property(lambda self: self.prime.roots[2])"),
+           "rps = property(lambda self: self.residues[self.prime.p * self.prime.s])",
+           "rps = property(lambda self: self.prime.residues[self.prime.p * self.prime.s])"),
     # the kept prime table: a read stops at its bound, and a later range
     # strikes each kept prime from its first odd multiple
     Mutant("prime-table-yields-past-bound", "src/unitcert/arith.py",
@@ -192,6 +193,12 @@ MUTANTS = (
            "legendre = -1 if pow(r_theta, t >> 1, t) == 1 else 1"),
     Mutant("usage-exits-2", "src/unitcert/cli.py",
            "EXIT_USAGE = 64", "EXIT_USAGE = 2"),
+    # a library integer is an integer, and no float becomes a binary fraction
+    Mutant("is-prime-takes-a-float", "src/unitcert/arith.py",
+           "    n = index(n)\n", ""),
+    Mutant("element-takes-a-float", "src/unitcert/fields.py",
+           "            if isinstance(c, float):\n"
+           "                raise TypeError(f\"coordinate {i} ({c!r}) is a float, not an exact rational\")\n", ""),
     # the walk never meets its stopping condition: the conftest watchdog
     # stops the hung test, or the walk's bound ends it
     Mutant("Q_minus_1-zero", "src/unitcert/pell.py",
