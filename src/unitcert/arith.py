@@ -120,8 +120,10 @@ def sqrt_mod(a: int, t: int) -> int | None:
     """Canonical square root of a mod the odd prime t.
 
     Returns the root r with r = min(r, t - r) when (a/t) = 1, the value 0 when
-    t | a, and None when a is a nonresidue.
+    t | a, and None when a is a nonresidue. Both are integers: a float raises
+    TypeError.
     """
+    a, t = index(a), index(t)
     if t < 3 or t % 2 == 0 or not is_prime(t):
         raise ValueError(f"{t} is not an odd prime")
     return _sqrt_mod_prime((a,), t)[0]

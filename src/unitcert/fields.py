@@ -12,21 +12,26 @@ sqrt(2*gamma*D); with eps_pq = (h + k*sqrt pq)^2/Q it gives xi, the root of
 mu*Theta), and the biquadratic unit-index square test. The descent is the
 general root, for `unitcert sqrt`, the unit index and `separate_candidates`;
 no root that `delta` takes needs it. A Pell-unit root is proved binomial by
-binomial from the half units' identities, which `QuadUnit` proves, xi one
-factor at a time, and no octic product but xi is formed. Signs at the
-distinguished (all positive) real embedding are decided exactly, by the
-descent's own recursion, so nothing here approximates a real number.
+binomial from the half units' identities, which `QuadUnit` proves, and xi
+one factor at a time; xi is computed, checked and assembled on Z[sqrt2]
+pairs, with closed-form signs, so no octic product is formed for it. Signs at
+the distinguished (all positive) real embedding are decided exactly, by the
+descent's own recursion or those closed forms, so nothing here approximates
+a real number.
 
 An element has one format, the integer kernel's: integer numerators over one
 positive denominator, with their common content removed, so equal values
 are equal tuples. Sums, products (through the basis table, by `_mul`) and
 square roots all run on that format; `Tower.element` reads rational
-coordinates in and `TowerElement.coords` reads them out.
+coordinates in and `TowerElement.coords` reads them out. A tower builds its
+basis table on the first product, root or sign that reads it, so `delta`,
+which takes none, builds none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 from operator import index
@@ -52,7 +57,7 @@ class Tower:
         self.tokens = tuple("1" if m == 1 else f"r{m}" for m in self.radicands)
 
     def _build(self, gens: tuple[int, ...]) -> None:
-        """The basis and its table, for generators proved squarefree and independent."""
+        """The basis, for generators proved squarefree and independent."""
         # r * g / gcd(r, g)^2 is the squarefree part of r * g for squarefree r, g
         radicands = [1]
         for g in gens:
@@ -61,8 +66,13 @@ class Tower:
         self.radicands = tuple(radicands)
         self.degree = 1 << len(gens)
         self._index = {m: i for i, m in enumerate(radicands)}
+
+    @cached_property
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        """The basis table, built on the first product, root or sign that reads it."""
+        radicands = self.radicands
         # sqrt(m_i) * sqrt(m_j) = gcd(m_i, m_j) * sqrt(m_(i xor j)): the table keeps the gcd
-        self._table = tuple(tuple(gcd(mi, mj) for mj in radicands) for mi in radicands)
+        return tuple(tuple(gcd(mi, mj) for mj in radicands) for mi in radicands)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tower) and self.generators == other.generators
@@ -99,7 +109,9 @@ class Tower:
         return self.from_rational(1)
 
     def from_rational(self, c) -> TowerElement:
-        """The rational c, an int or a `Fraction`, in this tower."""
+        """The rational c, an int or a `Fraction`, in this tower; a float raises TypeError."""
+        if isinstance(c, float):
+            raise TypeError(f"{c!r} is a float, not an exact rational")
         return TowerElement(self, [c.numerator] + [0] * (self.degree - 1), c.denominator)
 
     def from_quad_unit(self, u: QuadUnit) -> TowerElement:
@@ -111,16 +123,12 @@ class Tower:
 
     def lift(self, x: TowerElement) -> TowerElement:
         """Embed an element of a subtower whose radicands all occur here."""
-        return TowerElement(self, self._lifted(x.tower, x.num), x.den)
-
-    def _lifted(self, sub: Tower, v) -> list[int]:
-        """The integer list v, in the basis of the subtower `sub`, in this one."""
         out = [0] * self.degree
-        for m, c in zip(sub.radicands, v):
+        for m, c in zip(x.tower.radicands, x.num):
             if m not in self._index:
                 raise ValueError(f"sqrt({m}) does not lie in {self!r}")
             out[self._index[m]] = c
-        return out
+        return TowerElement(self, out, x.den)
 
 
 class TowerElement:
@@ -507,6 +515,33 @@ def _sqrt2_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+_SQRT2_TABLE = ((1, 1), (1, 2))  # the basis table of Q(sqrt2), for `_sqrt` on a pair
+
+
+def _sqrt2_square(a: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * a[0] + 2 * (a[1] * a[1]), 2 * (a[0] * a[1])
+
+
+def _sqrt2_sign(z: tuple[int, int]) -> int:
+    """Sign of a nonzero z0 + z1*sqrt2 at sqrt2 > 0: that of the nonzero
+    halves when they agree, and otherwise z0's when z0^2 > 2*z1^2, else z1's."""
+    a, b = z
+    if a >= 0 <= b or a <= 0 >= b:
+        return 1 if a + b > 0 else -1
+    return (1 if a > 0 else -1) * (1 if a * a > 2 * (b * b) else -1)
+
+
+def _relative_sign(x: tuple[int, int], y: tuple[int, int], norm: tuple[int, int]) -> int:
+    """Sign of a nonzero x + y*sqrt(m), x and y pairs, at the distinguished
+    embedding, from its relative norm x^2 - m*y^2: that of the nonzero halves
+    when they agree, and otherwise x's times the norm's, as `_sign` decides it."""
+    sx = _sqrt2_sign(x) if any(x) else 0
+    sy = _sqrt2_sign(y) if any(y) else 0
+    if sx * sy >= 0:
+        return sx or sy
+    return sx * _sqrt2_sign(norm)
+
+
 def _sqrt2_div(z: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
     """z/g in Z[sqrt2], for a g that divides z; when a wrong root makes g
     no divisor, the quotient is wrong and the root's check fails."""
@@ -593,39 +628,63 @@ def _sqrt_mu_product(
     a root of a small number, of the sign of B_a*B_b*kappa. A factor of
     relative norm -1 leaves no root: the norm of a*b down to K2 is -b^2.
 
-    The check proves the square with no octic product: B_a^2*D_a = g_a*v_a
-    in K1, B_b^2*D_b = g_b*v_b in K2 (x = v/D) and kappa^2 = r*Q*g in
-    Q(sqrt2) give, with (h + k*sqrt(pq))^2 = Q*mu, the square
-    Q*mu*(g*a*b)*r/(r*Q*g) = mu*a*b. A failure raises ArithmeticError.
+    Everything runs on Z[sqrt2] pairs, with B = x + y*sqrt(m). The check
+    proves the square with no octic product: D*(x^2 + m*y^2) and 2*D*x*y are
+    g times v's halves (B^2*D = g*v, for each factor) and kappa^2 = r*Q*g,
+    which give, with (h + k*sqrt(pq))^2 = Q*mu, the square
+    Q*mu*(g*a*b)*r/(r*Q*g) = mu*a*b. A failure raises ArithmeticError. The
+    root is then (A_x + A_y*sqrt pq)(B_x + B_y*sqrt ps)/N(kappa), four pair
+    products, with A = B_a*(h + k*sqrt pq) and B = +-B_b*kd*(k0 - k1*sqrt2)
+    for kappa = (k0 + k1*sqrt2)/kd; sqrt(r) joins one factor, or for r = qs
+    = pq*ps/p^2 both, with p in the denominator.
     """
     if _norm_sign(a) < 0 or _norm_sign(b) < 0:
         return None
     p, q, s = octic.p, octic.q, octic.s
+    pq, ps = p * q, p * s
     (va, da), (vb, db) = (a.num, a.den), (b.num, b.den)
     ea, eb = (-1 if v == (-1, 0, 0, 0) else 1 for v in (va, vb))  # so that x + e is not zero
-    table, ta, tb = octic._table, a.tower._table, b.tower._table
-    ba, ga = _relative_half_root(va, da, ea, p * q)
-    bb, gb = _relative_half_root(vb, db, eb, p * s)
+    ba, ga = _relative_half_root(va, da, ea, pq)
+    bb, gb = _relative_half_root(vb, db, eb, ps)
+    halves, sign = [], 1
+    for B, gx, v, D, m in ((ba, ga, va, da, pq), (bb, gb, vb, db, ps)):
+        x, y = (B[0], B[1]), (B[2], B[3])
+        xx, yy, xy = _sqrt2_square(x), _sqrt2_square(y), _sqrt2_mul(x, y)
+        if (D * (xx[0] + m * yy[0]), D * (xx[1] + m * yy[1]), 2 * D * xy[0], 2 * D * xy[1]) != (
+            *_sqrt2_mul(gx, v[:2]), *_sqrt2_mul(gx, v[2:])
+        ):
+            raise ArithmeticError("the closed-form root does not square back")
+        halves.append((x, y))
+        sign *= _relative_sign(x, y, (xx[0] - m * yy[0], xx[1] - m * yy[1]))
+    (xa, ya), (xb, yb) = halves
     g = [Q * c for c in _sqrt2_mul(ga, gb)]
     for r in (1, q * s, p * q, p * s):
-        kappa = _sqrt([r * c for c in g], table)
+        kappa = _sqrt([r * c for c in g], _SQRT2_TABLE)
         if kappa is not None:
             break
     else:
         return None
-    # 1/kappa = kd*(k0 - k1*sqrt2)/(k0^2 - 2*k1^2)
     (k0, k1), kd = kappa
-    if (
-        [da * c for c in _mul(ba, ba, ta)] != [*_sqrt2_mul(ga, va[:2]), *_sqrt2_mul(ga, va[2:])]
-        or [db * c for c in _mul(bb, bb, tb)] != [*_sqrt2_mul(gb, vb[:2]), *_sqrt2_mul(gb, vb[2:])]
-        or [*_sqrt2_mul((k0, k1), (k0, k1))] != [kd * kd * r * c for c in g]
-    ):
+    if _sqrt2_square((k0, k1)) != (kd * kd * r * g[0], kd * kd * r * g[1]):
         raise ArithmeticError("the closed-form root does not square back")
-    e_r = [0] * octic.degree
-    e_r[octic._index[r]] = _sign(ba, ta) * _sign(bb, tb) * _sign([k0, k1], table) * kd
-    num = _mul(octic._lifted(a.tower, _mul(ba, [h, 0, k, 0], ta)), octic._lifted(b.tower, bb), table)
-    num = _mul(num, _mul(e_r, [k0, -k1] + [0] * (octic.degree - 2), table), table)
-    return TowerElement(octic, num, k0 * k0 - 2 * k1 * k1)
+    # 1/kappa = kd*(k0 - k1*sqrt2)/(k0^2 - 2*k1^2); c carries kd and xi's sign
+    sign *= _sqrt2_sign((k0, k1))
+    c = (sign * kd * k0, -sign * kd * k1)
+    ax = (h * xa[0] + pq * k * ya[0], h * xa[1] + pq * k * ya[1])
+    ay = (k * xa[0] + h * ya[0], k * xa[1] + h * ya[1])
+    bx, by = _sqrt2_mul(xb, c), _sqrt2_mul(yb, c)
+    den = k0 * k0 - 2 * k1 * k1
+    # sqrt(m)*(x + y*sqrt m) = m*y + x*sqrt(m), and sqrt(qs) = sqrt(pq)*sqrt(ps)/p
+    if r in (pq, q * s):
+        ax, ay = (pq * ay[0], pq * ay[1]), ax
+    if r in (ps, q * s):
+        bx, by = (ps * by[0], ps * by[1]), bx
+    if r == q * s:
+        den *= p
+    # sqrt(pq)*sqrt(ps) = p*sqrt(qs)
+    yy0, yy1 = _sqrt2_mul(ay, by)
+    num = [*_sqrt2_mul(ax, bx), *_sqrt2_mul(ay, bx), *_sqrt2_mul(ax, by), p * yy0, p * yy1]
+    return TowerElement(octic, num, den)
 
 
 # -- Theta and the biquadratic unit index ---------------------------------

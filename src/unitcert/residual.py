@@ -16,6 +16,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
+from operator import index
 
 from .arith import _sqrt_mod_prime, hilbert_symbol, jacobi, odd_primes
 from .errors import (
@@ -145,9 +146,10 @@ def iter_split_primes(p: int, q: int, s: int, bound: int = DEFAULT_PRIME_BOUND) 
     (pq/t) = (ps/t) = 1, which also leaves out the t dividing pqs. The primes
     come from the sieve of `arith.odd_primes`; no t is tested for primality,
     and each symbol is Euler's criterion a^((t-1)/2) mod t, not `jacobi`. The
-    triple is taken to be validated, as `OcticField` does, not validated again.
+    triple is taken to be validated, as `OcticField` does, not validated again;
+    it is read through `operator.index`, so a float raises TypeError.
     """
-    pq, ps = p * q, p * s
+    pq, ps = index(p) * index(q), index(p) * index(s)
     for t in odd_primes(bound):
         if t % 8 in (1, 7) and pow(pq, t >> 1, t) == 1 and pow(ps, t >> 1, t) == 1:
             yield t

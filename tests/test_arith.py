@@ -127,11 +127,12 @@ def test_is_prime_beyond_64_bits():
 
 
 @pytest.mark.parametrize("function, args", [
-    (is_prime, (7.5,)), (is_prime, (7.0,)), (jacobi, (3, 7.5)), (jacobi, (3.5, 7)),
-], ids=["is_prime-7.5", "is_prime-7.0", "jacobi-n-7.5", "jacobi-a-3.5"])
+    (is_prime, (7.5,)), (is_prime, (7.0,)), (jacobi, (3, 7.5)), (jacobi, (3.5, 7)), (sqrt_mod, (2.0, 7)),
+], ids=["is_prime-7.5", "is_prime-7.0", "jacobi-n-7.5", "jacobi-a-3.5", "sqrt_mod-a-2.0"])
 def test_integer_arguments_refuse_a_float(function, args):
     # a float would pass through `%` and `<` as if it were an integer:
-    # is_prime(7.5) would read True and jacobi(3, 7.5) 0
+    # is_prime(7.5) would read True and jacobi(3, 7.5) 0, and pow() in
+    # sqrt_mod(2.0, 7) would refuse the float without naming it
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         function(*args)
 

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 from math import gcd
@@ -619,6 +620,33 @@ def test_norm_sign_residue_matches_the_exact_norm_with_a_denominator():
         assert oracles.relative_norm_to_sqrt2(f) == (norm, 0) and fields._norm_sign(f) == norm
 
 
+def test_pair_signs_are_the_descent_sign_on_a_grid():
+    # xi's closed-form signs against `_sign` in K1 and K2 for (7, 19, 3):
+    # 17 - 12*sqrt2 and 99 - 70*sqrt2 are near 0, so a pair's sign and the
+    # relative norm x^2 - m*y^2 cancel almost to nothing
+    values = (0, 1, -1, 2, -3, 12, -17, 99, -70)
+    pairs = [(a, b) for a in values for b in values]
+    cases = collections.Counter()
+    for K in (BiquadField(2, 133), BiquadField(2, 21)):
+        m, table = K.generators[1], K._table
+        for x in pairs[1:]:
+            assert fields._sqrt2_sign(x) == fields._sign(list(x), table), x
+        for x in pairs:
+            for y in pairs:
+                if x == y == (0, 0):
+                    continue
+                xx, yy = fields._sqrt2_mul(x, x), fields._sqrt2_mul(y, y)
+                norm = (xx[0] - m * yy[0], xx[1] - m * yy[1])
+                assert fields._relative_sign(x, y, norm) == fields._sign([*x, *y], table), (m, x, y)
+                if (0, 0) in (x, y):
+                    cases["zero half"] += 1
+                elif fields._sqrt2_sign(x) == fields._sqrt2_sign(y):
+                    cases["equal signs"] += 1
+                else:
+                    cases["mixed, norm > 0" if fields._sqrt2_sign(norm) > 0 else "mixed, norm < 0"] += 1
+    assert len(cases) == 4 and min(cases.values()) > 300, cases
+
+
 def test_norm_one_product_root_is_checked_by_squaring(monkeypatch):
     f1, f2 = theta_factors(7, 19, 3)
     octic = OcticField(7, 19, 3)
@@ -893,6 +921,10 @@ def test_tower_element_refuses_a_float_coordinate():
     with pytest.raises(TypeError) as refused:
         BiquadField(2, 3).element([1, 0.1, 0, 0])
     assert str(refused.value) == "coordinate 1 (0.1) is a float, not an exact rational"
+    # a float has no numerator for from_rational to read
+    with pytest.raises(TypeError) as refused:
+        OcticField(7, 19, 3).from_rational(0.5)
+    assert str(refused.value) == "0.5 is a float, not an exact rational"
 
 
 def test_tower_element_takes_ints_bools_fractions_and_fraction_strings():

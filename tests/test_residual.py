@@ -46,9 +46,12 @@ def test_classical_datum_values():
 
 
 def test_classical_datum_refuses_a_float_prime():
-    # a datum would keep the float: p_mod8 = 7.0
+    # a datum would keep the float: p_mod8 = 7.0; the split-prime scan, which
+    # takes the triple as validated, would fail in pow() without naming it
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         classical_datum(7.0, 19, 3)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        list(iter_split_primes(7.0, 19, 3, 100))
 
 
 def test_classical_datum_rejects_bad_triples():
@@ -389,6 +392,16 @@ def test_theta_is_not_multiplied_out_by_the_scan_the_survey_or_the_hilbert_path(
         products.clear()
         run()
         assert sum(len(a) == 8 for a, _, _ in products) == octic_products
+
+
+def test_delta_builds_no_basis_table():
+    # the tables are built on their first read, and delta reads none: xi,
+    # the oracle and the FSU run on Z[sqrt2] pairs and residues
+    cert = delta(7, 19, 3, oracle=True)
+    towers = [cert.fsu[6].element.tower, *(f.tower for f in cert.theta_factors)]
+    assert [t.degree for t in towers] == [8, 4, 4]
+    assert all("_table" not in vars(t) for t in towers)
+    assert towers[0]._table[1][1] == 2 and "_table" in vars(towers[0])
 
 
 def test_decide_mu_hilbert_rejects_invalid_place():

@@ -5,11 +5,13 @@ Run from the repository root (standard library and pytest only):
     python3 tools/mutants.py
 
 Each mutant is one exact text edit of one file under `src/`. The runner
-copies the repository (without `.git` and caches) to a temporary directory,
-runs tier-1 there once unmutated, then, for each mutant, applies its edit to
-a fresh copy of `src/` and runs tier-1 with `-x`. A mutant is killed when
-the suite fails or runs past TIMEOUT_S, and survives when it passes; a
-survivor is a missing test.
+copies the repository (without `.git` and caches) to one temporary directory
+per worker, at most `os.cpu_count()` of them, runs tier-1 once unmutated,
+then, for each mutant, takes a free copy, applies its edit to a fresh copy
+of `src/` and runs the whole tier-1 there with `-x`, in file order. The
+workers run mutants side by side; the results print in MUTANTS order. A
+mutant is killed when the suite fails or runs past TIMEOUT_S, and survives
+when it passes; a survivor is a missing test.
 
 Exit 0 when every mutant is killed, 1 when one survives, 2 when an entry is
 stale (its text does not occur exactly once in its file, so the source has
@@ -21,11 +23,13 @@ would fail under every mutant and so kill them all.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -153,6 +157,17 @@ MUTANTS = (
     # Q of the half unit that delta hands to xi
     Mutant("xi-searches-r-1-only", "src/unitcert/fields.py",
            "for r in (1, q * s, p * q, p * s):", "for r in (1,):"),
+    # xi on Z[sqrt2] pairs: the relative sign of x + y*sqrt(m), the factor
+    # check's cross term, sqrt(qs) = sqrt(pq)*sqrt(ps)/p, and kappa's root of
+    # a g1 = 0 that is twice a square, through `_sqrt` on Q(sqrt2)
+    Mutant("xi-relative-sign-mixed-negated", "src/unitcert/fields.py",
+           "return sx * _sqrt2_sign(norm)", "return -sx * _sqrt2_sign(norm)"),
+    Mutant("xi-factor-check-halves-cross-term", "src/unitcert/fields.py",
+           "2 * D * xy[0], 2 * D * xy[1]", "D * xy[0], D * xy[1]"),
+    Mutant("xi-qs-drops-p-denominator", "src/unitcert/fields.py",
+           "    if r == q * s:\n        den *= p\n", ""),
+    Mutant("sqrt-drops-twice-a-square", "src/unitcert/fields.py",
+           "        root = _sqrt([b * c for c in x], table)\n", "        root = None\n"),
     Mutant("xi-drops-norm-sign-test", "src/unitcert/fields.py",
            "    if _norm_sign(a) < 0 or _norm_sign(b) < 0:\n        return None\n", ""),
     Mutant("norm-sign-modulus-2D2", "src/unitcert/fields.py",
@@ -243,32 +258,48 @@ def _stale(mutants: tuple[Mutant, ...]) -> list[str]:
             or (ROOT / m.path).read_text().count(m.old) != 1]
 
 
+def _run(m: Mutant, trees: queue.SimpleQueue) -> tuple[bool, str, float]:
+    """Tier-1 on a free copy with the mutant's edit applied to a fresh `src/`;
+    the copy goes back to the pool afterwards."""
+    tree = trees.get()
+    try:
+        shutil.rmtree(tree / "src")
+        shutil.copytree(ROOT / "src", tree / "src", ignore=SKIP)
+        target = tree / m.path
+        target.write_text(target.read_text().replace(m.old, m.new))
+        start = time.perf_counter()
+        passed, last = _tier1(tree)
+        return passed, last, time.perf_counter() - start
+    finally:
+        trees.put(tree)
+
+
 def main() -> int:
     stale = _stale(MUTANTS)
     if stale:
         print(f"stale entries: {', '.join(stale)}")
         return 2
+    workers = min(os.cpu_count() or 1, len(MUTANTS))
     with tempfile.TemporaryDirectory(prefix="unitcert-mutants-") as tmp:
-        tree = Path(tmp) / "repo"
-        shutil.copytree(ROOT, tree, ignore=SKIP)
+        trees: queue.SimpleQueue = queue.SimpleQueue()
+        for i in range(workers):
+            tree = Path(tmp) / f"repo{i}"
+            shutil.copytree(ROOT, tree, ignore=SKIP)
+            trees.put(tree)
         start = time.perf_counter()
         passed, last = _tier1(tree)
         print(f"unmutated: {last} ({time.perf_counter() - start:.1f} s)", flush=True)
         if not passed:
             return 2
         survivors = []
-        for m in MUTANTS:
-            shutil.rmtree(tree / "src")
-            shutil.copytree(ROOT / "src", tree / "src", ignore=SKIP)
-            target = tree / m.path
-            target.write_text(target.read_text().replace(m.old, m.new))
-            start = time.perf_counter()
-            passed, last = _tier1(tree)
-            verdict = "SURVIVED" if passed else "killed"
-            print(f"{m.name}: {verdict}: {last} ({time.perf_counter() - start:.1f} s)", flush=True)
-            if passed:
-                survivors.append(m.name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+        with ThreadPoolExecutor(workers) as pool:
+            # map yields in MUTANTS order, whichever copy finishes first
+            for m, (passed, last, seconds) in zip(MUTANTS, pool.map(lambda m: _run(m, trees), MUTANTS)):
+                verdict = "SURVIVED" if passed else "killed"
+                print(f"{m.name}: {verdict}: {last} ({seconds:.1f} s)", flush=True)
+                if passed:
+                    survivors.append(m.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed on {workers} workers")
     return 1 if survivors else 0
 
 
