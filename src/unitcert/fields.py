@@ -1,23 +1,21 @@
 """Exact arithmetic in real multiquadratic towers.
 
 Covers the biquadratic fields Q(sqrt a, sqrt b) and the octic field
-Q(sqrt2, sqrt pq, sqrt ps): basis multiplication, exact square roots by
-relative-norm descent through the tower of index-2 subfields, closed-form
-roots of products of Pell units of norm +1 from the half units of their
-continued fractions (sqrt(eps) = (h + k*sqrt d)/sqrt(Q)), the normalized
-generator product Theta from two such roots, the closed-form root of
-Q*a*b for factors a, b of relative norm +-1 to Q(sqrt2) from a relative
-half-root of each over Z[sqrt2] (sqrt(x) = (gamma*alpha + beta*sqrt m) /
-sqrt(2*gamma*D); with eps_pq = (h + k*sqrt pq)^2/Q it gives xi, the root of
-mu*Theta), and the biquadratic unit-index square test. The descent is the
-general root, for `unitcert sqrt`, the unit index and `separate_candidates`;
-no root that `delta` takes needs it. A Pell-unit root is proved binomial by
+Q(sqrt2, sqrt pq, sqrt ps): basis multiplication; exact square roots by
+relative-norm descent through the index-2 subfields, for `unitcert sqrt`, the
+unit index and `separate_candidates`; closed-form roots of products of Pell
+units of norm +1 from their half units, sqrt(eps) = (h*sqrt(Q) +
+k*g*sqrt(n))/Q, each binomial formed once and the product's terms written
+straight into the tower's coordinates; Theta's two such factors, in towers
+Q(sqrt2, sqrt pq) and Q(sqrt2, sqrt ps) that rest on the octic field's proof
+of the triple; xi, the root of mu*Theta, from a relative half-root of each
+factor over Z[sqrt2] (sqrt(x) = (gamma*alpha + beta*sqrt m) /
+sqrt(2*gamma*D)), computed, checked and assembled on Z[sqrt2] pairs with
+closed-form signs; and the biquadratic unit-index square test. No root that
+`delta` takes needs the descent: a Pell-unit root is proved binomial by
 binomial from the half units' identities, which `QuadUnit` proves, and xi
-one factor at a time; xi is computed, checked and assembled on Z[sqrt2]
-pairs, with closed-form signs, so no octic product is formed for it. Signs at
-the distinguished (all positive) real embedding are decided exactly, by the
-descent's own recursion or those closed forms, so nothing here approximates
-a real number.
+one factor at a time. Signs at the distinguished (all positive) real
+embedding are decided exactly, so nothing here approximates a real number.
 
 An element has one format, the integer kernel's: integer numerators over one
 positive denominator, with their common content removed, so equal values
@@ -54,7 +52,6 @@ class Tower:
         self._build(gens)
         if len(self._index) != self.degree:
             raise ValueError(f"generators {gens} are not independent modulo squares")
-        self.tokens = tuple("1" if m == 1 else f"r{m}" for m in self.radicands)
 
     def _build(self, gens: tuple[int, ...]) -> None:
         """The basis, for generators proved squarefree and independent."""
@@ -66,6 +63,8 @@ class Tower:
         self.radicands = tuple(radicands)
         self.degree = 1 << len(gens)
         self._index = {m: i for i, m in enumerate(radicands)}
+
+    tokens = property(lambda self: tuple("1" if m == 1 else f"r{m}" for m in self.radicands))
 
     @cached_property
     def _table(self) -> tuple[tuple[int, ...], ...]:
@@ -229,11 +228,20 @@ def _check_triple(p: int, q: int, s: int) -> None:
 class OcticField(Tower):
     """The degree-8 field Q(sqrt2, sqrt pq, sqrt ps) for distinct odd primes."""
 
+    tokens = ("1", "r2", "rpq", "r2pq", "rps", "r2ps", "rqs", "r2qs")
+
     def __init__(self, p: int, q: int, s: int):
         _check_triple(p, q, s)
         self._build((2, p * q, p * s))  # squarefree and independent for distinct odd primes
         self.p, self.q, self.s = p, q, s
-        self.tokens = ("1", "r2", "rpq", "r2pq", "rps", "r2ps", "rqs", "r2qs")
+
+
+class _FactorField(BiquadField):
+    """Q(sqrt2, sqrt d), d = pq or ps of a triple that `OcticField` proved: 2
+    and d are squarefree and independent, so the basis is built unchecked."""
+
+    def __init__(self, a: int, b: int):
+        self._build((a, b))
 
 
 # -- integer kernel and exact square roots --------------------------------
@@ -276,9 +284,11 @@ def _mul(a: list[int], b: list[int], table) -> list[int]:
 
 
 def _reduced(v: list[int], den: int) -> tuple[list[int], int]:
-    """v/den with the common content removed and the denominator positive.
-    Each coordinate is divided once by the content g found so far; a remainder
-    r shrinks g to gcd(g, r) and scales the quotients already taken."""
+    """v/den with the common content removed and the denominator positive, v
+    as it is when den is 1. Each coordinate is divided once by the content g
+    found so far; a remainder r shrinks g and scales the quotients taken."""
+    if den == 1:
+        return v, 1
     g, out = abs(den), []
     for c in v:
         q, r = divmod(c, g)
@@ -456,19 +466,6 @@ def sqrt_octic(alpha: TowerElement) -> TowerElement | None:
 # -- closed-form roots of Pell-unit products -------------------------------
 
 
-def _times_radicals(terms: dict[int, int], factor) -> dict[int, int]:
-    """The product of sum(c*sqrt(r)) over `terms` (radicand -> c) with
-    sum(c*sqrt(m)) over `factor` ((c, m) pairs), squarefree radicands
-    throughout: sqrt(r)*sqrt(m) = g*sqrt(r*m/g^2) with g = gcd(r, m)."""
-    out: dict[int, int] = {}
-    for r, e in terms.items():
-        for c, m in factor:
-            g = gcd(r, m)
-            k = r // g * (m // g)
-            out[k] = out.get(k, 0) + e * c * g
-    return out
-
-
 def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     """Square root in `tower` of the product of one Pell unit, or of two with
     different d, positive at the distinguished embedding; None when the
@@ -479,30 +476,33 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     and Q | 2d, 4 not dividing Q, so Q is squarefree. Then sqrt(eps) =
     (h*sqrt(Q) + k*g*sqrt(n))/Q, g = gcd(d, Q) and n = d*Q/g^2 squarefree,
     which squares to (h^2 + d*k^2 + 2hk*sqrt(d))/Q = eps as g^2*n = d*Q and
-    sqrt(Q*n) = (Q/g)*sqrt(d). The root is the product of these binomials
-    over the product of the Q, multiplied out exactly by sqrt(r)*sqrt(m) =
-    g*sqrt(r*m/g^2): the identities prove it, and no square is formed, no
-    number of the size of a unit divided or rooted. Every coefficient is
-    positive, so the root is positive at the distinguished embedding, and a
-    monomial whose radicand is not in the tower puts the root outside it. A
-    unit of norm -1 is negative at an embedding that flips its sqrt(d) and
-    keeps the other unit's, so then the product is no square.
+    sqrt(Q*n) = (Q/g)*sqrt(d). Each binomial is formed once; the at most four
+    terms of their product, sqrt(r)*sqrt(m) = f*sqrt(r*m/f^2), f = gcd(r, m),
+    go straight into the tower's coordinates over the product of the Q. The
+    identities prove the root: no square is formed, no unit-sized number
+    divided or rooted. Every coefficient is positive, so the root is positive
+    at the distinguished embedding, and a term whose radicand is not in the
+    tower puts the root outside it. A unit of norm -1 is negative at an
+    embedding that flips its sqrt(d) and keeps the other unit's, so then the
+    product is no square.
     """
     if any(u.norm != 1 for u in units):
         return None
-    terms, den = {1: 1}, 1
+    binomials, den = [((1, 1),)] * (2 - len(units)), 1  # one unit: its binomial times 1
     for u in units:
         if u.half is None:
             raise ValueError(f"the unit of Z[sqrt({u.d})] has no half unit; take it from fundamental_pell")
         h, k, Q = u.half
         g = gcd(u.d, Q)
-        terms = _times_radicals(terms, ((h, Q), (k * g, u.d // g * (Q // g))))
+        binomials.append(((h, Q), (k * g, u.d // g * (Q // g))))
         den *= Q
-    num = [0] * tower.degree
-    for r, c in terms.items():
-        if r not in tower._index:
+    num, slot = [0] * tower.degree, tower._index
+    for (c, r), (e, m) in product(*binomials):
+        f = gcd(r, m)
+        i = slot.get(r // f * (m // f))
+        if i is None:
             return None
-        num[tower._index[r]] = c
+        num[i] += c * e * f
     return TowerElement(tower, num, den)
 
 
@@ -694,13 +694,13 @@ def _theta_parts(octic: OcticField) -> tuple[dict[int, QuadUnit], TowerElement, 
     """Theta's two factors, built once for the octic field's triple: (eps, f1,
     f2). eps holds the Pell units of pq, 2pq, ps and 2ps, each walked once,
     for a caller that needs one again; f1 and f2 are the positive square roots
-    of eps_d * eps_2d in Q(sqrt2, sqrt d), d = pq, ps. Their product Theta is
-    not formed here: its residue at a place is theirs multiplied."""
+    of eps_d * eps_2d in Q(sqrt2, sqrt d), d = pq, ps, a `_FactorField` each.
+    Theta is not formed here: its residue at a place is theirs multiplied."""
     p, q, s = octic.p, octic.q, octic.s
     eps = {d: fundamental_pell(d) for d in (p * q, 2 * p * q, p * s, 2 * p * s)}
     factors = []
     for d in (p * q, p * s):
-        root = sqrt_unit_product(BiquadField(2, d), (eps[d], eps[2 * d]))
+        root = sqrt_unit_product(_FactorField(2, d), (eps[d], eps[2 * d]))
         if root is None:
             raise NotASquareInBiquad(f"eps_{d} * eps_{2 * d} is not a square in Q(sqrt2, sqrt{d})")
         factors.append(root)

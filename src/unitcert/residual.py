@@ -1,20 +1,20 @@
 """The split-prime residue pipeline.
 
 Validates the congruence hypotheses on (p, q, s), builds Theta's two factors,
-searches for a split prime with a valid place, decides the residual bit delta
-by one Legendre symbol, and emits the complete rank-7 unit system together
-with a fully auditable certificate. The optional oracle confirms the bit with
-one exact square root, xi of mu*Theta, and a local proof at the certificate's
-place that the other candidate is no square. All seven unit generators, xi
-included, come from closed forms checked exactly, so no relative-norm
-descent runs here.
+finds the first split prime whose places are valid by (Q/t) alone, builds
+that prime's record only, decides the residual bit delta by one Legendre
+symbol and emits the rank-7 unit system with an auditable certificate. The
+optional oracle confirms the bit with one exact square root, xi of
+mu*Theta, and a local proof at the certificate's place that the other
+candidate is no square. All seven unit generators, xi included, come from
+closed forms checked exactly, so no relative-norm descent runs here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import prod
 from operator import index
 
@@ -322,7 +322,7 @@ class Certificate(_Record):
     def survey(self, prime_bound: int) -> list[PlaceDecision]:
         """Every place that `survey_places` reads for this triple, from the
         Theta factors and eps_pq of this decision, so no unit is walked again."""
-        return list(_scan_places(self.p, self.q, self.s, self.theta_factors, self.eps_pq, prime_bound))
+        return _scan_places(self.p, self.q, self.s, self.theta_factors, self.eps_pq, prime_bound)
 
 
 class PlaceDecision(_Record):
@@ -358,46 +358,50 @@ class PlaceDecision(_Record):
         }
 
 
-def _scan_places(
-    p: int,
-    q: int,
-    s: int,
-    factors: Sequence[TowerElement],
-    eps_pq: QuadUnit,
-    prime_bound: int,
-) -> Iterator[PlaceDecision]:
+def _split_primes(p: int, q: int, s: int, Q: int, prime_bound: int) -> Iterator[tuple[int, bool]]:
+    """The first PRIME_COUNT split primes t below prime_bound, ascending, with
+    their validity, decided before any record of t is built: eps_pq =
+    (h + k*sqrt(pq))^2/Q by its half unit has the Legendre symbol (Q/t) at
+    every place above t, so the eight are valid exactly when (Q/t) = -1."""
+    return ((t, pow(Q, t >> 1, t) != 1) for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT))
+
+
+def _place_decisions(places: list[SplitPlace], valid: bool, factors: Sequence[TowerElement],
+                     eps_pq: QuadUnit) -> list[PlaceDecision]:
+    """The decisions at `places`, the eight views of one split prime t in
+    `enumerate_places` order or the first, t's validity given. eps_pq's
+    residue r is taken at the first place (`residue_at`); the places with the
+    other root of pq have 1/r, as the norm is +1. At a valid t each factor of
+    Theta, (f1, f2) or a caller's (Theta,), is reduced once, and Theta's
+    residue is theirs (`_residues_above`) multiplied mod t. A factor's
+    denominator that t divides, or a zero Theta residue, ends the places
+    above t; the triple's own factors have neither, so these exits only
+    validate a caller's Theta."""
+    t, r = places[0].prime.t, residue_at(eps_pq, places[0])
+    eps_res = {1: r, -1: pow(r, -1, t)}  # by the sign of pq's root
+    if not valid:
+        return [PlaceDecision(pl, eps_res[pl.signs[1]], False) for pl in places]
+    try:
+        reduced = [reduce_mod(f, t) for f in factors]
+    except DenominatorNotInvertible:
+        return []
+    decisions = []
+    for place, *rs in zip(places, *(_residues_above(v, places[0].prime) for v in reduced)):
+        r_theta = prod(rs) % t
+        if r_theta == 0:
+            break
+        legendre = 1 if pow(r_theta, t >> 1, t) == 1 else -1
+        decisions.append(PlaceDecision(place, eps_res[place.signs[1]], True, r_theta, legendre))
+    return decisions
+
+
+def _scan_places(p: int, q: int, s: int, factors: Sequence[TowerElement], eps_pq: QuadUnit,
+                 prime_bound: int) -> list[PlaceDecision]:
     """Decisions at the places above the first PRIME_COUNT split primes below
     prime_bound, in ascending (t, signs) order, so the first valid one is the
-    paper's place.
-
-    eps_pq = (h + k*sqrt(pq))^2/Q by its half unit, so at every place above t
-    its Legendre symbol is (Q/t): the eight places are valid exactly when
-    (Q/t) = -1. `residue_at` takes eps_pq's residue r at the first place; the
-    places with the other root of pq, sign -1, have 1/r, as the norm is +1. Each factor
-    of Theta, (f1, f2) or a caller's (Theta,), is reduced once per valid prime,
-    and Theta's residue is theirs (`_residues_above`) multiplied mod t. A
-    factor's denominator that t divides, or a zero Theta residue, ends the
-    places above t; the triple's own factors have neither, so these exits only
-    validate a caller's Theta. (Q/t) and Theta's symbol are Euler's criterion.
-    """
-    Q = eps_pq.half[2]
-    for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT):
-        places = enumerate_places(t, p, q, s)
-        r = residue_at(eps_pq, places[0])
-        eps_res = {1: r, -1: pow(r, -1, t)}  # by the sign of pq's root
-        if pow(Q, t >> 1, t) == 1:
-            yield from (PlaceDecision(pl, eps_res[pl.signs[1]], valid=False) for pl in places)
-            continue
-        try:
-            reduced = [reduce_mod(f, t) for f in factors]
-        except DenominatorNotInvertible:
-            continue
-        for place, *rs in zip(places, *(_residues_above(v, places[0].prime) for v in reduced)):
-            r_theta = prod(rs) % t
-            if r_theta == 0:
-                break
-            legendre = 1 if pow(r_theta, t >> 1, t) == 1 else -1
-            yield PlaceDecision(place, eps_res[place.signs[1]], True, r_theta, legendre)
+    paper's place."""
+    return list(chain.from_iterable(_place_decisions(enumerate_places(t, p, q, s), valid, factors, eps_pq)
+                                    for t, valid in _split_primes(p, q, s, eps_pq.half[2], prime_bound)))
 
 
 def survey_places(
@@ -420,7 +424,7 @@ def survey_places(
         eps_pq, factors = fundamental_pell(p * q), (theta_elem,)
         if eps_pq.half is None:
             raise NotASquareInBiquad(f"eps_{p * q} has norm -1, so the triple has no Theta")
-    return list(_scan_places(p, q, s, factors, eps_pq, prime_bound))
+    return _scan_places(p, q, s, factors, eps_pq, prime_bound)
 
 
 def _fsu_generators(
@@ -471,12 +475,11 @@ def delta(
 ) -> Certificate:
     """Decide the residual bit delta(p, q, s) and certify it.
 
-    Iterates (split prime, place) pairs in deterministic order, over the
-    first PRIME_COUNT split primes below prime_bound, selects the
-    all-canonical place above the first t with (Q/t) = -1, Q from eps_pq's
-    half unit, where eps_pq has nonsquare residue at every place, and reads
-    delta off the Legendre symbol of the Theta residue; `survey_places` makes
-    the same scan through all the places. With `force` a triple outside the
+    Reads the prime loop of `survey_places`, the first PRIME_COUNT split
+    primes below prime_bound with their validity (Q/t), Q from eps_pq's half
+    unit, builds the record of the first valid t alone, where eps_pq has a
+    nonsquare residue at every place, and reads delta off the Legendre symbol
+    of Theta's residue at its first place. With `force` a triple outside the
     congruence pattern is decided too, flagged `hypotheses_verified = False`
     and cross-checked exactly; on a triple inside it `force` has no effect.
     The cross-check recomputes the decision globally: mu*Theta must have an
@@ -504,14 +507,10 @@ def delta(
     eps, f1, f2 = _theta_parts(octic)
     eps_pq = eps[p * q]
 
-    chosen = next(
-        (d for d in _scan_places(p, q, s, (f1, f2), eps_pq, prime_bound) if d.valid),
-        None,
-    )
-    if chosen is None:
-        raise SearchExhausted(
-            f"no valid place below t = {prime_bound} (first {PRIME_COUNT} split primes)"
-        )
+    t = next((t for t, valid in _split_primes(p, q, s, eps_pq.half[2], prime_bound) if valid), None)
+    if t is None:
+        raise SearchExhausted(f"no valid place below t = {prime_bound} (first {PRIME_COUNT} split primes)")
+    chosen = _place_decisions(enumerate_places(t, p, q, s)[:1], True, (f1, f2), eps_pq)[0]
     cert = Certificate(
         p=p, q=q, s=s,
         datum=datum,

@@ -369,15 +369,13 @@ def test_a_flipped_bit_fails_the_exact_xi_with_the_oracle_off(monkeypatch, capsy
     # the scan's chosen bit flipped: mu*Theta then has no root xi, which the
     # FSU of an in-pattern triple computes, so the command exits 4 naming xi
     # rather than print the wrong bit with xi's element null
-    scan = residual._scan_places
+    decide = residual._place_decisions
 
     def flipped(*args):
-        for d in scan(*args):
-            if d.valid:
-                d = residual.PlaceDecision(d.place, d.eps_residue, d.valid, d.theta_residue, -d.legendre_theta)
-            yield d
+        return [residual.PlaceDecision(d.place, d.eps_residue, d.valid, d.theta_residue, -d.legendre_theta)
+                if d.valid else d for d in decide(*args)]
 
-    monkeypatch.setattr(residual, "_scan_places", flipped)
+    monkeypatch.setattr(residual, "_place_decisions", flipped)
     code, out = _main_in_process(monkeypatch, [command, "7", "3", "59", "--json"])
     assert (code, out) == (cli.EXIT_ORACLE, "")
     assert capsys.readouterr().err == (

@@ -107,6 +107,15 @@ def test_quadunit_validates():
         QuadUnit(5, -9, 4, 1, None)
 
 
+@pytest.mark.parametrize("x, y, norm",
+                         [(-9, 4, 1), (9, -4, 1), (-9, -4, 1), (1, 0, 1), (-2, 1, -1), (2, -1, -1)])
+def test_quadunit_refuses_a_unit_that_is_not_positive(x, y, norm):
+    # each is a unit of Z[sqrt5] of the given norm, but not the one > 1
+    assert x * x - 5 * y * y == norm
+    with pytest.raises(ValueError, match="^expected the positive fundamental solution$"):
+        QuadUnit(5, x, y, norm, None)
+
+
 def test_quadunit_proves_its_half_unit():
     assert QuadUnit(21, 55, 12, 1, (9, 2, 3)) == fundamental_pell(21)
     # (3 + sqrt2)^2 = 11 + 6*sqrt2 meets every conjunct but h^2 - d*k^2 = +-Q,

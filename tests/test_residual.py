@@ -562,16 +562,27 @@ def test_survey_and_hilbert_walk_each_pell_continued_fraction_once(monkeypatch):
 
 def test_delta_calls_fundamental_pell_once_per_walk(monkeypatch):
     # no call is a memo hit: the seven units are asked for once each, and
-    # the squarefree test runs once for each of them and once for each of
-    # the four biquadratic generators (Q(sqrt2, sqrt pq), Q(sqrt2, sqrt ps));
-    # the octic field's generators follow from its one proof of the triple
+    # the squarefree test runs once for each of them; the generators of the
+    # octic field and of Theta's factor towers Q(sqrt2, sqrt pq) and
+    # Q(sqrt2, sqrt ps) follow from the octic field's one proof of the triple
     units, squarefree = [], []
     _count_calls(monkeypatch, unitcert.pell.fundamental_pell, units)
     _count_calls(monkeypatch, unitcert.pell.is_squarefree, squarefree)
     p, q, s = 7, 19, 3
     delta(p, q, s, oracle=True)
     assert sorted(d for (d,) in units) == sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})
-    assert len(squarefree) == 11
+    assert len(squarefree) == 7
+
+
+@pytest.mark.parametrize("triple, invalid", [((7, 19, 3), []), ((7, 3, 59), [47])])
+def test_delta_builds_one_split_prime_at_the_certificates_t(monkeypatch, triple, invalid):
+    # validity is (Q/t), decided before a prime's record is built, so a
+    # split prime scanned before the first valid one builds no record
+    built = []
+    _count_calls(monkeypatch, residual.SplitPrime, built)
+    cert = delta(*triple, oracle=True)
+    assert [t for t, *_ in built] == [cert.place.t]
+    assert list(itertools.islice(iter_split_primes(*triple), len(invalid) + 1)) == [*invalid, cert.place.t]
 
 
 def test_delta_runs_no_descent_with_the_oracle_or_the_fsu(monkeypatch):
@@ -640,15 +651,13 @@ def test_delta_validates_the_triple_once(monkeypatch):
 
 
 def test_oracle_rejects_a_flipped_bit(monkeypatch):
-    scan = residual._scan_places
+    decide = residual._place_decisions
 
     def flipped(*args):
-        for d in scan(*args):
-            if d.valid:
-                d = PlaceDecision(d.place, d.eps_residue, d.valid, d.theta_residue, -d.legendre_theta)
-            yield d
+        return [PlaceDecision(d.place, d.eps_residue, d.valid, d.theta_residue, -d.legendre_theta)
+                if d.valid else d for d in decide(*args)]
 
-    monkeypatch.setattr(residual, "_scan_places", flipped)
+    monkeypatch.setattr(residual, "_place_decisions", flipped)
     assert delta(7, 19, 3, with_fsu=False).delta == 1  # the scan alone is trusted
     with pytest.raises(OracleDisagreement, match=r"mu\*Theta has no exact root"):
         delta(7, 19, 3, oracle=True)
@@ -662,7 +671,7 @@ def test_oracle_rejects_a_place_where_eps_pq_is_a_local_square(monkeypatch):
     assert jacobi(r_eps, 47) == 1
     r_theta = residue_at(theta(7, 3, 59), place)
     forged = PlaceDecision(place, r_eps, True, r_theta, -1)
-    monkeypatch.setattr(residual, "_scan_places", lambda *args: iter([forged]))
+    monkeypatch.setattr(residual, "_place_decisions", lambda *args: [forged])
     assert delta(7, 3, 59, with_fsu=False).place.t == 47  # the scan alone is trusted
     with pytest.raises(OracleDisagreement, match="not a nonresidue at the place above t = 47"):
         delta(7, 3, 59, oracle=True, with_fsu=False)

@@ -50,7 +50,7 @@ MUTANTS = (
     # sqrt_unit_product's root is proved by the half-unit identities alone;
     # these once fell only to its closing check root * root == product
     Mutant("radicals-product-drops-gcd", "src/unitcert/fields.py",
-           "out[k] = out.get(k, 0) + e * c * g", "out[k] = out.get(k, 0) + e * c"),
+           "num[i] += c * e * f", "num[i] += c * e"),
     Mutant("binomial-drops-g", "src/unitcert/fields.py",
            "((h, Q), (k * g, u.d", "((h, Q), (k, u.d"),
     Mutant("root-denominator-drops-Q", "src/unitcert/fields.py",
@@ -146,8 +146,7 @@ MUTANTS = (
     # the paper's place, the first valid one; the exact sign of a tower
     # element; the content division that makes equal elements equal
     Mutant("certify-at-second-valid-place", "src/unitcert/residual.py",
-           "(d for d in _scan_places(p, q, s, (f1, f2), eps_pq, prime_bound) if d.valid),",
-           "islice((d for d in _scan_places(p, q, s, (f1, f2), eps_pq, prime_bound) if d.valid), 1, None),"),
+           "enumerate_places(t, p, q, s)[:1], True,", "enumerate_places(t, p, q, s)[1:2], True,"),
     Mutant("sign-of-mixed-halves-negated", "src/unitcert/fields.py",
            "return sx * _sign(_rel_norm(z, table), table)", "return -sx * _sign(_rel_norm(z, table), table)"),
     Mutant("reduced-drops-content-division", "src/unitcert/fields.py",
@@ -208,6 +207,12 @@ MUTANTS = (
            "legendre = -1 if pow(r_theta, t >> 1, t) == 1 else 1"),
     Mutant("usage-exits-2", "src/unitcert/cli.py",
            "EXIT_USAGE = 64", "EXIT_USAGE = 2"),
+    # delta decides a split prime's validity, (Q/t), before it builds the
+    # prime; Theta's factor towers come from the octic field's proven triple
+    Mutant("scan-ignores-Q-symbol", "src/unitcert/residual.py",
+           "prime_bound) if valid), None)", "prime_bound)), None)"),
+    Mutant("theta-tower-on-wrong-generator", "src/unitcert/fields.py",
+           "_FactorField(2, d)", "_FactorField(2, p * q)"),
     # a library integer is an integer, and no float becomes a binary fraction
     Mutant("is-prime-takes-a-float", "src/unitcert/arith.py",
            "    n = index(n)\n", ""),
