@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -28,6 +29,7 @@ EXIT_HYPOTHESIS = 2
 EXIT_EXHAUSTED = 3
 EXIT_ORACLE = 4
 EXIT_USAGE = 64  # EX_USAGE of BSD sysexits.h, so that 2 means a hypothesis violation alone
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader closed the pipe
 
 
 def _dump(obj) -> str:
@@ -279,7 +281,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "prime_bound", 1) <= 0:
             raise ValueError("bounds must be positive")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the handlers, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader left (`| head -1`): devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

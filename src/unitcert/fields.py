@@ -291,7 +291,7 @@ def _reduced(v: list[int], den: int) -> tuple[list[int], int]:
         return v, 1
     g, out = abs(den), []
     for c in v:
-        q, r = divmod(c, g)
+        q, r = divmod(c, g) if c else (0, 0)  # a zero coordinate takes no division
         if r:
             h = gcd(g, r)
             f = g // h
@@ -418,8 +418,9 @@ def _root_quadratic(x: int, w: int, b: int, norm: int) -> tuple[list[int], int] 
         if r * r != 2 * c or rem:
             continue
         r2 = isqrt(c2)
-        if r2 * r2 == c2:
-            return _reduced([r, r2 if w > 0 else -r2], 2)
+        if r2 * r2 == c2:  # (r, r2)/2, its content 2 removed by parity
+            r2 = r2 if w > 0 else -r2
+            return ([r // 2, r2 // 2], 1) if r % 2 == r2 % 2 == 0 else ([r, r2], 2)
     return None
 
 
@@ -486,8 +487,9 @@ def sqrt_unit_product(tower: Tower, units) -> TowerElement | None:
     embedding that flips its sqrt(d) and keeps the other unit's, so then the
     product is no square.
     """
-    if any(u.norm != 1 for u in units):
-        return None
+    for u in units:
+        if u.norm != 1:
+            return None
     binomials, den = [((1, 1),)] * (2 - len(units)), 1  # one unit: its binomial times 1
     for u in units:
         if u.half is None:
@@ -552,15 +554,14 @@ def _sqrt2_div(z: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
 def _sqrt2_gcd(z: tuple[int, int], n: int) -> tuple[int, int]:
     """A gcd of z and the integer n > 0 in Z[sqrt2], by Euclid's algorithm with
     nearest-integer quotients; Z[sqrt2] is norm-Euclidean, so it ends."""
-    a, b = (n, 0), (z[0] % n, z[1] % n)
-    while b[0] or b[1]:
-        nb = b[0] * b[0] - 2 * b[1] * b[1]
-        # a/b = a*conj(b)/nb, rounded coordinate by coordinate
-        q0 = (2 * (a[0] * b[0] - 2 * a[1] * b[1]) + nb) // (2 * nb)
-        q1 = (2 * (a[1] * b[0] - a[0] * b[1]) + nb) // (2 * nb)
-        qb = _sqrt2_mul((q0, q1), b)
-        a, b = b, (a[0] - qb[0], a[1] - qb[1])
-    return a
+    a0, a1, b0, b1 = n, 0, z[0] % n, z[1] % n
+    while b0 or b1:
+        nb = b0 * b0 - 2 * b1 * b1
+        # a/b = a*conj(b)/nb, rounded coordinate by coordinate; a - q*b is the remainder
+        q0 = (2 * (a0 * b0 - 2 * a1 * b1) + nb) // (2 * nb)
+        q1 = (2 * (a1 * b0 - a0 * b1) + nb) // (2 * nb)
+        a0, a1, b0, b1 = b0, b1, a0 - q0 * b0 - 2 * q1 * b1, a1 - q0 * b1 - q1 * b0
+    return a0, a1
 
 
 def _relative_half_root(v: list[int], D: int, e: int, m: int) -> tuple[list[int], tuple[int, int]]:
@@ -607,6 +608,17 @@ def _norm_sign(x: TowerElement) -> int:
     return 1 if (v0 * v0 + 2 * v1 * v1 - x.tower.generators[1] * (v2 * v2 + 2 * v3 * v3)) % M == D2 else -1
 
 
+def _kappa_r(g: list[int], p: int, q: int, s: int) -> int:
+    """The one r in {1, qs, pq, ps} for which r*g in Z[sqrt2] can be a square: in a square
+    every prime over q has even valuation, inert or split, so q | r exactly when q's
+    valuation of g's content is odd, and so for s; if this r*g is no square, none is."""
+    c, odd = gcd(*g), {q: 0, s: 0}
+    for ell in odd:
+        while c % ell == 0:
+            c, odd[ell] = c // ell, 1 - odd[ell]
+    return (1, p * s, p * q, q * s)[2 * odd[q] + odd[s]]
+
+
 def _sqrt_mu_product(
     octic: OcticField, a: TowerElement, b: TowerElement, h: int, k: int, Q: int
 ) -> TowerElement | None:
@@ -621,9 +633,9 @@ def _sqrt_mu_product(
     Each factor x = v/D in Q(sqrt2, sqrt m), m = pq or ps, has a relative
     half-root over Z[sqrt2], sqrt(x) = B/sqrt(g), whose g = 2*D*gamma comes
     from one gcd with 2*D*m (`_relative_half_root`), so Q*a*b =
-    (Q*B_a*B_b)^2/(Q*g), g = g_a*g_b; by
-    Kummer theory it is a square exactly when r*Q*g is one in Q(sqrt2) for an
-    r in {1, pq, ps, qs}, unique as r*r' is no square there. The root of
+    (Q*B_a*B_b)^2/(Q*g), g = g_a*g_b; by Kummer theory it is a square exactly
+    when r*Q*g is one in Q(sqrt2) for an r in {1, pq, ps, qs}, unique as r*r'
+    is no square there, which `_kappa_r` reads off two parities. The root of
     mu*a*b is then (h + k*sqrt(pq))*B_a*B_b*sqrt(r)/kappa, kappa = sqrt(r*Q*g)
     a root of a small number, of the sign of B_a*B_b*kappa. A factor of
     relative norm -1 leaves no root: the norm of a*b down to K2 is -b^2.
@@ -658,11 +670,9 @@ def _sqrt_mu_product(
         sign *= _relative_sign(x, y, (xx[0] - m * yy[0], xx[1] - m * yy[1]))
     (xa, ya), (xb, yb) = halves
     g = [Q * c for c in _sqrt2_mul(ga, gb)]
-    for r in (1, q * s, p * q, p * s):
-        kappa = _sqrt([r * c for c in g], _SQRT2_TABLE)
-        if kappa is not None:
-            break
-    else:
+    r = _kappa_r(g, p, q, s)
+    kappa = _sqrt([r * c for c in g], _SQRT2_TABLE)
+    if kappa is None:
         return None
     (k0, k1), kd = kappa
     if _sqrt2_square((k0, k1)) != (kd * kd * r * g[0], kd * kd * r * g[1]):

@@ -1,10 +1,10 @@
 """Fundamental Pell units of Z[sqrt(d)] by the continued fraction of sqrt(d).
 
 One walk over the complete quotients stops halfway through the palindromic
-period, keeping one continuant row per step, and closes each block of
-quotients as a relative generator (A + B*sqrt(d))/Q; a balanced tree of
-three-product nodes multiplies them into the convergent that closes the unit
-exactly; `QuadUnit`'s constructor proves a norm +1 on the half unit
+period, keeping one continuant row per step, and closes each block of _BLOCK
+quotients as a relative generator (A + B*sqrt(d))/Q, most walks in one, with
+no tree; a balanced tree of three-product nodes multiplies more into the
+convergent that closes the unit; `QuadUnit` proves a norm +1 on the half unit
 (Jacobson and Williams, Solving the Pell Equation, 2009). Nothing is
 memoized: every call walks the continued fraction, and a caller that needs
 a unit twice keeps it. A walk stops after _WALK_BOUND partial quotients.
@@ -21,7 +21,7 @@ from math import isqrt
 
 from .errors import SearchExhausted
 
-_BLOCK = 32  # partial quotients per tree leaf, walked one continuant at a time
+_BLOCK = 128  # partial quotients per tree leaf, walked one continuant at a time; a power of two
 _TRIAL_BOUND = 10 ** 6  # is_squarefree's last trial divisor: every n < 10^18 is decided
 _WALK_BOUND = 2 ** 20  # partial quotients a walk takes before SearchExhausted, a multiple of _BLOCK
 

@@ -48,6 +48,7 @@ ALLOWED_BRANCHES = ((1, 1, 1), (-1, -1, 1))
 DEFAULT_PRIME_BOUND = 100_000
 PRIME_COUNT = 50  # split primes a scan reads below the caller's bound
 _SIGNS = tuple(product((1, -1), repeat=3))  # the eight places above t, in enumerate_places order
+_EPS_2 = QuadUnit(2, 1, 1, -1, None)  # 1 + sqrt2, every triple's eps_2: not walked, its norm checked
 
 
 class ClassicalDatum(_Frozen):
@@ -74,7 +75,9 @@ class ClassicalDatum(_Frozen):
 
 
 def _datum(p: int, q: int, s: int) -> ClassicalDatum:
-    return ClassicalDatum(p % 8, q % 8, s % 8, jacobi(q, p), jacobi(s, p), jacobi(q, s))
+    """The datum of proved distinct odd primes, each symbol by Euler's criterion."""
+    e = [1 if pow(a, n >> 1, n) == 1 else -1 for a, n in ((q, p), (s, p), (q, s))]
+    return ClassicalDatum(p % 8, q % 8, s % 8, *e)
 
 
 def classical_datum(p: int, q: int, s: int) -> ClassicalDatum:
@@ -436,15 +439,15 @@ def _fsu_generators(
 ) -> list[Generator]:
     """The seven generators; sqrt(eps_pq*eps_2pq) is `root_pq`, Theta's first
     factor lifted to the octic field, and xi is the root of mu*Theta. `eps`
-    holds the units of Theta's factors; the other three are walked here."""
+    holds the units of Theta's factors; eps_2 is `_EPS_2`, the other two are walked here."""
     p, q, s = octic.p, octic.q, octic.s
-    eps = eps | {d: fundamental_pell(d) for d in (2, q * s, 2 * q * s)}
+    eps = eps | {d: fundamental_pell(d) for d in (q * s, 2 * q * s)}
 
     def rooted(name: str, *ds: int) -> Generator:
         return Generator(name, sqrt_unit_product(octic, [eps[d] for d in ds]))
 
     return [
-        Generator("eps_2", octic.from_quad_unit(eps[2])),
+        Generator("eps_2", octic.from_quad_unit(_EPS_2)),
         Generator("eps_pq", octic.from_quad_unit(eps[p * q])),
         rooted("sqrt(eps_pq*eps_ps)", p * q, p * s),
         rooted("sqrt(eps_pq*eps_qs)", p * q, q * s),
@@ -479,9 +482,9 @@ def delta(
     primes below prime_bound with their validity (Q/t), Q from eps_pq's half
     unit, builds the record of the first valid t alone, where eps_pq has a
     nonsquare residue at every place, and reads delta off the Legendre symbol
-    of Theta's residue at its first place. With `force` a triple outside the
-    congruence pattern is decided too, flagged `hypotheses_verified = False`
-    and cross-checked exactly; on a triple inside it `force` has no effect.
+    of Theta's residue at its one view, the first place, signs (1, 1, 1).
+    With `force` a triple outside the congruence pattern is decided too,
+    flagged `hypotheses_verified = False` and cross-checked exactly; inside it `force` does nothing.
     The cross-check recomputes the decision globally: mu*Theta must have an
     exact root xi. The other candidate is then eps_pq^(+-1)*xi^2, a square
     only if eps_pq is one, and eps_pq is a nonresidue at the certificate's
@@ -491,7 +494,7 @@ def delta(
     checked alone, without descent. Inside the pattern every generator of
     the FSU has its root, so one without, xi included, raises
     OracleDisagreement with the oracle off too. The triple is validated once,
-    by building its octic field, and each Pell unit is walked once per call.
+    by building its octic field, and each Pell unit but eps_2 is walked once per call.
     """
     octic = OcticField(p, q, s)
     datum = _datum(p, q, s)
@@ -510,7 +513,7 @@ def delta(
     t = next((t for t, valid in _split_primes(p, q, s, eps_pq.half[2], prime_bound) if valid), None)
     if t is None:
         raise SearchExhausted(f"no valid place below t = {prime_bound} (first {PRIME_COUNT} split primes)")
-    chosen = _place_decisions(enumerate_places(t, p, q, s)[:1], True, (f1, f2), eps_pq)[0]
+    chosen = _place_decisions([SplitPlace(SplitPrime(t, p, q, s), (1, 1, 1))], True, (f1, f2), eps_pq)[0]
     cert = Certificate(
         p=p, q=q, s=s,
         datum=datum,

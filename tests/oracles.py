@@ -440,6 +440,27 @@ def sqrt2_divides(pi: tuple[int, int], z: tuple[int, int]) -> bool:
     return (z[0] * a - 2 * z[1] * b) % n == 0 == (z[1] * a - z[0] * b) % n
 
 
+def sqrt2_is_square(c0: int, c1: int) -> bool:
+    """Whether c0 + c1*sqrt2 = (a + b*sqrt2)^2 = a^2 + 2*b^2 + 2ab*sqrt2 for
+    integers a, b; Z[sqrt2] is integrally closed, so this is being a square
+    in Q(sqrt2). a^2 and 2*b^2 are the roots of X^2 - c0*X + c1^2/2, and each
+    root is tried as a^2, the pair (a, b) checked exactly."""
+    disc = c0 * c0 - 2 * c1 * c1
+    if c0 < 0 or disc < 0 or isqrt(disc) ** 2 != disc:
+        return False
+    for aa in (c0 + isqrt(disc), c0 - isqrt(disc)):
+        a, b = isqrt(aa // 2), isqrt(max(c0 - aa // 2, 0) // 2)
+        if a * a + 2 * b * b == c0 and 2 * a * b == abs(c1):
+            return True
+    return False
+
+
+def kappa_r_by_trial(g: tuple[int, int], p: int, q: int, s: int) -> int | None:
+    """The first r of 1, qs, pq, ps for which r*g is a square in Q(sqrt2), each
+    tried by `sqrt2_is_square`; None when none is."""
+    return next((r for r in (1, q * s, p * q, p * s) if sqrt2_is_square(r * g[0], r * g[1])), None)
+
+
 def real_sign(x) -> int:
     """Sign of a tower element at the all-positive real embedding, by integer
     bounds alone: isqrt(m * 4^k) <= 2^k * sqrt(m) < isqrt(m * 4^k) + 1 puts

@@ -66,6 +66,21 @@ def test_delta_forced_dichotomy_failure_exit_code():
     assert r.returncode == 4
 
 
+@pytest.mark.parametrize("args", [("verify-paper",), ("delta", "7", "11", "43", "--places", "all", "--json")])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(args):
+    # the reader of stdout closes it before the command writes, as `| head -1`
+    # does after its line: that is no error, so nothing is printed on stderr,
+    # and the exit code is 128 + SIGPIPE, as a shell reports such a writer
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "unitcert", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (cli.EXIT_PIPE, b"") == (141, b"")
+
+
 def test_delta_places_all():
     r = run_cli("delta", "7", "19", "3", "--places", "all", "--json")
     doc = json.loads(r.stdout)
@@ -337,7 +352,7 @@ def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch):
     code, out = _main_in_process(monkeypatch, ["delta", "7", "11", "43", "--places", "all", "--json"])
     assert code == 0 and json.loads(out)["all_places"]
     p, q, s = 7, 11, 43
-    assert sorted(walked) == sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})
+    assert sorted(walked) == sorted([p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s])  # never 2
 
 
 def test_delta_places_all_builds_theta_once(monkeypatch):
@@ -382,7 +397,7 @@ def test_a_flipped_bit_fails_the_exact_xi_with_the_oracle_off(monkeypatch, capsy
         "internal verification failure: xi: no exact root, though (7, 3, 59) is inside the pattern\n")
 
 
-# sha256 of the standard output of ten commands. Answers and certificates are
+# sha256 of the standard output of twelve commands. Answers and certificates are
 # fixed byte for byte, so a new hash here is a change of output, not of speed.
 PINNED_STDOUT = {
     ("delta", "7", "11", "43", "--places", "all", "--json"):
@@ -405,6 +420,10 @@ PINNED_STDOUT = {
         "5d20940a2d3591003e1d99882e1811b6e0f0ddfeb1e6ceeddfa217c3bbd191b5",
     ("delta", "30047", "30011", "30139", "--json"):
         "8cef75d8c8171e3f6b2f8a4b81674dc0f0f7078ede32061fbd74439194a0cbc8",
+    ("datum", "7", "19", "3", "--json"):
+        "2cb6f8eb43ed31af419ac8afa8acb919fe440b4d800a08a90104f4cc99c99729",
+    ("delta", "7", "11", "43", "--places", "all"):
+        "b649a5e243e5f74592ecc56950455b446855aac1625eb4e7b9a6ca3b345307c4",
 }
 
 
@@ -412,7 +431,8 @@ PINNED_STDOUT = {
     "argv",
     list(PINNED_STDOUT),
     ids=["delta-7-11-43", "delta-1031", "verify-paper", "separate", "fsu-3023", "fsu-10007",
-         "sqrt-1/49", "fsu-7-19-3-text", "delta-7-19-3-text", "delta-30047"],
+         "sqrt-1/49", "fsu-7-19-3-text", "delta-7-19-3-text", "delta-30047", "datum-7-19-3",
+         "delta-7-11-43-text"],
 )
 def test_stdout_matches_pinned_sha256(monkeypatch, argv):
     code, out = _main_in_process(monkeypatch, list(argv))

@@ -778,33 +778,71 @@ def test_norm_one_product_root_on_forced_triples_of_every_class_mod_8():
     assert counts == {0, 1, 2}
 
 
-def test_xi_closed_form_matches_the_descent_on_every_forced_triple_below_80():
-    # every triple of distinct odd primes below 80 with q < s that has a
-    # Theta, in or out of the pattern: both mu = 1 and mu = eps_pq (whose
-    # norm is +1 whenever f1 exists, so it has a half unit) against the descent
+def _theta_triples_below_80():
+    """(p, q, s, f1, f2) for every triple of distinct odd primes below 80 with
+    q < s that has a Theta, in or out of the pattern."""
     primes = oracles.odd_primes_by_trial_division(79)
     factors = {}  # d -> the root of eps_d*eps_2d in Q(sqrt2, sqrt d), or None
     for i, p in enumerate(primes):
         for q in primes[i + 1:]:
             units = (fundamental_pell(p * q), fundamental_pell(2 * p * q))
             factors[p * q] = fields.sqrt_unit_product(BiquadField(2, p * q), units)
-    triples, roots = 0, []
     for p in primes:
         for q in primes:
             for s in primes:
                 f1, f2 = factors.get(p * q), factors.get(p * s)
-                if len({p, q, s}) < 3 or q > s or f1 is None or f2 is None:
-                    continue
-                triples += 1
-                octic = OcticField(p, q, s)
-                th = octic.lift(f1) * octic.lift(f2)
-                eps_pq = fundamental_pell(p * q)
-                for half, product in [((1, 0, 1), th), (eps_pq.half, octic.from_quad_unit(eps_pq) * th)]:
-                    root = fields._sqrt_mu_product(octic, f1, f2, *half)
-                    assert root == sqrt_exact(product), (p, q, s, half)
-                    roots.append(root)
+                if len({p, q, s}) == 3 and q < s and f1 is not None and f2 is not None:
+                    yield p, q, s, f1, f2
+
+
+def test_xi_closed_form_matches_the_descent_on_every_forced_triple_below_80():
+    # both mu = 1 and mu = eps_pq (whose norm is +1 whenever f1 exists, so it
+    # has a half unit) against the descent
+    triples, roots = 0, []
+    for p, q, s, f1, f2 in _theta_triples_below_80():
+        triples += 1
+        octic = OcticField(p, q, s)
+        th = octic.lift(f1) * octic.lift(f2)
+        eps_pq = fundamental_pell(p * q)
+        for half, product in [((1, 0, 1), th), (eps_pq.half, octic.from_quad_unit(eps_pq) * th)]:
+            root = fields._sqrt_mu_product(octic, f1, f2, *half)
+            assert root == sqrt_exact(product), (p, q, s, half)
+            roots.append(root)
     assert triples == 2072
     assert roots.count(None) == 3904 and len(roots) - roots.count(None) == 240
+
+
+@pytest.mark.parametrize("source", ["corpus", "forced-triples-below-80"])
+def test_kappa_r_by_two_parities_is_the_r_that_trying_all_four_finds(monkeypatch, source):
+    # xi takes the one r that q's and s's valuations of the content of Q*g
+    # fix; trying 1, qs, pq and ps in turn (the oracle) finds that r whenever
+    # some r*Q*g is a square, and when none is, xi is None; for both mu
+    kappa_r, taken = fields._kappa_r, []
+    monkeypatch.setattr(fields, "_kappa_r", lambda g, p, q, s: taken.append(g) or kappa_r(g, p, q, s))
+    if source == "corpus":
+        triples = [(p, q, s, *theta_factors(p, q, s)) for p, q, s in oracles.in_pattern_triples(400)]
+        assert len(triples) == 986
+    else:
+        triples = list(_theta_triples_below_80())
+    found = collections.Counter()
+    for p, q, s, f1, f2 in triples:
+        octic, eps_pq = OcticField(p, q, s), fundamental_pell(p * q)
+        for half in ((1, 0, 1), eps_pq.half):
+            taken.clear()
+            root = fields._sqrt_mu_product(octic, f1, f2, *half)
+            if not taken:  # a factor of relative norm -1: no root, and no r read
+                assert root is None and source != "corpus"
+                continue
+            r = oracles.kappa_r_by_trial(taken[0], p, q, s)
+            if r is None:
+                assert root is None, (p, q, s, half)
+            else:
+                assert kappa_r(taken[0], p, q, s) == r and root is not None, (p, q, s, half)
+            found[{None: None, 1: "1", q * s: "qs", p * q: "pq", p * s: "ps"}[r]] += 1
+    # every r occurs; each corpus triple has a root for exactly one mu, and
+    # below 80 the roots are the 240 that the descent test above finds
+    assert set(found) == {None, "1", "qs", "pq", "ps"}
+    assert found.total() - found[None] == (986 if source == "corpus" else 240)
 
 
 def _assert_one_gcd_is_the_gcd_and_the_primes_over_m(x, ell1, ell2):

@@ -87,17 +87,18 @@ def test_is_squarefree_decides_below_1e18_and_refuses_past_its_trial_bound():
 
 
 def test_the_walk_stops_at_its_bound_a_block_at_a_time(monkeypatch):
-    # the bound is read once per block of _BLOCK partial quotients: sqrt(3931)
-    # closes its half period at quotient 65, in the third block, so a bound
-    # of three blocks decides it and a bound of two stops it, naming d and
-    # the quotients walked
-    unit = fundamental_pell(3931)
+    # the bound is read once per block of _BLOCK = 128 partial quotients:
+    # sqrt(48799), the first d whose walk needs three blocks, closes its half
+    # period at quotient 272, in the third block, so a bound of three blocks
+    # decides it and a bound of two stops it, naming d and the quotients walked
+    assert pell._BLOCK == 128 and len(_complete_quotients(48799, 10 ** 4)) - 1 == 272
+    unit = fundamental_pell(48799)
     monkeypatch.setattr(pell, "_WALK_BOUND", 3 * pell._BLOCK)
-    assert fundamental_pell(3931) == unit
+    assert fundamental_pell(48799) == unit
     monkeypatch.setattr(pell, "_WALK_BOUND", 2 * pell._BLOCK)
-    with pytest.raises(SearchExhausted, match=r"^the continued fraction of sqrt\(3931\) did not close its "
-                                              r"half period in 64 partial quotients, the walk's bound$"):
-        fundamental_pell(3931)
+    with pytest.raises(SearchExhausted, match=r"^the continued fraction of sqrt\(48799\) did not close its "
+                                              r"half period in 256 partial quotients, the walk's bound$"):
+        fundamental_pell(48799)
 
 
 def test_quadunit_validates():
@@ -284,10 +285,12 @@ def test_walk_blocks_at_the_block_boundaries(monkeypatch):
     size = pell._BLOCK
     lengths = {1, 2, size - 1, size, size + 1, 2 * size}
     found = {}
-    for d in oracles.squarefree_numbers(10 ** 4):
+    for d in oracles.squarefree_numbers(10 ** 5):  # the last of the twelve is 78121 at _BLOCK = 128
         quotients = _complete_quotients(d, 4 * size + 2)
         if quotients is not None and len(quotients) - 1 in lengths:
             found.setdefault((len(quotients) - 1, oracles.pell_by_convergents(d)[2]), d)
+            if len(found) == 2 * len(lengths):
+                break
     assert len(found) == 2 * len(lengths)  # both period parities at each length
     handed = _leaves_handed_to_the_tree(monkeypatch)
     for d in found.values():
@@ -300,11 +303,12 @@ def test_walk_blocks_at_the_block_boundaries(monkeypatch):
 def test_every_leaf_is_a_quotient_of_relative_generators(monkeypatch):
     # Q_u*theta_v = theta_u*(A + B*sqrt(d)) for the leaf (A, B, Q_u) of the
     # span from u to v, theta_n = h_(n-1) + k_(n-1)*sqrt(d) from the oracle's
-    # convergents; short periods and long ones of many leaves
+    # convergents; short periods and long ones of many leaves, the longest
+    # that of pq at the ladder's top rung, 28 leaves of _BLOCK = 128
     size = pell._BLOCK
     rng = random.Random(1972)
     ds = oracles.squarefree_numbers(1000) + [d for d in (rng.randrange(10 ** 6, 10 ** 7) for _ in range(30))
-                                            if oracles.trial_division_is_squarefree(d)]
+                                            if oracles.trial_division_is_squarefree(d)] + [30047 * 30011]
     handed = _leaves_handed_to_the_tree(monkeypatch)
     most = 0
     for d in ds:
@@ -345,7 +349,7 @@ def test_a_wrong_half_unit_from_the_tree_is_refused(monkeypatch):
         return (A + 1, B, Q) if top else (A, B, Q)
 
     monkeypatch.setattr(pell, "_tree", off_by_one)
-    for d, leaves in ((21, 1), (30047 * 30011, 109)):
+    for d, leaves in ((21, 1), (30047 * 30011, 28)):
         calls.clear()
         with pytest.raises(ArithmeticError, match=r"h\^2 - d\*k\^2 = \+-Q"):
             fundamental_pell(d)

@@ -538,14 +538,23 @@ def _count_pell_walks(monkeypatch) -> list[int]:
 
 
 def test_delta_walks_each_pell_continued_fraction_once_per_call(monkeypatch):
+    # six radicands, each walked once; eps_2 = 1 + sqrt2 is a constant, never walked
     p, q, s = 1031, 1019, 1171
     walked = _count_pell_walks(monkeypatch)
-    seven = sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})
+    six = sorted([p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s])
     delta(p, q, s, oracle=True)
-    assert sorted(walked) == seven
+    assert sorted(walked) == six and 2 not in walked
     # the dedup is per call, not a process-wide memo
     delta(p, q, s, oracle=True)
-    assert sorted(walked) == sorted(seven * 2)
+    assert sorted(walked) == sorted(six * 2)
+
+
+def test_the_eps_2_constant_is_the_walked_unit_of_z_sqrt2():
+    # the FSU's eps_2 is a constant, not a walk: it must be fundamental_pell(2)
+    # with its norm, and its generator the unit's element in the octic field
+    assert residual._EPS_2 == fundamental_pell(2) and residual._EPS_2.as_tuple() == (2, 1, 1, -1)
+    octic = OcticField(7, 19, 3)
+    assert delta(7, 19, 3).fsu[0] == residual.Generator("eps_2", octic.from_quad_unit(fundamental_pell(2)))
 
 
 def test_survey_and_hilbert_walk_each_pell_continued_fraction_once(monkeypatch):
@@ -561,17 +570,18 @@ def test_survey_and_hilbert_walk_each_pell_continued_fraction_once(monkeypatch):
 
 
 def test_delta_calls_fundamental_pell_once_per_walk(monkeypatch):
-    # no call is a memo hit: the seven units are asked for once each, and
-    # the squarefree test runs once for each of them; the generators of the
-    # octic field and of Theta's factor towers Q(sqrt2, sqrt pq) and
-    # Q(sqrt2, sqrt ps) follow from the octic field's one proof of the triple
+    # no call is a memo hit: the six walked units are asked for once each,
+    # eps_2 never, and the squarefree test runs once for each of them; the
+    # generators of the octic field and of Theta's factor towers
+    # Q(sqrt2, sqrt pq) and Q(sqrt2, sqrt ps) follow from the octic field's
+    # one proof of the triple
     units, squarefree = [], []
     _count_calls(monkeypatch, unitcert.pell.fundamental_pell, units)
     _count_calls(monkeypatch, unitcert.pell.is_squarefree, squarefree)
     p, q, s = 7, 19, 3
     delta(p, q, s, oracle=True)
-    assert sorted(d for (d,) in units) == sorted({2, p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s})
-    assert len(squarefree) == 7
+    assert sorted(d for (d,) in units) == sorted([p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s])
+    assert len(squarefree) == 6
 
 
 @pytest.mark.parametrize("triple, invalid", [((7, 19, 3), []), ((7, 3, 59), [47])])

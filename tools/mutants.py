@@ -143,19 +143,26 @@ MUTANTS = (
     Mutant("datum-legendre-fields-swapped", "src/unitcert/residual.py",
            "legendre_q_p: int, legendre_s_p: int, legendre_q_s: int):",
            "legendre_s_p: int, legendre_q_p: int, legendre_q_s: int):"),
-    # the paper's place, the first valid one; the exact sign of a tower
-    # element; the content division that makes equal elements equal
+    # the paper's place, the first valid one; a quadratic root's content 2,
+    # removed by parity; the exact sign of a tower element; the content
+    # division that makes equal elements equal
     Mutant("certify-at-second-valid-place", "src/unitcert/residual.py",
-           "enumerate_places(t, p, q, s)[:1], True,", "enumerate_places(t, p, q, s)[1:2], True,"),
+           "[SplitPlace(SplitPrime(t, p, q, s), (1, 1, 1))], True,",
+           "[SplitPlace(SplitPrime(t, p, q, s), (1, 1, -1))], True,"),
+    Mutant("root-quadratic-parity-flipped", "src/unitcert/fields.py",
+           "if r % 2 == r2 % 2 == 0 else", "if r % 2 == r2 % 2 == 1 else"),
     Mutant("sign-of-mixed-halves-negated", "src/unitcert/fields.py",
            "return sx * _sign(_rel_norm(z, table), table)", "return -sx * _sign(_rel_norm(z, table), table)"),
     Mutant("reduced-drops-content-division", "src/unitcert/fields.py",
            "g, out = abs(den), []", "g, out = 1, []"),
-    # xi's closed form: the four r, the norm-sign test and its modulus, the
-    # relative half-root's gcd; eps_pq's residue by the sign of pq's root; the
-    # Q of the half unit that delta hands to xi
+    # xi's closed form: its r, read off the parities of q's and s's
+    # valuations, the norm-sign test and its modulus, the relative
+    # half-root's gcd; eps_pq's residue by the sign of pq's root; the Q of the
+    # half unit that delta hands to xi
     Mutant("xi-searches-r-1-only", "src/unitcert/fields.py",
-           "for r in (1, q * s, p * q, p * s):", "for r in (1,):"),
+           "    r = _kappa_r(g, p, q, s)\n", "    r = 1\n"),
+    Mutant("kappa-r-drops-s-parity", "src/unitcert/fields.py",
+           "[2 * odd[q] + odd[s]]", "[2 * odd[q]]"),
     # xi on Z[sqrt2] pairs: the relative sign of x + y*sqrt(m), the factor
     # check's cross term, sqrt(qs) = sqrt(pq)*sqrt(ps)/p, and kappa's root of
     # a g1 = 0 that is twice a square, through `_sqrt` on Q(sqrt2)
@@ -177,13 +184,15 @@ MUTANTS = (
            "eps_res = {1: r, -1: pow(r, -1, t)}", "eps_res = {1: r, -1: r}"),
     Mutant("delta-hands-xi-Q-1", "src/unitcert/residual.py",
            "*(eps_pq.half if cert.delta else (1, 0, 1))", "*((*eps_pq.half[:2], 1) if cert.delta else (1, 0, 1))"),
-    # one mutant for each public decision function: the datum's
-    # (q/s), the pair check's same-datum conjunct, the Hilbert symbol's
-    # (-1)^(alpha*beta*(p-1)/2), jacobi's (2/n), the squarefree cofactor and
-    # trial bound, the F2 back-substitution, the index search's exponent
-    # order and the Tonelli-Shanks update
+    # one mutant for each public decision function: the datum's (q/s) and
+    # its Euler exponent, the pair check's same-datum conjunct, the Hilbert
+    # symbol's (-1)^(alpha*beta*(p-1)/2), jacobi's (2/n), the squarefree
+    # cofactor and trial bound, the F2 back-substitution, the index search's
+    # exponent order and the Tonelli-Shanks update
     Mutant("datum-reads-s-over-q", "src/unitcert/residual.py",
-           "jacobi(s, p), jacobi(q, s))", "jacobi(s, p), jacobi(s, q))"),
+           "((q, p), (s, p), (q, s))]", "((q, p), (s, p), (s, q))]"),
+    Mutant("datum-euler-exponent-off", "src/unitcert/residual.py",
+           "pow(a, n >> 1, n) == 1 else -1", "pow(a, n >> 2, n) == 1 else -1"),
     Mutant("noncollapse-ignores-the-datum", "src/unitcert/residual.py",
            "return same_datum and differs, report", "return differs, report"),
     Mutant("hilbert-drops-the-uniformizer-sign", "src/unitcert/arith.py",
