@@ -32,7 +32,7 @@ from .residual import (
     residue_at,
 )
 
-FUNCTIONAL_PRIMES = 64  # split primes the functional stream reads below the caller's bound
+FUNCTIONAL_PRIMES = 64  # split primes the functional stream reads
 
 
 class TestFunctional(_Frozen):
@@ -81,18 +81,18 @@ def _field_of(elements: list[TowerElement], names: list[str]):
     return tower
 
 
-def _iter_functionals(tower, elements: list[TowerElement], bound: int):
+def _iter_functionals(tower, elements: list[TowerElement]):
     """Deterministic functional stream: the first FUNCTIONAL_PRIMES split
-    primes below bound, ascending, places in `enumerate_places` order, one
-    functional per place, each with its bits on `elements`. A place where
-    one of them has a zero or non-invertible residue is left out.
+    primes, ascending, places in `enumerate_places` order, one functional
+    per place, each with its bits on `elements`. A place where one of them
+    has a zero or non-invertible residue is left out.
 
     The elements are reduced once per prime and `_residues_above` gives their
     residues at the eight places, which `TestFunctional.evaluate` reads one by
     one; a bit is Euler's criterion on the sieved t where `evaluate` takes `jacobi`.
     """
     p, q, s = tower.p, tower.q, tower.s
-    for t in islice(iter_split_primes(p, q, s, bound), FUNCTIONAL_PRIMES):
+    for t in islice(iter_split_primes(p, q, s), FUNCTIONAL_PRIMES):
         try:
             reduced = [reduce_mod(x, t) for x in elements]
         except DenominatorNotInvertible:
@@ -172,17 +172,13 @@ class AffineCertificate(_Record):
         return _gf2_solve(rows, rhs, r)
 
 
-def certify_affine(
-    u0: TowerElement,
-    generators: list[TowerElement],
-    bound: int = DEFAULT_PRIME_BOUND,
-) -> AffineCertificate:
+def certify_affine(u0: TowerElement, generators: list[TowerElement]) -> AffineCertificate:
     """Search for functionals of full rank on the span of the generators.
 
     The returned functionals decode any class u0 * prod(g_i^e_i) from its bit
     vector. The search reads the places above the first FUNCTIONAL_PRIMES
-    split primes below bound. Places where any involved element has non-unit
-    residue are skipped.
+    split primes. Places where any involved element has non-unit residue are
+    skipped.
     """
     r = len(generators)
     tower = _field_of([u0, *generators], ["u0", *(f"generator {j}" for j in range(r))])
@@ -191,7 +187,7 @@ def certify_affine(
     chosen: list[TestFunctional] = []
     matrix: list[list[int]] = []
     base_bits: list[int] = []
-    stream = _iter_functionals(tower, [*generators, u0], bound)
+    stream = _iter_functionals(tower, [*generators, u0])
     for functional, bits in _independent(stream, r):
         chosen.append(functional)
         matrix.append(bits[:-1])
@@ -202,11 +198,11 @@ def certify_affine(
     for j in range(r):
         if not any(row[j] for row in matrix):
             raise RankDeficient(
-                f"generator {j} was not detected by any functional below {bound}; "
+                f"generator {j} was not detected by any functional below {DEFAULT_PRIME_BOUND}; "
                 "dependence suspected"
             )
     raise SearchExhausted(
-        f"rank {len(chosen)} of {r} reached with split primes below {bound}"
+        f"rank {len(chosen)} of {r} reached with split primes below {DEFAULT_PRIME_BOUND}"
     )
 
 
@@ -229,14 +225,11 @@ class SeparationCertificate(_Record):
         }
 
 
-def separate_candidates(
-    candidates: list[TowerElement],
-    bound: int = DEFAULT_PRIME_BOUND,
-) -> SeparationCertificate:
+def separate_candidates(candidates: list[TowerElement]) -> SeparationCertificate:
     """Separate a finite family of squareclasses by local Legendre bits.
 
     Greedy over the deterministic functional stream (the places above the
-    first FUNCTIONAL_PRIMES split primes below bound), keeping a functional when
+    first FUNCTIONAL_PRIMES split primes), keeping a functional when
     it raises the rank of the value matrix on the difference classes c_i*c_0;
     their bits are XORs of candidate bits, so only the candidates are reduced.
     Stops once the candidate rows are pairwise distinct.
@@ -250,7 +243,7 @@ def separate_candidates(
         return SeparationCertificate(list(candidates), [], [()])
     chosen: list[TestFunctional] = []
     rows: list[tuple[int, ...]] = [() for _ in candidates]
-    functionals = _iter_functionals(tower, candidates, bound)
+    functionals = _iter_functionals(tower, candidates)
     stream = ((f, [bit ^ bits[0] for bit in bits[1:]] + bits) for f, bits in functionals)
     for functional, values in _independent(stream, len(candidates) - 1):
         chosen.append(functional)
@@ -267,5 +260,5 @@ def separate_candidates(
         if sqrt_exact(candidates[i] * candidates[j]) is not None:
             raise Inseparable(i, j)
     raise SearchExhausted(
-        f"rows still collide after scanning split primes below {bound}: {collisions}"
+        f"rows still collide after scanning split primes below {DEFAULT_PRIME_BOUND}: {collisions}"
     )

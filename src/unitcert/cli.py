@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fields import BiquadField, OcticField, sqrt_exact
 from .pell import fundamental_pell
-from .residual import DEFAULT_PRIME_BOUND, Certificate, classical_datum, delta
+from .residual import Certificate, classical_datum, delta
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -58,20 +58,19 @@ def _print_certificate(cert: Certificate) -> None:
     print(f"mu = {cert.mu}")
     if cert.oracle_checked:
         print("oracle cross-check: passed")
-    if cert.fsu:
-        print("unit system:")
-        _print_fsu(cert)
+    print("unit system:")
+    _print_fsu(cert)
 
 
 def cmd_delta(args) -> int:
     """`delta` and `fsu`: one certificate, with the JSON of both; `delta`
     prints the whole certificate and may survey all places, `fsu` prints the
     unit system alone."""
-    cert = delta(args.p, args.q, args.s, prime_bound=args.prime_bound, force=args.force)
+    cert = delta(args.p, args.q, args.s, force=args.force)
     payload = cert.to_json_dict()
     extra = None
     if args.command == "delta" and args.places == "all":
-        extra = [d.to_json_dict() for d in cert.survey(args.prime_bound)]
+        extra = [d.to_json_dict() for d in cert.survey()]
         payload["all_places"] = extra
     if args.json:
         sys.stdout.write(_dump(payload))
@@ -160,16 +159,12 @@ def cmd_separate(args) -> int:
             field.element([_family_value(c, fraction_string=True) for c in coords])
             for coords in payload["candidates"]
         ]
-        bound = _family_value(payload.get("bound", args.prime_bound))
     except (KeyError, TypeError) as exc:
         raise ValueError(
-            f"{args.input}: a family file is a JSON object with integers p, q, s, a list "
-            f'of coordinate lists "candidates" (integers or strings "n" or "n/d") and an '
-            f'optional integer "bound" ({exc!r})'
+            f"{args.input}: a family file is a JSON object with integers p, q, s and a list "
+            f'of coordinate lists "candidates" (integers or strings "n" or "n/d") ({exc!r})'
         ) from exc
-    if bound <= 0:
-        raise ValueError("bounds must be positive")
-    cert = separate_candidates(candidates, bound=bound)
+    cert = separate_candidates(candidates)
     out = cert.to_json_dict()
     if args.json:
         sys.stdout.write(_dump(out))
@@ -184,7 +179,7 @@ def cmd_separate(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     from . import golden  # the paper's tables, imported by this command alone
-    items = golden.run_checks(prime_bound=args.prime_bound)
+    items = golden.run_checks()
     failed = [item for item in items if not item.ok]
     if args.json:
         sys.stdout.write(_dump({
@@ -222,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags it reads
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON")
-    bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND,
-                       help="upper bound for auxiliary split primes")
     triple = argparse.ArgumentParser(add_help=False)
     for name in ("p", "q", "s"):
         triple.add_argument(name, type=int)
@@ -234,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "certificate marked hypothesis-unverified; no effect on a triple inside it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_delta = sub.add_parser("delta", parents=[triple, json_flag, bound, force],
+    p_delta = sub.add_parser("delta", parents=[triple, json_flag, force],
                              help="decide the residual bit for a triple")
     p_delta.add_argument("--places", choices=("first", "all"), default="first",
                          help="evaluate only the first valid place or survey all")
     p_delta.set_defaults(func=cmd_delta)
 
-    p_fsu = sub.add_parser("fsu", parents=[triple, json_flag, bound, force],
+    p_fsu = sub.add_parser("fsu", parents=[triple, json_flag, force],
                            help="emit the seven-generator unit system")
     p_fsu.set_defaults(func=cmd_delta)
 
@@ -259,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sqrt.add_argument("element", help="comma-separated rational coordinates")
     p_sqrt.set_defaults(func=cmd_sqrt)
 
-    p_sep = sub.add_parser("separate", parents=[json_flag, bound],
+    p_sep = sub.add_parser("separate", parents=[json_flag],
                            help="separate squareclass candidates by local bits")
     p_sep.add_argument("input", help="JSON file with p, q, s and candidate coordinates")
     p_sep.set_defaults(func=cmd_separate)
 
-    p_verify = sub.add_parser("verify-paper", parents=[json_flag, bound],
+    p_verify = sub.add_parser("verify-paper", parents=[json_flag],
                               help="replay every built-in reference value")
     p_verify.set_defaults(func=cmd_verify_paper)
     return parser
@@ -279,8 +271,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "prime_bound", 1) <= 0:
-            raise ValueError("bounds must be positive")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, inside the handlers, not at exit
         return code

@@ -6,7 +6,6 @@ canonical roots, residues, Legendre bits, delta, mu, and the non-collapse pair.
 from __future__ import annotations
 
 from .arith import jacobi
-from .fields import theta_factors
 from .pell import _Frozen, _Record, fundamental_pell
 from .residual import classical_datum, delta, noncollapse_check, residue_at
 
@@ -111,16 +110,17 @@ def _expected(ex: ExampleValues) -> dict[str, object]:
     return out | {"delta": ex.delta, "mu": ex.mu}
 
 
-def _recompute(ex: ExampleValues, prime_bound: int, out: dict[str, object]) -> None:
+def _recompute(ex: ExampleValues, out: dict[str, object]) -> None:
     """Fill `out` with the recomputed value of each item of `_expected`, by
-    name; a computation that raises leaves the items after it out."""
+    name, from one certificate and the Theta factors it carries; a
+    computation that raises leaves the items after it out."""
     p, q, s = ex.triple
-    f_pq, f_ps = theta_factors(p, q, s)
-    out[f"root_{p * q}"] = tuple(int(c) for c in f_pq.coords)
-    out[f"root_{p * s}"] = tuple(int(c) for c in f_ps.coords)
-    cert = delta(p, q, s, prime_bound=prime_bound, with_fsu=False)
+    cert = delta(p, q, s, with_fsu=False)
+    f_pq, f_ps = cert.theta_factors
     place = cert.place
     out |= {
+        f"root_{p * q}": tuple(int(c) for c in f_pq.coords),
+        f"root_{p * s}": tuple(int(c) for c in f_ps.coords),
         "datum": cert.datum.as_tuple(), "split_prime": place.t,
         "place_roots": (place.r2, place.rpq, place.rps),
         "residue_factor_pq": residue_at(f_pq, place), "residue_factor_ps": residue_at(f_ps, place),
@@ -133,7 +133,7 @@ def _recompute(ex: ExampleValues, prime_bound: int, out: dict[str, object]) -> N
     out |= {"delta": cert.delta, "mu": cert.mu}
 
 
-def run_checks(prime_bound: int) -> list[CheckItem]:
+def run_checks() -> list[CheckItem]:
     """Recompute every reference value and compare; one item per number.
 
     Each check computes the Pell units it reads afresh. A computation failure
@@ -158,7 +158,7 @@ def run_checks(prime_bound: int) -> list[CheckItem]:
             add(f"{ex.label}.unit_{d}", f"({x}, {y}, {norm:+d})", actual)
         actuals, error = {}, None
         try:
-            _recompute(ex, prime_bound, actuals)
+            _recompute(ex, actuals)
         except Exception as exc:
             error = f"error: {exc}"
         for name, expected in _expected(ex).items():
@@ -168,7 +168,7 @@ def run_checks(prime_bound: int) -> list[CheckItem]:
     add("noncollapse.datum_1", (7, 3, 3, -1, -1, 1), classical_datum(*t1).as_tuple())
     add("noncollapse.datum_2", (7, 3, 3, -1, -1, 1), classical_datum(*t2).as_tuple())
     try:
-        ok, report = noncollapse_check(t1, t2, prime_bound=prime_bound)
+        ok, report = noncollapse_check(t1, t2)
         add("noncollapse.delta_pair", (0, 1),
             (report["triple1"]["delta"], report["triple2"]["delta"]))
         add("noncollapse.check", True, ok)

@@ -45,8 +45,8 @@ EPS_CONVENTION = "pell-unit-of-Z[sqrt d]"
 
 ALLOWED_BRANCHES = ((1, 1, 1), (-1, -1, 1))
 
-DEFAULT_PRIME_BOUND = 100_000
-PRIME_COUNT = 50  # split primes a scan reads below the caller's bound
+DEFAULT_PRIME_BOUND = 100_000  # iter_split_primes' bound; the scans' prime counts end them well below it
+PRIME_COUNT = 50  # split primes a scan reads
 _SIGNS = tuple(product((1, -1), repeat=3))  # the eight places above t, in enumerate_places order
 _EPS_2 = QuadUnit(2, 1, 1, -1, None)  # 1 + sqrt2, every triple's eps_2: not walked, its norm checked
 
@@ -322,10 +322,10 @@ class Certificate(_Record):
             "oracle_checked": self.oracle_checked,
         }
 
-    def survey(self, prime_bound: int) -> list[PlaceDecision]:
+    def survey(self) -> list[PlaceDecision]:
         """Every place that `survey_places` reads for this triple, from the
         Theta factors and eps_pq of this decision, so no unit is walked again."""
-        return _scan_places(self.p, self.q, self.s, self.theta_factors, self.eps_pq, prime_bound)
+        return _scan_places(self.p, self.q, self.s, self.theta_factors, self.eps_pq)
 
 
 class PlaceDecision(_Record):
@@ -361,12 +361,12 @@ class PlaceDecision(_Record):
         }
 
 
-def _split_primes(p: int, q: int, s: int, Q: int, prime_bound: int) -> Iterator[tuple[int, bool]]:
-    """The first PRIME_COUNT split primes t below prime_bound, ascending, with
-    their validity, decided before any record of t is built: eps_pq =
-    (h + k*sqrt(pq))^2/Q by its half unit has the Legendre symbol (Q/t) at
-    every place above t, so the eight are valid exactly when (Q/t) = -1."""
-    return ((t, pow(Q, t >> 1, t) != 1) for t in islice(iter_split_primes(p, q, s, prime_bound), PRIME_COUNT))
+def _split_primes(p: int, q: int, s: int, Q: int) -> Iterator[tuple[int, bool]]:
+    """The first PRIME_COUNT split primes t, ascending, with their validity,
+    decided before any record of t is built: eps_pq = (h + k*sqrt(pq))^2/Q
+    by its half unit has the Legendre symbol (Q/t) at every place above t,
+    so the eight are valid exactly when (Q/t) = -1."""
+    return ((t, pow(Q, t >> 1, t) != 1) for t in islice(iter_split_primes(p, q, s), PRIME_COUNT))
 
 
 def _place_decisions(places: list[SplitPlace], valid: bool, factors: Sequence[TowerElement],
@@ -398,27 +398,20 @@ def _place_decisions(places: list[SplitPlace], valid: bool, factors: Sequence[To
     return decisions
 
 
-def _scan_places(p: int, q: int, s: int, factors: Sequence[TowerElement], eps_pq: QuadUnit,
-                 prime_bound: int) -> list[PlaceDecision]:
-    """Decisions at the places above the first PRIME_COUNT split primes below
-    prime_bound, in ascending (t, signs) order, so the first valid one is the
-    paper's place."""
+def _scan_places(p: int, q: int, s: int, factors: Sequence[TowerElement],
+                 eps_pq: QuadUnit) -> list[PlaceDecision]:
+    """Decisions at the places above the first PRIME_COUNT split primes, in
+    ascending (t, signs) order, so the first valid one is the paper's place."""
     return list(chain.from_iterable(_place_decisions(enumerate_places(t, p, q, s), valid, factors, eps_pq)
-                                    for t, valid in _split_primes(p, q, s, eps_pq.half[2], prime_bound)))
+                                    for t, valid in _split_primes(p, q, s, eps_pq.half[2])))
 
 
-def survey_places(
-    p: int,
-    q: int,
-    s: int,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-    theta_elem: TowerElement | None = None,
-) -> list[PlaceDecision]:
-    """Every place above the first PRIME_COUNT split primes below
-    prime_bound, by the scan `delta` makes: the residue of eps_pq everywhere,
-    and Theta's residue and delta at the valid places. A Theta built by the
-    caller is used as given; `Certificate.survey` reuses a decision's. A
-    triple whose eps_pq has norm -1 has no Theta and is refused."""
+def survey_places(p: int, q: int, s: int, theta_elem: TowerElement | None = None) -> list[PlaceDecision]:
+    """Every place above the first PRIME_COUNT split primes, by the scan
+    `delta` makes: the residue of eps_pq everywhere, and Theta's residue and
+    delta at the valid places. A Theta built by the caller is used as given;
+    `Certificate.survey` reuses a decision's. A triple whose eps_pq has norm
+    -1 has no Theta and is refused."""
     if theta_elem is None:
         eps, *factors = _theta_parts(OcticField(p, q, s))
         eps_pq = eps[p * q]
@@ -427,7 +420,7 @@ def survey_places(
         eps_pq, factors = fundamental_pell(p * q), (theta_elem,)
         if eps_pq.half is None:
             raise NotASquareInBiquad(f"eps_{p * q} has norm -1, so the triple has no Theta")
-    return _scan_places(p, q, s, factors, eps_pq, prime_bound)
+    return _scan_places(p, q, s, factors, eps_pq)
 
 
 def _fsu_generators(
@@ -471,7 +464,6 @@ def delta(
     p: int,
     q: int,
     s: int,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
     force: bool = False,
     oracle: bool = False,
     with_fsu: bool = True,
@@ -479,10 +471,10 @@ def delta(
     """Decide the residual bit delta(p, q, s) and certify it.
 
     Reads the prime loop of `survey_places`, the first PRIME_COUNT split
-    primes below prime_bound with their validity (Q/t), Q from eps_pq's half
-    unit, builds the record of the first valid t alone, where eps_pq has a
-    nonsquare residue at every place, and reads delta off the Legendre symbol
-    of Theta's residue at its one view, the first place, signs (1, 1, 1).
+    primes with their validity (Q/t), Q from eps_pq's half unit, builds the
+    record of the first valid t alone, where eps_pq has a nonsquare residue
+    at every place, and reads delta off the Legendre symbol of Theta's
+    residue at its one view, the first place, signs (1, 1, 1).
     With `force` a triple outside the congruence pattern is decided too,
     flagged `hypotheses_verified = False` and cross-checked exactly; inside it `force` does nothing.
     The cross-check recomputes the decision globally: mu*Theta must have an
@@ -510,9 +502,9 @@ def delta(
     eps, f1, f2 = _theta_parts(octic)
     eps_pq = eps[p * q]
 
-    t = next((t for t, valid in _split_primes(p, q, s, eps_pq.half[2], prime_bound) if valid), None)
+    t = next((t for t, valid in _split_primes(p, q, s, eps_pq.half[2]) if valid), None)
     if t is None:
-        raise SearchExhausted(f"no valid place below t = {prime_bound} (first {PRIME_COUNT} split primes)")
+        raise SearchExhausted(f"no valid place below t = {DEFAULT_PRIME_BOUND} (first {PRIME_COUNT} split primes)")
     chosen = _place_decisions([SplitPlace(SplitPrime(t, p, q, s), (1, 1, 1))], True, (f1, f2), eps_pq)[0]
     cert = Certificate(
         p=p, q=q, s=s,
@@ -571,14 +563,10 @@ def decide_mu_hilbert(p: int, q: int, s: int, place: SplitPlace) -> str:
     return "1" if hilbert_symbol(residue_at(f1, place) * residue_at(f2, place) % t, t, t) == 1 else "eps_pq"
 
 
-def noncollapse_check(
-    triple1: tuple[int, int, int],
-    triple2: tuple[int, int, int],
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> tuple[bool, dict]:
+def noncollapse_check(triple1: tuple[int, int, int], triple2: tuple[int, int, int]) -> tuple[bool, dict]:
     """True when the classical data agree but the residual bits differ."""
-    c1 = delta(*triple1, prime_bound=prime_bound, with_fsu=False)
-    c2 = delta(*triple2, prime_bound=prime_bound, with_fsu=False)
+    c1 = delta(*triple1, with_fsu=False)
+    c2 = delta(*triple2, with_fsu=False)
     same_datum = c1.datum == c2.datum
     differs = c1.delta != c2.delta
     report = {

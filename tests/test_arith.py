@@ -81,6 +81,8 @@ def test_sqrt_mod_rejects_composite_or_even():
         sqrt_mod(3, 15)
     with pytest.raises(ValueError):
         sqrt_mod(3, 2)
+    with pytest.raises(ValueError):
+        sqrt_mod(1, 4)
 
 
 def test_sqrt_mod_prime_roots_square_back_at_any_odd_t():
@@ -167,6 +169,8 @@ def test_hilbert_trivial_cases():
 def test_hilbert_rejects_bad_arguments():
     with pytest.raises(ValueError):
         hilbert_symbol(0, 3, 5)
+    with pytest.raises(ValueError):
+        hilbert_symbol(3, 0, 5)
     with pytest.raises(ValueError):
         hilbert_symbol(2, 3, 6)
     with pytest.raises(ValueError):

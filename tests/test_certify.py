@@ -202,6 +202,10 @@ def test_separate_detects_duplicate_class(ex1):
     with pytest.raises(Inseparable) as info:
         separate_candidates([units[133], units[133] * O.from_rational(9)])
     assert info.value.witness == (0, 1)
+    # 1 is told apart from the other two: theirs is the one colliding pair
+    with pytest.raises(Inseparable) as info:
+        separate_candidates([O.one(), units[133], units[133] * O.from_rational(9)])
+    assert info.value.witness == (1, 2)
 
 
 def test_separate_random_unit_families(ex1):

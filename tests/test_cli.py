@@ -55,8 +55,11 @@ def test_delta_hypothesis_exit_code():
 
 
 def test_delta_search_exhausted_exit_code():
-    r = run_cli("delta", "7", "19", "3", "--prime-bound", "30")
-    assert r.returncode == 3
+    # (3, 17, 23) is outside the pattern, and no valid place comes among its
+    # first 50 split primes
+    r = run_cli("delta", "3", "17", "23", "--force")
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "search exhausted: no valid place below t = 100000 (first 50 split primes)\n"
 
 
 def test_delta_forced_dichotomy_failure_exit_code():
@@ -114,9 +117,9 @@ def test_datum():
 @pytest.mark.parametrize("argv, code, message", [
     (["fsu", "7", "19", "3", "--places", "all"], 64, "unrecognized arguments: --places all"),
     (["datum", "7", "19", "3", "--prime-bound", "5"], 64, "unrecognized arguments: --prime-bound 5"),
-    (["delta", "7", "19", "3", "--prime-bound", "0"], 1, "error: bounds must be positive"),
-    (["separate", str(DATA / "separate_7_19_3.json"), "--prime-bound", "0"], 1,
-     "error: bounds must be positive"),
+    (["delta", "7", "19", "3", "--prime-bound", "0"], 64, "unrecognized arguments: --prime-bound 0"),
+    (["separate", str(DATA / "separate_7_19_3.json"), "--prime-bound", "0"], 64,
+     "unrecognized arguments: --prime-bound 0"),
     (["delta", "5", "7", "11", "--json"], 2,
      "hypothesis violation: need p = 7 and q = s = 3 mod 8, got (5, 7, 3)"),
 ])
@@ -224,8 +227,6 @@ FAMILY = json.loads((DATA / "separate_7_19_3.json").read_text())
 
 
 @pytest.mark.parametrize("payload, message", [
-    ({**FAMILY, "bound": 0}, "bounds must be positive"),
-    ({**FAMILY, "bound": -41}, "bounds must be positive"),
     ({"q": 19, "s": 3, "candidates": []}, "a family file is a JSON object"),
     ({"p": 7, "q": 19, "s": 3}, "a family file is a JSON object"),
     ([1, 2], "a family file is a JSON object"),
@@ -233,7 +234,7 @@ FAMILY = json.loads((DATA / "separate_7_19_3.json").read_text())
     ({**FAMILY, "candidates": [[0.1] + [0] * 7, ["1/10"] + ["0"] * 7]}, "0.1 is not a JSON integer"),
     ({**FAMILY, "candidates": [[True] + [0] * 7, ["1"] + ["0"] * 7]}, "True is not a JSON integer"),
     ({**FAMILY, "p": 7.9}, "7.9 is not a JSON integer"),
-], ids=["bound-0", "bound-negative", "no-p", "no-candidates", "array", "candidates-int",
+], ids=["no-p", "no-candidates", "array", "candidates-int",
         "coordinate-float", "coordinate-bool", "p-float"])
 def test_separate_rejects_a_malformed_family_file(tmp_path, payload, message):
     path = tmp_path / "family.json"
@@ -315,18 +316,19 @@ def test_verify_paper_records_a_computation_that_raises_and_exits_1(monkeypatch)
     items = json.loads(out)["items"]
     actual = {item["name"]: item["actual"] for item in items}
     failed = {item["name"] for item in items if not item["ok"]}
-    # every ex3 item that reads delta's certificate fails with its error;
-    # ex3's roots come before delta and still pass, and no item goes missing
-    after_delta = ["datum", "split_prime", "place_roots", "residue_factor_pq", "residue_factor_ps",
-                   "theta_residue", "legendre_theta", "eps_pq_residue", "legendre_eps_pq",
-                   "eps_theta_residue", "legendre_eps_theta", "delta", "mu"]
+    # every ex3 item that reads delta's certificate fails with its error,
+    # the roots of Theta's factors, which it carries, included; the units
+    # are walked apart and still pass, and no item goes missing
+    after_delta = ["root_21", "root_413", "datum", "split_prime", "place_roots", "residue_factor_pq",
+                   "residue_factor_ps", "theta_residue", "legendre_theta", "eps_pq_residue",
+                   "legendre_eps_pq", "eps_theta_residue", "legendre_eps_theta", "delta", "mu"]
     assert len(items) == 57
     assert failed == {"ex3.unit_413", "noncollapse.delta_pair", "noncollapse.check"} | {
         f"ex3.{name}" for name in after_delta}
     assert actual["ex3.unit_413"] == "error: continued fraction cut short"
     for name in after_delta:
         assert actual[f"ex3.{name}"] == "error: no valid place below t = 100000"
-    assert {"ex3.root_21", "ex3.root_413"} <= {item["name"] for item in items if item["ok"]}
+    assert {"ex3.unit_21", "ex3.unit_42", "ex3.unit_826"} <= {item["name"] for item in items if item["ok"]}
     assert actual["noncollapse.delta_pair"] == actual["noncollapse.check"] == "error: pair not decided"
     assert any(name.startswith("ex1.") for name in actual)
     assert any(name.startswith("ex2.") for name in actual)
@@ -353,6 +355,20 @@ def test_delta_places_all_walks_each_pell_continued_fraction_once(monkeypatch):
     assert code == 0 and json.loads(out)["all_places"]
     p, q, s = 7, 11, 43
     assert sorted(walked) == sorted([p * q, 2 * p * q, p * s, 2 * p * s, q * s, 2 * q * s])  # never 2
+
+
+def test_verify_paper_walks_32_continued_fractions(monkeypatch):
+    # an example's four radicands are walked for its unit items and once more
+    # for its certificate, whose Theta factors give the root items; the
+    # non-collapse pair walks ex1's and ex3's again
+    walked = []
+    walk = pell._half_period
+    monkeypatch.setattr(pell, "_half_period", lambda d: walked.append(d) or walk(d))
+    code, out = _main_in_process(monkeypatch, ["verify-paper", "--json"])
+    assert code == 0 and json.loads(out)["ok"]
+    four = {ex.label: [m * ex.triple[0] * r for m in (1, 2) for r in ex.triple[1:]] for ex in golden.EXAMPLES}
+    assert sorted(walked) == sorted(four["ex1"] * 3 + four["ex2"] * 2 + four["ex3"] * 3)
+    assert len(walked) == 32
 
 
 def test_delta_places_all_builds_theta_once(monkeypatch):
@@ -458,13 +474,13 @@ def test_certificate_json_needs_no_lifted_int_string_limit():
 # The flags of each subcommand, as its --help lists them; the Pell unit file
 # cache and its --cache flag are gone.
 HELP_FLAGS = {
-    "delta": ["--force", "--help", "--json", "--places", "--prime-bound"],
-    "fsu": ["--force", "--help", "--json", "--prime-bound"],
+    "delta": ["--force", "--help", "--json", "--places"],
+    "fsu": ["--force", "--help", "--json"],
     "datum": ["--help", "--json"],
     "pell": ["--help", "--json"],
     "sqrt": ["--help", "--json"],
-    "separate": ["--help", "--json", "--prime-bound"],
-    "verify-paper": ["--help", "--json", "--prime-bound"],
+    "separate": ["--help", "--json"],
+    "verify-paper": ["--help", "--json"],
 }
 
 

@@ -72,6 +72,10 @@ def test_ring_axioms_on_random_elements():
 def test_mismatched_fields_rejected():
     a = OcticField(7, 19, 3).one()
     b = OcticField(7, 11, 43).one()
+    # an element equals only an element of its tower with its denominator and
+    # numerators, and a tower only a tower
+    assert (a == b) is False and (a == 1) is False and (a.tower == a.tower.generators) is False
+    assert (a == a * 2) is False and (a == a * Fraction(1, 2)) is False
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
@@ -81,6 +85,8 @@ def test_mismatched_fields_rejected():
 def test_tower_validation():
     with pytest.raises(ValueError):
         Tower((2, 3, 6))  # dependent modulo squares
+    with pytest.raises(ValueError):
+        Tower((1, 3))  # a generator must exceed 1
     with pytest.raises(ValueError):
         Tower((4, 3))  # not squarefree
     with pytest.raises(ValueError):
@@ -116,6 +122,9 @@ def test_sqrt_trivial_cases():
     B = BiquadField(2, 21)
     assert sqrt_exact(B.from_rational(4)) == B.from_rational(2)
     assert sqrt_exact(B.from_rational(-1)) is None
+    # (1 + sqrt2)^2 = 3 + 2*sqrt2 of norm 1: 2*(3 + 1) is no square, 2*(3 - 1) is
+    B23 = BiquadField(2, 3)
+    assert sqrt_exact(B23.element([3, 2, 0, 0])) == B23.element([1, 1, 0, 0])
     with pytest.raises(ValueError):
         sqrt_exact(B.zero())
     with pytest.raises(ValueError):

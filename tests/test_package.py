@@ -67,12 +67,9 @@ OPTIONAL_PARAMETERS = {
     "Generator": ["mu"],
     "PlaceDecision": ["theta_residue", "legendre_theta"],
     "TowerElement": ["den"],
-    "certify_affine": ["bound"],
-    "delta": ["prime_bound", "force", "oracle", "with_fsu"],
+    "delta": ["force", "oracle", "with_fsu"],
     "iter_split_primes": ["bound"],
-    "noncollapse_check": ["prime_bound"],
-    "separate_candidates": ["bound"],
-    "survey_places": ["prime_bound", "theta_elem"],
+    "survey_places": ["theta_elem"],
 }
 
 
@@ -98,7 +95,7 @@ def optional_parameters() -> dict[str, list[str]]:
 def test_every_optional_parameter_of_the_public_api_is_pinned():
     found = optional_parameters()
     assert found == OPTIONAL_PARAMETERS
-    assert sum(map(len, found.values())) == 14
+    assert sum(map(len, found.values())) == 9
 
 
 def _imports(tree: ast.Module) -> list[str]:

@@ -350,7 +350,7 @@ def test_forced_runs_of_every_out_of_pattern_triple_below_80_are_pinned():
 
 def test_delta_search_exhaustion():
     with pytest.raises(SearchExhausted):
-        delta(7, 19, 3, prime_bound=30, with_fsu=False)
+        delta(3, 17, 23, force=True, with_fsu=False)
 
 
 def test_delta_oracle_cross_check_passes():
@@ -461,12 +461,15 @@ def test_fsu_third_triple_xi_squares_to_eps_theta():
     assert xi.element * xi.element == e21 * theta(7, 3, 59)
 
 
-def test_fsu_and_noncollapse_check_take_no_keyword_bag():
+def test_fsu_and_noncollapse_check_take_no_keyword_bag(monkeypatch):
     assert fsu(7, 19, 3) == delta(7, 19, 3).fsu
     with pytest.raises(TypeError):
         fsu(7, 19, 3, oracle=True)
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(TypeError):
         noncollapse_check((7, 19, 3), (7, 3, 59), prime_bound=30)
+    monkeypatch.setattr(residual, "PRIME_COUNT", 0)
+    with pytest.raises(SearchExhausted):
+        noncollapse_check((7, 19, 3), (7, 3, 59))
 
 
 def test_noncollapse_pairs():

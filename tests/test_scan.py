@@ -224,6 +224,13 @@ def test_denominator_at_a_split_prime_skips_the_same_places(ex1):
     gens = [units[2], units[133] * at_41, units[21] + one_coord]
     for u0 in (octic.one(), th * Fraction(1, 89)):
         assert _affine(certify_affine(u0, gens)) == oracles.certify_affine_by_places(u0, gens)
+    # 41 is the first valid split prime: a Theta over 41 has no residue at
+    # its eight places, and the survey decides the other 49 primes' places;
+    # a stream for 3/41 skips 41, and 3/41 is a nonresidue at the t it keeps
+    decisions = survey_places(7, 19, 3, theta_elem=th * at_41)
+    assert len(decisions) == 392 and 41 not in {d.place.t for d in decisions}
+    (functional,) = certify_affine(octic.one(), [octic.from_rational(3 * at_41)]).functionals
+    assert functional.place.t != 41 and arith.jacobi(3 * 41, functional.place.t) == -1
     family = [th, units[133] * th * at_41, units[2] * th + one_coord]
     assert separate_candidates(family).to_json_dict() == oracles.separate_by_places(family)
 
@@ -251,7 +258,7 @@ def _same_error(run, reference):
     return got.value
 
 
-def test_failures_match_the_per_place_scan(ex1):
+def test_failures_match_the_per_place_scan(ex1, monkeypatch):
     octic, th, units = ex1
     one, u133 = octic.one(), units[133]
     err = _same_error(
@@ -272,9 +279,10 @@ def test_failures_match_the_per_place_scan(ex1):
     )
     assert isinstance(err, Inseparable)
     apart = [one, u133, units[2]]
+    monkeypatch.setattr(unitcert.certify, "FUNCTIONAL_PRIMES", 0)  # no functional, so the rows collide
     err = _same_error(
-        lambda: separate_candidates(apart, bound=40),
-        lambda: oracles.separate_by_places(apart, bound=40),
+        lambda: separate_candidates(apart),
+        lambda: oracles.separate_by_places(apart, max_primes=0),
     )
     assert isinstance(err, SearchExhausted)
 
@@ -330,7 +338,7 @@ def test_streamed_bits_by_euler_are_the_evaluated_jacobi_bits(triple):
     octic = OcticField(*triple)
     elements = [octic.from_rational(-1)] + [g.element for g in fsu(*triple)] + [theta(*triple)]
     streamed = ones = 0
-    for functional, bits in unitcert.certify._iter_functionals(octic, elements, 100_000):
+    for functional, bits in unitcert.certify._iter_functionals(octic, elements):
         assert bits == [functional.evaluate(x) for x in elements]
         streamed += 1
         ones += sum(bits)

@@ -217,9 +217,12 @@ MUTANTS = (
     Mutant("usage-exits-2", "src/unitcert/cli.py",
            "EXIT_USAGE = 64", "EXIT_USAGE = 2"),
     # delta decides a split prime's validity, (Q/t), before it builds the
-    # prime; Theta's factor towers come from the octic field's proven triple
+    # prime, and reads the first PRIME_COUNT split primes whatever their size;
+    # Theta's factor towers come from the octic field's proven triple
     Mutant("scan-ignores-Q-symbol", "src/unitcert/residual.py",
-           "prime_bound) if valid), None)", "prime_bound)), None)"),
+           "eps_pq.half[2]) if valid), None)", "eps_pq.half[2])), None)"),
+    Mutant("scan-caps-t-at-30", "src/unitcert/residual.py",
+           "islice(iter_split_primes(p, q, s), PRIME_COUNT)", "islice(iter_split_primes(p, q, s, 30), PRIME_COUNT)"),
     Mutant("theta-tower-on-wrong-generator", "src/unitcert/fields.py",
            "_FactorField(2, d)", "_FactorField(2, p * q)"),
     # a library integer is an integer, and no float becomes a binary fraction
